@@ -13,7 +13,7 @@ from .cfrac import (CFracSpec, Homography, apply_homography, convergent,
                     spectral_residual, tail_convergent)
 from .density import (DensityApprox, cauchy_density, lagrange_density,
                       sample_density, second_derivative_gaps, spline_density)
-from .errors import (ComplexZerosError, DegeneracyError, ParseError,
+from .errors import (ComplexZerosError, DegeneracyError, IntegrandError, ParseError,
                      PerturbationError, PoleError, RiiError,
                      SchemeIndexError, SingularReductionError)
 from .exact import GaussianRational, format_rational, rational, simplify_scalar

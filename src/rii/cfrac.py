@@ -26,10 +26,11 @@ because both sides reduce to the same tail value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PoleError
+from .poly import Poly
 from .polymat import PolyMatrix2
 from .schemes import Perturbation
 from .transfer import f_matrix, perturbation_transfer
@@ -85,6 +86,32 @@ def convergent(spec, depth, z):
             continue
         t = b(s + j) - _divide(num, t, m, numeric)
     return _divide(1, t, s, numeric)
+
+
+def singular_index(spec, depth):
+    """Coefficient index of a nested denominator that vanishes identically.
+
+    Bottom-up, the nested denominator at index s+j is U_j/U_{j+1}, where the
+    continuants U_depth = 1, U_{depth-1} = b_{s+depth-1} and
+    U_j = b_{s+j} U_{j+1} - a_{s+j+1} U_{j+2} are polynomials in z.  When
+    some U_j is the zero polynomial, exact evaluation of the convergent at
+    this depth raises PoleError at every z; the deepest such index is
+    returned, else None.
+    """
+    scheme = spec.scheme
+    pert = spec.pert()
+    s = spec.start
+    lower, upper = Poly.zero(), Poly.one()    # U_{j+2}, U_{j+1}
+    for j in range(depth - 1, -1, -1):
+        b = Poly((-scheme.rho(s + j) * pert.center(scheme, s + j), scheme.rho(s + j)))
+        u = b * upper
+        if j < depth - 1:
+            a = pert.coefficient(scheme, s + j + 1) * scheme.weight_poly(s + j + 1)
+            u = u - a * lower
+        if u.is_zero():
+            return s + j
+        lower, upper = upper, u
+    return None
 
 
 def _divide(num, den, index, numeric):

@@ -268,6 +268,8 @@ def _cmd_check(args):
               % (result.name, result.instances, len(result.failures)))
         for failure in result.failures[:5]:
             print("  failure: %s" % json.dumps(failure, sort_keys=True, default=str))
+        for record in result.skipped[:5]:
+            print("  skipped: %s" % json.dumps(record, sort_keys=True, default=str))
         failed += len(result.failures)
     return 1 if failed else 0
 

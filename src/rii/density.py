@@ -38,7 +38,8 @@ class DensityApprox:
     def __call__(self, x):
         if self.kind == LAGRANGE:
             # exact rational evaluation: knots reproduce their values exactly
-            return float(self.poly(Fraction(x)))
+            num, den = self.poly.ratio_at(x)
+            return num / den
         return float(self.spline(x))
 
     def flag(self, x):

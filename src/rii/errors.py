@@ -70,3 +70,11 @@ class ParseError(RiiError):
     def __init__(self, message, pos):
         self.pos = pos
         super().__init__("%s (position %d)" % (message, pos))
+
+
+class IntegrandError(RiiError, ValueError):
+    """An integrand failed, or gave a complex or non-finite value, at a node.
+
+    Also a ValueError, so callers that catch ValueError for a bad integrand
+    value keep working.
+    """

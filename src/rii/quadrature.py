@@ -21,19 +21,27 @@ weight sum equals lead(Q_n)/lead(P_n) exactly (a residue identity), and a
 two-point fit in n removes its C/(n+1) tail.  For the worked example this
 yields exactly 1/2 at every n.
 
-All weight evaluations run the exact polynomials at Fraction(node), so the
-only floating-point error in a rule is the node rounding itself.
+M_0 needs only leading coefficients, so it runs the recurrence on scalars:
+L_{m+1} = rho_m L_m - lam_m L_{m-1} (the W_m are monic quadratics), without
+the lam term for oprl schemes (W = 1); no polynomial family is built.
+
+Every node is a binary float, so the polynomials are evaluated at it exactly
+(`Poly.ratio_at`, integer Horner over one common denominator) and each float
+the rule needs -- Newton residual and slope, residual gate, weight -- is one
+correctly rounded integer division num / den.  The only floating-point error
+in a rule is the node rounding itself.  `build_rule` generates P_0..P_n once,
+and Q_n once for second-kind rules, and hands them to the weight formulas.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ComplexZerosError, DegeneracyError
+from .errors import ComplexZerosError, DegeneracyError, IntegrandError
 from .schemes import Perturbation
 from .sequences import gen_first_kind, gen_second_kind
 
@@ -41,6 +49,19 @@ MOMENT = "moment"
 SECOND_KIND = "second-kind"
 RAW = "raw"
 UNIT_MASS = "unit-mass"
+
+
+def _quotient(num, den):
+    """num/den correctly rounded, as float(Fraction(num, den)) (so 0 is +0.0)."""
+    if den < 0:
+        num, den = -num, -den
+    return num / den
+
+
+def _float_at(poly, x):
+    """float(poly(Fraction(x))) without building a Fraction."""
+    num, den = poly.ratio_at(x)
+    return num / den
 
 
 def _roots_with_diagnostics(poly, tol_imag):
@@ -63,13 +84,14 @@ def _roots_with_diagnostics(poly, tol_imag):
         raise ComplexZerosError(sorted(complex_pairs, key=lambda v: (v.real, v.imag)))
 
     dpoly = poly.derivative()
+    magnitudes = [abs(c) for c in poly.float_coeffs()]
     polished = []
     for x in accepted:
         for _ in range(40):
-            residual = float(poly(Fraction(x)))
+            residual = _float_at(poly, x)
             if residual == 0.0:
                 break
-            slope = float(dpoly(Fraction(x)))
+            slope = _float_at(dpoly, x)
             if slope == 0.0:
                 break
             step = residual / slope
@@ -78,8 +100,8 @@ def _roots_with_diagnostics(poly, tol_imag):
                 x = x_new
                 break
             x = x_new
-        scale = math.fsum(abs(float(c)) * abs(x) ** j for j, c in enumerate(poly.coeffs))
-        if abs(float(poly(Fraction(x)))) > 1e-13 * max(scale, 1e-300):
+        scale = math.fsum(m * abs(x) ** j for j, m in enumerate(magnitudes))
+        if abs(_float_at(poly, x)) > 1e-13 * max(scale, 1e-300):
             raise DegeneracyError(
                 "root polish failed near x = %.17g (residual above tolerance)" % x)
         polished.append(x)
@@ -106,64 +128,95 @@ def calibrate_m0(scheme, n, mass=1):
     s_n = 2n/(n+1)), the two-point fit L = (n+2) s_{n+1} - (n+1) s_n removes
     the tail and M_0 = mass/L.  Independent of n whenever the shape assumption
     holds.
+
+    The leading coefficients of the unperturbed P_m (degree m) and Q_m
+    (degree m-1) follow the scalar recurrence
+    L_{m+1} = rho_m L_m - lam_m L_{m-1}, without the lam term for oprl.
     """
-    p = gen_first_kind(scheme, None, n + 1)
-    q = gen_second_kind(scheme, None, n + 1)
+    if n < 1:
+        raise ValueError("calibration needs n >= 1, got %d" % n)
+    quadratic = scheme.kind != "oprl"
+    p_lo, p_hi = Fraction(1), Fraction(scheme.rho(0))   # lead P_0, lead P_1
+    q_lo, q_hi = Fraction(0), Fraction(1)               # lead Q_0, lead Q_1
+    for m in range(1, n + 1):
+        rho = scheme.rho(m)
+        p_next, q_next = rho * p_hi, rho * q_hi
+        if quadratic:
+            lam = scheme.lam(m)
+            p_next -= lam * p_lo
+            q_next -= lam * q_lo
+        p_lo, p_hi = p_hi, p_next
+        q_lo, q_hi = q_hi, q_next
 
-    def ratio(m):
-        if p[m].degree != m or q[m].degree != m - 1:
+    def ratio(m, lead_p, lead_q):
+        if lead_p == 0 or lead_q == 0:
             raise DegeneracyError("degenerate leading coefficient at index %d" % m)
-        return q[m].leading() / p[m].leading()
+        return lead_q / lead_p
 
-    lead_sum = (n + 2) * ratio(n + 1) - (n + 1) * ratio(n)
+    lead_sum = (n + 2) * ratio(n + 1, p_hi, q_hi) - (n + 1) * ratio(n, p_lo, q_lo)
     if lead_sum == 0:
         raise DegeneracyError("calibration failed: extrapolated weight sum is zero")
     return Fraction(mass) / lead_sum
 
 
-def weights_moment_formula(scheme, perturbation, nodes, m0):
-    """Weights by the moment formula at the given nodes (floats)."""
+def weights_moment_formula(scheme, perturbation, nodes, m0, p=None):
+    """Weights by the moment formula at the given nodes (floats).
+
+    p is the perturbed first-kind family through P_n (n = len(nodes)); it is
+    generated when not given.
+    """
     pert = perturbation or Perturbation.none()
     n = len(nodes)
-    p = gen_first_kind(scheme, pert, n)
+    if p is None:
+        p = gen_first_kind(scheme, pert, n)
     dp = p[n].derivative()
-    product = Fraction(1)
-    weight_polys = []
+    product = Fraction(m0)
+    powers = {}  # W_i -> how many i in 1..n-1 share it (one W in the special form)
     for i in range(1, n):
         product *= pert.coefficient(scheme, i)
-        weight_polys.append(scheme.weight_poly(i))
+        wp = scheme.weight_poly(i)
+        powers[wp] = powers.get(wp, 0) + 1
     out = []
     for j, x in enumerate(nodes):
-        xq = Fraction(x)
-        numerator = Fraction(m0) * product
-        for wp in weight_polys:
-            numerator *= wp(xq)
-        denominator = dp(xq) * p[n - 1](xq)
-        if denominator == 0:
+        num, den = product.numerator, product.denominator
+        for wp, count in powers.items():
+            a, b = wp.ratio_at(x)
+            num *= a ** count
+            den *= b ** count
+        a, b = dp.ratio_at(x)
+        c, d = p[n - 1].ratio_at(x)
+        if a == 0 or c == 0:
             raise DegeneracyError("moment-formula denominator vanished at node %d" % j)
-        out.append(float(numerator / denominator))
+        out.append(_quotient(num * b * d, den * a * c))
     return out
 
 
-def weights_second_kind(scheme, perturbation, nodes, normalization=UNIT_MASS, m0=None):
-    """Weights Q_n/P'_n at the given nodes; raw or unit-mass normalized."""
+def weights_second_kind(scheme, perturbation, nodes, normalization=UNIT_MASS, m0=None,
+                        p=None, q=None):
+    """Weights Q_n/P'_n at the given nodes; raw or unit-mass normalized.
+
+    p and q are the perturbed first- and second-kind families through index
+    n = len(nodes); each is generated when not given.
+    """
     if normalization not in (RAW, UNIT_MASS):
         raise ValueError("normalization must be %r or %r" % (RAW, UNIT_MASS))
     pert = perturbation or Perturbation.none()
     n = len(nodes)
-    p = gen_first_kind(scheme, pert, n)
-    q = gen_second_kind(scheme, pert, n)
+    if p is None:
+        p = gen_first_kind(scheme, pert, n)
+    if q is None:
+        q = gen_second_kind(scheme, pert, n)
     dp = p[n].derivative()
     factor = Fraction(1)
     if normalization == UNIT_MASS:
         factor = Fraction(m0) if m0 is not None else calibrate_m0(scheme, n)
     out = []
     for j, x in enumerate(nodes):
-        xq = Fraction(x)
-        denominator = dp(xq)
-        if denominator == 0:
+        a, b = dp.ratio_at(x)
+        if a == 0:
             raise DegeneracyError("P'_n vanished at node %d (node not simple?)" % j)
-        out.append(float(factor * q[n](xq) / denominator))
+        c, d = q[n].ratio_at(x)
+        out.append(_quotient(factor.numerator * c * b, factor.denominator * d * a))
     return out
 
 
@@ -180,7 +233,7 @@ class QuadratureRule:
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
-            raise ValueError("nodes must be strictly increasing")
+            raise DegeneracyError("nodes must be strictly increasing")
 
 
 def build_rule(scheme, perturbation=None, n=1, method=MOMENT,
@@ -191,17 +244,20 @@ def build_rule(scheme, perturbation=None, n=1, method=MOMENT,
     line (the rule does not exist), DegeneracyError on vanishing weight
     denominators.
     """
+    if n < 1:
+        raise ValueError("a rule needs n >= 1 nodes, got %d" % n)
+    if method not in (MOMENT, SECOND_KIND):
+        raise ValueError("method must be %r or %r" % (MOMENT, SECOND_KIND))
     pert = perturbation or Perturbation.none()
     p = gen_first_kind(scheme, pert, n)
     nodes, near_real = _roots_with_diagnostics(p[n], tol_imag)
     if m0 is None:
         m0 = calibrate_m0(scheme, n)
     if method == MOMENT:
-        weights = weights_moment_formula(scheme, pert, nodes, m0)
-    elif method == SECOND_KIND:
-        weights = weights_second_kind(scheme, pert, nodes, normalization, m0)
+        weights = weights_moment_formula(scheme, pert, nodes, m0, p=p)
     else:
-        raise ValueError("method must be %r or %r" % (MOMENT, SECOND_KIND))
+        q = gen_second_kind(scheme, pert, n)
+        weights = weights_second_kind(scheme, pert, nodes, normalization, m0, p=p, q=q)
     return QuadratureRule(
         n=n, nodes=tuple(nodes), weights=tuple(weights), method=method,
         perturbation=pert, m0=Fraction(m0), normalization=normalization,
@@ -212,14 +268,22 @@ def build_rule(scheme, perturbation=None, n=1, method=MOMENT,
 def estimate(rule, f):
     """sum_j w_j f(x_j) with compensated summation.
 
-    f may be a callable or anything with an .evaluator attribute.
+    f may be a callable or anything with an .evaluator attribute.  An
+    integrand that fails, or is complex or not finite, at a node raises
+    IntegrandError naming the node.
     """
     fn = f if callable(f) else f.evaluator
     terms = []
-    for x, w in zip(rule.nodes, rule.weights):
-        value = fn(x)
+    for j, (x, w) in enumerate(zip(rule.nodes, rule.weights)):
+        try:
+            value = fn(x)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise IntegrandError("integrand cannot be evaluated at node %d (x = %.17g): %s"
+                                 % (j + 1, x, exc)) from exc
+        if isinstance(value, complex):   # e.g. x^x at a negative node
+            raise IntegrandError("integrand is complex at node %d (x = %.17g)" % (j + 1, x))
         if not math.isfinite(value):
-            raise ValueError("integrand is not finite at node %.17g" % x)
+            raise IntegrandError("integrand is not finite at node %d (x = %.17g)" % (j + 1, x))
         terms.append(w * value)
     return math.fsum(terms)
 

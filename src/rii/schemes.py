@@ -28,7 +28,7 @@ import json
 from fractions import Fraction
 
 from .errors import PerturbationError, SchemeIndexError
-from .exact import GaussianRational, format_rational, rational
+from .exact import GaussianRational, format_rational, rational, simplify_scalar
 from .poly import Poly
 
 
@@ -140,10 +140,8 @@ class CoefficientScheme:
             w2 = self.omega * self.omega
             if isinstance(z, (float, complex)):
                 return z * z + float(w2)
-            from .exact import simplify_scalar
             return simplify_scalar(z * z + w2)
         a, b = self.nodes(n)
-        from .exact import simplify_scalar
         return simplify_scalar((z - a) * (z - b))
 
     # --- serialization ------------------------------------------------

@@ -47,6 +47,8 @@ class PolySeq:
 
 def _steps(scheme, pert, kind, shift, n, one, zero, step_a, step_b):
     """Shared recurrence loop; step_a/step_b build the two update terms."""
+    if n < 0:
+        raise ValueError("n must be >= 0, got %d" % n)
     if kind == "first":
         out = [one]
         lo, hi = zero, one

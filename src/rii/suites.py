@@ -4,6 +4,8 @@ Each suite draws schemes (all three weight-factor kinds), perturbation levels
 0 <= k <= k' <= n, rational mu/nu/z, and checks the corresponding identity in
 exact arithmetic: any nonzero residual is recorded with the full instance so
 it can be replayed.  A correct build reports zero failures for every seed.
+An instance whose identity cannot be evaluated at any z, because a
+denominator vanishes identically, is recorded as skipped, not failed.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cfrac import spectral_residual
+from .cfrac import CFracSpec, singular_index, spectral_residual
 from .errors import PoleError
 from .oprl import MobiusParams, coprl_structural, corrected_vs_flawed, mobius_check, reduce_to_oprl
 from .poly import Poly
@@ -67,6 +69,7 @@ class SuiteResult:
     instances: int
     failures: list = field(default_factory=list)
     elapsed: float = 0.0
+    skipped: list = field(default_factory=list)   # degenerate instances
 
     def ok(self):
         return not self.failures
@@ -127,10 +130,17 @@ def suite_transfer(seed=0, instances=100, n_max=12):
 
 
 def suite_spectral(seed=0, instances=25, z_count=20, n_max=8):
-    """Matched-truncation spectral identity at z_count rational z per instance."""
+    """Matched-truncation spectral identity at z_count rational z per instance.
+
+    An instance that runs out of z is a failure unless a nested denominator
+    of one of its two convergents is identically zero (e.g. at kp = 2 when
+    rho_1 rho_2 (z - c_1)(z - c_2) == lam_2 W_2(z), the plain depth-3
+    convergent has a pole everywhere); then it is skipped as degenerate.
+    """
     rng = random.Random(seed)
     start = time.perf_counter()
     failures = []
+    skipped = []
     shapes = ("corec", "codil", "both")
     checked = 0
     for i in range(instances):
@@ -155,9 +165,17 @@ def suite_spectral(seed=0, instances=25, z_count=20, n_max=8):
                         perturbation=pert.to_dict(), z=str(z), depth=depth,
                         residual=str(residual))
         if hits < z_count:
-            _record(failures, instance=i, kind="pole-exhaustion",
-                    scheme=scheme.to_dict(), perturbation=pert.to_dict())
-    result = SuiteResult("spectral", instances, failures, time.perf_counter() - start)
+            singular = {label: singular_index(CFracSpec(scheme, p), depth)
+                        for label, p in (("perturbed", pert), ("plain", None))}
+            if any(index is not None for index in singular.values()):
+                _record(skipped, instance=i, kind="singular-denominator",
+                        depth=depth, pole_index=singular,
+                        scheme=scheme.to_dict(), perturbation=pert.to_dict())
+            else:
+                _record(failures, instance=i, kind="pole-exhaustion",
+                        scheme=scheme.to_dict(), perturbation=pert.to_dict())
+    result = SuiteResult("spectral", instances, failures, time.perf_counter() - start,
+                         skipped)
     result.points = checked
     return result
 

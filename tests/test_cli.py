@@ -203,3 +203,18 @@ def test_config_schema_guard():
     doc["schema"] = 99
     with pytest.raises(ValueError):
         ExperimentConfig.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("argv", [
+    ("poly", "--n", "-3"),
+    ("zeros", "--n", "-3"),
+    ("quad", "--n", "0"),
+    ("flip", "--n", "-3"),
+    ("quad", "--n", "4", "--integrand", "1/(x-x)"),
+    ("quad", "--n", "4", "--integrand", "x^x"),
+])
+def test_domain_failures_exit_one_without_traceback(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

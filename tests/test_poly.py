@@ -91,3 +91,71 @@ def test_eval_at_produces_scalar_matrix():
     a = PolyMatrix2(Poly((0, 1)), Poly.one(), Poly.zero(), Poly((2,)))
     m = a.eval_at(Fraction(3))
     assert m == ((Fraction(3), Fraction(1)), (Fraction(0), Fraction(2)))
+
+
+# --- exact evaluation on integers -------------------------------------------
+
+def _horner(coeffs, z):
+    """Reference: generic Horner over Fractions."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def _float_or_overflow(compute):
+    try:
+        return repr(compute())
+    except OverflowError:
+        return OverflowError
+
+
+_EDGE_POINTS = (0, 0.0, -0.0, 1, -3, 5e-324, -5e-324, 1e300, -1e300, 0.1, -2.5)
+_coeff_lists = st.lists(st.fractions(max_denominator=10 ** 6), max_size=9)
+_exact_points = st.one_of(st.integers(-10 ** 6, 10 ** 6), st.fractions(),
+                          st.sampled_from([0, -1, Fraction(-7, 3)]))
+_float_points = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(_EDGE_POINTS))
+
+
+@given(_coeff_lists, st.one_of(_exact_points, _float_points))
+def test_ratio_at_is_exact(coeffs, z):
+    num, den = Poly(coeffs).ratio_at(z)
+    assert den > 0
+    assert Fraction(num, den) == _horner(coeffs, Fraction(z))
+
+
+@given(_coeff_lists, _exact_points)
+def test_call_matches_generic_horner(coeffs, z):
+    value = Poly(coeffs)(z)
+    assert type(value) is Fraction
+    assert value == _horner(coeffs, Fraction(z))
+
+
+@given(_coeff_lists, _float_points)
+def test_ratio_at_rounds_like_float_of_fraction(coeffs, x):
+    num, den = Poly(coeffs).ratio_at(x)
+    # bit for bit, including the sign of zero and the overflow of huge values
+    assert _float_or_overflow(lambda: num / den) == \
+        _float_or_overflow(lambda: float(_horner(coeffs, Fraction(x))))
+
+
+def test_ratio_at_edges():
+    assert Poly.zero().ratio_at(1e300) == (0, 1)
+    assert Poly.zero()(7) == 0 and type(Poly.zero()(7)) is Fraction
+    assert Poly.const(Fraction(-2, 3)).ratio_at(5e-324) == (-2, 3)
+    p = Poly((Fraction(1, 2), 0, 3))           # 1/2 + 3x^2
+    num, den = p.ratio_at(1e300)
+    assert Fraction(num, den) == Fraction(1, 2) + 3 * Fraction(1e300) ** 2
+    with pytest.raises(OverflowError):
+        num / den
+    with pytest.raises(OverflowError):
+        float(_horner(p.coeffs, Fraction(1e300)))
+    assert p.ratio_at(5e-324)[0] / p.ratio_at(5e-324)[1] == 0.5
+    with pytest.raises(TypeError):
+        Poly((GaussianRational(0, 1), 1)).ratio_at(1)
+    with pytest.raises(TypeError):
+        p.ratio_at(1j)
+    # Gaussian coefficients keep generic Horner
+    g = Poly((GaussianRational(0, 1), 1))
+    assert g(Fraction(2)) == GaussianRational(2, 1)

@@ -110,3 +110,106 @@ def test_calibration_degeneracy():
     degenerate = CoefficientScheme.special([1, 0, 1, 1], 0, Fraction(1, 4), omega=1)
     with pytest.raises(DegeneracyError):
         calibrate_m0(degenerate, 1)
+
+
+def _counting(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_family_is_generated_once_per_rule(cauchy, monkeypatch):
+    import rii.quadrature as quadrature
+
+    calls = _counting(monkeypatch, quadrature, ("gen_first_kind", "gen_second_kind"))
+    pert = Perturbation.both(2, Fraction(1, 100), 6, Fraction(251, 250))
+    build_rule(cauchy, pert, 12, method=MOMENT)
+    assert calls == {"gen_first_kind": 1, "gen_second_kind": 0}
+    build_rule(cauchy, pert, 12, method=SECOND_KIND)
+    assert calls == {"gen_first_kind": 2, "gen_second_kind": 1}
+    calibrate_m0(cauchy, 40)
+    assert calls == {"gen_first_kind": 2, "gen_second_kind": 1}
+
+
+def _calibrate_from_polynomials(scheme, n, mass=1):
+    """M_0 by its definition: leading coefficients of the generated families."""
+    from rii import gen_second_kind
+
+    p = gen_first_kind(scheme, None, n + 1)
+    q = gen_second_kind(scheme, None, n + 1)
+
+    def ratio(m):
+        if p[m].degree != m or q[m].degree != m - 1:
+            raise DegeneracyError("degenerate leading coefficient at index %d" % m)
+        return q[m].leading() / p[m].leading()
+
+    lead_sum = (n + 2) * ratio(n + 1) - (n + 1) * ratio(n)
+    if lead_sum == 0:
+        raise DegeneracyError("calibration failed: extrapolated weight sum is zero")
+    return Fraction(mass) / lead_sum
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except DegeneracyError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", ["general", "special", "oprl"])
+def test_scalar_calibration_matches_leading_coefficients(kind):
+    import random
+
+    from rii.suites import random_scheme
+
+    rng = random.Random("calibrate/" + kind)
+    for _ in range(40):
+        scheme = random_scheme(rng, 12, kind)
+        n = rng.randint(1, 10)
+        assert _outcome(lambda: calibrate_m0(scheme, n)) == \
+            _outcome(lambda: _calibrate_from_polynomials(scheme, n))
+
+
+def test_scalar_calibration_keeps_degeneracy_errors():
+    from rii import CoefficientScheme
+
+    for rho in ([1, 0, 1, 1], [1, 1, 0, 1]):
+        degenerate = CoefficientScheme.special(rho, 0, Fraction(1, 4), omega=1)
+        for n in (1, 2):
+            assert _outcome(lambda: calibrate_m0(degenerate, n)) == \
+                _outcome(lambda: _calibrate_from_polynomials(degenerate, n))
+
+
+def test_boundary_errors(cauchy):
+    from rii import IntegrandError, parse_integrand
+    from rii.quadrature import QuadratureRule
+
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            build_rule(cauchy, None, n)
+        with pytest.raises(ValueError):
+            calibrate_m0(cauchy, n)
+    with pytest.raises(ValueError):
+        gen_first_kind(cauchy, None, -1)
+    with pytest.raises(DegeneracyError):
+        QuadratureRule(n=2, nodes=(1.0, 1.0), weights=(0.5, 0.5), method=MOMENT,
+                       perturbation=Perturbation.none(), m0=Fraction(1, 2))
+    rule = build_rule(cauchy, None, 4, method=MOMENT)
+    for text, words in (("1/(x-x)", "node 1"), ("x^x", "complex at node 1"),
+                        ("exp(1000*x)", "node 4")):
+        with pytest.raises(IntegrandError, match=words):
+            estimate(rule, parse_integrand(text))
+
+
+def test_zero_weights_are_positive_zero(cauchy):
+    # float(Fraction(0)) is +0.0 whatever the sign of the denominator
+    for method in (MOMENT, SECOND_KIND):
+        rule = build_rule(cauchy, None, 5, method=method, m0=0)
+        assert [math.copysign(1.0, w) for w in rule.weights] == [1.0] * 5

@@ -62,3 +62,21 @@ def test_deterministic_given_seed():
     b = run_suite("structural", seed=42, instances=5)
     assert a.instances == b.instances
     assert a.failures == b.failures == []
+
+
+def test_spectral_skips_an_identically_singular_instance():
+    # Instance 10 of this seed draws kp = 2 with rho_1 rho_2 (z - c_1)(z - c_2)
+    # == lam_2 W_2(z): the plain depth-3 convergent has a pole at every z.
+    from rii.cfrac import CFracSpec, singular_index
+    from rii.schemes import CoefficientScheme
+
+    result = run_suite("spectral", seed=1555393582, instances=11)
+    assert result.ok(), result.failures[:2]
+    [record] = result.skipped
+    assert record["instance"] == 10 and record["depth"] == 3
+    assert record["pole_index"] == {"perturbed": None, "plain": 1}
+    scheme = CoefficientScheme.from_dict(record["scheme"])
+    assert singular_index(CFracSpec(scheme), 3) == 1
+    assert singular_index(CFracSpec(scheme), 4) is None
+    # every other instance checked all of its z
+    assert result.points == 10 * 20

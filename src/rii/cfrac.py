@@ -174,10 +174,6 @@ class Homography:
         return num / den
 
 
-def apply_homography(h, u, z):
-    return h.apply(u, z)
-
-
 def lemma1_matrix(scheme, k=None, kp=None, mu=None, nu=None):
     """The homography mapping the plain (kp+1)-th tail to the perturbed fraction.
 
@@ -210,18 +206,29 @@ def lemma1_matrix(scheme, k=None, kp=None, mu=None, nu=None):
     ))
 
 
-def spectral_residual(scheme, k=None, kp=None, mu=None, nu=None, z=0, depth=None):
+def spectral_transform(scheme, k=None, kp=None, mu=None, nu=None):
+    """The homography cof(S) taking R(z) to R(z; mu, nu), S the transfer matrix.
+
+    It depends on the scheme and the perturbation only, not on z or on the
+    truncation depth, so one build serves every point of an instance.
+    """
+    return Homography(perturbation_transfer(scheme, k, kp, mu, nu).cofactor_matrix())
+
+
+def spectral_residual(scheme, k=None, kp=None, mu=None, nu=None, z=0, depth=None,
+                      transform=None):
     """R_depth(z; mu,nu) - apply(cof(S), R_depth(z)) at matched truncation.
 
     Exactly zero (exact z) whenever depth >= max(k, kp) + 1.  Poles of either
-    convergent propagate as PoleError.
+    convergent propagate as PoleError.  `transform` is the instance's
+    spectral_transform when the caller has already built it.
     """
     pert = Perturbation(k=k, mu=mu, kp=kp, nu=nu)
     level = pert.max_level()
     if depth is None or depth < level + 1:
         raise ValueError("matched truncation needs depth >= max perturbation level + 1")
-    s = perturbation_transfer(scheme, k, kp, mu, nu)
-    transform = Homography(s.cofactor_matrix())
+    if transform is None:
+        transform = spectral_transform(scheme, k, kp, mu, nu)
     lhs = convergent(CFracSpec(scheme, pert), depth, z)
     rhs = transform.apply(convergent(CFracSpec(scheme, None), depth, z), z)
     return lhs - rhs
@@ -235,8 +242,7 @@ def spectral_gap(scheme, k=None, kp=None, mu=None, nu=None, z=0.0,
     grow (the limit functions satisfy the transformation identity).
     """
     pert = Perturbation(k=k, mu=mu, kp=kp, nu=nu)
-    s = perturbation_transfer(scheme, k, kp, mu, nu)
-    transform = Homography(s.cofactor_matrix())
+    transform = spectral_transform(scheme, k, kp, mu, nu)
     zf = complex(z) if isinstance(z, complex) else float(z)
     lhs = convergent(CFracSpec(scheme, pert), depth_perturbed, zf)
     rhs = transform.apply(convergent(CFracSpec(scheme, None), depth_plain, zf), zf)

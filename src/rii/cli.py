@@ -64,14 +64,22 @@ def _load_scheme(spec_text):
     return CoefficientScheme.from_json(spec_text)
 
 
+def _rational_arg(flag, text):
+    """A rational flag value such as 0.01 or 1/100; 1/0 is a domain error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("%s expects a rational, got %r" % (flag, text)) from None
+
+
 def _perturbation_from_args(args):
     mu = getattr(args, "mu", None)
     nu = getattr(args, "nu", None)
     return Perturbation(
         k=args.k if mu is not None else None,
-        mu=Fraction(mu) if mu is not None else None,
+        mu=_rational_arg("--mu", mu) if mu is not None else None,
         kp=args.kp if nu is not None else None,
-        nu=Fraction(nu) if nu is not None else None,
+        nu=_rational_arg("--nu", nu) if nu is not None else None,
     )
 
 
@@ -102,17 +110,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
+        if not isinstance(data, dict):
+            raise ValueError("a config is a JSON object")
         if data.get("schema") != SCHEMA_VERSION:
             raise ValueError("unsupported config schema %r" % (data.get("schema"),))
-        return cls(
-            scheme=CoefficientScheme.from_dict(data["scheme"]),
-            perturbations=tuple(Perturbation.from_dict(p)
-                                for p in data["perturbations"]),
-            n_values=tuple(int(n) for n in data["n"]),
-            integrand=data.get("integrand", "example3"),
-            out=data.get("out", "text"),
-            seed=int(data.get("seed", 0)),
-        )
+        try:
+            return cls(
+                scheme=CoefficientScheme.from_dict(data["scheme"]),
+                perturbations=tuple(Perturbation.from_dict(p)
+                                    for p in data["perturbations"]),
+                n_values=tuple(int(n) for n in data["n"]),
+                integrand=data.get("integrand", "example3"),
+                out=data.get("out", "text"),
+                seed=int(data.get("seed", 0)),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError("malformed config: %s %s" % (type(exc).__name__, exc)) from None
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -276,12 +289,12 @@ def _cmd_check(args):
 
 def _cmd_flip(args):
     scheme = _load_scheme(args.scheme)
+    mu, nu = _rational_arg("--mu", args.mu), _rational_arg("--nu", args.nu)
     try:
         pairs = []
         for chunk in args.pairs.split(","):
             k_text, kp_text = chunk.split(":")
-            pairs.append((int(k_text), Fraction(args.mu),
-                          int(kp_text), Fraction(args.nu)))
+            pairs.append((int(k_text), mu, int(kp_text), nu))
     except (ValueError, TypeError):
         raise ValueError("--pairs expects 'k:kp[,k:kp...]', got %r" % args.pairs)
     report = order_flip_experiment(scheme, pairs, args.n)

@@ -1,13 +1,22 @@
 """Dense univariate polynomials over exact scalars.
 
-Coefficients are stored ascending (coeffs[j] multiplies x^j) and are Fractions
-or GaussianRationals; arithmetic never leaves exact scalars.  The zero
-polynomial is the empty tuple — the single canonical representation — and has
-degree -1 by convention.
+A rational polynomial is stored in one canonical integer form: `_nums`, the
+ascending integer numerators with no trailing zero, over one common
+denominator `_den` > 0 with gcd(_den, *_nums) == 1.  So sum_j (_nums[j]/_den)
+x^j is the polynomial, equality is a tuple comparison, and the zero
+polynomial is `_nums == ()`, `_den == 1`, of degree -1 by convention.  Ring
+operations are integer convolutions and sums reduced by one gcd per result,
+not one per coefficient op.  `coeffs` still reads the reduced Fractions, but
+nothing hot goes through it.
 
-Exact evaluation of a rational polynomial runs on integers: `ratio_at` keeps
-the numerators over one common denominator D (computed once per polynomial
-and cached) and evaluates at z = p/q by integer Horner, returning an
+A polynomial with a non-real GaussianRational coefficient takes the generic
+dense path instead: `_den` is None and `_nums` holds the exact scalars.  Only
+the worked example's closed form, non-conjugate complex nodes and the tests
+make such polynomials; a result whose imaginary parts all cancel returns to
+the integer form.
+
+Exact evaluation of a rational polynomial runs on integers: `ratio_at`
+evaluates the numerators at z = p/q by integer Horner and returns an
 unreduced pair (num, den).  A float z is the dyadic rational m/2^e, so the
 powers of q are shifts; `num / den` is then the correctly rounded float of
 P(z), bit for bit what float(Fraction) gives, without a single gcd.
@@ -17,6 +26,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 from .exact import GaussianRational, simplify_scalar
 
@@ -29,17 +40,60 @@ def _norm_coeff(c):
     raise TypeError("polynomial coefficients must be exact scalars, got %r" % (c,))
 
 
+def _make(nums, den):
+    """The canonical Poly of nums/den: a list of ints (consumed), den > 0."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [a // g for a in nums]
+            den //= g
+    p = object.__new__(Poly)
+    p._nums = tuple(nums)
+    p._den = den
+    return p
+
+
+def _sum(a, b):
+    """Coefficientwise a + b of two ascending sequences, as a new list."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    out[:len(b)] = map(add, a, b)
+    return out
+
+
+def _convolve(a, b, zero):
+    """Coefficients of the product of two nonempty ascending sequences."""
+    if len(a) > len(b):
+        a, b = b, a
+    nb = len(b)
+    out = [zero] * (len(a) + nb - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i:i + nb] = map(add, out[i:i + nb], map(mul, repeat(x), b))
+    return out
+
+
 class Poly:
     """Immutable dense polynomial; supports +, -, *, scalar mul, ** and calls."""
 
-    __slots__ = ("coeffs", "_ints")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs=()):
         cs = [_norm_coeff(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
-        self._ints = None  # (numerators, D) once ratio_at has needed it
+        if any(isinstance(c, GaussianRational) for c in cs):
+            self._nums, self._den = tuple(cs), None
+            return
+        # over the lcm of reduced denominators, gcd(den, *nums) is already 1;
+        # lists, not generators: tuple(generator) is built oversized and
+        # shrunk, stranding memory in the free list of another size
+        den = math.lcm(*[c.denominator for c in cs])
+        self._nums = tuple([c.numerator * (den // c.denominator) for c in cs])
+        self._den = den
 
     # --- constructors -------------------------------------------------
     @staticmethod
@@ -60,67 +114,84 @@ class Poly:
 
     # --- structure ----------------------------------------------------
     @property
+    def coeffs(self):
+        """Ascending coefficients: reduced Fractions, or Gaussian scalars."""
+        if self._den is None:
+            return self._nums
+        den = self._den
+        return tuple([Fraction(a, den) for a in self._nums])
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._nums
 
     def leading(self):
         """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self[len(self._nums) - 1]
 
     def __getitem__(self, j):
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
-        return Fraction(0)
+        if not 0 <= j < len(self._nums):
+            return Fraction(0)
+        if self._den is None:
+            return self._nums[j]
+        return Fraction(self._nums[j], self._den)
 
     # --- ring operations ----------------------------------------------
+    def _plus(self, other, sign):
+        """self + sign * other, for sign = +1 or -1."""
+        if self._den is None or other._den is None:
+            b = other.coeffs if sign == 1 else [-c for c in other.coeffs]
+            return Poly(_sum(self.coeffs, b))
+        da, db = self._den, other._den
+        g = math.gcd(da, db)
+        sa, sb = db // g, sign * (da // g)
+        a = self._nums if sa == 1 else [x * sa for x in self._nums]
+        b = other._nums if sb == 1 else [y * sb for y in other._nums]
+        return _make(_sum(a, b), da * sa)
+
     def __add__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] = out[j] + c
-        return Poly(out)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        out = [-a for a in self._nums]
+        return Poly(out) if self._den is None else _make(out, self._den)
 
     def __sub__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other._plus(self, -1)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
+            if not self._nums or not other._nums:
                 return Poly(())
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Poly(out)
+            if self._den is None or other._den is None:
+                return Poly(_convolve(self.coeffs, other.coeffs, Fraction(0)))
+            return _make(_convolve(self._nums, other._nums, 0),
+                         self._den * other._den)
         try:
             c = _norm_coeff(other)
         except TypeError:
             return NotImplemented
-        return Poly([c * a for a in self.coeffs])
+        if self._den is None or isinstance(c, GaussianRational):
+            return Poly([c * a for a in self.coeffs])
+        p = c.numerator
+        return _make([p * a for a in self._nums], self._den * c.denominator)
 
     __rmul__ = __mul__
 
@@ -141,9 +212,10 @@ class Poly:
         """Horner evaluation; exact when z is exact, float/complex otherwise.
 
         Rational coefficients at an int or Fraction z take the integer path of
-        `ratio_at`; Gaussian coefficients or a Gaussian z run generic Horner.
+        `ratio_at`; Gaussian coefficients or a Gaussian, float or complex z
+        run generic Horner.
         """
-        if isinstance(z, (int, Fraction)) and self._integer_form() is not None:
+        if self._den is not None and isinstance(z, (int, Fraction)):
             return Fraction(*self.ratio_at(z))
         acc = None
         for c in reversed(self.coeffs):
@@ -161,8 +233,7 @@ class Poly:
         gives P(z) = t / (D q^n).  For a power-of-two q (every float, every
         int) the powers are shifts.
         """
-        form = self._integer_form()
-        if form is None:
+        if self._den is None:
             raise TypeError("ratio_at needs rational coefficients")
         if isinstance(z, int):
             p, q = z, 1
@@ -170,7 +241,7 @@ class Poly:
             p, q = z.as_integer_ratio()
         else:
             raise TypeError("ratio_at needs an int, Fraction or float, got %r" % (z,))
-        nums, common = form
+        nums, common = self._nums, self._den
         if not nums:
             return 0, 1
         t = nums[-1]
@@ -187,49 +258,33 @@ class Poly:
             t = t * p + a * scale
         return t, common * scale
 
-    def _integer_form(self):
-        """(numerators, D) with coeffs[j] == numerators[j] / D, cached; None
-        when a coefficient is Gaussian."""
-        if self._ints is None:
-            if any(isinstance(c, GaussianRational) for c in self.coeffs):
-                self._ints = False
-            else:
-                # lists, not generators: tuple(generator) is built oversized
-                # and shrunk, stranding memory in the free list of another size
-                dens = [c.denominator for c in self.coeffs]
-                common = math.lcm(*dens)
-                self._ints = ([c.numerator * (common // d)
-                               for c, d in zip(self.coeffs, dens)], common)
-        return self._ints or None
-
     def derivative(self):
-        return Poly([j * c for j, c in enumerate(self.coeffs)][1:])
+        out = [j * a for j, a in enumerate(self._nums)][1:]
+        return Poly(out) if self._den is None else _make(out, self._den)
 
     def float_coeffs(self):
         """Ascending float (or complex) coefficients for numpy hand-off."""
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, GaussianRational):
-                out.append(c.to_complex())
-            else:
-                out.append(float(c))
-        return out
+        if self._den is not None:
+            den = self._den
+            return [a / den for a in self._nums]   # correctly rounded, as float(Fraction)
+        return [c.to_complex() if isinstance(c, GaussianRational) else float(c)
+                for c in self._nums]
 
     # --- protocol -----------------------------------------------------
     def __eq__(self, other):
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._den == other._den and self._nums == other._nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._nums, self._den))
 
     def __repr__(self):
         return "Poly(%s)" % (list(self.coeffs),)
 
     def __str__(self):
-        if not self.coeffs:
+        if not self._nums:
             return "0"
         parts = []
         for j, c in enumerate(self.coeffs):

@@ -174,14 +174,19 @@ class CoefficientScheme:
 
     @staticmethod
     def from_dict(data):
-        data = dict(data)
-        if "omega" in data and data["omega"] is not None:
-            return CoefficientScheme.special(data["rho"], data["c"], data["lambda"],
-                                             data["omega"])
-        if "nodes" in data and data["nodes"] is not None:
-            return CoefficientScheme.general(data["rho"], data["c"], data["lambda"],
-                                             data["nodes"])
-        return CoefficientScheme.oprl(data["rho"], data["c"], data["lambda"])
+        """Inverse of to_dict; data that is not a scheme raises ValueError."""
+        if not isinstance(data, dict) or not {"rho", "c", "lambda"} <= data.keys():
+            raise ValueError("a scheme is an object with 'rho', 'c' and 'lambda'")
+        try:
+            if data.get("omega") is not None:
+                return CoefficientScheme.special(data["rho"], data["c"], data["lambda"],
+                                                 data["omega"])
+            if data.get("nodes") is not None:
+                return CoefficientScheme.general(data["rho"], data["c"], data["lambda"],
+                                                 data["nodes"])
+            return CoefficientScheme.oprl(data["rho"], data["c"], data["lambda"])
+        except TypeError as exc:
+            raise ValueError("malformed scheme: %s" % exc) from None
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True)

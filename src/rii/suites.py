@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cfrac import CFracSpec, singular_index, spectral_residual
+from .cfrac import CFracSpec, singular_index, spectral_residual, spectral_transform
 from .errors import PoleError
 from .oprl import MobiusParams, coprl_structural, corrected_vs_flawed, mobius_check, reduce_to_oprl
 from .poly import Poly
@@ -147,6 +147,7 @@ def suite_spectral(seed=0, instances=25, z_count=20, n_max=8):
         scheme = random_scheme(rng, n_max + 8)
         pert = random_perturbation(rng, rng.randint(1, n_max), shapes[i % 3])
         depth = pert.max_level() + 1 + rng.randint(0, 2)
+        transform = spectral_transform(scheme, pert.k, pert.kp, pert.mu, pert.nu)
         hits = 0
         attempts = 0
         while hits < z_count and attempts < 40 * z_count:
@@ -155,7 +156,7 @@ def suite_spectral(seed=0, instances=25, z_count=20, n_max=8):
             try:
                 residual = spectral_residual(scheme, k=pert.k, kp=pert.kp,
                                              mu=pert.mu, nu=pert.nu,
-                                             z=z, depth=depth)
+                                             z=z, depth=depth, transform=transform)
             except PoleError:
                 continue
             hits += 1
@@ -258,5 +259,7 @@ def run_suite(name, seed=0, instances=None):
                          % (name, ", ".join(sorted(SUITES))))
     kwargs = {"seed": seed}
     if instances is not None:
+        if instances < 1:
+            raise ValueError("instances must be >= 1, got %d" % instances)
         kwargs["instances"] = instances
     return SUITES[name](**kwargs)

@@ -1,5 +1,6 @@
 """Continued-fraction convergents and the spectral transformation chain."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,11 @@ from rii import (
     lemma2_residual,
     spectral_gap,
     spectral_residual,
+    spectral_transform,
     tail_convergent,
 )
+from rii.suites import random_perturbation, random_scheme
+from rii.transfer import perturbation_transfer
 
 
 def test_convergent_equals_qn_over_pn(cauchy):
@@ -120,3 +124,23 @@ def test_spectral_gap_shrinks_with_depth(cauchy):
             for d in (4, 10, 18)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-4
+
+
+def test_spectral_transform_is_built_once_and_reused():
+    rng = random.Random(4)
+    for _ in range(6):
+        scheme = random_scheme(rng, 12)
+        pert = random_perturbation(rng, 4)
+        args = (scheme, pert.k, pert.kp, pert.mu, pert.nu)
+        transform = spectral_transform(*args)
+        assert transform.matrix == perturbation_transfer(*args).cofactor_matrix()
+        depth = pert.max_level() + 2
+        for z in (Fraction(7, 3), Fraction(-5, 2), Fraction(9)):
+            kwargs = dict(k=pert.k, kp=pert.kp, mu=pert.mu, nu=pert.nu, z=z, depth=depth)
+            try:
+                fresh = spectral_residual(scheme, **kwargs)
+            except PoleError:
+                with pytest.raises(PoleError):
+                    spectral_residual(scheme, transform=transform, **kwargs)
+                continue
+            assert fresh == spectral_residual(scheme, transform=transform, **kwargs) == 0

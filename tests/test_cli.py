@@ -1,11 +1,13 @@
 """Command-line interface: contracts, formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rii import Perturbation, cauchy_scheme
 from rii.cli import ExperimentConfig, main
@@ -205,6 +207,20 @@ def test_config_schema_guard():
         ExperimentConfig.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("document", [
+    [1],
+    {"schema": 1},
+    {"schema": 1, "scheme": cauchy_scheme().to_dict(), "perturbations": [[0]], "n": [4]},
+    {"schema": 1, "scheme": [], "perturbations": [], "n": [4]},
+])
+def test_malformed_config_exits_one(tmp_path, capsys, document):
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_cli(capsys, "quad", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("poly", "--n", "-3"),
     ("zeros", "--n", "-3"),
@@ -212,9 +228,88 @@ def test_config_schema_guard():
     ("flip", "--n", "-3"),
     ("quad", "--n", "4", "--integrand", "1/(x-x)"),
     ("quad", "--n", "4", "--integrand", "x^x"),
+    ("quad", "--n", "3", "--mu", "1/0"),
+    ("quad", "--n", "3", "--nu", "1/0"),
+    ("zeros", "--n", "3", "--mu", "1/0"),
+    ("poly", "--n", "3", "--nu", "1/0"),
+    ("measure", "--n", "3", "--mu", "1/0"),
+    ("flip", "--mu", "1/0"),
+    ("check", "--suite", "all", "--instances", "-1"),
+    ("check", "--suite", "oprl", "--instances", "0"),
 ])
 def test_domain_failures_exit_one_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# --- arbitrary argv ------------------------------------------------------------
+
+_PERT = ("--mu", "--k", "--nu", "--kp", "--scheme")
+_FLAGS = {
+    "poly": ("--n", "--kind", "--out") + _PERT,
+    "zeros": ("--n", "--tol-imag", "--out") + _PERT,
+    "quad": ("--n", "--integrand", "--method", "--config", "--out") + _PERT,
+    "table": ("--id", "--out"),
+    "measure": ("--n", "--method", "--samples", "--x-min", "--x-max", "--out") + _PERT,
+    "check": ("--suite", "--seed", "--instances"),
+    "flip": ("--pairs", "--mu", "--nu", "--n", "--out", "--scheme"),
+}
+_VALUES = {
+    "--n": st.integers(-30, 30).map(str),
+    "--k": st.integers(-3, 12).map(str),
+    "--kp": st.integers(-3, 12).map(str),
+    "--mu": st.sampled_from(["0.01", "-0.001", "1/10", "0", "-2", "1/0", "abc", "1e3"]),
+    "--nu": st.sampled_from(["1.004", "0.98", "2.12", "0", "-1", "1/0", "x"]),
+    "--out": st.sampled_from(["text", "csv", "json", "xml"]),
+    "--kind": st.sampled_from(["first", "second", "both", "third"]),
+    "--scheme": st.sampled_from([
+        "cauchy", "{}", "[]", "[1,", "no-such-scheme.json", '{"rho": 1}',
+        '{"rho": 1, "c": 0, "lambda": "1/4", "omega": 0}',
+        '{"rho": 1, "c": 0, "lambda": "1/4", "omega": "2"}',
+        '{"rho": [1, 2], "c": [0], "lambda": ["1/4", "1/3"]}',
+        '{"rho": {}, "c": null, "lambda": [[1]], "nodes": [[0, 1]]}',
+        '{"rho": 1, "c": 0, "lambda": 1, "nodes": [[0, [0, 1]], [1]]}']),
+    "--integrand": st.sampled_from(["example3", "x^2", "exp(x)", "1/(x-x)", "x^x", "sin("]),
+    "--method": st.sampled_from(["auto", "moment", "second-kind", "lagrange", "spline", "bogus"]),
+    "--config": st.just("no-such-config.json"),
+    "--tol-imag": st.sampled_from(["1e-9", "0", "-1", "nan", "inf"]),
+    "--samples": st.integers(-2, 20).map(str),
+    "--x-min": st.sampled_from(["-1", "0.5", "nan", "inf", "-inf", "1e308"]),
+    "--x-max": st.sampled_from(["1", "-0.5", "nan", "inf", "-1e308"]),
+    "--id": st.sampled_from(["t1", "t2", "t3", "t4", "t5", "t6", "t7"]),
+    "--suite": st.sampled_from(["structural", "transfer", "spectral", "oprl", "all", "none"]),
+    "--seed": st.integers(-5, 300).map(str),
+    "--instances": st.integers(-3, 3).map(str),
+    "--pairs": st.sampled_from(["2:6,3:5", "3:7", "1:0", "-1:2", "a:b", ""]),
+}
+
+
+@st.composite
+def _argv(draw):
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--precision", str(draw(st.integers(-2, 20)))]
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv.append(command)
+    flags = draw(st.lists(st.sampled_from(_FLAGS[command]), max_size=5, unique=True))
+    if command == "check" and "--instances" not in flags:
+        flags.append("--instances")   # the default sizes take seconds
+    for flag in flags:
+        argv += [flag, draw(_VALUES[flag])]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_main_exits_cleanly_on_arbitrary_argv(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse: --help exits 0, usage errors 2
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    if code == 1:
+        assert err.getvalue().startswith("error: ")

@@ -1,5 +1,6 @@
 """Dense exact polynomials and the 2x2 polynomial matrices."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -159,3 +160,139 @@ def test_ratio_at_edges():
     # Gaussian coefficients keep generic Horner
     g = Poly((GaussianRational(0, 1), 1))
     assert g(Fraction(2)) == GaussianRational(2, 1)
+
+
+# --- the canonical integer form ---------------------------------------------
+#
+# The reference below is the dense algorithm Poly used when it stored a tuple
+# of Fractions: coefficientwise sums and a double loop of Fraction products.
+
+def _trim(cs):
+    cs = [c if isinstance(c, GaussianRational) else Fraction(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for j, c in enumerate(b):
+        out[j] = out[j] + c
+    return _trim(out)
+
+
+def _ref_scale(c, a):
+    return _trim([c * x for x in a])
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trim(out)
+
+
+def _ref_pow(a, n):
+    out = (Fraction(1),)
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_derivative(a):
+    return _trim([j * c for j, c in enumerate(a)][1:])
+
+
+def _assert_canonical(p):
+    nums, den = p._nums, p._den
+    assert type(nums) is tuple and all(type(a) is int for a in nums)
+    assert not nums or nums[-1] != 0
+    assert type(den) is int and den > 0
+    assert math.gcd(den, *nums) == 1
+
+
+def _assert_matches(p, want):
+    _assert_canonical(p)
+    assert p.coeffs == want
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.degree == len(want) - 1 and p.is_zero() == (not want)
+    assert p.leading() == (want[-1] if want else 0)
+    for j in range(-1, len(want) + 2):
+        assert p[j] == (want[j] if 0 <= j < len(want) else 0)
+    again = Poly(want)
+    assert p == again and hash(p) == hash(again)
+
+
+_small_coeffs = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=12),
+                         max_size=6)
+_scalars = st.one_of(st.integers(-6, 6),
+                     st.fractions(min_value=-6, max_value=6, max_denominator=9))
+
+
+@given(_small_coeffs, _small_coeffs, _scalars, st.integers(0, 4))
+def test_operations_match_fraction_reference(a, b, c, n):
+    p, q = Poly(a), Poly(b)
+    ra, rb = _trim(a), _trim(b)
+    rc = Fraction(c)
+    _assert_matches(p, ra)
+    _assert_matches(p + q, _ref_add(ra, rb))
+    _assert_matches(p - q, _ref_add(ra, _ref_scale(-1, rb)))
+    _assert_matches(-p, _ref_scale(-1, ra))
+    _assert_matches(p * q, _ref_mul(ra, rb))
+    _assert_matches(c * p, _ref_scale(rc, ra))
+    _assert_matches(p * c, _ref_scale(rc, ra))
+    _assert_matches(p + c, _ref_add(ra, (rc,)))
+    _assert_matches(c - p, _ref_add((rc,), _ref_scale(-1, ra)))
+    _assert_matches(p ** n, _ref_pow(ra, n))
+    _assert_matches(p.derivative(), _ref_derivative(ra))
+    assert (p == q) == (ra == rb)
+    assert p.float_coeffs() == [float(x) for x in ra]
+
+
+@given(_small_coeffs, _small_coeffs,
+       st.fractions(min_value=-6, max_value=6, max_denominator=9).filter(bool))
+def test_equal_polynomials_by_different_routes_hash_equal(a, b, c):
+    p, q = Poly(a), Poly(b)
+    routes = [(p + q) - q, (p * c) * (1 / c), p * Poly.one() + Poly.zero(),
+              -(-p), Poly(list(a) + [0, Fraction(0)]), Poly(p.coeffs)]
+    for route in routes:
+        _assert_canonical(route)
+        assert route == p and hash(route) == hash(p)
+    assert (p - p) == Poly.zero() and hash(p - p) == hash(Poly.zero())
+    assert (p * q) * c == p * (q * c) == (c * p) * q
+
+
+def test_canonical_form_reduces_common_factors():
+    half = Poly((Fraction(1, 2), Fraction(1, 2)))
+    assert (half._nums, half._den) == ((1, 1), 2)
+    doubled = half + half
+    assert (doubled._nums, doubled._den) == ((1, 1), 1)
+    assert Poly.zero()._nums == () and Poly.zero()._den == 1
+    sixths = Poly((Fraction(1, 2), Fraction(1, 3))) * 6
+    assert sixths == Poly((3, 2)) and sixths._den == 1
+
+
+def test_gaussian_and_mixed_products():
+    i = GaussianRational.i()
+    rational = Poly((Fraction(1, 2), 1))                 # x + 1/2
+    gaussian = Poly((-i, 1))                             # x - i
+    mixed = rational * gaussian
+    assert mixed._den is None
+    assert mixed.coeffs == _ref_mul(rational.coeffs, gaussian.coeffs)
+    assert gaussian * rational == mixed and hash(gaussian * rational) == hash(mixed)
+    assert (i * rational).coeffs == (i * Fraction(1, 2), i)
+    # imaginary parts that cancel bring the product back to the integer form
+    real = gaussian * Poly((i, 1)) * rational
+    _assert_canonical(real)
+    assert real == Poly((1, 0, 1)) * rational
+    assert (mixed - mixed).is_zero() and (mixed - mixed)._den == 1
+    assert mixed + rational == Poly(_ref_add(mixed.coeffs, rational.coeffs))
+    assert mixed.derivative() == Poly(_ref_derivative(mixed.coeffs))
+    assert mixed(Fraction(2)) == GaussianRational(5, -Fraction(5, 2))
+    assert mixed.leading() == 1 and mixed[0] == -i * Fraction(1, 2)
+    assert mixed.float_coeffs() == [-0.5j, 0.5 - 1j, 1.0]

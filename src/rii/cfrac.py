@@ -33,6 +33,7 @@ from .errors import PoleError
 from .poly import Poly
 from .polymat import PolyMatrix2
 from .schemes import Perturbation
+from .sequences import center_term, gen_first_kind, gen_second_kind, weight_term
 from .transfer import f_matrix, perturbation_transfer
 
 
@@ -62,29 +63,14 @@ def convergent(spec, depth, z):
     pert = spec.pert()
     s = spec.start
 
-    def b(m):
-        rho, c = scheme.rho(m), pert.center(scheme, m)
-        if numeric:
-            return float(rho) * (z - float(c))
-        return rho * (z - c)
-
-    def a(m):
-        lam = pert.coefficient(scheme, m)
-        w = scheme.weight_at(m, z)
-        if numeric:
-            return float(lam) * w
-        return lam * w
-
-    t = b(s + depth - 1)
+    t = center_term(scheme, pert, s + depth - 1, z)
     for j in range(depth - 2, -1, -1):
         m = s + j + 1
-        num = a(m)
-        if not num:
-            # A vanishing partial numerator truncates the fraction here
-            # (e.g. the special form at z = +-i*omega).
-            t = b(s + j)
-            continue
-        t = b(s + j) - _divide(num, t, m, numeric)
+        num = weight_term(scheme, pert, m, z)
+        b = center_term(scheme, pert, s + j, z)
+        # A vanishing partial numerator truncates the fraction here
+        # (e.g. the special form at z = +-i*omega).
+        t = b - _divide(num, t, m, numeric) if num else b
     return _divide(1, t, s, numeric)
 
 
@@ -103,11 +89,9 @@ def singular_index(spec, depth):
     s = spec.start
     lower, upper = Poly.zero(), Poly.one()    # U_{j+2}, U_{j+1}
     for j in range(depth - 1, -1, -1):
-        b = Poly((-scheme.rho(s + j) * pert.center(scheme, s + j), scheme.rho(s + j)))
-        u = b * upper
+        u = center_term(scheme, pert, s + j) * upper
         if j < depth - 1:
-            a = pert.coefficient(scheme, s + j + 1) * scheme.weight_poly(s + j + 1)
-            u = u - a * lower
+            u = u - weight_term(scheme, pert, s + j + 1) * lower
         if u.is_zero():
             return s + j
         lower, upper = upper, u
@@ -195,11 +179,9 @@ def lemma1_matrix(scheme, k=None, kp=None, mu=None, nu=None):
         level = pert.kp
     if level < 0:
         raise ValueError("lemma1_matrix needs at least one perturbation level")
-    from .sequences import gen_first_kind, gen_second_kind
-
     p = gen_first_kind(scheme, pert, level + 1)
     q = gen_second_kind(scheme, pert, level + 1)
-    g = scheme.lam(level + 1) * scheme.weight_poly(level + 1)
+    g = weight_term(scheme, pert, level + 1)
     return Homography(PolyMatrix2(
         g * q[level], -q[level + 1],
         g * p[level], -p[level + 1],
@@ -258,7 +240,7 @@ def lemma2_residual(scheme, kp, n, z):
     """
     if n < kp + 1:
         raise ValueError("needs n >= kp + 1")
-    g = scheme.lam(kp + 1) * scheme.weight_at(kp + 1, z)
+    g = weight_term(scheme, Perturbation.none(), kp + 1, z)
     tail = tail_convergent(scheme, kp, n - kp - 1, z)
     h = Homography(f_matrix(scheme, None, kp))
     return g * tail - h.apply(convergent(CFracSpec(scheme, None), n, z), z)

@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from .density import lagrange_density, sample_density, spline_density
 from .errors import RiiError
-from .integrands import BUILTINS, parse_integrand
-from .quadrature import MOMENT, SECOND_KIND, build_rule, calibrate_m0, estimate, real_zeros
+from .integrands import parse_integrand
+from .quadrature import MOMENT, SECOND_KIND, build_rule, estimate, real_zeros
 from .schemes import CoefficientScheme, Perturbation, cauchy_scheme
 from .sequences import gen_first_kind, gen_second_kind
 from .suites import SUITES, run_suite
@@ -183,7 +183,7 @@ def _cmd_zeros(args):
     return 0
 
 
-def _run_quad_once(scheme, pert, n, integrand, method, precision):
+def _run_quad_once(scheme, pert, n, integrand, method):
     rule = build_rule(scheme, pert, n, method=resolve_method(pert, method))
     value = estimate(rule, integrand)
     log.info("quad n=%d method=%s -> %s", n, rule.method, value)
@@ -200,8 +200,7 @@ def _cmd_quad(args):
         rows = []
         for pert in config.perturbations or (Perturbation.none(),):
             for n in config.n_values:
-                value = _run_quad_once(scheme, pert, n, integrand,
-                                       args.method, args.precision)
+                value = _run_quad_once(scheme, pert, n, integrand, args.method)
                 rows.append({"n": n, "mu": pert.mu, "k": pert.k,
                              "nu": pert.nu, "kp": pert.kp, "I_star": value})
     else:
@@ -211,8 +210,7 @@ def _cmd_quad(args):
         pert = _perturbation_from_args(args)
         integrand = parse_integrand(args.integrand)
         out = args.out
-        value = _run_quad_once(scheme, pert, args.n, integrand,
-                               args.method, args.precision)
+        value = _run_quad_once(scheme, pert, args.n, integrand, args.method)
         rows = [{"n": args.n, "mu": pert.mu, "k": pert.k,
                  "nu": pert.nu, "kp": pert.kp, "I_star": value}]
     if out == "json":

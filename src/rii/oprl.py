@@ -39,7 +39,7 @@ from .errors import SingularReductionError
 from .exact import rational
 from .poly import Poly
 from .schemes import CoefficientScheme, Perturbation
-from .sequences import eval_recurrence_at
+from .sequences import eval_recurrence_at, gen_first_kind
 from .transfer import structural_residual
 
 
@@ -140,42 +140,38 @@ def coprl_structural(oprl, k=None, kp=None, mu=None, nu=None, n=0, x=0):
 
 # --- monic, shifted-index convention ---------------------------------------
 
+def _monic_view(oprl, order, k=None, mu=0, nu=1):
+    """The monic recurrence of `order` as an oprl scheme.
+
+    Step m has rho 1, center c_{m+order+1} (+ mu at m = k) and lam_{m+order}
+    (* nu at m = k).  (mu, nu) live in the view rather than in a
+    Perturbation, whose checks would reject a nu <= 0 that the monic
+    demonstration accepts.
+    """
+    def center(m):
+        c = oprl.c(m + order + 1)
+        return c + mu if m == k else c
+
+    def lam(m):
+        value = oprl.lam(m + order)
+        return value * nu if m == k else value
+
+    return CoefficientScheme.oprl(1, center, lam)
+
+
 def monic_sequence(oprl, n, k=None, mu=0, nu=1):
     """P_0..P_n of P_{j+1} = (x - c_{j+1}) P_j - lam_j P_{j-1} as Polys.
 
     The optional perturbation (mu, nu) lands on step j = k: center c_{k+1}
     shifts by mu and lam_k scales by nu.  Step 0 has no lam term.
     """
-    mu = rational(mu)
-    nu = rational(nu)
-    out = [Poly.one()]
-    prev, cur = Poly.zero(), Poly.one()
-    for j in range(n):
-        center = oprl.c(j + 1)
-        if k is not None and j == k:
-            center = center + mu
-        nxt = Poly((-center, 1)) * cur
-        if j >= 1:
-            lam = oprl.lam(j)
-            if k is not None and j == k:
-                lam = lam * nu
-            nxt = nxt - lam * prev
-        prev, cur = cur, nxt
-        out.append(cur)
-    return out
+    view = _monic_view(oprl, 0, k, rational(mu), rational(nu))
+    return list(gen_first_kind(view, None, n))
 
 
 def monic_associated(oprl, order, n):
     """A^{(order)}_0..n: same monic recurrence with indices shifted by order."""
-    out = [Poly.one()]
-    prev, cur = Poly.zero(), Poly.one()
-    for j in range(n):
-        nxt = Poly((-oprl.c(j + order + 1), 1)) * cur
-        if j >= 1:  # the j = 0 term multiplies A_{-1} = 0
-            nxt = nxt - oprl.lam(j + order) * prev
-        prev, cur = cur, nxt
-        out.append(cur)
-    return out
+    return list(gen_first_kind(_monic_view(oprl, order), None, n))
 
 
 def _flawed_shift_value(plain, correction, assoc_order_k, n, k):

@@ -100,18 +100,6 @@ class PolyMatrix2:
             (self.a21(z), self.a22(z)),
         )
 
-    def to_coeff_lists(self):
-        """JSON-ready nested structure of ascending coefficient strings."""
-        from .exact import GaussianRational, format_rational
-
-        def enc(p):
-            return [
-                str(c) if isinstance(c, GaussianRational) else format_rational(c)
-                for c in p.coeffs
-            ]
-
-        return {"a11": enc(self.a11), "a12": enc(self.a12), "a21": enc(self.a21), "a22": enc(self.a22)}
-
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix2):
             return NotImplemented
@@ -122,10 +110,3 @@ class PolyMatrix2:
 
     def __repr__(self):
         return "PolyMatrix2(%r, %r, %r, %r)" % self.entries()
-
-    def pretty(self):
-        rows = [
-            "[ %s | %s ]" % (self.a11, self.a12),
-            "[ %s | %s ]" % (self.a21, self.a22),
-        ]
-        return "\n".join(rows)

@@ -21,9 +21,10 @@ weight sum equals lead(Q_n)/lead(P_n) exactly (a residue identity), and a
 two-point fit in n removes its C/(n+1) tail.  For the worked example this
 yields exactly 1/2 at every n.
 
-M_0 needs only leading coefficients, so it runs the recurrence on scalars:
-L_{m+1} = rho_m L_m - lam_m L_{m-1} (the W_m are monic quadratics), without
-the lam term for oprl schemes (W = 1); no polynomial family is built.
+M_0 needs only leading coefficients, so it runs the recurrence loop
+(`sequences.iterate`) on scalars: L_{m+1} = rho_m L_m - lam_m L_{m-1} (the
+W_m are monic quadratics), without the lam term for oprl schemes (W = 1);
+no polynomial family is built.
 
 Every node is a binary float, so the polynomials are evaluated at it exactly
 (`Poly.ratio_at`, integer Horner over one common denominator) and each float
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import ComplexZerosError, DegeneracyError, IntegrandError
 from .schemes import Perturbation
-from .sequences import gen_first_kind, gen_second_kind
+from .sequences import gen_first_kind, gen_second_kind, iterate
 
 MOMENT = "moment"
 SECOND_KIND = "second-kind"
@@ -130,45 +131,34 @@ def calibrate_m0(scheme, n, mass=1):
     holds.
 
     The leading coefficients of the unperturbed P_m (degree m) and Q_m
-    (degree m-1) follow the scalar recurrence
-    L_{m+1} = rho_m L_m - lam_m L_{m-1}, without the lam term for oprl.
+    (degree m-1) follow the recurrence loop on scalars,
+    L_{m+1} = rho_m L_m - lam_m L_{m-1}, without the lam term for oprl
+    (there W_m = 1 lowers the degree instead of keeping it).
     """
     if n < 1:
         raise ValueError("calibration needs n >= 1, got %d" % n)
-    quadratic = scheme.kind != "oprl"
-    p_lo, p_hi = Fraction(1), Fraction(scheme.rho(0))   # lead P_0, lead P_1
-    q_lo, q_hi = Fraction(0), Fraction(1)               # lead Q_0, lead Q_1
-    for m in range(1, n + 1):
-        rho = scheme.rho(m)
-        p_next, q_next = rho * p_hi, rho * q_hi
-        if quadratic:
-            lam = scheme.lam(m)
-            p_next -= lam * p_lo
-            q_next -= lam * q_lo
-        p_lo, p_hi = p_hi, p_next
-        q_lo, q_hi = q_hi, q_next
+    lam = scheme.lam if scheme.kind != "oprl" else (lambda m: 0)
+    lead_p = iterate(scheme.rho, lam, "first", n + 1)
+    lead_q = iterate(scheme.rho, lam, "second", n + 1)
 
-    def ratio(m, lead_p, lead_q):
-        if lead_p == 0 or lead_q == 0:
+    def ratio(m):
+        if lead_p[m] == 0 or lead_q[m] == 0:
             raise DegeneracyError("degenerate leading coefficient at index %d" % m)
-        return lead_q / lead_p
+        return lead_q[m] / lead_p[m]
 
-    lead_sum = (n + 2) * ratio(n + 1, p_hi, q_hi) - (n + 1) * ratio(n, p_lo, q_lo)
+    lead_sum = (n + 2) * ratio(n + 1) - (n + 1) * ratio(n)
     if lead_sum == 0:
         raise DegeneracyError("calibration failed: extrapolated weight sum is zero")
     return Fraction(mass) / lead_sum
 
 
-def weights_moment_formula(scheme, perturbation, nodes, m0, p=None):
+def weights_moment_formula(scheme, perturbation, nodes, m0, p):
     """Weights by the moment formula at the given nodes (floats).
 
-    p is the perturbed first-kind family through P_n (n = len(nodes)); it is
-    generated when not given.
+    p is the perturbed first-kind family through P_n (n = len(nodes)).
     """
     pert = perturbation or Perturbation.none()
     n = len(nodes)
-    if p is None:
-        p = gen_first_kind(scheme, pert, n)
     dp = p[n].derivative()
     product = Fraction(m0)
     powers = {}  # W_i -> how many i in 1..n-1 share it (one W in the special form)
@@ -191,25 +181,17 @@ def weights_moment_formula(scheme, perturbation, nodes, m0, p=None):
     return out
 
 
-def weights_second_kind(scheme, perturbation, nodes, normalization=UNIT_MASS, m0=None,
-                        p=None, q=None):
+def weights_second_kind(nodes, normalization, m0, p, q):
     """Weights Q_n/P'_n at the given nodes; raw or unit-mass normalized.
 
     p and q are the perturbed first- and second-kind families through index
-    n = len(nodes); each is generated when not given.
+    n = len(nodes); m0 is the unit-mass factor.
     """
     if normalization not in (RAW, UNIT_MASS):
         raise ValueError("normalization must be %r or %r" % (RAW, UNIT_MASS))
-    pert = perturbation or Perturbation.none()
     n = len(nodes)
-    if p is None:
-        p = gen_first_kind(scheme, pert, n)
-    if q is None:
-        q = gen_second_kind(scheme, pert, n)
     dp = p[n].derivative()
-    factor = Fraction(1)
-    if normalization == UNIT_MASS:
-        factor = Fraction(m0) if m0 is not None else calibrate_m0(scheme, n)
+    factor = Fraction(m0) if normalization == UNIT_MASS else Fraction(1)
     out = []
     for j, x in enumerate(nodes):
         a, b = dp.ratio_at(x)
@@ -254,10 +236,10 @@ def build_rule(scheme, perturbation=None, n=1, method=MOMENT,
     if m0 is None:
         m0 = calibrate_m0(scheme, n)
     if method == MOMENT:
-        weights = weights_moment_formula(scheme, pert, nodes, m0, p=p)
+        weights = weights_moment_formula(scheme, pert, nodes, m0, p)
     else:
         q = gen_second_kind(scheme, pert, n)
-        weights = weights_second_kind(scheme, pert, nodes, normalization, m0, p=p, q=q)
+        weights = weights_second_kind(nodes, normalization, m0, p, q)
     return QuadratureRule(
         n=n, nodes=tuple(nodes), weights=tuple(weights), method=method,
         perturbation=pert, m0=Fraction(m0), normalization=normalization,

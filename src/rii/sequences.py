@@ -1,10 +1,13 @@
-"""Generation and evaluation of the recurrence's polynomial families.
+"""The recurrence step, the one loop that iterates it, and the families it builds.
 
-All sequences here satisfy
+Step m of the (optionally perturbed) recurrence is
 
-    u_{i+1} = rho_m (z - c_m) u_i - lambda_m W_m(z) u_{i-1},   m = shift + i,
+    u_{i+1} = rho_m (z - c*_m) u_i - lambda*_m W_m(z) u_{i-1},   m = shift + i,
 
-differing only in initial values and index shift:
+with c*_m and lambda*_m the co-recursed center and co-dilated coefficient.
+`center_term` and `weight_term` build its two terms, as a Poly or as a value
+at z; `iterate` is the only forward loop.  The families differ only in
+initial values and index shift:
 
 * first kind:            (u_{-1}, u_0) = (0, 1), shift 0  ->  P_n, deg n
 * second kind:           (u_0, u_1)  = (0, 1), shift 0  ->  Q_n, deg n-1
@@ -12,7 +15,9 @@ differing only in initial values and index shift:
   (first-kind initials G_0 = 1 by default; second-kind on request)
 
 Perturbations are applied by absolute coefficient index, so shifted sequences
-and truncated continued fractions see exactly the same modified steps.
+and truncated continued fractions see exactly the same modified steps.  The
+step terms also make up transfer's step matrices and cfrac's convergents;
+oprl's monic families and quadrature's M_0 calibration run `iterate`.
 """
 
 from __future__ import annotations
@@ -45,73 +50,77 @@ class PolySeq:
         return iter(self.polys)
 
 
-def _steps(scheme, pert, kind, shift, n, one, zero, step_a, step_b):
-    """Shared recurrence loop; step_a/step_b build the two update terms."""
+def center_term(scheme, pert, m, z=None):
+    """rho_m (z - c*_m): a Poly when z is None, else its value at z.
+
+    Float or complex z rounds as float(rho) * (z - float(c)).
+    """
+    rho = scheme.rho(m)
+    c = pert.center(scheme, m)
+    if z is None:
+        return Poly((-rho * c, rho))
+    if isinstance(z, (float, complex)):
+        return float(rho) * (z - float(c))
+    return rho * (z - c)
+
+
+def weight_term(scheme, pert, m, z=None):
+    """lambda*_m W_m(z) (m >= 1): a Poly when z is None, else its value at z."""
+    lam = pert.coefficient(scheme, m)
+    if z is None:
+        return lam * scheme.weight_poly(m)
+    w = scheme.weight_at(m, z)
+    if isinstance(z, (float, complex)):
+        return float(lam) * w
+    return lam * w
+
+
+def iterate(a, b, kind, n, shift=0, one=1, zero=0):
+    """u_0..u_n of u_{i+1} = a(m) u_i - b(m) u_{i-1}, m = shift + i, as a list.
+
+    kind "first" starts from (u_{-1}, u_0) = (zero, one), kind "second" from
+    (u_0, u_1) = (zero, one).
+    """
     if n < 0:
         raise ValueError("n must be >= 0, got %d" % n)
     if kind == "first":
         out = [one]
-        lo, hi = zero, one
         start = 0
     elif kind == "second":
-        out = [zero]
-        if n >= 1:
-            out.append(one)
-        lo, hi = zero, one
+        out = [zero, one] if n >= 1 else [zero]
         start = 1
     else:
         raise ValueError("kind must be 'first' or 'second', got %r" % (kind,))
+    lo, hi = zero, one
     for i in range(start, n):
         m = shift + i
-        nxt = step_a(m, hi)
-        if not (kind == "first" and i == 0):
+        nxt = a(m) * hi
+        if i:
             # lambda_m is only defined for m >= 1; the first-kind i=0 term
             # multiplies u_{-1} = 0 and is skipped rather than queried.
-            nxt = nxt - step_b(m, lo)
+            nxt = nxt - b(m) * lo
         lo, hi = hi, nxt
         out.append(hi)
     return out
 
 
-def _generate_polys(scheme, pert, kind, shift, n):
-    def step_a(m, u):
-        rho = scheme.rho(m)
-        c = pert.center(scheme, m)
-        return Poly((-rho * c, rho)) * u
-
-    def step_b(m, u):
-        lam = pert.coefficient(scheme, m)
-        return (lam * scheme.weight_poly(m)) * u
-
-    return _steps(scheme, pert, kind, shift, n, Poly.one(), Poly.zero(), step_a, step_b)
-
-
-def _generate_values(scheme, pert, kind, shift, n, z):
-    numeric = isinstance(z, (float, complex))
-    one = 1.0 if numeric else Fraction(1)
-    zero = 0.0 if numeric else Fraction(0)
-
-    def step_a(m, u):
-        rho = scheme.rho(m)
-        c = pert.center(scheme, m)
-        if numeric:
-            return float(rho) * (z - float(c)) * u
-        return rho * (z - c) * u
-
-    def step_b(m, u):
-        lam = pert.coefficient(scheme, m)
-        w = scheme.weight_at(m, z)
-        if numeric:
-            return float(lam) * w * u
-        return lam * w * u
-
-    return _steps(scheme, pert, kind, shift, n, one, zero, step_a, step_b)
+def _family(scheme, pert, kind, shift, n, z=None):
+    """u_0..u_n of the scheme's recurrence: Polys when z is None, else values at z."""
+    if z is None:
+        one, zero = Poly.one(), Poly.zero()
+    elif isinstance(z, (float, complex)):
+        one, zero = 1.0, 0.0
+    else:
+        one, zero = Fraction(1), Fraction(0)
+    return iterate(lambda m: center_term(scheme, pert, m, z),
+                   lambda m: weight_term(scheme, pert, m, z),
+                   kind, n, shift, one, zero)
 
 
 def gen_first_kind(scheme, perturbation=None, n=0):
     """P_0..P_n of the (optionally perturbed) recurrence."""
     pert = perturbation or Perturbation.none()
-    polys = _generate_polys(scheme, pert, "first", 0, n)
+    polys = _family(scheme, pert, "first", 0, n)
     return PolySeq(scheme, pert, "first", 0, tuple(polys))
 
 
@@ -122,7 +131,7 @@ def gen_second_kind(scheme, perturbation=None, n=1):
     co-recursion at k = 0 leaves every Q_n unchanged.
     """
     pert = perturbation or Perturbation.none()
-    polys = _generate_polys(scheme, pert, "second", 0, n)
+    polys = _family(scheme, pert, "second", 0, n)
     return PolySeq(scheme, pert, "second", 0, tuple(polys))
 
 
@@ -136,7 +145,7 @@ def gen_associated(scheme, j, n, kind="first"):
     if j < 0:
         raise ValueError("associated order shift j must be >= 0")
     pert = Perturbation.none()
-    polys = _generate_polys(scheme, pert, kind, j + 1, n)
+    polys = _family(scheme, pert, kind, j + 1, n)
     return PolySeq(scheme, pert, kind, j + 1, tuple(polys))
 
 
@@ -147,14 +156,13 @@ def eval_recurrence_at(scheme, perturbation, kind, n, z):
     complex z runs in floating point.
     """
     pert = perturbation or Perturbation.none()
-    values = _generate_values(scheme, pert, kind, 0, n, z)
-    return values[n]
+    return _family(scheme, pert, kind, 0, n, z)[n]
 
 
 def eval_sequence_at(scheme, perturbation, kind, n, z, shift=0):
     """All of u_0(z)..u_n(z); same conventions as eval_recurrence_at."""
     pert = perturbation or Perturbation.none()
-    return _generate_values(scheme, pert, kind, shift, n, z)
+    return _family(scheme, pert, kind, shift, n, z)
 
 
 def example_closed_form(n):
@@ -179,6 +187,9 @@ def example_closed_form(n):
 
 __all__ = [
     "PolySeq",
+    "center_term",
+    "weight_term",
+    "iterate",
     "gen_first_kind",
     "gen_second_kind",
     "gen_associated",

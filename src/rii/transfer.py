@@ -35,7 +35,8 @@ from fractions import Fraction
 from .polymat import PolyMatrix2
 from .poly import Poly
 from .schemes import Perturbation
-from .sequences import eval_sequence_at, gen_first_kind, gen_second_kind
+from .sequences import (center_term, eval_sequence_at, gen_first_kind, gen_second_kind,
+                        weight_term)
 
 _VARIANTS = {"general", "special", "oprl"}
 
@@ -47,15 +48,8 @@ def step_matrix(scheme, perturbation, n):
     (det 1); lambda_0 is never queried.
     """
     pert = perturbation or Perturbation.none()
-    rho = scheme.rho(n)
-    c = pert.center(scheme, n)
-    top_left = Poly((-rho * c, rho))
-    if n == 0:
-        top_right = -Poly.one()
-    else:
-        lam = pert.coefficient(scheme, n)
-        top_right = -(lam * scheme.weight_poly(n))
-    return PolyMatrix2(top_left, top_right, Poly.one(), Poly.zero())
+    top_right = -Poly.one() if n == 0 else -weight_term(scheme, pert, n)
+    return PolyMatrix2(center_term(scheme, pert, n), top_right, Poly.one(), Poly.zero())
 
 
 def f_matrix(scheme, perturbation, n):
@@ -72,7 +66,7 @@ def lambda_weight_product(scheme, perturbation, upto):
     pert = perturbation or Perturbation.none()
     out = Poly.one()
     for j in range(1, upto + 1):
-        out = out * (pert.coefficient(scheme, j) * scheme.weight_poly(j))
+        out = out * weight_term(scheme, pert, j)
     return out
 
 
@@ -127,16 +121,14 @@ def transfer_entries(scheme, k=None, kp=None, mu=None, nu=None):
     p_low = gen_first_kind(scheme, lower, m)
     q_low = gen_second_kind(scheme, lower, m)
 
-    rho = scheme.rho(m)
-    center = pert.center(scheme, m)
-    a_step = Poly((-rho * center, rho))
+    a_step = center_term(scheme, pert, m)
     if m == 0:
         # Step 0: the P-side lambda term multiplies P_{-1} = 0; Q_1 is an
         # initial value, untouched by any perturbation.
         top_p = a_step * p_low[0]
         top_q = Poly.one()
     else:
-        b_step = pert.coefficient(scheme, m) * scheme.weight_poly(m)
+        b_step = weight_term(scheme, pert, m)
         top_p = a_step * p_low[m] - b_step * p_low[m - 1]
         top_q = a_step * q_low[m] - b_step * q_low[m - 1]
 

@@ -1,5 +1,6 @@
 """Moebius reduction to the real line and the monic correction demonstration."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from rii import (
     monic_sequence,
     reduce_to_oprl,
 )
+from rii.suites import random_scheme
 
 
 def pinned_scheme():
@@ -92,6 +94,55 @@ def test_monic_sequence_and_associated():
     assoc = monic_associated(reduced, 2, 4)
     for n, p in enumerate(assoc):
         assert p.degree == n and p.leading() == 1
+
+
+def _hand_monic_sequence(oprl, n, k=None, mu=0, nu=1):
+    """Reference: the monic recurrence written out as its own loop."""
+    out = [Poly.one()]
+    prev, cur = Poly.zero(), Poly.one()
+    for j in range(n):
+        center = oprl.c(j + 1)
+        if k is not None and j == k:
+            center = center + mu
+        nxt = Poly((-center, 1)) * cur
+        if j >= 1:
+            lam = oprl.lam(j)
+            if k is not None and j == k:
+                lam = lam * nu
+            nxt = nxt - lam * prev
+        prev, cur = cur, nxt
+        out.append(cur)
+    return out
+
+
+def _hand_monic_associated(oprl, order, n):
+    """Reference: the order-shifted monic recurrence as its own loop."""
+    out = [Poly.one()]
+    prev, cur = Poly.zero(), Poly.one()
+    for j in range(n):
+        nxt = Poly((-oprl.c(j + order + 1), 1)) * cur
+        if j >= 1:
+            nxt = nxt - oprl.lam(j + order) * prev
+        prev, cur = cur, nxt
+        out.append(cur)
+    return out
+
+
+def test_monic_families_match_hand_loops():
+    rng = random.Random("monic")
+    schemes = [reduce_to_oprl(pinned_scheme(), pinned_params(), 12)]
+    schemes += [random_scheme(rng, 12, "oprl") for _ in range(6)]
+    for oprl in schemes:
+        for n in range(7):
+            assert monic_sequence(oprl, n) == _hand_monic_sequence(oprl, n)
+            for order in range(4):
+                assert monic_associated(oprl, order, n) == \
+                    _hand_monic_associated(oprl, order, n)
+            for k in (0, 1, 3):
+                for mu, nu in ((Fraction(1, 3), 1), (0, Fraction(5, 2)),
+                               (Fraction(-2, 7), Fraction(3, 4)), (1, 0), (1, -2)):
+                    assert monic_sequence(oprl, n, k, mu, nu) == \
+                        _hand_monic_sequence(oprl, n, k, Fraction(mu), Fraction(nu))
 
 
 def test_corrected_vs_flawed_discrepancy():

@@ -1,5 +1,6 @@
 """Polynomial families of the recurrence: values pinned by hand."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,8 @@ from rii import (
     gen_first_kind,
     gen_second_kind,
 )
+from rii.sequences import center_term, iterate, weight_term
+from rii.suites import random_perturbation, random_rational, random_scheme
 
 
 def test_first_kind_worked_values(cauchy):
@@ -89,6 +92,29 @@ def test_eval_matches_coefficient_path(cauchy):
     assert eval_recurrence_at(cauchy, pert, "first", 8, z) == seq[8](z)
     values = eval_sequence_at(cauchy, pert, "first", 8, z)
     assert [p(z) for p in seq] == list(values)
+
+
+@pytest.mark.parametrize("scheme_kind", ["general", "special", "oprl"])
+def test_eval_matches_coefficient_path_on_random_schemes(scheme_kind):
+    rng = random.Random("eval-vs-coefficients/" + scheme_kind)
+    for _ in range(30):
+        scheme = random_scheme(rng, 16, scheme_kind)
+        pert = random_perturbation(rng, 6)
+        kind = rng.choice(("first", "second"))
+        shift = rng.randint(1, 4)
+        n = rng.randint(0, 9)
+        z = random_rational(rng)
+        polys = iterate(lambda m: center_term(scheme, pert, m),
+                        lambda m: weight_term(scheme, pert, m),
+                        kind, n, shift, Poly.one(), Poly.zero())
+        assert eval_sequence_at(scheme, pert, kind, n, z, shift=shift) == \
+            [p(z) for p in polys]
+        family = (gen_first_kind if kind == "first" else gen_second_kind)(scheme, pert, n)
+        assert eval_sequence_at(scheme, pert, kind, n, z) == [p(z) for p in family]
+        assert eval_recurrence_at(scheme, pert, kind, n, z) == family[n](z)
+        associated = gen_associated(scheme, shift - 1, n, kind)
+        assert eval_sequence_at(scheme, None, kind, n, z, shift=shift) == \
+            [p(z) for p in associated]
 
 
 def test_eval_in_floating_point(cauchy):

@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: poly, zeros, quad, table, measure, check, flip.  Output is
-deterministic for fixed arguments and seed: floats are formatted to a fixed
-number of significant digits (10 by default, --precision to change), CSV uses
-LF line endings and a header row, JSON is emitted with sorted keys and carries
-a "schema" version field.  Library errors (complex zeros, poles, bad schemes)
-exit 1 with an "error: ..." line on stderr; usage errors exit 2.
+deterministic for fixed arguments and seed.  Every subcommand but check
+builds its result once -- a JSON document, CSV rows and text lines -- and
+prints it through one emitter, `_emit`: JSON with sorted keys, a "schema"
+version field and every float rounded to --precision significant digits
+(10 by default); CSV with a header row, LF line endings and floats to the
+same digits; text as given, or the CSV when a command has no text form.
+Library errors (complex zeros, poles, bad schemes) exit 1 with an
+"error: ..." line on stderr; usage errors exit 2.
 """
 
 from __future__ import annotations
@@ -39,20 +42,31 @@ def _fmt(value, precision):
     return "" if value is None else str(value)
 
 
-def _json_number(value, precision):
-    return float("%.*g" % (precision, value)) if isinstance(value, float) else value
+def _rounded(value, precision):
+    """value with every float, at any depth, rounded to `precision` digits."""
+    if isinstance(value, float):
+        return float(_fmt(value, precision))
+    if isinstance(value, dict):
+        return {k: _rounded(v, precision) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(v, precision) for v in value]
+    return value
 
 
-def _write_csv(rows, columns, precision):
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row.get(c, ""), precision) for c in columns])
-
-
-def _write_json(document):
-    json.dump(document, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+def _emit(out, precision, document, columns, rows, text=None):
+    """Print `document` (json), `rows` under `columns` (csv) or `text` lines."""
+    if out == "json":
+        json.dump(_rounded({"schema": SCHEMA_VERSION, **document}, precision),
+                  sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
+    elif out == "csv" or text is None:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(row.get(c, ""), precision) for c in columns])
+    else:
+        for line in text:
+            print(line)
 
 
 def _load_scheme(spec_text):
@@ -151,18 +165,15 @@ def _cmd_poly(args):
         seq = (gen_first_kind if kind == "first" else gen_second_kind)(
             scheme, pert, args.n)
         entries.append((kind, seq[args.n]))
-    if args.out == "json":
-        _write_json({"schema": SCHEMA_VERSION, "polynomials": [
-            {"kind": kind, "n": args.n, "coefficients": [str(c) for c in p.coeffs]}
-            for kind, p in entries]})
-    elif args.out == "csv":
-        rows = [{"kind": kind, "n": args.n, "j": j, "coefficient": str(c)}
-                for kind, p in entries for j, c in enumerate(p.coeffs)]
-        _write_csv(rows, ("kind", "n", "j", "coefficient"), args.precision)
-    else:
-        labels = {"first": "P", "second": "Q"}
-        for kind, p in entries:
-            print("%s_%d(x) = %s" % (labels[kind], args.n, p))
+    document = {"polynomials": [
+        {"kind": kind, "n": args.n, "coefficients": [str(c) for c in p.coeffs]}
+        for kind, p in entries]}
+    rows = [{"kind": kind, "n": args.n, "j": j, "coefficient": str(c)}
+            for kind, p in entries for j, c in enumerate(p.coeffs)]
+    labels = {"first": "P", "second": "Q"}
+    text = ["%s_%d(x) = %s" % (labels[kind], args.n, p) for kind, p in entries]
+    _emit(args.out, args.precision, document, ("kind", "n", "j", "coefficient"), rows,
+          text)
     return 0
 
 
@@ -171,38 +182,31 @@ def _cmd_zeros(args):
     pert = _perturbation_from_args(args)
     poly = gen_first_kind(scheme, pert, args.n)[args.n]
     zeros = real_zeros(poly, tol_imag=args.tol_imag)
-    if args.out == "json":
-        _write_json({"schema": SCHEMA_VERSION, "n": args.n,
-                     "zeros": [_json_number(z, args.precision) for z in zeros]})
-    elif args.out == "csv":
-        rows = [{"j": j + 1, "zero": z} for j, z in enumerate(zeros)]
-        _write_csv(rows, ("j", "zero"), args.precision)
-    else:
-        for z in zeros:
-            print(_fmt(z, args.precision))
+    _emit(args.out, args.precision, {"n": args.n, "zeros": zeros}, ("j", "zero"),
+          [{"j": j + 1, "zero": z} for j, z in enumerate(zeros)],
+          [_fmt(z, args.precision) for z in zeros])
     return 0
 
 
 def _run_quad_once(scheme, pert, n, integrand, method):
+    """One quad result row; rationals and levels as strings, None if absent."""
     rule = build_rule(scheme, pert, n, method=resolve_method(pert, method))
     value = estimate(rule, integrand)
     log.info("quad n=%d method=%s -> %s", n, rule.method, value)
-    return value
+    fields = {"n": n, "mu": pert.mu, "k": pert.k, "nu": pert.nu, "kp": pert.kp}
+    return {**{k: None if v is None else str(v) for k, v in fields.items()},
+            "I_star": value}
 
 
 def _cmd_quad(args):
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             config = ExperimentConfig.from_json(handle.read())
-        scheme = config.scheme
         integrand = parse_integrand(config.integrand)
         out = args.out or config.out
-        rows = []
-        for pert in config.perturbations or (Perturbation.none(),):
-            for n in config.n_values:
-                value = _run_quad_once(scheme, pert, n, integrand, args.method)
-                rows.append({"n": n, "mu": pert.mu, "k": pert.k,
-                             "nu": pert.nu, "kp": pert.kp, "I_star": value})
+        rows = [_run_quad_once(config.scheme, pert, n, integrand, args.method)
+                for pert in config.perturbations or (Perturbation.none(),)
+                for n in config.n_values]
     else:
         if args.n is None:
             raise ValueError("--n is required without --config")
@@ -210,38 +214,20 @@ def _cmd_quad(args):
         pert = _perturbation_from_args(args)
         integrand = parse_integrand(args.integrand)
         out = args.out
-        value = _run_quad_once(scheme, pert, args.n, integrand, args.method)
-        rows = [{"n": args.n, "mu": pert.mu, "k": pert.k,
-                 "nu": pert.nu, "kp": pert.kp, "I_star": value}]
-    if out == "json":
-        _write_json({"schema": SCHEMA_VERSION, "results": [
-            {k: (_json_number(v, args.precision) if k == "I_star" else
-                 (str(v) if v is not None else None))
-             for k, v in row.items()} for row in rows]})
-    elif out == "csv":
-        _write_csv(rows, ("n", "mu", "k", "nu", "kp", "I_star"), args.precision)
-    else:
-        for row in rows:
-            print(_fmt(row["I_star"], args.precision))
+        rows = [_run_quad_once(scheme, pert, args.n, integrand, args.method)]
+    _emit(out, args.precision, {"results": rows}, ("n", "mu", "k", "nu", "kp", "I_star"),
+          rows, [_fmt(row["I_star"], args.precision) for row in rows])
     return 0
 
 
 def _cmd_table(args):
     report = reproduce_table(args.id)
-    out = args.out or "csv"
-    if out == "json":
-        _write_json({
-            "schema": SCHEMA_VERSION,
-            "table": report.table_id,
-            "max_deviation": _json_number(report.max_deviation, args.precision),
-            "flagged": report.flagged,
-            "rows": [{c: _json_number(r.get(c, ""), args.precision) for c in report.columns}
-                     for r in report.rows],
-        })
-    elif out == "csv":
-        _write_csv(report.rows, report.columns, args.precision)
-    else:
-        _write_csv(report.rows, report.columns, args.precision)
+    rows = [{c: r.get(c, "") for c in report.columns} for r in report.rows]
+    _emit(args.out, args.precision,
+          {"table": report.table_id, "max_deviation": report.max_deviation,
+           "flagged": report.flagged, "rows": rows},
+          report.columns, rows)
+    if args.out == "text":
         print("# max |computed - reference| = %s over %d cells (%d flagged)"
               % (_fmt(report.max_deviation, args.precision),
                  len(report.rows), report.flagged))
@@ -258,14 +244,8 @@ def _cmd_measure(args):
     x_max = args.x_max if args.x_max is not None else rule.nodes[-1]
     samples = sample_density(approx, x_min, x_max, args.samples)
     rows = [{"x": x, "density": v, "flag": flag} for x, v, flag in samples]
-    out = args.out or "csv"
-    if out == "json":
-        _write_json({"schema": SCHEMA_VERSION, "method": args.method, "n": args.n,
-                     "samples": [{"x": _json_number(x, args.precision),
-                                  "density": _json_number(v, args.precision),
-                                  "flag": flag} for x, v, flag in samples]})
-    else:
-        _write_csv(rows, ("x", "density", "flag"), args.precision)
+    _emit(args.out, args.precision, {"method": args.method, "n": args.n, "samples": rows},
+          ("x", "density", "flag"), rows)
     return 0
 
 
@@ -298,33 +278,22 @@ def _cmd_flip(args):
     report = order_flip_experiment(scheme, pairs, args.n)
     rows = [{"k": r["k"], "mu": str(r["mu"]), "kp": r["kp"], "nu": str(r["nu"]),
              "I_star": r["I_star"], "dev": r["dev"]} for r in report.rows]
-    if args.out == "json":
-        _write_json({
-            "schema": SCHEMA_VERSION,
-            "n": report.n,
-            "rows": [{k: _json_number(v, args.precision) for k, v in row.items()}
-                     for row in rows],
-            "median_level": report.median_level,
-            "median_I_star": _json_number(report.median_row["I_star"], args.precision),
-            "average": _json_number(report.average, args.precision),
-            "average_gap": _json_number(report.average_gap, args.precision),
-        })
-    elif args.out == "csv":
-        tail = {"k": report.median_level, "mu": str(report.median_row["mu"]),
-                "kp": report.median_level, "nu": str(report.median_row["nu"]),
-                "I_star": report.median_row["I_star"], "dev": report.median_row["dev"]}
-        _write_csv(rows + [tail], ("k", "mu", "kp", "nu", "I_star", "dev"),
-                   args.precision)
-    else:
-        for row in rows:
-            print("mu_%(k)d=%(mu)s, nu_%(kp)d=%(nu)s: I* = %(istar)s, |I*-E| = %(dev)s"
-                  % {**row, "istar": _fmt(row["I_star"], args.precision),
-                     "dev": _fmt(row["dev"], args.precision)})
-        print("median level %d: I* = %s" % (
-            report.median_level, _fmt(report.median_row["I_star"], args.precision)))
-        print("average of flipped rows = %s (gap from median %s)" % (
-            _fmt(report.average, args.precision),
-            _fmt(report.average_gap, args.precision)))
+    median = report.median_row
+    tail = {"k": report.median_level, "mu": str(median["mu"]),
+            "kp": report.median_level, "nu": str(median["nu"]),
+            "I_star": median["I_star"], "dev": median["dev"]}
+    text = ["mu_%(k)d=%(mu)s, nu_%(kp)d=%(nu)s: I* = %(istar)s, |I*-E| = %(dev)s"
+            % {**row, "istar": _fmt(row["I_star"], args.precision),
+               "dev": _fmt(row["dev"], args.precision)} for row in rows]
+    text.append("median level %d: I* = %s" % (
+        report.median_level, _fmt(median["I_star"], args.precision)))
+    text.append("average of flipped rows = %s (gap from median %s)" % (
+        _fmt(report.average, args.precision), _fmt(report.average_gap, args.precision)))
+    _emit(args.out, args.precision,
+          {"n": report.n, "rows": rows, "median_level": report.median_level,
+           "median_I_star": median["I_star"], "average": report.average,
+           "average_gap": report.average_gap},
+          ("k", "mu", "kp", "nu", "I_star", "dev"), rows + [tail], text)
     return 0
 
 
@@ -385,7 +354,7 @@ def build_parser():
 
     p = sub.add_parser("table", help="recompute a bundled reference table")
     p.add_argument("--id", choices=("t1", "t2", "t3", "t4", "t5", "t6"), required=True)
-    p.add_argument("--out", choices=("text", "csv", "json"), default=None)
+    p.add_argument("--out", choices=("text", "csv", "json"), default="csv")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("measure", help="sample a density approximation")
@@ -394,7 +363,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=400)
     p.add_argument("--x-min", type=float, default=None, dest="x_min")
     p.add_argument("--x-max", type=float, default=None, dest="x_max")
-    p.add_argument("--out", choices=("text", "csv", "json"), default=None)
+    p.add_argument("--out", choices=("text", "csv", "json"), default="csv")
     _add_scheme_arg(p)
     _add_pert_args(p)
     p.set_defaults(func=_cmd_measure)
@@ -426,10 +395,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RiiError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (RiiError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -43,6 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ComplexZerosError, DegeneracyError, IntegrandError
+from .exact import GaussianRational, simplify_scalar
 from .schemes import Perturbation
 from .sequences import gen_first_kind, gen_second_kind, iterate
 
@@ -65,6 +66,17 @@ def _float_at(poly, x):
     return num / den
 
 
+def _has_nonreal_ratio(poly):
+    """Whether some coefficient / leading coefficient is not real.
+
+    P = lead * prod (z - x_j) with every x_j real has real ratios, so a
+    non-real one proves a non-real zero, whatever the float roots show.
+    """
+    lead = poly.leading()
+    return any(isinstance(simplify_scalar(c / lead), GaussianRational)
+               for c in poly.coeffs)
+
+
 def _roots_with_diagnostics(poly, tol_imag):
     if poly.degree < 1:
         raise ValueError("need a nonconstant polynomial")
@@ -83,6 +95,9 @@ def _roots_with_diagnostics(poly, tol_imag):
                 near_real.append((r.real, r.imag))
     if complex_pairs:
         raise ComplexZerosError(sorted(complex_pairs, key=lambda v: (v.real, v.imag)))
+    if any(isinstance(c, complex) for c in coeffs) and _has_nonreal_ratio(poly):
+        raise ComplexZerosError(sorted((complex(x, y) for x, y in near_real),
+                                       key=lambda v: (v.real, v.imag)))
 
     dpoly = poly.derivative()
     magnitudes = [abs(c) for c in poly.float_coeffs()]

@@ -82,6 +82,12 @@ class CoefficientScheme:
                 raise ValueError("special form requires a nonzero omega")
         if kind == "general" and nodes is None:
             raise ValueError("general form requires a nodes function")
+        # W_n does not depend on n for these kinds: one shared (immutable) Poly
+        self._weight = None
+        if kind == "oprl":
+            self._weight = Poly.one()
+        elif kind == "special":
+            self._weight = Poly((self.omega * self.omega, 0, 1))
 
     # --- constructors ---------------------------------------------------
     @staticmethod
@@ -125,15 +131,18 @@ class CoefficientScheme:
 
     def weight_poly(self, n):
         """W_n(z) as a Poly: (z-a_n)(z-b_n), z^2+omega^2, or 1."""
-        if self.kind == "oprl":
-            return Poly.one()
-        if self.kind == "special":
-            return Poly((self.omega * self.omega, 0, 1))
+        if self._weight is not None:
+            return self._weight
         a, b = self.nodes(n)
         return Poly((a * b, -(a + b), 1))
 
     def weight_at(self, n, z):
-        """W_n evaluated at a scalar (cheaper than building the Poly)."""
+        """W_n evaluated at a scalar (cheaper than building the Poly).
+
+        Exact z gives an exact scalar.  Float or complex z runs on the float
+        or complex node values: a float for real z and real or conjugate
+        nodes, a complex number otherwise.
+        """
         if self.kind == "oprl":
             return Fraction(1) if not isinstance(z, (float, complex)) else 1.0
         if self.kind == "special":
@@ -142,7 +151,13 @@ class CoefficientScheme:
                 return z * z + float(w2)
             return simplify_scalar(z * z + w2)
         a, b = self.nodes(n)
-        return simplify_scalar((z - a) * (z - b))
+        if not isinstance(z, (float, complex)):
+            return simplify_scalar((z - a) * (z - b))
+        a, b = [v.to_complex() if isinstance(v, GaussianRational) else float(v)
+                for v in (a, b)]
+        w = (z - a) * (z - b)
+        # conjugate nodes cancel the imaginary part exactly at a real z
+        return w.real if isinstance(z, float) and w.imag == 0 else w
 
     # --- serialization ------------------------------------------------
     def to_dict(self):

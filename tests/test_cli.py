@@ -236,6 +236,9 @@ def test_malformed_config_exits_one(tmp_path, capsys, document):
     ("flip", "--mu", "1/0"),
     ("check", "--suite", "all", "--instances", "-1"),
     ("check", "--suite", "oprl", "--instances", "0"),
+    ("zeros", "--n", "3", "--tol-imag", "100", "--scheme",
+     '{"rho": 1, "c": 0, "lambda": "1/4", "nodes": [[[0, 1], [0, 2]], [[0, 1], [0, 2]],'
+     ' [[0, 1], [0, 2]], [[0, 1], [0, 2]]]}'),
 ])
 def test_domain_failures_exit_one_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -11,7 +11,10 @@ from rii import (
     Poly,
     SchemeIndexError,
     cauchy_scheme,
+    spectral_gap,
 )
+from rii.cfrac import CFracSpec, convergent
+from rii.sequences import eval_recurrence_at
 
 
 def test_cauchy_scheme_coefficients(cauchy):
@@ -30,6 +33,35 @@ def test_special_vs_general_vs_oprl_weights():
     assert general.nodes(1) == (1, -2)
     oprl = CoefficientScheme.oprl(1, 2, 1)
     assert oprl.weight_poly(5) == Poly.one()
+
+
+def test_constant_weight_poly_is_built_once():
+    for scheme in (CoefficientScheme.special(1, 0, Fraction(1, 4), omega=2),
+                   CoefficientScheme.oprl(1, 2, 1)):
+        assert scheme.weight_poly(1) is scheme.weight_poly(7)
+    special = CoefficientScheme.special(1, 0, 1, omega=Fraction(1, 2))
+    assert special.weight_poly(3) == Poly((Fraction(1, 4), 0, 1))
+
+
+def test_gaussian_nodes_evaluate_at_float_and_complex_z(cauchy):
+    # nodes +-i: the general form of the worked example, W = z^2 + 1
+    general = CoefficientScheme.general(1, 0, Fraction(1, 4),
+                                        nodes=[([0, 1], [0, -1])] * 12)
+    pert = Perturbation.both(1, Fraction(1, 10), 3, Fraction(3, 2))
+    for z in (0.5, 0.7 + 0.6j):
+        w = general.weight_at(2, z)
+        assert type(w) is type(z) and abs(w - cauchy.weight_at(2, z)) <= 1e-15 * abs(w)
+        for kind in ("first", "second"):
+            got = eval_recurrence_at(general, pert, kind, 6, z)
+            want = eval_recurrence_at(cauchy, pert, kind, 6, z)
+            assert abs(got - want) <= 1e-15 * abs(want)
+        got = convergent(CFracSpec(general, pert), 6, z)
+        want = convergent(CFracSpec(cauchy, pert), 6, z)
+        assert abs(got - want) <= 1e-15 * abs(want)
+    gaps = [spectral_gap(scheme, k=1, mu=Fraction(1, 10), kp=2, nu=Fraction(2),
+                         z=0.7 + 0.6j, depth_perturbed=12, depth_plain=11)
+            for scheme in (general, cauchy)]
+    assert abs(gaps[0] - gaps[1]) <= 1e-12 * gaps[1]
 
 
 def test_sequence_coefficients_by_index():

@@ -27,9 +27,8 @@ from .quadrature import (QuadratureRule, build_rule, calibrate_m0, estimate,
                          exactness_check, real_zeros, weights_moment_formula,
                          weights_second_kind)
 from .schemes import CoefficientScheme, Perturbation, cauchy_scheme
-from .sequences import (PolySeq, eval_recurrence_at, eval_sequence_at,
-                        example_closed_form, gen_associated, gen_first_kind,
-                        gen_second_kind)
+from .sequences import (eval_recurrence_at, eval_sequence_at, example_closed_form,
+                        gen_associated, gen_first_kind, gen_second_kind)
 from .suites import (SUITES, SuiteResult, run_suite, suite_oprl,
                      suite_spectral, suite_structural, suite_transfer)
 from .tables import (E_REFERENCE, FlipReport, TableReport, load_fixture,

@@ -9,9 +9,10 @@ later coefficient index (start = kp+1 gives the (kp+1)-th tail, whose depth-m
 convergent is the ratio of second- to first-kind associated polynomials of
 that order), and perturbations are applied by absolute coefficient index.
 
-Evaluation is bottom-up, so a vanishing denominator is detected at a specific
-coefficient index: exact mode raises PoleError naming it, float mode returns a
-signed infinity and lets the enclosing level absorb it.
+Evaluation runs bottom-up on the fraction's continuants, so a vanishing
+denominator is detected at a specific coefficient index: exact z raises
+PoleError naming it.  A float or complex z is evaluated exactly and rounded
+once; an intermediate zero is absorbed and a zero final denominator gives +inf.
 
 Homographies u -> (a u + b)/(c u + d) with polynomial entries and nonzero
 determinant tie the perturbed fraction to the unperturbed one:
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PoleError
-from .poly import Poly
+from .exact import exact_point, rounded
 from .polymat import PolyMatrix2
 from .schemes import Perturbation
 from .sequences import center_term, gen_first_kind, gen_second_kind, weight_term
@@ -50,62 +51,54 @@ class CFracSpec:
 def convergent(spec, depth, z):
     """Depth-n convergent (= Q_n/P_n of the shifted, perturbed families).
 
-    depth 0 is the empty fraction, 0.  Exact z gives an exact scalar; float z
-    runs in floating point, where a vanishing nested denominator produces a
-    signed infinity instead of an error.
+    depth 0 is the empty fraction, 0.  Exact z gives an exact scalar; a float
+    or complex z gives the exact value rounded once, or +inf at a pole.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    numeric = isinstance(z, (float, complex))
-    if depth == 0:
-        return 0.0 if numeric else Fraction(0)
-    scheme = spec.scheme
-    pert = spec.pert()
-    s = spec.start
-
-    t = center_term(scheme, pert, s + depth - 1, z)
-    for j in range(depth - 2, -1, -1):
-        m = s + j + 1
-        num = weight_term(scheme, pert, m, z)
-        b = center_term(scheme, pert, s + j, z)
-        # A vanishing partial numerator truncates the fraction here
-        # (e.g. the special form at z = +-i*omega).
-        t = b - _divide(num, t, m, numeric) if num else b
-    return _divide(1, t, s, numeric)
+    x = exact_point(z)
+    u0, u1 = _continuants(spec, depth, x, strict=x is z)   # poles raise at exact z only
+    return rounded(u1 / u0, z) if u0 != 0 else math.inf
 
 
 def singular_index(spec, depth):
     """Coefficient index of a nested denominator that vanishes identically.
 
-    Bottom-up, the nested denominator at index s+j is U_j/U_{j+1}, where the
-    continuants U_depth = 1, U_{depth-1} = b_{s+depth-1} and
-    U_j = b_{s+j} U_{j+1} - a_{s+j+1} U_{j+2} are polynomials in z.  When
-    some U_j is the zero polynomial, exact evaluation of the convergent at
-    this depth raises PoleError at every z; the deepest such index is
-    returned, else None.
+    Run on polynomials, `_continuants` raises PoleError at the index where
+    exact evaluation of the convergent at this depth raises it at every z;
+    that (deepest) index is returned, else None.
+    """
+    try:
+        _continuants(spec, depth)
+    except PoleError as exc:
+        return exc.index
+    return None
+
+
+def _continuants(spec, depth, z=None, strict=True):
+    """(U_0, U_1) with U_1/U_0 the convergent: Polys when z is None, else values.
+
+    With b, a the center and weight terms, U_depth = 1 and U_j = b_{s+j}
+    U_{j+1} - a_{s+j+1} U_{j+2}.  U_j/U_{j+1} is the nested denominator at
+    index s+j; with strict, dividing by a zero one raises PoleError(s+j).  A
+    zero partial numerator (e.g. special form, z = +-i*omega) truncates there.
     """
     scheme = spec.scheme
     pert = spec.pert()
     s = spec.start
-    lower, upper = Poly.zero(), Poly.one()    # U_{j+2}, U_{j+1}
+    lower, upper = Fraction(0), Fraction(1)    # U_{j+2}, U_{j+1}
     for j in range(depth - 1, -1, -1):
-        u = center_term(scheme, pert, s + j) * upper
-        if j < depth - 1:
-            u = u - weight_term(scheme, pert, s + j + 1) * lower
-        if u.is_zero():
-            return s + j
-        lower, upper = upper, u
-    return None
-
-
-def _divide(num, den, index, numeric):
-    if numeric:
-        if den == 0.0:
-            return math.copysign(math.inf, float(num))
-        return num / den
-    if den == 0:
-        raise PoleError(index)
-    return num / den
+        a = weight_term(scheme, pert, s + j + 1, z) if j < depth - 1 else 0
+        b = center_term(scheme, pert, s + j, z)
+        if a == 0:
+            lower, upper = 1, b
+        else:
+            if strict and upper == 0:
+                raise PoleError(s + j + 1)
+            lower, upper = upper, b * upper - a * lower
+    if strict and upper == 0:
+        raise PoleError(s)
+    return upper, lower
 
 
 def tail_convergent(scheme, kp, depth, z, perturbation=None):
@@ -142,20 +135,21 @@ class Homography:
         return Homography(self.matrix.adjugate())
 
     def apply(self, u, z):
-        (a, b), (c, d) = self.matrix.eval_at(z)
-        if isinstance(u, float) and math.isinf(u):
-            num, den = a, c
+        """(a u + b)/(c u + d), entries at z; u = +-inf maps to a/c.  Exact at
+        exact u and z (a zero denominator raises PoleError), else exact at the
+        points stored and rounded once (a zero denominator gives signed inf)."""
+        x = exact_point(z)
+        (a, b), (c, d) = self.matrix.eval_at(x)
+        if u == math.inf or u == -math.inf:
+            num, den, exact = a, c, False
         else:
-            num, den = a * u + b, c * u + d
-        if isinstance(u, (float, complex)) or isinstance(z, (float, complex)):
-            num, den = complex(num), complex(den)
-            if den == 0:
-                return math.copysign(math.inf, num.real if num.real else 1.0)
-            value = num / den
-            return value.real if value.imag == 0 else value
+            v = exact_point(u)
+            num, den, exact = a * v + b, c * v + d, v is u and x is z
         if den == 0:
-            raise PoleError(message="homography denominator vanished at z = %s" % (z,))
-        return num / den
+            if exact:
+                raise PoleError(message="homography denominator vanished at z = %s" % (z,))
+            return math.copysign(math.inf, complex(num).real or 1.0)
+        return rounded(num / den, u, z)
 
 
 def lemma1_matrix(scheme, k=None, kp=None, mu=None, nu=None):
@@ -220,15 +214,19 @@ def spectral_gap(scheme, k=None, kp=None, mu=None, nu=None, z=0.0,
                  depth_perturbed=8, depth_plain=8):
     """|R(z;mu,nu) at one depth - transformed R(z) at another| as a float.
 
+    Exact at the point z stores, rounded once; a pole on either side gives inf.
     Diagnostic for unmatched truncations: decreases toward 0 as both depths
     grow (the limit functions satisfy the transformation identity).
     """
     pert = Perturbation(k=k, mu=mu, kp=kp, nu=nu)
     transform = spectral_transform(scheme, k, kp, mu, nu)
-    zf = complex(z) if isinstance(z, complex) else float(z)
-    lhs = convergent(CFracSpec(scheme, pert), depth_perturbed, zf)
-    rhs = transform.apply(convergent(CFracSpec(scheme, None), depth_plain, zf), zf)
-    return abs(lhs - rhs)
+    x = exact_point(z)
+    try:
+        lhs = convergent(CFracSpec(scheme, pert), depth_perturbed, x)
+        rhs = transform.apply(convergent(CFracSpec(scheme, None), depth_plain, x), x)
+    except PoleError:
+        return math.inf
+    return abs(complex(lhs - rhs))
 
 
 def lemma2_residual(scheme, kp, n, z):

@@ -394,7 +394,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe: send what is left to devnull so the
+        # flush at shutdown cannot fail again, and exit 1 silently
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (RiiError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

@@ -38,8 +38,7 @@ class DensityApprox:
     def __call__(self, x):
         if self.kind == LAGRANGE:
             # exact rational evaluation: knots reproduce their values exactly
-            num, den = self.poly.ratio_at(x)
-            return num / den
+            return self.poly(x)
         return float(self.spline(x))
 
     def flag(self, x):
@@ -116,7 +115,8 @@ def sample_density(approx, x_min, x_max, count):
     """count >= 2 uniform samples of the approximant over [x_min, x_max].
 
     Rows are (x, value, flag); flag marks samples outside the node range.
-    Accepts a plain callable too (then no flagging).
+    Accepts a plain callable too (then no flagging).  A value that overflows
+    a float or is not finite raises ValueError naming its x.
     """
     if count < 2:
         raise ValueError("need at least 2 samples")
@@ -127,5 +127,11 @@ def sample_density(approx, x_min, x_max, count):
     flagger = approx.flag if isinstance(approx, DensityApprox) else lambda _x: ""
     for i in range(count):
         x = x_max if i == count - 1 else x_min + i * step
-        rows.append((x, float(approx(x)), flagger(x)))
+        try:
+            value = float(approx(x))
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError("the density overflows or is not finite at x = %r" % x)
+        rows.append((x, value, flagger(x)))
     return rows

@@ -6,10 +6,14 @@ enough of it (ring ops, division, conjugation) and interoperates with Fraction
 and int through the usual reflected operators.  A Gaussian value with zero
 imaginary part simplifies back to Fraction so downstream equality checks stay
 uniform.
+
+A float or complex point enters the exact layer as the exact value it stores
+(`exact_point`); the exact result leaves it rounded once (`rounded`).
 """
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 
 
@@ -75,7 +79,7 @@ class GaussianRational:
         """Return a Fraction when the imaginary part is zero, else self."""
         return self.re if self.im == 0 else self
 
-    def to_complex(self):
+    def __complex__(self):
         return complex(self.re, self.im)
 
     def _coerce(self, other):
@@ -183,3 +187,26 @@ def simplify_scalar(value):
     if isinstance(value, GaussianRational):
         return value.simplify()
     return value
+
+
+def exact_point(z):
+    """The exact value z stores: a float's binary rational, a complex number's
+    Gaussian rational; exact z unchanged.  Non-finite z raises ValueError."""
+    if not isinstance(z, (float, complex)):
+        return z
+    if not cmath.isfinite(z):
+        raise ValueError("cannot evaluate at the non-finite point %r" % (z,))
+    return GaussianRational(Fraction(z.real), Fraction(z.imag)).simplify()
+
+
+def rounded(value, *points):
+    """An exact value at the exact_point of each point, rounded once: unchanged
+    when every point is exact, else complex when a point is complex or the
+    value is not real, else a float."""
+    inexact = [p for p in points if isinstance(p, (float, complex))]
+    if not inexact:
+        return value
+    value = simplify_scalar(value)
+    if isinstance(value, GaussianRational) or any(isinstance(p, complex) for p in inexact):
+        return complex(value)
+    return float(value)

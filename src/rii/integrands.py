@@ -86,12 +86,6 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect(self, kind, what):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError("expected %s" % what, tok[2])
-        return tok
-
     def parse(self):
         ast = self.expression(0)
         tok = self.peek()

@@ -19,7 +19,8 @@ Exact evaluation of a rational polynomial runs on integers: `ratio_at`
 evaluates the numerators at z = p/q by integer Horner and returns an
 unreduced pair (num, den).  A float z is the dyadic rational m/2^e, so the
 powers of q are shifts; `num / den` is then the correctly rounded float of
-P(z), bit for bit what float(Fraction) gives, without a single gcd.
+P(z), bit for bit what float(Fraction) gives, without a single gcd.  A call
+at a float or complex z is exact at the point z stores, rounded once.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 
-from .exact import GaussianRational, simplify_scalar
+from .exact import GaussianRational, exact_point, rounded, simplify_scalar
 
 
 def _norm_coeff(c):
@@ -209,20 +210,21 @@ class Poly:
 
     # --- analysis -----------------------------------------------------
     def __call__(self, z):
-        """Horner evaluation; exact when z is exact, float/complex otherwise.
+        """P(z), exact at the point z stores and rounded once for float or complex z.
 
-        Rational coefficients at an int or Fraction z take the integer path of
-        `ratio_at`; Gaussian coefficients or a Gaussian, float or complex z
-        run generic Horner.
+        Rational coefficients at a rational point take the integer path of
+        `ratio_at` (at a float z, `num / den` rounds); the rest run Horner.
         """
-        if self._den is not None and isinstance(z, (int, Fraction)):
-            return Fraction(*self.ratio_at(z))
-        acc = None
+        if self._den is not None and isinstance(z, float) and math.isfinite(z):
+            num, den = self.ratio_at(z)
+            return num / den
+        x = exact_point(z)
+        if self._den is not None and isinstance(x, (int, Fraction)):
+            return rounded(Fraction(*self.ratio_at(x)), z)
+        acc = Fraction(0)
         for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * z + c
-        if acc is None:
-            return Fraction(0) if not isinstance(z, (float, complex)) else 0.0
-        return simplify_scalar(acc)
+            acc = acc * x + c
+        return rounded(simplify_scalar(acc), z)
 
     def ratio_at(self, z):
         """P(z) as an unreduced integer pair (num, den) with den > 0, exact.
@@ -267,7 +269,7 @@ class Poly:
         if self._den is not None:
             den = self._den
             return [a / den for a in self._nums]   # correctly rounded, as float(Fraction)
-        return [c.to_complex() if isinstance(c, GaussianRational) else float(c)
+        return [complex(c) if isinstance(c, GaussianRational) else float(c)
                 for c in self._nums]
 
     # --- protocol -----------------------------------------------------

@@ -27,7 +27,7 @@ W_m are monic quadratics), without the lam term for oprl schemes (W = 1);
 no polynomial family is built.
 
 Every node is a binary float, so the polynomials are evaluated at it exactly
-(`Poly.ratio_at`, integer Horner over one common denominator) and each float
+(`Poly.__call__`, integer Horner over one common denominator) and each float
 the rule needs -- Newton residual and slope, residual gate, weight -- is one
 correctly rounded integer division num / den.  The only floating-point error
 in a rule is the node rounding itself.  `build_rule` generates P_0..P_n once,
@@ -57,12 +57,6 @@ def _quotient(num, den):
     """num/den correctly rounded, as float(Fraction(num, den)) (so 0 is +0.0)."""
     if den < 0:
         num, den = -num, -den
-    return num / den
-
-
-def _float_at(poly, x):
-    """float(poly(Fraction(x))) without building a Fraction."""
-    num, den = poly.ratio_at(x)
     return num / den
 
 
@@ -104,10 +98,10 @@ def _roots_with_diagnostics(poly, tol_imag):
     polished = []
     for x in accepted:
         for _ in range(40):
-            residual = _float_at(poly, x)
+            residual = poly(x)
             if residual == 0.0:
                 break
-            slope = _float_at(dpoly, x)
+            slope = dpoly(x)
             if slope == 0.0:
                 break
             step = residual / slope
@@ -117,7 +111,7 @@ def _roots_with_diagnostics(poly, tol_imag):
                 break
             x = x_new
         scale = math.fsum(m * abs(x) ** j for j, m in enumerate(magnitudes))
-        if abs(_float_at(poly, x)) > 1e-13 * max(scale, 1e-300):
+        if abs(poly(x)) > 1e-13 * max(scale, 1e-300):
             raise DegeneracyError(
                 "root polish failed near x = %.17g (residual above tolerance)" % x)
         polished.append(x)

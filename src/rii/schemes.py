@@ -28,7 +28,8 @@ import json
 from fractions import Fraction
 
 from .errors import PerturbationError, SchemeIndexError
-from .exact import GaussianRational, format_rational, rational, simplify_scalar
+from .exact import (GaussianRational, exact_point, format_rational, rational, rounded,
+                    simplify_scalar)
 from .poly import Poly
 
 
@@ -137,27 +138,13 @@ class CoefficientScheme:
         return Poly((a * b, -(a + b), 1))
 
     def weight_at(self, n, z):
-        """W_n evaluated at a scalar (cheaper than building the Poly).
-
-        Exact z gives an exact scalar.  Float or complex z runs on the float
-        or complex node values: a float for real z and real or conjugate
-        nodes, a complex number otherwise.
-        """
-        if self.kind == "oprl":
-            return Fraction(1) if not isinstance(z, (float, complex)) else 1.0
-        if self.kind == "special":
-            w2 = self.omega * self.omega
-            if isinstance(z, (float, complex)):
-                return z * z + float(w2)
-            return simplify_scalar(z * z + w2)
+        """W_n(z) without building a general-form Poly; a float or complex z
+        gives the exact value at the point it stores, rounded once."""
+        if self._weight is not None:
+            return self._weight(z)
         a, b = self.nodes(n)
-        if not isinstance(z, (float, complex)):
-            return simplify_scalar((z - a) * (z - b))
-        a, b = [v.to_complex() if isinstance(v, GaussianRational) else float(v)
-                for v in (a, b)]
-        w = (z - a) * (z - b)
-        # conjugate nodes cancel the imaginary part exactly at a real z
-        return w.real if isinstance(z, float) and w.imag == 0 else w
+        x = exact_point(z)
+        return rounded(simplify_scalar((x - a) * (x - b)), z)
 
     # --- serialization ------------------------------------------------
     def to_dict(self):

@@ -18,61 +18,35 @@ Perturbations are applied by absolute coefficient index, so shifted sequences
 and truncated continued fractions see exactly the same modified steps.  The
 step terms also make up transfer's step matrices and cfrac's convergents;
 oprl's monic families and quadrature's M_0 calibration run `iterate`.
+
+All of it is exact: the public evaluators take a float or complex z as the
+exact rational it stores and round the exact result once on the way out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import GaussianRational
+from .exact import GaussianRational, exact_point, rounded
 from .poly import Poly
 from .schemes import CoefficientScheme, Perturbation, cauchy_scheme
 
 
-@dataclass(frozen=True)
-class PolySeq:
-    """A generated prefix u_0..u_n of one polynomial family."""
-
-    scheme: object
-    perturbation: object
-    kind: str          # "first" | "second"
-    shift: int
-    polys: tuple
-
-    def __getitem__(self, i):
-        return self.polys[i]
-
-    def __len__(self):
-        return len(self.polys)
-
-    def __iter__(self):
-        return iter(self.polys)
-
-
 def center_term(scheme, pert, m, z=None):
-    """rho_m (z - c*_m): a Poly when z is None, else its value at z.
-
-    Float or complex z rounds as float(rho) * (z - float(c)).
-    """
+    """rho_m (z - c*_m): a Poly when z is None, else its value at an exact z."""
     rho = scheme.rho(m)
     c = pert.center(scheme, m)
     if z is None:
         return Poly((-rho * c, rho))
-    if isinstance(z, (float, complex)):
-        return float(rho) * (z - float(c))
     return rho * (z - c)
 
 
 def weight_term(scheme, pert, m, z=None):
-    """lambda*_m W_m(z) (m >= 1): a Poly when z is None, else its value at z."""
+    """lambda*_m W_m(z) (m >= 1): a Poly when z is None, else its value at an exact z."""
     lam = pert.coefficient(scheme, m)
     if z is None:
         return lam * scheme.weight_poly(m)
-    w = scheme.weight_at(m, z)
-    if isinstance(z, (float, complex)):
-        return float(lam) * w
-    return lam * w
+    return lam * scheme.weight_at(m, z)
 
 
 def iterate(a, b, kind, n, shift=0, one=1, zero=0):
@@ -105,11 +79,10 @@ def iterate(a, b, kind, n, shift=0, one=1, zero=0):
 
 
 def _family(scheme, pert, kind, shift, n, z=None):
-    """u_0..u_n of the scheme's recurrence: Polys when z is None, else values at z."""
+    """u_0..u_n of the scheme's recurrence: Polys when z is None, else values at an exact z."""
+    pert = pert or Perturbation.none()
     if z is None:
         one, zero = Poly.one(), Poly.zero()
-    elif isinstance(z, (float, complex)):
-        one, zero = 1.0, 0.0
     else:
         one, zero = Fraction(1), Fraction(0)
     return iterate(lambda m: center_term(scheme, pert, m, z),
@@ -119,9 +92,7 @@ def _family(scheme, pert, kind, shift, n, z=None):
 
 def gen_first_kind(scheme, perturbation=None, n=0):
     """P_0..P_n of the (optionally perturbed) recurrence."""
-    pert = perturbation or Perturbation.none()
-    polys = _family(scheme, pert, "first", 0, n)
-    return PolySeq(scheme, pert, "first", 0, tuple(polys))
+    return tuple(_family(scheme, perturbation, "first", 0, n))
 
 
 def gen_second_kind(scheme, perturbation=None, n=1):
@@ -130,9 +101,7 @@ def gen_second_kind(scheme, perturbation=None, n=1):
     The recurrence's step 0 is never executed for this family, so a
     co-recursion at k = 0 leaves every Q_n unchanged.
     """
-    pert = perturbation or Perturbation.none()
-    polys = _family(scheme, pert, "second", 0, n)
-    return PolySeq(scheme, pert, "second", 0, tuple(polys))
+    return tuple(_family(scheme, perturbation, "second", 0, n))
 
 
 def gen_associated(scheme, j, n, kind="first"):
@@ -144,25 +113,23 @@ def gen_associated(scheme, j, n, kind="first"):
     """
     if j < 0:
         raise ValueError("associated order shift j must be >= 0")
-    pert = Perturbation.none()
-    polys = _family(scheme, pert, kind, j + 1, n)
-    return PolySeq(scheme, pert, kind, j + 1, tuple(polys))
+    return tuple(_family(scheme, None, kind, j + 1, n))
 
 
 def eval_recurrence_at(scheme, perturbation, kind, n, z):
     """u_n(z) by forward recurrence on scalars, never forming coefficients.
 
-    Exact z (int/Fraction/GaussianRational) gives an exact scalar; float or
-    complex z runs in floating point.
+    Exact z (int/Fraction/GaussianRational) gives an exact scalar; a float or
+    complex z gives the exact value at the point it stores, rounded once.
     """
-    pert = perturbation or Perturbation.none()
-    return _family(scheme, pert, kind, 0, n, z)[n]
+    return rounded(_family(scheme, perturbation, kind, 0, n, exact_point(z))[n], z)
 
 
 def eval_sequence_at(scheme, perturbation, kind, n, z, shift=0):
     """All of u_0(z)..u_n(z); same conventions as eval_recurrence_at."""
-    pert = perturbation or Perturbation.none()
-    return _family(scheme, pert, kind, shift, n, z)
+    x = exact_point(z)
+    values = _family(scheme, perturbation, kind, shift, n, x)
+    return values if x is z else [rounded(u, z) for u in values]
 
 
 def example_closed_form(n):
@@ -186,7 +153,6 @@ def example_closed_form(n):
 
 
 __all__ = [
-    "PolySeq",
     "center_term",
     "weight_term",
     "iterate",

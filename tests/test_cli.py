@@ -4,11 +4,15 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rii
 from rii import Perturbation, cauchy_scheme
 from rii.cli import ExperimentConfig, main
 
@@ -239,12 +243,28 @@ def test_malformed_config_exits_one(tmp_path, capsys, document):
     ("zeros", "--n", "3", "--tol-imag", "100", "--scheme",
      '{"rho": 1, "c": 0, "lambda": "1/4", "nodes": [[[0, 1], [0, 2]], [[0, 1], [0, 2]],'
      ' [[0, 1], [0, 2]], [[0, 1], [0, 2]]]}'),
+    ("measure", "--n", "10", "--x-min", "0", "--x-max", "1e300", "--samples", "3"),
+    ("measure", "--n", "10", "--x-min", "0", "--x-max", "1e300", "--samples", "3",
+     "--method", "spline", "--out", "json"),
 ])
 def test_domain_failures_exit_one_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_pipe_exits_one_silently():
+    # 5000 samples are more than a pipe buffer holds, so rii is still writing
+    # when its reader goes away after the first line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rii.cli", "measure", "--n", "10", "--samples", "5000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rii.__file__))))
+    assert proc.stdout.readline() == b"x,density,flag\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 # --- arbitrary argv ------------------------------------------------------------

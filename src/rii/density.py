@@ -127,10 +127,7 @@ def sample_density(approx, x_min, x_max, count):
     flagger = approx.flag if isinstance(approx, DensityApprox) else lambda _x: ""
     for i in range(count):
         x = x_max if i == count - 1 else x_min + i * step
-        try:
-            value = float(approx(x))
-        except OverflowError:
-            value = math.inf
+        value = float(approx(x))
         if not math.isfinite(value):
             raise ValueError("the density overflows or is not finite at x = %r" % x)
         rows.append((x, value, flagger(x)))

@@ -8,12 +8,17 @@ imaginary part simplifies back to Fraction so downstream equality checks stay
 uniform.
 
 A float or complex point enters the exact layer as the exact value it stores
-(`exact_point`); the exact result leaves it rounded once (`rounded`).
+(`exact_point`); the exact result leaves it rounded once (`rounded`).  A real
+result is rounded by `quotient`, round-to-nearest of an integer ratio, which
+gives +-inf beyond the float range as IEEE arithmetic does.  `common_rounding`
+decides when an interval of ratios, such as a polynomial enclosure, already
+proves the rounded value without the exact one.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 
 
@@ -199,14 +204,43 @@ def exact_point(z):
     return GaussianRational(Fraction(z.real), Fraction(z.imag)).simplify()
 
 
+def quotient(num, den):
+    """num/den for integers, den != 0, correctly rounded: float(Fraction(num, den))
+    (so 0 gives +0.0), except that a value beyond the float range gives +-inf
+    where float(Fraction) raises OverflowError."""
+    if den < 0:
+        num, den = -num, -den
+    try:
+        return num / den
+    except OverflowError:   # raised exactly when round-to-nearest gives +-inf
+        return math.inf if num > 0 else -math.inf
+
+
+def common_rounding(ratios):
+    """The float every num/den in ratios rounds to (by `quotient`), sign of zero
+    included, or None when two of them round apart.
+
+    Rounding is monotone, so when the ratios are the corners of an interval
+    that holds an exact value, a common rounding is that value's rounding.
+    """
+    ratios = iter(ratios)
+    first = quotient(*next(ratios))
+    for num, den in ratios:
+        value = quotient(num, den)
+        if value != first or (
+                not value and math.copysign(1.0, value) != math.copysign(1.0, first)):
+            return None
+    return first
+
+
 def rounded(value, *points):
     """An exact value at the exact_point of each point, rounded once: unchanged
     when every point is exact, else complex when a point is complex or the
-    value is not real, else a float."""
+    value is not real, else a float (+-inf beyond the float range)."""
     inexact = [p for p in points if isinstance(p, (float, complex))]
     if not inexact:
         return value
     value = simplify_scalar(value)
     if isinstance(value, GaussianRational) or any(isinstance(p, complex) for p in inexact):
         return complex(value)
-    return float(value)
+    return quotient(value.numerator, value.denominator)

@@ -21,6 +21,20 @@ unreduced pair (num, den).  A float z is the dyadic rational m/2^e, so the
 powers of q are shifts; `num / den` is then the correctly rounded float of
 P(z), bit for bit what float(Fraction) gives, without a single gcd.  A call
 at a float or complex z is exact at the point z stores, rounded once.
+
+The exact numerator grows by about 53 bits a Horner step, yet a float result
+only has to be rounded correctly.  So at a float x = p/2^e, `enclose` first
+runs Horner in fixed point with FRACTION_BITS fraction bits,
+    t <- floor(t * p / 2^e) + a_j * 2^FRACTION_BITS,
+whose width is that of the coefficients plus FRACTION_BITS and the size of
+the partial sums, not 53 bits more each step.  Each floor loses less than
+one unit, so the exact numerator lies within sum_{k<n} |x|^k units of t; that
+sum is bounded in floats (2 for |x| < 1/2, n for |x| <= 1, n |x|^(n-1) for
+|x| <= 2, |x|^n / (|x| - 1) beyond) with a relative margin, plus one unit.
+A call at a float returns the enclosure's rounding when both ends round to
+the same float (`exact.common_rounding`), which proves it is the correctly
+rounded P(x); otherwise `ratio_at` decides, and so it does when the bound
+overflows or the degree is below ENCLOSE_MIN_DEGREE.
 """
 
 from __future__ import annotations
@@ -30,7 +44,16 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 
-from .exact import GaussianRational, exact_point, rounded, simplify_scalar
+from .exact import (GaussianRational, common_rounding, exact_point, quotient, rounded,
+                    simplify_scalar)
+
+FRACTION_BITS = 128    # fixed-point fraction bits of `Poly.enclose`
+# Below this degree the exact numerator is hardly wider than the fixed-point
+# one, and exact Horner with one division costs no more than the enclosure
+# and its two-sided rounding check: with the enclosure, `build_rule` took
+# 0-14% longer at n = 3..10 and 2-20% less at n = 12..30.  So `enclose`
+# leaves such polynomials to `ratio_at`.
+ENCLOSE_MIN_DEGREE = 11
 
 
 def _norm_coeff(c):
@@ -80,7 +103,9 @@ def _convolve(a, b, zero):
 class Poly:
     """Immutable dense polynomial; supports +, -, *, scalar mul, ** and calls."""
 
-    __slots__ = ("_nums", "_den")
+    # _fixed: the numerators shifted left by FRACTION_BITS, set by the first
+    # enclosure
+    __slots__ = ("_nums", "_den", "_fixed")
 
     def __init__(self, coeffs=()):
         cs = [_norm_coeff(c) for c in coeffs]
@@ -212,12 +237,19 @@ class Poly:
     def __call__(self, z):
         """P(z), exact at the point z stores and rounded once for float or complex z.
 
-        Rational coefficients at a rational point take the integer path of
-        `ratio_at` (at a float z, `num / den` rounds); the rest run Horner.
+        Rational coefficients at a float z return the rounding of `enclose`
+        when it is proven, else of `ratio_at`; at a rational point they take
+        `ratio_at`; the rest run Horner.  A value beyond the float range is
+        +-inf.
         """
         if self._den is not None and isinstance(z, float) and math.isfinite(z):
-            num, den = self.ratio_at(z)
-            return num / den
+            box = self.enclose(z)
+            if box is not None:
+                lo, hi, den = box
+                value = common_rounding(((lo, den), (hi, den)))
+                if value is not None:
+                    return value
+            return quotient(*self.ratio_at(z))
         x = exact_point(z)
         if self._den is not None and isinstance(x, (int, Fraction)):
             return rounded(Fraction(*self.ratio_at(x)), z)
@@ -259,6 +291,47 @@ class Poly:
             scale *= q
             t = t * p + a * scale
         return t, common * scale
+
+    def enclose(self, x):
+        """(lo, hi, den) with lo/den <= P(x) <= hi/den at a finite float x, or None.
+
+        Fixed-point Horner with FRACTION_BITS fraction bits over den = _den *
+        2^FRACTION_BITS (see the module docstring).  None, meaning "evaluate
+        exactly", below degree ENCLOSE_MIN_DEGREE and when the bound on the
+        error overflows a float.  The coefficients must be rational.
+        """
+        if self._den is None:
+            raise TypeError("enclose needs rational coefficients")
+        nums = self._nums
+        n = len(nums) - 1
+        if n < ENCLOSE_MIN_DEGREE:
+            return None
+        size = abs(x)
+        try:
+            if size < 0.5:
+                bound = 2.0
+            elif size <= 1.0:
+                bound = float(n)
+            elif size <= 2.0:
+                bound = n * size ** (n - 1)
+            else:
+                bound = size ** n / (size - 1.0)
+        except OverflowError:
+            return None
+        bound *= 1.0 + 1e-12
+        if bound == math.inf:
+            return None
+        err = math.ceil(bound) + 1
+        try:
+            fixed = self._fixed
+        except AttributeError:
+            fixed = self._fixed = tuple([a << FRACTION_BITS for a in nums])
+        p, q = x.as_integer_ratio()
+        e = q.bit_length() - 1
+        t = fixed[-1]
+        for s in fixed[-2::-1]:
+            t = ((t * p) >> e) + s
+        return t - err, t + err, self._den << FRACTION_BITS
 
     def derivative(self):
         out = [j * a for j, a in enumerate(self._nums)][1:]

@@ -26,12 +26,19 @@ M_0 needs only leading coefficients, so it runs the recurrence loop
 W_m are monic quadratics), without the lam term for oprl schemes (W = 1);
 no polynomial family is built.
 
-Every node is a binary float, so the polynomials are evaluated at it exactly
-(`Poly.__call__`, integer Horner over one common denominator) and each float
-the rule needs -- Newton residual and slope, residual gate, weight -- is one
-correctly rounded integer division num / den.  The only floating-point error
-in a rule is the node rounding itself.  `build_rule` generates P_0..P_n once,
-and Q_n once for second-kind rules, and hands them to the weight formulas.
+Every node is a binary float, and each float the rule needs -- Newton
+residual and slope, residual gate, weight -- is the correctly rounded value of
+the exact expression at the node.  It comes from fixed-point enclosures of
+the polynomials (`Poly.enclose`, 128 fraction bits, with a proven error bound)
+whenever their ends round to one float, and from exact integer Horner
+(`Poly.ratio_at`) otherwise, and always below degree 11, where exact Horner
+is as cheap.  A weight is a quotient of polynomial values, so its enclosure
+is the interval spanned by the quotients at the corners of the factors'
+enclosures, each denominator enclosure excluding 0; the small W_m factors
+are evaluated exactly.  The only floating-point error in a rule is the node
+rounding itself.  `build_rule` generates P_0..P_n and P_n' once,
+and Q_n once for second-kind rules, so the polish and the weights share the
+cached fixed-point coefficients of P_n'.
 """
 
 from __future__ import annotations
@@ -40,10 +47,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ComplexZerosError, DegeneracyError, IntegrandError
-from .exact import GaussianRational, simplify_scalar
+from .exact import GaussianRational, common_rounding, quotient, simplify_scalar
 from .schemes import Perturbation
 from .sequences import gen_first_kind, gen_second_kind, iterate
 
@@ -53,11 +58,27 @@ RAW = "raw"
 UNIT_MASS = "unit-mass"
 
 
-def _quotient(num, den):
-    """num/den correctly rounded, as float(Fraction(num, den)) (so 0 is +0.0)."""
-    if den < 0:
-        num, den = -num, -den
-    return num / den
+def _enclosed_quotient(num, den, x, over, under):
+    """num/den * prod(P(x) for P in over) / prod(P(x) for P in under), rounded
+    once, when the enclosures of the P(x) prove the rounding; else None.
+
+    The quotient is monotone in each factor over an enclosure that excludes 0
+    in the `under` factors, so its range is spanned by the corner quotients.
+    """
+    corners = [(num, den)]
+    for poly in over:
+        box = poly.enclose(x)
+        if box is None:
+            return None
+        lo, hi, d = box
+        corners = [(a * v, b * d) for a, b in corners for v in (lo, hi)]
+    for poly in under:
+        box = poly.enclose(x)
+        if box is None or box[0] <= 0 <= box[1]:
+            return None
+        lo, hi, d = box
+        corners = [(a * d, b * v) for a, b in corners for v in (lo, hi)]
+    return common_rounding(corners)
 
 
 def _has_nonreal_ratio(poly):
@@ -71,7 +92,9 @@ def _has_nonreal_ratio(poly):
                for c in poly.coeffs)
 
 
-def _roots_with_diagnostics(poly, tol_imag):
+def _roots_with_diagnostics(poly, dpoly, tol_imag):
+    import numpy as np   # only root finding needs it: other commands start without it
+
     if poly.degree < 1:
         raise ValueError("need a nonconstant polynomial")
     coeffs = poly.float_coeffs()
@@ -93,8 +116,7 @@ def _roots_with_diagnostics(poly, tol_imag):
         raise ComplexZerosError(sorted((complex(x, y) for x, y in near_real),
                                        key=lambda v: (v.real, v.imag)))
 
-    dpoly = poly.derivative()
-    magnitudes = [abs(c) for c in poly.float_coeffs()]
+    magnitudes = [abs(c) for c in coeffs]
     polished = []
     for x in accepted:
         for _ in range(40):
@@ -126,7 +148,7 @@ def real_zeros(poly, tol_imag=1e-9):
     polished; anything farther off the axis raises ComplexZerosError listing
     the pairs.
     """
-    roots, _ = _roots_with_diagnostics(poly, tol_imag)
+    roots, _ = _roots_with_diagnostics(poly, poly.derivative(), tol_imag)
     return roots
 
 
@@ -161,14 +183,16 @@ def calibrate_m0(scheme, n, mass=1):
     return Fraction(mass) / lead_sum
 
 
-def weights_moment_formula(scheme, perturbation, nodes, m0, p):
+def weights_moment_formula(scheme, perturbation, nodes, m0, p, dp=None):
     """Weights by the moment formula at the given nodes (floats).
 
-    p is the perturbed first-kind family through P_n (n = len(nodes)).
+    p is the perturbed first-kind family through P_n (n = len(nodes)); dp is
+    P_n', derived from p[n] when not given.
     """
     pert = perturbation or Perturbation.none()
     n = len(nodes)
-    dp = p[n].derivative()
+    if dp is None:
+        dp = p[n].derivative()
     product = Fraction(m0)
     powers = {}  # W_i -> how many i in 1..n-1 share it (one W in the special form)
     for i in range(1, n):
@@ -182,32 +206,40 @@ def weights_moment_formula(scheme, perturbation, nodes, m0, p):
             a, b = wp.ratio_at(x)
             num *= a ** count
             den *= b ** count
-        a, b = dp.ratio_at(x)
-        c, d = p[n - 1].ratio_at(x)
-        if a == 0 or c == 0:
-            raise DegeneracyError("moment-formula denominator vanished at node %d" % j)
-        out.append(_quotient(num * b * d, den * a * c))
+        weight = _enclosed_quotient(num, den, x, (), (dp, p[n - 1]))
+        if weight is None:
+            a, b = dp.ratio_at(x)
+            c, d = p[n - 1].ratio_at(x)
+            if a == 0 or c == 0:
+                raise DegeneracyError("moment-formula denominator vanished at node %d" % j)
+            weight = quotient(num * b * d, den * a * c)
+        out.append(weight)
     return out
 
 
-def weights_second_kind(nodes, normalization, m0, p, q):
+def weights_second_kind(nodes, normalization, m0, p, q, dp=None):
     """Weights Q_n/P'_n at the given nodes; raw or unit-mass normalized.
 
     p and q are the perturbed first- and second-kind families through index
-    n = len(nodes); m0 is the unit-mass factor.
+    n = len(nodes); m0 is the unit-mass factor; dp is P_n', derived from p[n]
+    when not given.
     """
     if normalization not in (RAW, UNIT_MASS):
         raise ValueError("normalization must be %r or %r" % (RAW, UNIT_MASS))
     n = len(nodes)
-    dp = p[n].derivative()
+    if dp is None:
+        dp = p[n].derivative()
     factor = Fraction(m0) if normalization == UNIT_MASS else Fraction(1)
     out = []
     for j, x in enumerate(nodes):
-        a, b = dp.ratio_at(x)
-        if a == 0:
-            raise DegeneracyError("P'_n vanished at node %d (node not simple?)" % j)
-        c, d = q[n].ratio_at(x)
-        out.append(_quotient(factor.numerator * c * b, factor.denominator * d * a))
+        weight = _enclosed_quotient(factor.numerator, factor.denominator, x, (q[n],), (dp,))
+        if weight is None:
+            a, b = dp.ratio_at(x)
+            if a == 0:
+                raise DegeneracyError("P'_n vanished at node %d (node not simple?)" % j)
+            c, d = q[n].ratio_at(x)
+            weight = quotient(factor.numerator * c * b, factor.denominator * d * a)
+        out.append(weight)
     return out
 
 
@@ -241,14 +273,15 @@ def build_rule(scheme, perturbation=None, n=1, method=MOMENT,
         raise ValueError("method must be %r or %r" % (MOMENT, SECOND_KIND))
     pert = perturbation or Perturbation.none()
     p = gen_first_kind(scheme, pert, n)
-    nodes, near_real = _roots_with_diagnostics(p[n], tol_imag)
+    dp = p[n].derivative()
+    nodes, near_real = _roots_with_diagnostics(p[n], dp, tol_imag)
     if m0 is None:
         m0 = calibrate_m0(scheme, n)
     if method == MOMENT:
-        weights = weights_moment_formula(scheme, pert, nodes, m0, p)
+        weights = weights_moment_formula(scheme, pert, nodes, m0, p, dp)
     else:
         q = gen_second_kind(scheme, pert, n)
-        weights = weights_second_kind(nodes, normalization, m0, p, q)
+        weights = weights_second_kind(nodes, normalization, m0, p, q, dp)
     return QuadratureRule(
         n=n, nodes=tuple(nodes), weights=tuple(weights), method=method,
         perturbation=pert, m0=Fraction(m0), normalization=normalization,
@@ -300,6 +333,6 @@ def exactness_check(scheme, n, p_degree, density=None):
 
         rule_value = estimate(rule, f)
         oracle, _err = quad(lambda x, _m=m: x ** _m * density(x) / (x * x + 1.0) ** n,
-                            -np.inf, np.inf, epsabs=1e-13, epsrel=1e-13, limit=300)
+                            -math.inf, math.inf, epsabs=1e-13, epsrel=1e-13, limit=300)
         worst = max(worst, abs(rule_value - oracle))
     return worst

@@ -267,6 +267,19 @@ def test_closed_pipe_exits_one_silently():
     assert (proc.wait(timeout=60), err) == (1, b"")
 
 
+def test_check_does_not_import_numpy_or_scipy():
+    # only root finding and the oracles need them; a fresh interpreter shows it
+    script = ("import io, sys, contextlib\n"
+              "from rii.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(['check', '--suite', 'all', '--instances', '1'])\n"
+              "print(code, sorted({'numpy', 'scipy'} & set(sys.modules)))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rii.__file__))))
+    assert (proc.stdout, proc.stderr) == ("0 []\n", "")
+
+
 # --- arbitrary argv ------------------------------------------------------------
 
 _PERT = ("--mu", "--k", "--nu", "--kp", "--scheme")

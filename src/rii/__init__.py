@@ -28,12 +28,12 @@ from .quadrature import (QuadratureRule, build_rule, calibrate_m0, estimate,
                          weights_second_kind)
 from .schemes import CoefficientScheme, Perturbation, cauchy_scheme
 from .sequences import (eval_recurrence_at, eval_sequence_at, example_closed_form,
-                        gen_associated, gen_first_kind, gen_second_kind)
+                        gen_associated, gen_both_kinds, gen_first_kind, gen_second_kind)
 from .suites import (SUITES, SuiteResult, run_suite, suite_oprl,
                      suite_spectral, suite_structural, suite_transfer)
 from .tables import (E_REFERENCE, FlipReport, TableReport, load_fixture,
                      order_flip_experiment, reference_value_oracle,
-                     reproduce_table, resolve_method)
+                     reproduce_table)
 from .transfer import (f_matrix, lambda_weight_product, perturbation_transfer,
                        step_matrix, structural_residual, transfer_entries,
                        transfer_residual)

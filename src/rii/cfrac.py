@@ -34,7 +34,7 @@ from .errors import PoleError
 from .exact import exact_point, rounded
 from .polymat import PolyMatrix2
 from .schemes import Perturbation
-from .sequences import center_term, gen_first_kind, gen_second_kind, weight_term
+from .sequences import center_term, gen_both_kinds, weight_term
 from .transfer import f_matrix, perturbation_transfer
 
 
@@ -173,8 +173,7 @@ def lemma1_matrix(scheme, k=None, kp=None, mu=None, nu=None):
         level = pert.kp
     if level < 0:
         raise ValueError("lemma1_matrix needs at least one perturbation level")
-    p = gen_first_kind(scheme, pert, level + 1)
-    q = gen_second_kind(scheme, pert, level + 1)
+    p, q = gen_both_kinds(scheme, pert, level + 1)
     g = weight_term(scheme, pert, level + 1)
     return Homography(PolyMatrix2(
         g * q[level], -q[level + 1],

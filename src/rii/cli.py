@@ -25,11 +25,11 @@ from fractions import Fraction
 from .density import lagrange_density, sample_density, spline_density
 from .errors import RiiError
 from .integrands import parse_integrand
-from .quadrature import MOMENT, SECOND_KIND, build_rule, estimate, real_zeros
+from .quadrature import build_rule, estimate, real_zeros
 from .schemes import CoefficientScheme, Perturbation, cauchy_scheme
 from .sequences import gen_first_kind, gen_second_kind
 from .suites import SUITES, run_suite
-from .tables import order_flip_experiment, reproduce_table, resolve_method
+from .tables import order_flip_experiment, reproduce_table
 
 log = logging.getLogger("rii")
 
@@ -188,11 +188,10 @@ def _cmd_zeros(args):
     return 0
 
 
-def _run_quad_once(scheme, pert, n, integrand, method):
+def _run_quad_once(scheme, pert, n, integrand):
     """One quad result row; rationals and levels as strings, None if absent."""
-    rule = build_rule(scheme, pert, n, method=resolve_method(pert, method))
-    value = estimate(rule, integrand)
-    log.info("quad n=%d method=%s -> %s", n, rule.method, value)
+    value = estimate(build_rule(scheme, pert, n), integrand)
+    log.info("quad n=%d -> %s", n, value)
     fields = {"n": n, "mu": pert.mu, "k": pert.k, "nu": pert.nu, "kp": pert.kp}
     return {**{k: None if v is None else str(v) for k, v in fields.items()},
             "I_star": value}
@@ -204,7 +203,7 @@ def _cmd_quad(args):
             config = ExperimentConfig.from_json(handle.read())
         integrand = parse_integrand(config.integrand)
         out = args.out or config.out
-        rows = [_run_quad_once(config.scheme, pert, n, integrand, args.method)
+        rows = [_run_quad_once(config.scheme, pert, n, integrand)
                 for pert in config.perturbations or (Perturbation.none(),)
                 for n in config.n_values]
     else:
@@ -214,7 +213,7 @@ def _cmd_quad(args):
         pert = _perturbation_from_args(args)
         integrand = parse_integrand(args.integrand)
         out = args.out
-        rows = [_run_quad_once(scheme, pert, args.n, integrand, args.method)]
+        rows = [_run_quad_once(scheme, pert, args.n, integrand)]
     _emit(out, args.precision, {"results": rows}, ("n", "mu", "k", "nu", "kp", "I_star"),
           rows, [_fmt(row["I_star"], args.precision) for row in rows])
     return 0
@@ -237,7 +236,7 @@ def _cmd_table(args):
 def _cmd_measure(args):
     scheme = _load_scheme(args.scheme)
     pert = _perturbation_from_args(args)
-    rule = build_rule(scheme, pert, args.n, method=resolve_method(pert, "auto"))
+    rule = build_rule(scheme, pert, args.n)
     build = lagrange_density if args.method == "lagrange" else spline_density
     approx = build(rule.nodes, rule.weights)
     x_min = args.x_min if args.x_min is not None else rule.nodes[0]
@@ -344,7 +343,6 @@ def build_parser():
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--integrand", default="example3",
                    help="builtin id or expression in x (default example3)")
-    p.add_argument("--method", choices=("auto", MOMENT, SECOND_KIND), default="auto")
     p.add_argument("--config", default=None,
                    help="ExperimentConfig JSON file (overrides --n and perturbation flags)")
     p.add_argument("--out", choices=("text", "csv", "json"), default=None)

@@ -85,7 +85,9 @@ class GaussianRational:
         return self.re if self.im == 0 else self
 
     def __complex__(self):
-        return complex(self.re, self.im)
+        """Each part correctly rounded, +-inf beyond the float range."""
+        return complex(quotient(self.re.numerator, self.re.denominator),
+                       quotient(self.im.numerator, self.im.denominator))
 
     def _coerce(self, other):
         if isinstance(other, GaussianRational):
@@ -241,6 +243,7 @@ def rounded(value, *points):
     if not inexact:
         return value
     value = simplify_scalar(value)
-    if isinstance(value, GaussianRational) or any(isinstance(p, complex) for p in inexact):
+    if isinstance(value, GaussianRational):
         return complex(value)
-    return quotient(value.numerator, value.denominator)
+    real = quotient(value.numerator, value.denominator)
+    return complex(real) if any(isinstance(p, complex) for p in inexact) else real

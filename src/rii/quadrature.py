@@ -1,25 +1,27 @@
 """Real zeros, quadrature weights, and integral estimates.
 
 The n-point rule of a (possibly perturbed) scheme sits on the real zeros
-x_1 < ... < x_n of P_n(.; mu, nu).  Two weight formulas are implemented:
+x_1 < ... < x_n of P*_n = P_n(.; mu, nu) and weighs them by the second-kind
+ratio
 
-* moment formula:
-      w_j = M_0 * prod_{i=1..n-1} lam_i* W_i(x_j) / (P'_n(x_j) P_{n-1}(x_j)),
-  with the perturbed sequences and the perturbed lam product (for the special
-  form the W product collapses to (x_j^2 + omega^2)^(n-1));
+    w_j = M_0 Q*_n(x_j) / P*_n'(x_j),
 
-* second-kind ratio:
-      w_j = Q_n(x_j; mu, nu) / P'_n(x_j; mu, nu),
-  exposed raw, or normalized by the calibrated mass constant M_0
-  ("unit-mass"), which makes it agree with the moment formula for the
-  identity perturbation.  The normalized weights sum to
-  lead(Q_n)/lead(P_n) * M_0 (n/(n+1) for the worked example): total mass is
-  approached, not hit, at finite n.
+the Christoffel number written as a residue of the convergent Q*_n/P*_n.
+At an exact zero it equals the moment formula
 
-M_0 itself is calibrated without any floating point: the raw moment-formula
-weight sum equals lead(Q_n)/lead(P_n) exactly (a residue identity), and a
-two-point fit in n removes its C/(n+1) tail.  For the worked example this
-yields exactly 1/2 at every n.
+    w_j = M_0 prod_{i=1..n-1} lam*_i W_i(x_j) / (P*_n'(x_j) P*_{n-1}(x_j))
+
+for every scheme and perturbation: the Casorati identity
+Q*_n P*_{n-1} - P*_n Q*_{n-1} = prod lam*_i W_i turns one numerator into the
+other where P*_n vanishes.  At a float node the two differ by
+M_0 P*_n Q*_{n-1} / (P*_n' P*_{n-1}); `weights_moment_formula` is kept as an
+exact reference for that comparison.
+
+M_0 is calibrated without any floating point: the raw weights (m0 = 1) sum
+to lead(Q_n)/lead(P_n) exactly (a residue identity), and a two-point fit in
+n removes its C/(n+1) tail.  For the worked example this yields exactly 1/2
+at every n, and the weights sum to n/(n+1): total mass is approached, not
+hit, at finite n.
 
 M_0 needs only leading coefficients, so it runs the recurrence loop
 (`sequences.iterate`) on scalars: L_{m+1} = rho_m L_m - lam_m L_{m-1} (the
@@ -32,13 +34,12 @@ the exact expression at the node.  It comes from fixed-point enclosures of
 the polynomials (`Poly.enclose`, 128 fraction bits, with a proven error bound)
 whenever their ends round to one float, and from exact integer Horner
 (`Poly.ratio_at`) otherwise, and always below degree 11, where exact Horner
-is as cheap.  A weight is a quotient of polynomial values, so its enclosure
-is the interval spanned by the quotients at the corners of the factors'
-enclosures, each denominator enclosure excluding 0; the small W_m factors
-are evaluated exactly.  The only floating-point error in a rule is the node
-rounding itself.  `build_rule` generates P_0..P_n and P_n' once,
-and Q_n once for second-kind rules, so the polish and the weights share the
-cached fixed-point coefficients of P_n'.
+is as cheap.  A weight is monotone in Q*_n(x) and in P*_n'(x) over
+enclosures where P*_n' keeps its sign, so its enclosure is spanned by the
+four corner quotients.  The only floating-point error in a rule is the node
+rounding itself.  `build_rule` generates P_0..P_n and Q_0..Q_n once, over
+one list of step terms (`gen_both_kinds`), and P_n' once, so the polish and
+the weights share the cached fixed-point coefficients of P_n'.
 """
 
 from __future__ import annotations
@@ -50,35 +51,24 @@ from fractions import Fraction
 from .errors import ComplexZerosError, DegeneracyError, IntegrandError
 from .exact import GaussianRational, common_rounding, quotient, simplify_scalar
 from .schemes import Perturbation
-from .sequences import gen_first_kind, gen_second_kind, iterate
-
-MOMENT = "moment"
-SECOND_KIND = "second-kind"
-RAW = "raw"
-UNIT_MASS = "unit-mass"
+from .sequences import gen_both_kinds, iterate
 
 
-def _enclosed_quotient(num, den, x, over, under):
-    """num/den * prod(P(x) for P in over) / prod(P(x) for P in under), rounded
-    once, when the enclosures of the P(x) prove the rounding; else None.
+def _enclosed_ratio(m0, top, bottom, x):
+    """m0 * top(x) / bottom(x), rounded once, when the enclosures of top(x) and
+    bottom(x) prove the rounding; else None.
 
-    The quotient is monotone in each factor over an enclosure that excludes 0
-    in the `under` factors, so its range is spanned by the corner quotients.
+    The quotient is monotone in each factor over enclosures where bottom(x)
+    excludes 0, so its range is spanned by the corner quotients.
     """
-    corners = [(num, den)]
-    for poly in over:
-        box = poly.enclose(x)
-        if box is None:
-            return None
-        lo, hi, d = box
-        corners = [(a * v, b * d) for a, b in corners for v in (lo, hi)]
-    for poly in under:
-        box = poly.enclose(x)
-        if box is None or box[0] <= 0 <= box[1]:
-            return None
-        lo, hi, d = box
-        corners = [(a * d, b * v) for a, b in corners for v in (lo, hi)]
-    return common_rounding(corners)
+    t = top.enclose(x)
+    if t is None:
+        return None
+    b = bottom.enclose(x)
+    if b is None or b[0] <= 0 <= b[1]:
+        return None
+    return common_rounding([(m0.numerator * u * b[2], m0.denominator * t[2] * v)
+                            for u in t[:2] for v in b[:2]])
 
 
 def _has_nonreal_ratio(poly):
@@ -132,7 +122,9 @@ def _roots_with_diagnostics(poly, dpoly, tol_imag):
                 x = x_new
                 break
             x = x_new
-        scale = math.fsum(m * abs(x) ** j for j, m in enumerate(magnitudes))
+        scale = 0.0
+        for m in reversed(magnitudes):
+            scale = scale * abs(x) + m
         if abs(poly(x)) > 1e-13 * max(scale, 1e-300):
             raise DegeneracyError(
                 "root polish failed near x = %.17g (residual above tolerance)" % x)
@@ -155,7 +147,7 @@ def real_zeros(poly, tol_imag=1e-9):
 def calibrate_m0(scheme, n, mass=1):
     """The mass constant M_0, exact.
 
-    The raw moment-formula weight sum is s_n = lead(Q_n)/lead(P_n); assuming
+    The raw weight sum is s_n = lead(Q_n)/lead(P_n); assuming
     the tail shape s_n = L - C/(n+1) (exact for the worked example, where
     s_n = 2n/(n+1)), the two-point fit L = (n+2) s_{n+1} - (n+1) s_n removes
     the tail and M_0 = mass/L.  Independent of n whenever the shape assumption
@@ -184,7 +176,9 @@ def calibrate_m0(scheme, n, mass=1):
 
 
 def weights_moment_formula(scheme, perturbation, nodes, m0, p, dp=None):
-    """Weights by the moment formula at the given nodes (floats).
+    """Weights by the moment formula at the given nodes (floats), each the exact
+    value at the node rounded once; the exact reference the rule's weights are
+    compared against.
 
     p is the perturbed first-kind family through P_n (n = len(nodes)); dp is
     P_n', derived from p[n] when not given.
@@ -206,39 +200,28 @@ def weights_moment_formula(scheme, perturbation, nodes, m0, p, dp=None):
             a, b = wp.ratio_at(x)
             num *= a ** count
             den *= b ** count
-        weight = _enclosed_quotient(num, den, x, (), (dp, p[n - 1]))
-        if weight is None:
-            a, b = dp.ratio_at(x)
-            c, d = p[n - 1].ratio_at(x)
-            if a == 0 or c == 0:
-                raise DegeneracyError("moment-formula denominator vanished at node %d" % j)
-            weight = quotient(num * b * d, den * a * c)
-        out.append(weight)
+        a, b = dp.ratio_at(x)
+        c, d = p[n - 1].ratio_at(x)
+        if a == 0 or c == 0:
+            raise DegeneracyError("moment-formula denominator vanished at node %d" % j)
+        out.append(quotient(num * b * d, den * a * c))
     return out
 
 
-def weights_second_kind(nodes, normalization, m0, p, q, dp=None):
-    """Weights Q_n/P'_n at the given nodes; raw or unit-mass normalized.
-
-    p and q are the perturbed first- and second-kind families through index
-    n = len(nodes); m0 is the unit-mass factor; dp is P_n', derived from p[n]
-    when not given.
+def weights_second_kind(nodes, m0, q, dp):
+    """Weights M_0 Q_n/P_n' at the given nodes (floats), each the exact value
+    at the node rounded once; q is the perturbed Q_n and dp the perturbed P_n'.
     """
-    if normalization not in (RAW, UNIT_MASS):
-        raise ValueError("normalization must be %r or %r" % (RAW, UNIT_MASS))
-    n = len(nodes)
-    if dp is None:
-        dp = p[n].derivative()
-    factor = Fraction(m0) if normalization == UNIT_MASS else Fraction(1)
+    m0 = Fraction(m0)
     out = []
     for j, x in enumerate(nodes):
-        weight = _enclosed_quotient(factor.numerator, factor.denominator, x, (q[n],), (dp,))
+        weight = _enclosed_ratio(m0, q, dp, x)
         if weight is None:
             a, b = dp.ratio_at(x)
             if a == 0:
                 raise DegeneracyError("P'_n vanished at node %d (node not simple?)" % j)
-            c, d = q[n].ratio_at(x)
-            weight = quotient(factor.numerator * c * b, factor.denominator * d * a)
+            c, d = q.ratio_at(x)
+            weight = quotient(m0.numerator * c * b, m0.denominator * d * a)
         out.append(weight)
     return out
 
@@ -248,10 +231,8 @@ class QuadratureRule:
     n: int
     nodes: tuple
     weights: tuple
-    method: str
     perturbation: object
     m0: Fraction
-    normalization: str = UNIT_MASS
     complex_flag: tuple = ()  # (re, im) of accepted roots that had tiny Im parts
 
     def __post_init__(self):
@@ -259,33 +240,26 @@ class QuadratureRule:
             raise DegeneracyError("nodes must be strictly increasing")
 
 
-def build_rule(scheme, perturbation=None, n=1, method=MOMENT,
-               normalization=UNIT_MASS, m0=None, tol_imag=1e-9):
-    """Construct the n-point rule: perturbed zeros + the selected weights.
+def build_rule(scheme, perturbation=None, n=1, m0=None, tol_imag=1e-9):
+    """Construct the n-point rule: the perturbed zeros, weighed by M_0 Q*_n/P*_n'.
 
+    m0 defaults to the calibrated mass constant; m0=1 gives the raw ratios.
     Raises ComplexZerosError when the perturbed polynomial leaves the real
     line (the rule does not exist), DegeneracyError on vanishing weight
     denominators.
     """
     if n < 1:
         raise ValueError("a rule needs n >= 1 nodes, got %d" % n)
-    if method not in (MOMENT, SECOND_KIND):
-        raise ValueError("method must be %r or %r" % (MOMENT, SECOND_KIND))
     pert = perturbation or Perturbation.none()
-    p = gen_first_kind(scheme, pert, n)
+    p, q = gen_both_kinds(scheme, pert, n)
     dp = p[n].derivative()
     nodes, near_real = _roots_with_diagnostics(p[n], dp, tol_imag)
     if m0 is None:
         m0 = calibrate_m0(scheme, n)
-    if method == MOMENT:
-        weights = weights_moment_formula(scheme, pert, nodes, m0, p, dp)
-    else:
-        q = gen_second_kind(scheme, pert, n)
-        weights = weights_second_kind(nodes, normalization, m0, p, q, dp)
+    weights = weights_second_kind(nodes, m0, q[n], dp)
     return QuadratureRule(
-        n=n, nodes=tuple(nodes), weights=tuple(weights), method=method,
-        perturbation=pert, m0=Fraction(m0), normalization=normalization,
-        complex_flag=tuple(near_real),
+        n=n, nodes=tuple(nodes), weights=tuple(weights), perturbation=pert,
+        m0=Fraction(m0), complex_flag=tuple(near_real),
     )
 
 
@@ -325,7 +299,7 @@ def exactness_check(scheme, n, p_degree, density=None):
         def density(x):
             return 1.0 / (math.pi * (1.0 + x * x))
 
-    rule = build_rule(scheme, None, n, method=MOMENT)
+    rule = build_rule(scheme, None, n)
     worst = 0.0
     for m in range(p_degree + 1):
         def f(x, _m=m):

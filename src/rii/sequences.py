@@ -18,6 +18,8 @@ Perturbations are applied by absolute coefficient index, so shifted sequences
 and truncated continued fractions see exactly the same modified steps.  The
 step terms also make up transfer's step matrices and cfrac's convergents;
 oprl's monic families and quadrature's M_0 calibration run `iterate`.
+`gen_both_kinds` builds the step terms once and iterates both kinds over them,
+for callers that need P and Q of one perturbation.
 
 All of it is exact: the public evaluators take a float or complex z as the
 exact rational it stores and round the exact result once on the way out.
@@ -104,6 +106,16 @@ def gen_second_kind(scheme, perturbation=None, n=1):
     return tuple(_family(scheme, perturbation, "second", 0, n))
 
 
+def gen_both_kinds(scheme, perturbation=None, n=1):
+    """(P_0..P_n, Q_0..Q_n): both families iterated over one list of step terms."""
+    pert = perturbation or Perturbation.none()
+    centers = [center_term(scheme, pert, m) for m in range(n)]
+    weights = [None] + [weight_term(scheme, pert, m) for m in range(1, n)]
+    return tuple(tuple(iterate(centers.__getitem__, weights.__getitem__, kind, n,
+                               one=Poly.one(), zero=Poly.zero()))
+                 for kind in ("first", "second"))
+
+
 def gen_associated(scheme, j, n, kind="first"):
     """Associated sequence of order j+1: all coefficient indices shifted by j+1.
 
@@ -158,6 +170,7 @@ __all__ = [
     "iterate",
     "gen_first_kind",
     "gen_second_kind",
+    "gen_both_kinds",
     "gen_associated",
     "eval_recurrence_at",
     "eval_sequence_at",

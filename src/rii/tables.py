@@ -9,11 +9,12 @@ obtained from n-point rules of the worked scheme under co-recursion (t1, t2),
 co-dilation (t3), and both together with the levels swapped row to row
 (t5, t6); t4 holds the 10 nodes and weights of the (n=10, mu_0=0.01) rule.
 
-Pipelines: t1/t2/t4 use the moment formula with the calibrated mass constant;
-t3/t5/t6 use the second-kind ratio with unit-mass normalization (the raw
-ratio's sum is ~2 for this scheme, irreconcilable with the t3 magnitudes).
-For this scheme the two coincide cell for cell: at a zero of P*_n the
-Casorati identity collapses the moment product to Q*_n/P*_n'.
+Every cell weighs its rule by the second-kind ratio with the calibrated mass
+constant, M_0 Q*_n/P*_n' (the raw ratio's sum is ~2 for this scheme,
+irreconcilable with the t3 magnitudes).  The moment formula
+M_0 prod lam*_i W_i / (P*_n' P*_{n-1}) is the same weight at an exact zero of
+P*_n for every scheme and perturbation (the Casorati identity); at the float
+nodes the two differ by M_0 P*_n Q*_{n-1} / (P*_n' P*_{n-1}).
 
 Two fixture conventions, recovered by matching every cell against a grid of
 recomputations and kept here so the reproduction lines up digit for digit:
@@ -43,7 +44,7 @@ from importlib import resources
 
 from .errors import ComplexZerosError
 from .integrands import BUILTINS
-from .quadrature import MOMENT, SECOND_KIND, UNIT_MASS, build_rule, calibrate_m0, estimate
+from .quadrature import build_rule, calibrate_m0, estimate
 from .schemes import Perturbation, cauchy_scheme
 
 E_REFERENCE = 0.6133229495946
@@ -85,21 +86,10 @@ def _perturbation_from_row(row, shift=0):
     )
 
 
-def resolve_method(perturbation, method="auto"):
-    """Auto method selection: second-kind as soon as co-dilation is present."""
-    if method != "auto":
-        return method
-    pert = perturbation or Perturbation.none()
-    return SECOND_KIND if pert.kp is not None else MOMENT
-
-
-def estimate_cell(scheme, n, perturbation=None, method="auto", integrand=None, m0=None):
+def estimate_cell(scheme, n, perturbation=None, integrand=None, m0=None):
     """One table cell: build the n-point rule and apply it to the integrand."""
     fn = integrand if integrand is not None else BUILTINS["example3"].evaluator
-    rule = build_rule(scheme, perturbation, n,
-                      method=resolve_method(perturbation, method),
-                      normalization=UNIT_MASS, m0=m0)
-    return estimate(rule, fn)
+    return estimate(build_rule(scheme, perturbation, n, m0=m0), fn)
 
 
 @dataclass(frozen=True)
@@ -152,7 +142,7 @@ def reproduce_table(table_id, scheme=None, integrand=None):
 def _reproduce_node_table(fixture, scheme, m0):
     # mirror orientation: the fixture's nodes belong to the -mu rule here
     pert = Perturbation.corec(0, Fraction("-0.01"))
-    rule = build_rule(scheme, pert, len(fixture), method=MOMENT, m0=m0)
+    rule = build_rule(scheme, pert, len(fixture), m0=m0)
     rows = []
     worst = 0.0
     for raw, node, weight in zip(fixture, rule.nodes, rule.weights):
@@ -196,8 +186,7 @@ def order_flip_experiment(scheme, pairs, n, integrand=None, m0=None):
 
     def cell(k, mu, kp, nu):
         pert = Perturbation.both(k, mu, kp, nu)
-        value = estimate_cell(scheme, n, pert, method=SECOND_KIND,
-                              integrand=integrand, m0=m0)
+        value = estimate_cell(scheme, n, pert, integrand=integrand, m0=m0)
         return {"k": k, "mu": mu, "kp": kp, "nu": nu,
                 "I_star": value, "dev": abs(value - E_REFERENCE)}
 

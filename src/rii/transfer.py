@@ -35,8 +35,7 @@ from fractions import Fraction
 from .polymat import PolyMatrix2
 from .poly import Poly
 from .schemes import Perturbation
-from .sequences import (center_term, eval_sequence_at, gen_first_kind, gen_second_kind,
-                        weight_term)
+from .sequences import center_term, eval_sequence_at, gen_both_kinds, weight_term
 
 _VARIANTS = {"general", "special", "oprl"}
 
@@ -116,10 +115,8 @@ def transfer_entries(scheme, k=None, kp=None, mu=None, nu=None):
         lower = pert.corec_only() if pert.k < pert.kp else pert.codil_only()
     else:
         lower = Perturbation.none()
-    p_plain = gen_first_kind(scheme, None, m + 1)
-    q_plain = gen_second_kind(scheme, None, m + 1)
-    p_low = gen_first_kind(scheme, lower, m)
-    q_low = gen_second_kind(scheme, lower, m)
+    p_plain, q_plain = gen_both_kinds(scheme, None, m + 1)
+    p_low, q_low = gen_both_kinds(scheme, lower, m)
 
     a_step = center_term(scheme, pert, m)
     if m == 0:

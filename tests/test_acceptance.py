@@ -41,7 +41,6 @@ from rii import (
     suite_transfer,
 )
 from rii.integrands import BUILTINS
-from rii.quadrature import MOMENT
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +118,7 @@ def test_criterion_05_worked_example_closed_form(scheme):
     m0 = calibrate_m0(scheme, 10)
     weights_ok = m0 == Fraction(1, 2)
     for n in range(2, 21):
-        rule = build_rule(scheme, None, n, method=MOMENT)
+        rule = build_rule(scheme, None, n)
         weights_ok = weights_ok and max(
             abs(w - 1.0 / (n + 1)) for w in rule.weights) < 1e-12
 
@@ -220,11 +219,11 @@ def test_criterion_10_complex_zero_guard(scheme):
 
 def test_criterion_11_perturbation_size_convergence(scheme):
     f = BUILTINS["example3"].evaluator
-    plain = estimate(build_rule(scheme, None, 15, method=MOMENT), f)
+    plain = estimate(build_rule(scheme, None, 15), f)
     gaps = []
     for mu in ("0.1", "0.01", "0.001"):
         pert = Perturbation.corec(0, Fraction(mu))
-        value = estimate(build_rule(scheme, pert, 15, method=MOMENT), f)
+        value = estimate(build_rule(scheme, pert, 15), f)
         gaps.append(abs(value - plain))
     passed = gaps[0] > gaps[1] > gaps[2]
     record_criterion(11, "perturbed estimate converges as mu shrinks", passed,
@@ -233,8 +232,7 @@ def test_criterion_11_perturbation_size_convergence(scheme):
 
 
 def test_criterion_12_lagrange_density(scheme):
-    rule = build_rule(scheme, Perturbation.corec(0, Fraction("-0.01")), 10,
-                      method=MOMENT)
+    rule = build_rule(scheme, Perturbation.corec(0, Fraction("-0.01")), 10)
     approx = lagrange_density(rule.nodes, rule.weights)
     constant = approx.poly.coeffs[0]
     target = Fraction(3282, 36115)

@@ -81,6 +81,9 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])                             # a subcommand is required
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["quad", "--n", "4", "--method", "moment"])   # one weight formula, no option
+    assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -243,7 +246,9 @@ def test_malformed_config_exits_one(tmp_path, capsys, document):
     ("zeros", "--n", "3", "--tol-imag", "100", "--scheme",
      '{"rho": 1, "c": 0, "lambda": "1/4", "nodes": [[[0, 1], [0, 2]], [[0, 1], [0, 2]],'
      ' [[0, 1], [0, 2]], [[0, 1], [0, 2]]]}'),
-    ("measure", "--n", "10", "--x-min", "0", "--x-max", "1e300", "--samples", "3"),
+    # perturbed: the unperturbed weights are all 1/11, so its interpolant is constant
+    ("measure", "--n", "10", "--mu", "0.01", "--k", "0", "--x-min", "0", "--x-max", "1e300",
+     "--samples", "3"),
     ("measure", "--n", "10", "--x-min", "0", "--x-max", "1e300", "--samples", "3",
      "--method", "spline", "--out", "json"),
 ])
@@ -286,7 +291,7 @@ _PERT = ("--mu", "--k", "--nu", "--kp", "--scheme")
 _FLAGS = {
     "poly": ("--n", "--kind", "--out") + _PERT,
     "zeros": ("--n", "--tol-imag", "--out") + _PERT,
-    "quad": ("--n", "--integrand", "--method", "--config", "--out") + _PERT,
+    "quad": ("--n", "--integrand", "--config", "--out") + _PERT,
     "table": ("--id", "--out"),
     "measure": ("--n", "--method", "--samples", "--x-min", "--x-max", "--out") + _PERT,
     "check": ("--suite", "--seed", "--instances"),
@@ -308,7 +313,7 @@ _VALUES = {
         '{"rho": {}, "c": null, "lambda": [[1]], "nodes": [[0, 1]]}',
         '{"rho": 1, "c": 0, "lambda": 1, "nodes": [[0, [0, 1]], [1]]}']),
     "--integrand": st.sampled_from(["example3", "x^2", "exp(x)", "1/(x-x)", "x^x", "sin("]),
-    "--method": st.sampled_from(["auto", "moment", "second-kind", "lagrange", "spline", "bogus"]),
+    "--method": st.sampled_from(["lagrange", "spline", "bogus"]),
     "--config": st.just("no-such-config.json"),
     "--tol-imag": st.sampled_from(["1e-9", "0", "-1", "nan", "inf"]),
     "--samples": st.integers(-2, 20).map(str),

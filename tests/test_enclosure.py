@@ -10,7 +10,6 @@ from rii import (GaussianRational, Perturbation, Poly, build_rule, cauchy_scheme
                  eval_recurrence_at, gen_first_kind)
 from rii.exact import quotient, rounded
 from rii.poly import ENCLOSE_MIN_DEGREE
-from rii.quadrature import MOMENT, SECOND_KIND
 
 
 def _rounded_ratio(num, den):
@@ -81,6 +80,9 @@ def test_enclosure_edges():
 
 def test_values_beyond_the_float_range_round_to_infinity():
     assert eval_recurrence_at(cauchy_scheme(), None, "first", 200, 1e300) == math.inf
+    value = eval_recurrence_at(cauchy_scheme(), None, "first", 200, complex(1e300, 1))
+    assert value == complex(math.inf, math.inf)
+    assert complex(GaussianRational(Fraction(-10 ** 400, 3), 1)) == complex(-math.inf, 1.0)
     assert eval_recurrence_at(cauchy_scheme(), None, "first", 201, -1e300) == -math.inf
     assert rounded(Fraction(-10 ** 400, 3), 0.5) == -math.inf
     assert quotient(10 ** 400, -1) == -math.inf
@@ -107,13 +109,12 @@ def test_rules_without_the_enclosure_are_identical(monkeypatch, pert):
         return ratio_at(self, z)
 
     monkeypatch.setattr(Poly, "ratio_at", counted)
-    rules = {(n, method): build_rule(scheme, pert, n, method=method)
-             for n in (10, 40, 80, 100) for method in (MOMENT, SECOND_KIND)}
+    rules = {n: build_rule(scheme, pert, n) for n in (10, 40, 80, 100)}
     # every polish and weight float of the ladder is proven by its enclosure
     assert high_degree_exact == []
     monkeypatch.setattr(Poly, "enclose", lambda self, x: None)
-    for (n, method), rule in rules.items():
-        exact = build_rule(scheme, pert, n, method=method)
+    for n, rule in rules.items():
+        exact = build_rule(scheme, pert, n)
         assert [float.hex(x) for x in exact.nodes] == [float.hex(x) for x in rule.nodes]
         assert [float.hex(w) for w in exact.weights] == [float.hex(w) for w in rule.weights]
     assert high_degree_exact

@@ -14,10 +14,11 @@ from rii import (
     cauchy_scheme,
     estimate,
     exactness_check,
+    gen_both_kinds,
     gen_first_kind,
     real_zeros,
+    weights_moment_formula,
 )
-from rii.quadrature import MOMENT, RAW, SECOND_KIND, UNIT_MASS
 
 
 def test_real_zeros_are_cotangents(cauchy):
@@ -47,31 +48,41 @@ def test_calibrated_mass_is_one_half(cauchy):
 
 
 def test_unperturbed_weights_equal_uniform(cauchy):
-    for n in (4, 11, 20):
-        rule = build_rule(cauchy, None, n, method=MOMENT)
-        assert max(abs(w - 1.0 / (n + 1)) for w in rule.weights) < 1e-12
+    # w_j = 1/(n+1) at the exact zeros, and every weight at the rounded nodes
+    # rounds to it bit for bit
+    for n in list(range(1, 41)) + [100]:
+        rule = build_rule(cauchy, None, n)
+        assert [float.hex(w) for w in rule.weights] == [float.hex(1 / (n + 1))] * n, n
         assert all(x1 < x2 for x1, x2 in zip(rule.nodes, rule.nodes[1:]))
 
 
 def test_second_kind_raw_vs_unit_mass(cauchy):
     n = 4
-    raw = build_rule(cauchy, None, n, method=SECOND_KIND, normalization=RAW)
-    unit = build_rule(cauchy, None, n, method=SECOND_KIND, normalization=UNIT_MASS)
+    raw = build_rule(cauchy, None, n, m0=1)
+    unit = build_rule(cauchy, None, n)
     # raw weights are 2/5 each; the calibrated factor 1/2 scales them to 1/5
     assert max(abs(w - 0.4) for w in raw.weights) < 1e-12
     assert max(abs(w - 0.2) for w in unit.weights) < 1e-12
-    # the calibration factor rides along as metadata either way
-    assert raw.m0 == unit.m0 == Fraction(1, 2)
+    assert (raw.m0, unit.m0) == (1, Fraction(1, 2))
 
 
 def test_moment_and_second_kind_weights_coincide(cauchy):
-    # Casorati identity: Q*_n P*_{n-1} = prod lambda*W at the zeros of P*_n,
-    # so the two pipelines give the same rule even under perturbation
-    pert = Perturbation.both(2, Fraction(1, 100), 6, Fraction(251, 250))
-    a = build_rule(cauchy, pert, 10, method=MOMENT)
-    b = build_rule(cauchy, pert, 10, method=SECOND_KIND, normalization=UNIT_MASS)
-    assert max(abs(x - y) for x, y in zip(a.weights, b.weights)) < 1e-13
-    assert max(abs(x - y) for x, y in zip(a.nodes, b.nodes)) < 1e-14
+    # Casorati identity: Q*_n P*_{n-1} - P*_n Q*_{n-1} = prod lambda*W, so at
+    # the zeros of P*_n the moment formula is the rule's M_0 Q*_n/P*_n'
+    for pert in (Perturbation.corec(3, Fraction(1, 100)),
+                 Perturbation.codil(4, Fraction(1036, 1000)),
+                 Perturbation.both(2, Fraction(1, 100), 6, Fraction(251, 250))):
+        for n in (10, 15):
+            rule = build_rule(cauchy, pert, n)
+            p, q = gen_both_kinds(cauchy, pert, n)
+            moment = weights_moment_formula(cauchy, pert, rule.nodes, rule.m0, p)
+            assert max(abs(a - b) / b for a, b in zip(rule.weights, moment)) < 1e-12
+            # at a float node they differ by exactly M_0 P_n Q_{n-1} / (P_n' P_{n-1})
+            dp = p[n].derivative()
+            for x, w in zip(rule.nodes[:3], moment):
+                x = Fraction(x)
+                gap = rule.m0 * p[n](x) * q[n - 1](x) / (dp(x) * p[n - 1](x))
+                assert float(rule.m0 * q[n](x) / dp(x) - gap) == w
 
 
 def test_build_rule_complex_flag_and_errors(cauchy):
@@ -83,7 +94,7 @@ def test_build_rule_complex_flag_and_errors(cauchy):
 
 
 def test_estimate_applies_the_rule(cauchy):
-    rule = build_rule(cauchy, None, 6, method=MOMENT)
+    rule = build_rule(cauchy, None, 6)
     assert abs(estimate(rule, lambda x: 1.0) - 6.0 / 7.0) < 1e-12
     with pytest.raises(ValueError):
         estimate(rule, lambda x: float("nan"))
@@ -92,7 +103,7 @@ def test_estimate_applies_the_rule(cauchy):
 def test_estimate_accepts_integrand_objects(cauchy):
     from rii import parse_integrand
 
-    rule = build_rule(cauchy, None, 4, method=MOMENT)
+    rule = build_rule(cauchy, None, 4)
     expr = parse_integrand("x*x")
     direct = estimate(rule, lambda x: x * x)
     assert abs(estimate(rule, expr) - direct) < 1e-15
@@ -127,15 +138,17 @@ def _counting(monkeypatch, module, names):
 
 def test_each_family_is_generated_once_per_rule(cauchy, monkeypatch):
     import rii.quadrature as quadrature
+    import rii.sequences as sequences
 
-    calls = _counting(monkeypatch, quadrature, ("gen_first_kind", "gen_second_kind"))
+    calls = _counting(monkeypatch, quadrature, ("gen_both_kinds",))
+    terms = _counting(monkeypatch, sequences, ("center_term", "weight_term"))
     pert = Perturbation.both(2, Fraction(1, 100), 6, Fraction(251, 250))
-    build_rule(cauchy, pert, 12, method=MOMENT)
-    assert calls == {"gen_first_kind": 1, "gen_second_kind": 0}
-    build_rule(cauchy, pert, 12, method=SECOND_KIND)
-    assert calls == {"gen_first_kind": 2, "gen_second_kind": 1}
+    build_rule(cauchy, pert, 12)
+    # one list of step terms serves both families
+    assert calls == {"gen_both_kinds": 1}
+    assert terms == {"center_term": 12, "weight_term": 11}
     calibrate_m0(cauchy, 40)
-    assert calls == {"gen_first_kind": 2, "gen_second_kind": 1}
+    assert calls == {"gen_both_kinds": 1}
 
 
 def _calibrate_from_polynomials(scheme, n, mass=1):
@@ -199,9 +212,9 @@ def test_boundary_errors(cauchy):
     with pytest.raises(ValueError):
         gen_first_kind(cauchy, None, -1)
     with pytest.raises(DegeneracyError):
-        QuadratureRule(n=2, nodes=(1.0, 1.0), weights=(0.5, 0.5), method=MOMENT,
+        QuadratureRule(n=2, nodes=(1.0, 1.0), weights=(0.5, 0.5),
                        perturbation=Perturbation.none(), m0=Fraction(1, 2))
-    rule = build_rule(cauchy, None, 4, method=MOMENT)
+    rule = build_rule(cauchy, None, 4)
     for text, words in (("1/(x-x)", "node 1"), ("x^x", "complex at node 1"),
                         ("exp(1000*x)", "node 4")):
         with pytest.raises(IntegrandError, match=words):
@@ -210,6 +223,5 @@ def test_boundary_errors(cauchy):
 
 def test_zero_weights_are_positive_zero(cauchy):
     # float(Fraction(0)) is +0.0 whatever the sign of the denominator
-    for method in (MOMENT, SECOND_KIND):
-        rule = build_rule(cauchy, None, 5, method=method, m0=0)
-        assert [math.copysign(1.0, w) for w in rule.weights] == [1.0] * 5
+    rule = build_rule(cauchy, None, 5, m0=0)
+    assert [math.copysign(1.0, w) for w in rule.weights] == [1.0] * 5

@@ -13,6 +13,7 @@ from rii import (
     eval_sequence_at,
     example_closed_form,
     gen_associated,
+    gen_both_kinds,
     gen_first_kind,
     gen_second_kind,
 )
@@ -112,6 +113,8 @@ def test_eval_matches_coefficient_path_on_random_schemes(scheme_kind):
         family = (gen_first_kind if kind == "first" else gen_second_kind)(scheme, pert, n)
         assert eval_sequence_at(scheme, pert, kind, n, z) == [p(z) for p in family]
         assert eval_recurrence_at(scheme, pert, kind, n, z) == family[n](z)
+        assert gen_both_kinds(scheme, pert, n) == (
+            gen_first_kind(scheme, pert, n), gen_second_kind(scheme, pert, n))
         associated = gen_associated(scheme, shift - 1, n, kind)
         assert eval_sequence_at(scheme, None, kind, n, z, shift=shift) == \
             [p(z) for p in associated]

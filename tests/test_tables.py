@@ -12,9 +12,7 @@ from rii import (
     order_flip_experiment,
     reference_value_oracle,
     reproduce_table,
-    resolve_method,
 )
-from rii.quadrature import MOMENT, SECOND_KIND
 from rii.tables import NODE_COLUMNS, VALUE_COLUMNS, estimate_cell
 
 
@@ -31,14 +29,6 @@ def test_fixture_shapes():
 
 def test_reference_value_oracle_matches_pin():
     assert abs(reference_value_oracle() - E_REFERENCE) < 1e-10
-
-
-def test_resolve_method_auto():
-    assert resolve_method(None) == MOMENT
-    assert resolve_method(Perturbation.corec(0, Fraction(1, 10))) == MOMENT
-    assert resolve_method(Perturbation.codil(1, Fraction(2))) == SECOND_KIND
-    assert resolve_method(Perturbation.corec(0, Fraction(1, 10)), MOMENT) == MOMENT
-    assert resolve_method(None, SECOND_KIND) == SECOND_KIND
 
 
 def test_reproduce_value_tables_t2_t5_t6():

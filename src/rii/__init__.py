@@ -18,9 +18,8 @@ from .errors import (ComplexZerosError, DegeneracyError, IntegrandError, ParseEr
                      SchemeIndexError, SingularReductionError)
 from .exact import GaussianRational, format_rational, rational, simplify_scalar
 from .integrands import BUILTINS, Integrand, parse_integrand
-from .oprl import (CorrectionReport, MobiusParams, OprlScheme,
-                   coprl_structural, corrected_vs_flawed, mobius_check,
-                   monic_associated, monic_sequence, reduce_to_oprl)
+from .oprl import (CorrectionReport, MobiusParams, coprl_structural, corrected_vs_flawed,
+                   mobius_check, monic_associated, monic_sequence, reduce_to_oprl)
 from .poly import Poly
 from .polymat import PolyMatrix2
 from .quadrature import (QuadratureRule, build_rule, calibrate_m0, estimate,

@@ -122,18 +122,6 @@ class Homography:
             raise ValueError("homography determinant vanishes identically")
         self.matrix = matrix
 
-    @staticmethod
-    def identity():
-        return Homography(PolyMatrix2.identity())
-
-    def compose(self, other):
-        """self after other (matrix product)."""
-        return Homography(self.matrix @ other.matrix)
-
-    def inverse(self):
-        """Projective inverse: adj(M) undoes M wherever det(M)(z) != 0."""
-        return Homography(self.matrix.adjugate())
-
     def apply(self, u, z):
         """(a u + b)/(c u + d), entries at z; u = +-inf maps to a/c.  Exact at
         exact u and z (a zero denominator raises PoleError), else exact at the

@@ -20,12 +20,12 @@ import logging
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .density import lagrange_density, sample_density, spline_density
 from .errors import RiiError
+from .exact import rational
 from .integrands import parse_integrand
-from .quadrature import build_rule, estimate, real_zeros
+from .quadrature import TOL_IMAG, build_rule, estimate, real_zeros
 from .schemes import CoefficientScheme, Perturbation, cauchy_scheme
 from .sequences import gen_first_kind, gen_second_kind
 from .suites import SUITES, run_suite
@@ -34,6 +34,8 @@ from .tables import order_flip_experiment, reproduce_table
 log = logging.getLogger("rii")
 
 SCHEMA_VERSION = 1
+
+OUT_FORMATS = ("text", "csv", "json")
 
 
 def _fmt(value, precision):
@@ -78,22 +80,10 @@ def _load_scheme(spec_text):
     return CoefficientScheme.from_json(spec_text)
 
 
-def _rational_arg(flag, text):
-    """A rational flag value such as 0.01 or 1/100; 1/0 is a domain error."""
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError("%s expects a rational, got %r" % (flag, text)) from None
-
-
 def _perturbation_from_args(args):
-    mu = getattr(args, "mu", None)
-    nu = getattr(args, "nu", None)
     return Perturbation(
-        k=args.k if mu is not None else None,
-        mu=_rational_arg("--mu", mu) if mu is not None else None,
-        kp=args.kp if nu is not None else None,
-        nu=_rational_arg("--nu", nu) if nu is not None else None,
+        k=args.k if args.mu is not None else None, mu=args.mu,
+        kp=args.kp if args.nu is not None else None, nu=args.nu,
     )
 
 
@@ -109,7 +99,6 @@ class ExperimentConfig:
     n_values: tuple           # of int
     integrand: str = "example3"
     out: str = "text"
-    seed: int = 0
 
     def to_dict(self):
         return {
@@ -119,7 +108,6 @@ class ExperimentConfig:
             "n": list(self.n_values),
             "integrand": self.integrand,
             "out": self.out,
-            "seed": self.seed,
         }
 
     @classmethod
@@ -128,15 +116,21 @@ class ExperimentConfig:
             raise ValueError("a config is a JSON object")
         if data.get("schema") != SCHEMA_VERSION:
             raise ValueError("unsupported config schema %r" % (data.get("schema"),))
+        integrand = data.get("integrand", "example3")
+        if not isinstance(integrand, str):
+            raise ValueError("config integrand must be a string, got %r" % (integrand,))
+        out = data.get("out", "text")
+        if out not in OUT_FORMATS:
+            raise ValueError("config out must be one of %s, got %r"
+                             % (", ".join(OUT_FORMATS), out))
         try:
             return cls(
                 scheme=CoefficientScheme.from_dict(data["scheme"]),
                 perturbations=tuple(Perturbation.from_dict(p)
                                     for p in data["perturbations"]),
                 n_values=tuple(int(n) for n in data["n"]),
-                integrand=data.get("integrand", "example3"),
-                out=data.get("out", "text"),
-                seed=int(data.get("seed", 0)),
+                integrand=integrand,
+                out=out,
             )
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError("malformed config: %s %s" % (type(exc).__name__, exc)) from None
@@ -266,7 +260,7 @@ def _cmd_check(args):
 
 def _cmd_flip(args):
     scheme = _load_scheme(args.scheme)
-    mu, nu = _rational_arg("--mu", args.mu), _rational_arg("--nu", args.nu)
+    mu, nu = rational(args.mu), rational(args.nu)
     try:
         pairs = []
         for chunk in args.pairs.split(","):
@@ -326,15 +320,15 @@ def build_parser():
     p = sub.add_parser("poly", help="print a recurrence polynomial")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=("first", "second", "both"), default="first")
-    p.add_argument("--out", choices=("text", "csv", "json"), default="text")
+    p.add_argument("--out", choices=OUT_FORMATS, default="text")
     _add_scheme_arg(p)
     _add_pert_args(p)
     p.set_defaults(func=_cmd_poly)
 
     p = sub.add_parser("zeros", help="real zeros of P_n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol-imag", type=float, default=1e-9, dest="tol_imag")
-    p.add_argument("--out", choices=("text", "csv", "json"), default="text")
+    p.add_argument("--tol-imag", type=float, default=TOL_IMAG, dest="tol_imag")
+    p.add_argument("--out", choices=OUT_FORMATS, default="text")
     _add_scheme_arg(p)
     _add_pert_args(p)
     p.set_defaults(func=_cmd_zeros)
@@ -345,14 +339,14 @@ def build_parser():
                    help="builtin id or expression in x (default example3)")
     p.add_argument("--config", default=None,
                    help="ExperimentConfig JSON file (overrides --n and perturbation flags)")
-    p.add_argument("--out", choices=("text", "csv", "json"), default=None)
+    p.add_argument("--out", choices=OUT_FORMATS, default=None)
     _add_scheme_arg(p)
     _add_pert_args(p)
     p.set_defaults(func=_cmd_quad)
 
     p = sub.add_parser("table", help="recompute a bundled reference table")
     p.add_argument("--id", choices=("t1", "t2", "t3", "t4", "t5", "t6"), required=True)
-    p.add_argument("--out", choices=("text", "csv", "json"), default="csv")
+    p.add_argument("--out", choices=OUT_FORMATS, default="csv")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("measure", help="sample a density approximation")
@@ -361,7 +355,7 @@ def build_parser():
     p.add_argument("--samples", type=int, default=400)
     p.add_argument("--x-min", type=float, default=None, dest="x_min")
     p.add_argument("--x-max", type=float, default=None, dest="x_max")
-    p.add_argument("--out", choices=("text", "csv", "json"), default="csv")
+    p.add_argument("--out", choices=OUT_FORMATS, default="csv")
     _add_scheme_arg(p)
     _add_pert_args(p)
     p.set_defaults(func=_cmd_measure)
@@ -377,7 +371,7 @@ def build_parser():
     p.add_argument("--mu", default="0.01")
     p.add_argument("--nu", default="1.004")
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--out", choices=("text", "csv", "json"), default="text")
+    p.add_argument("--out", choices=OUT_FORMATS, default="text")
     _add_scheme_arg(p)
     p.set_defaults(func=_cmd_flip)
 

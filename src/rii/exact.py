@@ -2,7 +2,7 @@
 
 Real coefficients are plain fractions.Fraction.  Schemes whose nodes a_n, b_n
 sit off the real axis need arithmetic in Q(i); GaussianRational supplies just
-enough of it (ring ops, division, conjugation) and interoperates with Fraction
+enough of it (ring ops and division) and interoperates with Fraction
 and int through the usual reflected operators.  A Gaussian value with zero
 imaginary part simplifies back to Fraction so downstream equality checks stay
 uniform.
@@ -27,15 +27,21 @@ def rational(value):
 
     Accepts Fraction, int, "p/q" / "p" strings, and floats.  Floats are
     converted exactly (every binary float is rational); decimal-looking
-    strings such as "0.1" mean the exact decimal 1/10.
+    strings such as "0.1" mean the exact decimal 1/10.  A zero denominator
+    and a non-finite float raise ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError("%r is not a rational: zero denominator" % (value,)) from None
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError("%r is not a rational: not finite" % (value,))
         return Fraction(value)
     if isinstance(value, GaussianRational):
         if value.im == 0:
@@ -72,9 +78,6 @@ class GaussianRational:
     @staticmethod
     def i():
         return GaussianRational(0, 1)
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
 
     def norm(self):
         """re^2 + im^2 as a Fraction."""
@@ -147,19 +150,6 @@ class GaussianRational:
         if o is None:
             return NotImplemented
         return o.__truediv__(self)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        out = GaussianRational(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):

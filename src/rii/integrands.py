@@ -218,7 +218,3 @@ def parse_integrand(text):
         return _eval_ast(_ast, x)
 
     return Integrand(key, evaluator, "parsed expression")
-
-
-def example3():
-    return BUILTINS["example3"]

@@ -68,27 +68,8 @@ class MobiusParams:
         return (self.alpha * x + self.beta) / den
 
 
-class OprlScheme(CoefficientScheme):
-    """A reduced scheme; weight factor identically 1."""
-
-    def __init__(self, rho_hat, c_hat, lambda_hat, raw=None):
-        super().__init__(rho_hat, c_hat, lambda_hat, "oprl", raw=raw)
-
-    @property
-    def rho_hat(self):
-        return self.rho
-
-    @property
-    def c_hat(self):
-        return self.c
-
-    @property
-    def lambda_hat(self):
-        return self.lam
-
-
 def reduce_to_oprl(scheme, params, n_max):
-    """Map a constant-node scheme to its OprlScheme, tabulated for n <= n_max.
+    """Map a constant-node scheme to its oprl scheme, tabulated for n <= n_max.
 
     Errors: nonconstant or complex nodes -> ValueError; a vanishing
     alpha - gamma*c_n -> SingularReductionError naming the index; beta = a*delta
@@ -115,7 +96,7 @@ def reduce_to_oprl(scheme, params, n_max):
         c_hat.append((params.delta * scheme.c(n) - params.beta) / den)
         if n >= 1:
             lam_hat.append(scheme.lam(n) * scale * scale)
-    return OprlScheme(rho_hat, c_hat, lam_hat)
+    return CoefficientScheme.oprl(rho_hat, c_hat, lam_hat)
 
 
 def mobius_check(scheme, params, n, x):

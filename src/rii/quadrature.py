@@ -53,6 +53,9 @@ from .exact import GaussianRational, common_rounding, quotient, simplify_scalar
 from .schemes import Perturbation
 from .sequences import gen_both_kinds, iterate
 
+# A root with |Im| <= TOL_IMAG * (1 + |Re|) counts as real.
+TOL_IMAG = 1e-9
+
 
 def _enclosed_ratio(m0, top, bottom, x):
     """m0 * top(x) / bottom(x), rounded once, when the enclosures of top(x) and
@@ -133,24 +136,27 @@ def _roots_with_diagnostics(poly, dpoly, tol_imag):
     return polished, near_real
 
 
-def real_zeros(poly, tol_imag=1e-9):
+def real_zeros(poly, tol_imag=TOL_IMAG):
     """Sorted real zeros via companion eigenvalues + exact-coefficient Newton.
 
     Roots with |Im| <= tol_imag * (1 + |Re|) are accepted as real and
     polished; anything farther off the axis raises ComplexZerosError listing
-    the pairs.
+    the pairs.  tol_imag must be finite and >= 0.
     """
+    if not (math.isfinite(tol_imag) and tol_imag >= 0):
+        raise ValueError("the imaginary-part tolerance must be finite and >= 0, got %r"
+                         % (tol_imag,))
     roots, _ = _roots_with_diagnostics(poly, poly.derivative(), tol_imag)
     return roots
 
 
-def calibrate_m0(scheme, n, mass=1):
+def calibrate_m0(scheme, n):
     """The mass constant M_0, exact.
 
     The raw weight sum is s_n = lead(Q_n)/lead(P_n); assuming
     the tail shape s_n = L - C/(n+1) (exact for the worked example, where
     s_n = 2n/(n+1)), the two-point fit L = (n+2) s_{n+1} - (n+1) s_n removes
-    the tail and M_0 = mass/L.  Independent of n whenever the shape assumption
+    the tail and M_0 = 1/L.  Independent of n whenever the shape assumption
     holds.
 
     The leading coefficients of the unperturbed P_m (degree m) and Q_m
@@ -172,7 +178,7 @@ def calibrate_m0(scheme, n, mass=1):
     lead_sum = (n + 2) * ratio(n + 1) - (n + 1) * ratio(n)
     if lead_sum == 0:
         raise DegeneracyError("calibration failed: extrapolated weight sum is zero")
-    return Fraction(mass) / lead_sum
+    return Fraction(1) / lead_sum
 
 
 def weights_moment_formula(scheme, perturbation, nodes, m0, p, dp=None):
@@ -240,7 +246,7 @@ class QuadratureRule:
             raise DegeneracyError("nodes must be strictly increasing")
 
 
-def build_rule(scheme, perturbation=None, n=1, m0=None, tol_imag=1e-9):
+def build_rule(scheme, perturbation=None, n=1, m0=None):
     """Construct the n-point rule: the perturbed zeros, weighed by M_0 Q*_n/P*_n'.
 
     m0 defaults to the calibrated mass constant; m0=1 gives the raw ratios.
@@ -253,7 +259,7 @@ def build_rule(scheme, perturbation=None, n=1, m0=None, tol_imag=1e-9):
     pert = perturbation or Perturbation.none()
     p, q = gen_both_kinds(scheme, pert, n)
     dp = p[n].derivative()
-    nodes, near_real = _roots_with_diagnostics(p[n], dp, tol_imag)
+    nodes, near_real = _roots_with_diagnostics(p[n], dp, TOL_IMAG)
     if m0 is None:
         m0 = calibrate_m0(scheme, n)
     weights = weights_second_kind(nodes, m0, q[n], dp)
@@ -266,15 +272,13 @@ def build_rule(scheme, perturbation=None, n=1, m0=None, tol_imag=1e-9):
 def estimate(rule, f):
     """sum_j w_j f(x_j) with compensated summation.
 
-    f may be a callable or anything with an .evaluator attribute.  An
-    integrand that fails, or is complex or not finite, at a node raises
+    An integrand f that fails, or is complex or not finite, at a node raises
     IntegrandError naming the node.
     """
-    fn = f if callable(f) else f.evaluator
     terms = []
     for j, (x, w) in enumerate(zip(rule.nodes, rule.weights)):
         try:
-            value = fn(x)
+            value = f(x)
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise IntegrandError("integrand cannot be evaluated at node %d (x = %.17g): %s"
                                  % (j + 1, x, exc)) from exc
@@ -286,18 +290,14 @@ def estimate(rule, f):
     return math.fsum(terms)
 
 
-def exactness_check(scheme, n, p_degree, density=None):
+def exactness_check(scheme, n, p_degree):
     """Worst |rule - oracle| over f = x^m/(x^2+1)^n, m = 0..p_degree.
 
-    The oracle integrates x^m * density(x) / (x^2+1)^n adaptively over the
-    whole line; density defaults to the worked example's 1/(pi (1+x^2)), for
-    which the rule is exact (to rounding) through m = 2n-1.
+    The oracle integrates x^m / (x^2+1)^n against the worked example's
+    density 1/(pi (1+x^2)) adaptively over the whole line; the rule is
+    exact (to rounding) there through m = 2n-1.
     """
     from scipy.integrate import quad
-
-    if density is None:
-        def density(x):
-            return 1.0 / (math.pi * (1.0 + x * x))
 
     rule = build_rule(scheme, None, n)
     worst = 0.0
@@ -305,8 +305,11 @@ def exactness_check(scheme, n, p_degree, density=None):
         def f(x, _m=m):
             return x ** _m / (x * x + 1.0) ** n
 
+        def weighted(x, _m=m):   # f times the density 1/(pi (1+x^2))
+            return x ** _m * (1.0 / (math.pi * (1.0 + x * x))) / (x * x + 1.0) ** n
+
         rule_value = estimate(rule, f)
-        oracle, _err = quad(lambda x, _m=m: x ** _m * density(x) / (x * x + 1.0) ** n,
-                            -math.inf, math.inf, epsabs=1e-13, epsrel=1e-13, limit=300)
+        oracle, _err = quad(weighted, -math.inf, math.inf, epsabs=1e-13, epsrel=1e-13,
+                            limit=300)
         worst = max(worst, abs(rule_value - oracle))
     return worst

@@ -258,9 +258,6 @@ class Perturbation:
         return Perturbation(k=k, mu=mu, kp=kp, nu=nu)
 
     # --- queries ----------------------------------------------------------
-    def is_identity(self):
-        return (self.k is None or self.mu == 0) and (self.kp is None or self.nu == 1)
-
     def max_level(self):
         """Largest perturbed recurrence index, or -1 when empty."""
         levels = [lvl for lvl in (self.k, self.kp) if lvl is not None]

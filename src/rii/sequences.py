@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .exact import GaussianRational, exact_point, rounded
 from .poly import Poly
-from .schemes import CoefficientScheme, Perturbation, cauchy_scheme
+from .schemes import Perturbation
 
 
 def center_term(scheme, pert, m, z=None):
@@ -175,7 +175,4 @@ __all__ = [
     "eval_recurrence_at",
     "eval_sequence_at",
     "example_closed_form",
-    "cauchy_scheme",
-    "CoefficientScheme",
-    "Perturbation",
 ]

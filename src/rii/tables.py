@@ -86,10 +86,10 @@ def _perturbation_from_row(row, shift=0):
     )
 
 
-def estimate_cell(scheme, n, perturbation=None, integrand=None, m0=None):
-    """One table cell: build the n-point rule and apply it to the integrand."""
-    fn = integrand if integrand is not None else BUILTINS["example3"].evaluator
-    return estimate(build_rule(scheme, perturbation, n, m0=m0), fn)
+def estimate_cell(scheme, n, perturbation=None, m0=None):
+    """One table cell: the n-point rule applied to the tables' integrand, example3."""
+    return estimate(build_rule(scheme, perturbation, n, m0=m0),
+                    BUILTINS["example3"].evaluator)
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,10 @@ class TableReport:
     flagged: int          # cells skipped because the rule has complex zeros
 
 
-def reproduce_table(table_id, scheme=None, integrand=None):
+def reproduce_table(table_id):
     """Recompute every cell of one bundled table next to its reference value."""
     fixture = load_fixture(table_id)
-    scheme = scheme or cauchy_scheme()
+    scheme = cauchy_scheme()
     m0 = calibrate_m0(scheme, 10)
     if table_id == "t4":
         return _reproduce_node_table(fixture, scheme, m0)
@@ -124,8 +124,7 @@ def reproduce_table(table_id, scheme=None, integrand=None):
             "paper_value": raw["ref"],
         }
         try:
-            value = estimate_cell(scheme, int(raw["n"]), pert,
-                                  integrand=integrand, m0=m0)
+            value = estimate_cell(scheme, int(raw["n"]), pert, m0=m0)
         except ComplexZerosError:
             flagged += 1
             out["I_star"] = ""
@@ -167,18 +166,16 @@ class FlipReport:
     average_gap: float  # |average - median I*|
 
 
-def order_flip_experiment(scheme, pairs, n, integrand=None, m0=None):
+def order_flip_experiment(scheme, pairs, n):
     """Estimates for each (k, mu, kp, nu) and its level-flipped counterpart.
 
     All pairs must share the same median level (k + kp)/2; the report ends
     with the both-at-median estimate and how far the average of the flipped
     family lands from it.
     """
-    scheme = scheme or cauchy_scheme()
     if not pairs:
         raise ValueError("need at least one (k, mu, kp, nu) pair")
-    if m0 is None:
-        m0 = calibrate_m0(scheme, n)
+    m0 = calibrate_m0(scheme, n)
     medians = {k + kp for k, _mu, kp, _nu in pairs}
     if len(medians) != 1 or (medians.pop() % 2) != 0:
         raise ValueError("pairs must share one integer median level (k + kp)/2")
@@ -186,7 +183,7 @@ def order_flip_experiment(scheme, pairs, n, integrand=None, m0=None):
 
     def cell(k, mu, kp, nu):
         pert = Perturbation.both(k, mu, kp, nu)
-        value = estimate_cell(scheme, n, pert, integrand=integrand, m0=m0)
+        value = estimate_cell(scheme, n, pert, m0=m0)
         return {"k": k, "mu": mu, "kp": kp, "nu": nu,
                 "I_star": value, "dev": abs(value - E_REFERENCE)}
 

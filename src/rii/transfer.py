@@ -37,9 +37,6 @@ from .poly import Poly
 from .schemes import Perturbation
 from .sequences import center_term, eval_sequence_at, gen_both_kinds, weight_term
 
-_VARIANTS = {"general", "special", "oprl"}
-
-
 def step_matrix(scheme, perturbation, n):
     """T_n with the perturbed center/coefficient substituted at n = k / kp.
 
@@ -69,23 +66,13 @@ def lambda_weight_product(scheme, perturbation, upto):
     return out
 
 
-def perturbation_transfer(scheme, k=None, kp=None, mu=None, nu=None, variant=None):
+def perturbation_transfer(scheme, k=None, kp=None, mu=None, nu=None):
     """The transfer matrix S of the perturbation, at level m = max(k, kp).
 
     Built as F_{m+1}(mu,nu)^T @ adj(F_{m+1})^T, which is exact for either
     order of k and kp and for the same-level case.  The identity perturbation
     yields prod lambda_j W_j * I (the empty perturbation: the identity matrix).
-
-    variant, when given, must name the scheme kind ("general" | "special" |
-    "oprl"); a mismatch is a configuration error.
     """
-    if variant is not None:
-        v = str(variant).lower()
-        if v not in _VARIANTS:
-            raise ValueError("unknown variant %r" % (variant,))
-        if v != scheme.kind:
-            raise ValueError(
-                "variant %r does not match scheme kind %r" % (variant, scheme.kind))
     pert = Perturbation(k=k, mu=mu, kp=kp, nu=nu)
     m = pert.max_level()
     if m < 0:

@@ -98,7 +98,7 @@ def test_criterion_04_correction_demonstration():
         report = corrected_vs_flawed(reduced, k, Fraction(1, 10), Fraction(9, 8),
                                      Fraction(2, 7))
         expected = Poly((-1,)) * report.correction * Poly(
-            (-(reduced.c_hat(k + 1) + 1), 1))
+            (-(reduced.c(k + 1) + 1), 1))
         ok = ok and report.corrected == report.direct
         ok = ok and report.discrepancy == expected and not expected.is_zero()
     record_criterion(4, "corrected formula exact, flawed gap reproduced", ok)

@@ -7,10 +7,7 @@ import pytest
 
 from rii import (
     CFracSpec,
-    Homography,
     PoleError,
-    PolyMatrix2,
-    Poly,
     cauchy_scheme,
     convergent,
     eval_sequence_at,
@@ -62,16 +59,6 @@ def test_tail_convergent_shifts_indices(cauchy):
     assert tail_convergent(cauchy, 2, 0, z) == 0
     with pytest.raises(ValueError):
         tail_convergent(cauchy, -2, 1, z)
-
-
-def test_homography_compose_and_inverse():
-    h = Homography(PolyMatrix2(Poly((1, 1)), Poly.one(), Poly.zero(), Poly.one()))
-    g = Homography(PolyMatrix2(Poly.x(), Poly.zero(), Poly.one(), Poly.one()))
-    z = Fraction(2, 7)
-    u = Fraction(3, 5)
-    assert h.compose(g).apply(u, z) == h.apply(g.apply(u, z), z)
-    assert h.inverse().apply(h.apply(u, z), z) == u
-    assert Homography.identity().apply(u, z) == u
 
 
 def test_lemma1_maps_tail_to_perturbed_fraction(cauchy):

@@ -219,6 +219,12 @@ def test_config_schema_guard():
     {"schema": 1},
     {"schema": 1, "scheme": cauchy_scheme().to_dict(), "perturbations": [[0]], "n": [4]},
     {"schema": 1, "scheme": [], "perturbations": [], "n": [4]},
+    {"schema": 1, "scheme": cauchy_scheme().to_dict(),
+     "perturbations": [{"corec": {"k": 0, "mu": "1/0"}}], "n": [4]},
+    {"schema": 1, "scheme": cauchy_scheme().to_dict(), "perturbations": [], "n": [4],
+     "integrand": 5},
+    {"schema": 1, "scheme": cauchy_scheme().to_dict(), "perturbations": [], "n": [4],
+     "out": "xml"},
 ])
 def test_malformed_config_exits_one(tmp_path, capsys, document):
     path = tmp_path / "experiment.json"
@@ -251,6 +257,11 @@ def test_malformed_config_exits_one(tmp_path, capsys, document):
      "--samples", "3"),
     ("measure", "--n", "10", "--x-min", "0", "--x-max", "1e300", "--samples", "3",
      "--method", "spline", "--out", "json"),
+    ("poly", "--n", "2", "--scheme", '{"rho": "1/0", "c": 0, "lambda": 1}'),
+    ("poly", "--n", "2", "--scheme", '{"rho": 1, "c": 0, "lambda": 1, "nodes": [["1/0", 0]]}'),
+    ("poly", "--n", "2", "--scheme", '{"rho": 1, "c": Infinity, "lambda": 1}'),
+    ("zeros", "--n", "18", "--nu", "2.12", "--tol-imag", "nan"),
+    ("zeros", "--n", "4", "--tol-imag", "-1"),
 ])
 def test_domain_failures_exit_one_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -311,7 +322,8 @@ _VALUES = {
         '{"rho": 1, "c": 0, "lambda": "1/4", "omega": "2"}',
         '{"rho": [1, 2], "c": [0], "lambda": ["1/4", "1/3"]}',
         '{"rho": {}, "c": null, "lambda": [[1]], "nodes": [[0, 1]]}',
-        '{"rho": 1, "c": 0, "lambda": 1, "nodes": [[0, [0, 1]], [1]]}']),
+        '{"rho": 1, "c": 0, "lambda": 1, "nodes": [[0, [0, 1]], [1]]}',
+        '{"rho": "1/0", "c": 0, "lambda": 1}', '{"rho": 1, "c": Infinity, "lambda": 1}']),
     "--integrand": st.sampled_from(["example3", "x^2", "exp(x)", "1/(x-x)", "x^x", "sin("]),
     "--method": st.sampled_from(["lagrange", "spline", "bogus"]),
     "--config": st.just("no-such-config.json"),

@@ -35,9 +35,8 @@ def test_gaussian_basics():
     assert i * i == -1
     assert (i * i).simplify() == Fraction(-1)
     z = GaussianRational(Fraction(1, 2), Fraction(3, 4))
-    assert z.conjugate() == GaussianRational(Fraction(1, 2), Fraction(-3, 4))
     assert z.norm() == Fraction(1, 4) + Fraction(9, 16)
-    assert (z * z.conjugate()).simplify() == z.norm()
+    assert (z * GaussianRational(z.re, -z.im)).simplify() == z.norm()
 
 
 def test_gaussian_division_and_reflected_ops():

@@ -31,11 +31,11 @@ def pinned_params():
 
 def test_pinned_reduction_values():
     reduced = reduce_to_oprl(pinned_scheme(), pinned_params(), 6)
-    # alpha - gamma*c = -2 so rho_hat = -2; c_hat = (0*2 - (-1))/(-2) = -1/2;
-    # lambda_hat = 1*(beta - a*delta)^2 = 1
-    assert reduced.rho_hat(3) == -2
-    assert reduced.c_hat(3) == Fraction(-1, 2)
-    assert reduced.lambda_hat(1) == 1
+    # alpha - gamma*c = -2 so rhohat = -2; chat = (0*2 - (-1))/(-2) = -1/2;
+    # lamhat = 1*(beta - a*delta)^2 = 1
+    assert reduced.rho(3) == -2
+    assert reduced.c(3) == Fraction(-1, 2)
+    assert reduced.lam(1) == 1
     assert reduced.kind == "oprl"
     assert reduced.weight_poly(4) == Poly.one()
 
@@ -58,7 +58,7 @@ def test_reduction_guards():
         reduce_to_oprl(CoefficientScheme.general(1, 2, 1, nodes=lambda n: (1, 0)),
                        params, 4)
     with pytest.raises(ValueError):
-        # beta = a*delta degenerates every lambda_hat
+        # beta = a*delta degenerates every lamhat
         reduce_to_oprl(pinned_scheme(),
                        MobiusParams(alpha=0, beta=0, gamma=1, delta=1, a=0), 4)
     with pytest.raises(SingularReductionError):
@@ -153,7 +153,7 @@ def test_corrected_vs_flawed_discrepancy():
         assert report.corrected == report.direct
         # flawed - direct = -W_k(x) * (x - c_{k+1} - 1) exactly
         expected = Poly((-1,)) * report.correction * Poly(
-            (-(reduced.c_hat(k + 1) + 1), 1))
+            (-(reduced.c(k + 1) + 1), 1))
         assert report.discrepancy == expected
         assert not report.discrepancy.is_zero()
         assert report.flawed == report.direct + report.discrepancy(Fraction(3, 4))

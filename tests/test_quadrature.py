@@ -44,7 +44,6 @@ def test_real_zeros_complex_guard(cauchy):
 def test_calibrated_mass_is_one_half(cauchy):
     assert calibrate_m0(cauchy, 5) == Fraction(1, 2)
     assert calibrate_m0(cauchy, 12) == Fraction(1, 2)
-    assert calibrate_m0(cauchy, 8, mass=2) == Fraction(1)
 
 
 def test_unperturbed_weights_equal_uniform(cauchy):
@@ -151,7 +150,7 @@ def test_each_family_is_generated_once_per_rule(cauchy, monkeypatch):
     assert calls == {"gen_both_kinds": 1}
 
 
-def _calibrate_from_polynomials(scheme, n, mass=1):
+def _calibrate_from_polynomials(scheme, n):
     """M_0 by its definition: leading coefficients of the generated families."""
     from rii import gen_second_kind
 
@@ -166,7 +165,7 @@ def _calibrate_from_polynomials(scheme, n, mass=1):
     lead_sum = (n + 2) * ratio(n + 1) - (n + 1) * ratio(n)
     if lead_sum == 0:
         raise DegeneracyError("calibration failed: extrapolated weight sum is zero")
-    return Fraction(mass) / lead_sum
+    return Fraction(1) / lead_sum
 
 
 def _outcome(compute):

@@ -91,8 +91,6 @@ def test_perturbation_constructors_and_validation():
     assert b.max_level() == 4
     assert b.corec_only() == Perturbation.corec(1, Fraction(1, 2))
     assert b.codil_only() == Perturbation.codil(4, Fraction(2))
-    assert Perturbation.none().is_identity()
-    assert Perturbation.corec(3, 0).is_identity()
     with pytest.raises(PerturbationError):
         Perturbation.codil(0, Fraction(2))      # lambda_0 does not exist
     with pytest.raises(PerturbationError):

@@ -102,17 +102,6 @@ def test_transfer_residual_rejects_small_n(cauchy):
         transfer_residual(cauchy, pert, 2, Fraction(1, 2))
 
 
-def test_perturbation_transfer_variant_guard(cauchy):
-    import pytest
-
-    s = perturbation_transfer(cauchy, k=1, mu=Fraction(1, 2), variant="special")
-    assert s == perturbation_transfer(cauchy, k=1, mu=Fraction(1, 2))
-    with pytest.raises(ValueError):
-        perturbation_transfer(cauchy, k=1, mu=Fraction(1, 2), variant="oprl")
-    with pytest.raises(ValueError):
-        perturbation_transfer(cauchy, k=1, mu=Fraction(1, 2), variant="nonsense")
-
-
 def test_identity_perturbation_gives_identity_matrix(cauchy):
     from rii import PolyMatrix2
 

@@ -13,6 +13,10 @@ Evaluation runs bottom-up on the fraction's continuants, so a vanishing
 denominator is detected at a specific coefficient index: exact z raises
 PoleError naming it.  A float or complex z is evaluated exactly and rounded
 once; an intermediate zero is absorbed and a zero final denominator gives +inf.
+At a rational z (a float's binary rational included) with real weights the
+continuants are integers: each level's two terms are scaled by the lcm of
+their denominators, and the convergent is one Fraction of two ints.  Gaussian
+points and non-real weights run on Fraction and GaussianRational values.
 
 Homographies u -> (a u + b)/(c u + d) with polynomial entries and nonzero
 determinant tie the perturbed fraction to the unperturbed one:
@@ -34,7 +38,7 @@ from .errors import PoleError
 from .exact import exact_point, rounded
 from .polymat import PolyMatrix2
 from .schemes import Perturbation
-from .sequences import center_term, gen_both_kinds, weight_term
+from .sequences import center_term, cleared_terms, gen_both_kinds, weight_term
 from .transfer import f_matrix, perturbation_transfer
 
 
@@ -58,7 +62,9 @@ def convergent(spec, depth, z):
         raise ValueError("depth must be >= 0")
     x = exact_point(z)
     u0, u1 = _continuants(spec, depth, x, strict=x is z)   # poles raise at exact z only
-    return rounded(u1 / u0, z) if u0 != 0 else math.inf
+    if u0 == 0:
+        return math.inf
+    return rounded(Fraction(u1, u0) if isinstance(u0, int) else u1 / u0, z)
 
 
 def singular_index(spec, depth):
@@ -75,21 +81,40 @@ def singular_index(spec, depth):
     return None
 
 
-def _continuants(spec, depth, z=None, strict=True):
+def _continuants(spec, depth, z=None, strict=True, clear=None):
     """(U_0, U_1) with U_1/U_0 the convergent: Polys when z is None, else values.
 
     With b, a the center and weight terms, U_depth = 1 and U_j = b_{s+j}
     U_{j+1} - a_{s+j+1} U_{j+2}.  U_j/U_{j+1} is the nested denominator at
     index s+j; with strict, dividing by a zero one raises PoleError(s+j).  A
     zero partial numerator (e.g. special form, z = +-i*omega) truncates there.
+
+    At a rational z with real terms the pair is two ints of the same ratio:
+    level j is scaled by t_j, the lcm of the denominators of b_{s+j} and
+    a_{s+j+1}, so V_j = (t_j b) V_{j+1} - (t_j t_{j+1} a) V_{j+2} holds
+    V_j = E_j U_j with E_j = t_j E_{j+1}, and U_1/U_0 = t_0 V_1/V_0.  Scaling
+    keeps every zero, so a pole raises at the same index.  A non-real term
+    reruns the level loop on Fraction and GaussianRational values.
     """
+    if clear is None:
+        clear = isinstance(z, (int, Fraction))
     scheme = spec.scheme
     pert = spec.pert()
     s = spec.start
-    lower, upper = Fraction(0), Fraction(1)    # U_{j+2}, U_{j+1}
+    lower, upper = 0, 1                        # U_{j+2}, U_{j+1}
+    scale = 1                                  # t_{j+1}
     for j in range(depth - 1, -1, -1):
-        a = weight_term(scheme, pert, s + j + 1, z) if j < depth - 1 else 0
-        b = center_term(scheme, pert, s + j, z)
+        k = s + j + 1 if j < depth - 1 else None
+        if clear:
+            terms = cleared_terms(scheme, pert, s + j, k, z)
+            if terms is None:
+                return _continuants(spec, depth, z, strict, clear=False)
+            t, b, a = terms
+            a *= scale
+            scale = t
+        else:
+            a = weight_term(scheme, pert, k, z) if k is not None else 0
+            b = center_term(scheme, pert, s + j, z)
         if a == 0:
             lower, upper = 1, b
         else:
@@ -98,7 +123,7 @@ def _continuants(spec, depth, z=None, strict=True):
             lower, upper = upper, b * upper - a * lower
     if strict and upper == 0:
         raise PoleError(s)
-    return upper, lower
+    return upper, (scale * lower if clear else lower)
 
 
 def tail_convergent(scheme, kp, depth, z, perturbation=None):
@@ -127,17 +152,36 @@ class Homography:
         exact u and z (a zero denominator raises PoleError), else exact at the
         points stored and rounded once (a zero denominator gives signed inf)."""
         x = exact_point(z)
-        (a, b), (c, d) = self.matrix.eval_at(x)
         if u == math.inf or u == -math.inf:
+            (a, _), (c, _) = self.matrix.eval_at(x)
             num, den, exact = a, c, False
         else:
             v = exact_point(u)
-            num, den, exact = a * v + b, c * v + d, v is u and x is z
+            num, den = self._terms(v, x)
+            exact = v is u and x is z
         if den == 0:
             if exact:
                 raise PoleError(message="homography denominator vanished at z = %s" % (z,))
             return math.copysign(math.inf, complex(num).real or 1.0)
-        return rounded(num / den, u, z)
+        return rounded(Fraction(num, den) if isinstance(den, int) else num / den, u, z)
+
+    def _terms(self, v, x):
+        """(a v + b, c v + d) at exact v and x.  With v = p/q, rational x and
+        rational entries e(x) = e_n/e_d (`Poly.ratio_at`), two ints of the same
+        ratio: (a_n p b_d + b_n q a_d) c_d d_d and (c_n p d_d + d_n q c_d) a_d b_d.
+        Otherwise the two values."""
+        if isinstance(v, (int, Fraction)) and isinstance(x, (int, Fraction)):
+            try:
+                (an, ad), (bn, bd), (cn, cd), (dn, dd) = [
+                    entry.ratio_at(x) for entry in self.matrix.entries()]
+            except TypeError:      # a non-real entry
+                pass
+            else:
+                p, q = v.as_integer_ratio()
+                return ((an * p * bd + bn * q * ad) * cd * dd,
+                        (cn * p * dd + dn * q * cd) * ad * bd)
+        (a, b), (c, d) = self.matrix.eval_at(x)
+        return a * v + b, c * v + d
 
 
 def lemma1_matrix(scheme, k=None, kp=None, mu=None, nu=None):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .density import lagrange_density, sample_density, spline_density
 from .errors import RiiError
-from .exact import rational
+from .exact import integer, rational
 from .integrands import parse_integrand
 from .quadrature import TOL_IMAG, build_rule, estimate, real_zeros
 from .schemes import CoefficientScheme, Perturbation, cauchy_scheme
@@ -128,7 +128,7 @@ class ExperimentConfig:
                 scheme=CoefficientScheme.from_dict(data["scheme"]),
                 perturbations=tuple(Perturbation.from_dict(p)
                                     for p in data["perturbations"]),
-                n_values=tuple(int(n) for n in data["n"]),
+                n_values=tuple(integer(n, "n") for n in data["n"]),
                 integrand=integrand,
                 out=out,
             )

@@ -50,6 +50,18 @@ def rational(value):
     raise TypeError("cannot interpret %r as an exact rational" % (value,))
 
 
+def integer(value, name):
+    """Coerce a size or level read from data to an int.
+
+    Accepts ints, integral floats and integer strings; a bool or a number
+    with a fractional part (inf and nan included) raises ValueError naming
+    `name` rather than being truncated.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    return int(value)
+
+
 def format_rational(q):
     """Render a Fraction as "p/q" (or "p" when the denominator is 1)."""
     q = Fraction(q)

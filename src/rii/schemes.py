@@ -28,8 +28,8 @@ import json
 from fractions import Fraction
 
 from .errors import PerturbationError, SchemeIndexError
-from .exact import (GaussianRational, exact_point, format_rational, rational, rounded,
-                    simplify_scalar)
+from .exact import (GaussianRational, exact_point, format_rational, integer, rational,
+                    rounded, simplify_scalar)
 from .poly import Poly
 
 
@@ -83,8 +83,10 @@ class CoefficientScheme:
                 raise ValueError("special form requires a nonzero omega")
         if kind == "general" and nodes is None:
             raise ValueError("general form requires a nodes function")
-        # W_n does not depend on n for these kinds: one shared (immutable) Poly
+        # W_n does not depend on n for these kinds: one shared (immutable) Poly;
+        # the general form builds each W_n once, on first use
         self._weight = None
+        self._weights = {}
         if kind == "oprl":
             self._weight = Poly.one()
         elif kind == "special":
@@ -131,11 +133,14 @@ class CoefficientScheme:
         return (_node_value(a), _node_value(b))
 
     def weight_poly(self, n):
-        """W_n(z) as a Poly: (z-a_n)(z-b_n), z^2+omega^2, or 1."""
+        """W_n(z) as a Poly: (z-a_n)(z-b_n), z^2+omega^2, or 1; one Poly per n."""
         if self._weight is not None:
             return self._weight
-        a, b = self.nodes(n)
-        return Poly((a * b, -(a + b), 1))
+        weight = self._weights.get(n)
+        if weight is None:
+            a, b = self.nodes(n)
+            weight = self._weights[n] = Poly((a * b, -(a + b), 1))
+        return weight
 
     def weight_at(self, n, z):
         """W_n(z) without building a general-form Poly; a float or complex z
@@ -297,10 +302,10 @@ class Perturbation:
     def from_dict(data):
         k = mu = kp = nu = None
         if data.get("corec"):
-            k = int(data["corec"]["k"])
+            k = integer(data["corec"]["k"], "k")
             mu = data["corec"]["mu"]
         if data.get("codil"):
-            kp = int(data["codil"]["kp"])
+            kp = integer(data["codil"]["kp"], "kp")
             nu = data["codil"]["nu"]
         return Perturbation(k=k, mu=mu, kp=kp, nu=nu)
 

@@ -23,10 +23,23 @@ for callers that need P and Q of one perturbation.
 
 All of it is exact: the public evaluators take a float or complex z as the
 exact rational it stores and round the exact result once on the way out.
+
+At a rational z (an int, a Fraction, or the binary rational of a float) with
+real step terms, `iterate` runs on Python ints, fraction-free in the manner of
+Bareiss: step m is scaled by s_m, the lcm of the denominators of its two
+terms a_m = rho_m (z - c*_m) and b_m = lambda*_m W_m(z), so that
+
+    v_{i+1} = (s_m a_m) v_i - (s_m s_{m-1} b_m) v_{i-1},   v_i = D_i u_i,
+
+with D_i the product of the scales of the steps before i; each u_i =
+Fraction(v_i, D_i) costs one gcd.  A step term is zero exactly when its
+scaled form is.  Gaussian points and non-real W_m(z) take the generic path,
+`iterate` over Fraction and GaussianRational scalars.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exact import GaussianRational, exact_point, rounded
@@ -49,6 +62,33 @@ def weight_term(scheme, pert, m, z=None):
     if z is None:
         return lam * scheme.weight_poly(m)
     return lam * scheme.weight_at(m, z)
+
+
+def cleared_terms(scheme, pert, m, k, z):
+    """(s, s a, s b) as ints at a rational z, or None when W_k(z) is not real.
+
+    a = rho_m (z - c*_m) and b = lambda*_k W_k(z) (b = 0 when k is None) are
+    reduced, and s is the lcm of their denominators.
+    """
+    p, q = z.as_integer_ratio()
+    rho = scheme.rho(m)
+    c = pert.center(scheme, m)
+    an = rho.numerator * (p * c.denominator - c.numerator * q)
+    ad = rho.denominator * q * c.denominator
+    g = math.gcd(an, ad)
+    an, ad = an // g, ad // g
+    if k is None:
+        return ad, an, 0
+    try:
+        wn, wd = scheme.weight_poly(k).ratio_at(z)
+    except TypeError:       # Gaussian coefficients: W_k(z) may be non-real
+        return None
+    lam = pert.coefficient(scheme, k)
+    bn, bd = lam.numerator * wn, lam.denominator * wd
+    g = math.gcd(bn, bd)
+    bn, bd = bn // g, bd // g
+    s = math.lcm(ad, bd)
+    return s, an * (s // ad), bn * (s // bd)
 
 
 def iterate(a, b, kind, n, shift=0, one=1, zero=0):
@@ -83,6 +123,10 @@ def iterate(a, b, kind, n, shift=0, one=1, zero=0):
 def _family(scheme, pert, kind, shift, n, z=None):
     """u_0..u_n of the scheme's recurrence: Polys when z is None, else values at an exact z."""
     pert = pert or Perturbation.none()
+    if isinstance(z, (int, Fraction)):
+        values = _rational_family(scheme, pert, kind, shift, n, z)
+        if values is not None:
+            return values
     if z is None:
         one, zero = Poly.one(), Poly.zero()
     else:
@@ -90,6 +134,26 @@ def _family(scheme, pert, kind, shift, n, z=None):
     return iterate(lambda m: center_term(scheme, pert, m, z),
                    lambda m: weight_term(scheme, pert, m, z),
                    kind, n, shift, one, zero)
+
+
+def _rational_family(scheme, pert, kind, shift, n, z):
+    """u_0..u_n at a rational z, iterated on integers (see the module docstring);
+    None when a step term is not real."""
+    start = 0 if kind == "first" else 1
+    a_int, b_int = {}, {}
+    dens = [1] * (start + 1)     # D_0 (and D_1 = 1 for the second kind: v_0 = 0)
+    prev = 1                     # s_{m-1}
+    for m in range(shift + start, shift + n):
+        # iterate skips b at the first-kind step 0, so it is not queried here
+        terms = cleared_terms(scheme, pert, m, m if m > shift else None, z)
+        if terms is None:
+            return None
+        s, a_int[m], b = terms
+        b_int[m] = b * prev
+        dens.append(dens[-1] * s)
+        prev = s
+    values = iterate(a_int.__getitem__, b_int.__getitem__, kind, n, shift)
+    return [Fraction(v, d) for v, d in zip(values, dens)]
 
 
 def gen_first_kind(scheme, perturbation=None, n=0):
@@ -167,6 +231,7 @@ def example_closed_form(n):
 __all__ = [
     "center_term",
     "weight_term",
+    "cleared_terms",
     "iterate",
     "gen_first_kind",
     "gen_second_kind",

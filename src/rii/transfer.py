@@ -26,6 +26,13 @@ a polynomial matrix (no division: adj supplies det * inverse).  It satisfies
 with K_m = det F_{m+1} = prod_{j=1..m} lambda_j W_j: the perturbed family is a
 left matrix multiple of the unperturbed one from level m onward.  This module
 verifies that identity and the scalar structural identities it transposes.
+
+`f_matrix` reads F_{n+1} off one `gen_both_kinds` call instead of multiplying
+n + 1 step matrices; `step_matrix` keeps the product form as a reference.
+The scalar identities evaluate the families at z through
+`sequences.eval_sequence_at`, which runs on integers at a rational z with
+real weights (denominators cleared once per step) and on Fraction and
+GaussianRational values otherwise.
 """
 
 from __future__ import annotations
@@ -49,12 +56,12 @@ def step_matrix(scheme, perturbation, n):
 
 
 def f_matrix(scheme, perturbation, n):
-    """F_{n+1} = T_n ... T_0 = [[P_{n+1}, -Q_{n+1}], [P_n, -Q_n]]."""
-    pert = perturbation or Perturbation.none()
-    out = step_matrix(scheme, pert, 0)
-    for j in range(1, n + 1):
-        out = step_matrix(scheme, pert, j) @ out
-    return out
+    """F_{n+1} = T_n ... T_0 = [[P_{n+1}, -Q_{n+1}], [P_n, -Q_n]], read off the
+    two families rather than multiplied out."""
+    if n < 0:
+        raise ValueError("n must be >= 0, got %d" % n)
+    p, q = gen_both_kinds(scheme, perturbation, n + 1)
+    return PolyMatrix2(p[n + 1], -q[n + 1], p[n], -q[n])
 
 
 def lambda_weight_product(scheme, perturbation, upto):

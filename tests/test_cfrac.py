@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rii import (
     CFracSpec,
+    Perturbation,
     PoleError,
     cauchy_scheme,
     convergent,
@@ -18,6 +20,8 @@ from rii import (
     spectral_transform,
     tail_convergent,
 )
+from rii.cfrac import _continuants
+from rii.sequences import center_term, weight_term
 from rii.suites import random_perturbation, random_scheme
 from rii.transfer import perturbation_transfer
 
@@ -131,3 +135,68 @@ def test_spectral_transform_is_built_once_and_reused():
                     spectral_residual(scheme, transform=transform, **kwargs)
                 continue
             assert fresh == spectral_residual(scheme, transform=transform, **kwargs) == 0
+
+
+def _fraction_continuants(spec, depth, z):
+    """The level loop of `_continuants` on Fraction values, without integer
+    scaling: (U_0, U_1), or PoleError at the index of a vanishing denominator."""
+    pert = spec.pert()
+    lower, upper = Fraction(0), Fraction(1)
+    for j in range(depth - 1, -1, -1):
+        a = weight_term(spec.scheme, pert, spec.start + j + 1, z) if j < depth - 1 else 0
+        b = center_term(spec.scheme, pert, spec.start + j, z)
+        if a == 0:
+            lower, upper = Fraction(1), b
+        else:
+            if upper == 0:
+                raise PoleError(spec.start + j + 1)
+            lower, upper = upper, b * upper - a * lower
+    if upper == 0:
+        raise PoleError(spec.start)
+    return upper, lower
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), kind=st.sampled_from(("general", "special", "oprl")),
+       shape=st.sampled_from((None, "corec", "codil", "both")),
+       start=st.integers(0, 3), depth=st.integers(0, 10),
+       z=st.one_of(st.integers(-4, 4),
+                   st.fractions(min_value=-4, max_value=4, max_denominator=4)))
+def test_continuants_on_integers_match_fraction_reference(seed, kind, shape, start, depth,
+                                                          z):
+    # small coefficients and points make vanishing denominators common
+    rng = random.Random(seed)
+    scheme = random_scheme(rng, 16, kind)
+    pert = random_perturbation(rng, 6, shape) if shape else Perturbation.none()
+    spec = CFracSpec(scheme, pert, start)
+    try:
+        u0, u1 = _fraction_continuants(spec, depth, z)
+    except PoleError as exc:
+        with pytest.raises(PoleError) as raised:
+            _continuants(spec, depth, z)
+        assert raised.value.index == exc.index
+        return
+    v0, v1 = _continuants(spec, depth, z)
+    assert Fraction(v1, v0) == u1 / u0
+    assert convergent(spec, depth, z) == u1 / u0
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32),
+       u=st.fractions(min_value=-4, max_value=4, max_denominator=6),
+       z=st.one_of(st.integers(-4, 4),
+                   st.fractions(min_value=-4, max_value=4, max_denominator=6)),
+       at_pole=st.booleans())
+def test_homography_on_integers_matches_fraction_values(seed, u, z, at_pole):
+    rng = random.Random(seed)
+    scheme = random_scheme(rng, 12)
+    pert = random_perturbation(rng, 4)
+    transform = spectral_transform(scheme, pert.k, pert.kp, pert.mu, pert.nu)
+    (a, b), (c, d) = transform.matrix.eval_at(z)
+    if at_pole and c != 0:
+        u = -d / c
+    if c * u + d == 0:
+        with pytest.raises(PoleError):
+            transform.apply(u, z)
+        return
+    assert transform.apply(u, z) == (a * u + b) / (c * u + d)

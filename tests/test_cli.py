@@ -225,6 +225,16 @@ def test_config_schema_guard():
      "integrand": 5},
     {"schema": 1, "scheme": cauchy_scheme().to_dict(), "perturbations": [], "n": [4],
      "out": "xml"},
+    # sizes and levels are integers: a fraction or a bool is not truncated
+    {"schema": 1, "scheme": cauchy_scheme().to_dict(), "perturbations": [], "n": [4.7]},
+    {"schema": 1, "scheme": cauchy_scheme().to_dict(), "perturbations": [], "n": [True]},
+    {"schema": 1, "scheme": cauchy_scheme().to_dict(), "perturbations": [], "n": [1e400]},
+    {"schema": 1, "scheme": cauchy_scheme().to_dict(),
+     "perturbations": [{"corec": {"k": 1.9, "mu": "1/100"}}], "n": [4]},
+    {"schema": 1, "scheme": cauchy_scheme().to_dict(),
+     "perturbations": [{"codil": {"kp": 2.5, "nu": "2"}}], "n": [4]},
+    {"schema": 1, "scheme": cauchy_scheme().to_dict(),
+     "perturbations": [{"corec": {"k": False, "mu": "1/100"}}], "n": [4]},
 ])
 def test_malformed_config_exits_one(tmp_path, capsys, document):
     path = tmp_path / "experiment.json"

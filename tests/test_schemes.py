@@ -43,6 +43,13 @@ def test_constant_weight_poly_is_built_once():
     assert special.weight_poly(3) == Poly((Fraction(1, 4), 0, 1))
 
 
+def test_general_weight_poly_is_built_once_per_index():
+    general = CoefficientScheme.general(1, 0, 1, nodes=[(1, 2), ([0, 1], [0, -1])])
+    assert general.weight_poly(0) is general.weight_poly(0)
+    assert general.weight_poly(1) is general.weight_poly(1)
+    assert general.weight_poly(1) == Poly((1, 0, 1))
+
+
 def test_gaussian_nodes_evaluate_at_float_and_complex_z(cauchy):
     # nodes +-i: the general form of the worked example, W = z^2 + 1
     general = CoefficientScheme.general(1, 0, Fraction(1, 4),

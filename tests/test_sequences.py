@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rii import (
+    CoefficientScheme,
+    GaussianRational,
     Perturbation,
     Poly,
     cauchy_scheme,
@@ -95,26 +98,51 @@ def test_eval_matches_coefficient_path(cauchy):
     assert [p(z) for p in seq] == list(values)
 
 
-@pytest.mark.parametrize("scheme_kind", ["general", "special", "oprl"])
-def test_eval_matches_coefficient_path_on_random_schemes(scheme_kind):
-    rng = random.Random("eval-vs-coefficients/" + scheme_kind)
-    for _ in range(30):
-        scheme = random_scheme(rng, 16, scheme_kind)
-        pert = random_perturbation(rng, 6)
-        kind = rng.choice(("first", "second"))
-        shift = rng.randint(1, 4)
-        n = rng.randint(0, 9)
-        z = random_rational(rng)
-        polys = iterate(lambda m: center_term(scheme, pert, m),
-                        lambda m: weight_term(scheme, pert, m),
-                        kind, n, shift, Poly.one(), Poly.zero())
-        assert eval_sequence_at(scheme, pert, kind, n, z, shift=shift) == \
-            [p(z) for p in polys]
-        family = (gen_first_kind if kind == "first" else gen_second_kind)(scheme, pert, n)
-        assert eval_sequence_at(scheme, pert, kind, n, z) == [p(z) for p in family]
-        assert eval_recurrence_at(scheme, pert, kind, n, z) == family[n](z)
-        assert gen_both_kinds(scheme, pert, n) == (
-            gen_first_kind(scheme, pert, n), gen_second_kind(scheme, pert, n))
+def _random_scheme(rng, scheme_kind):
+    """random_scheme of a kind; "gaussian" is a general scheme whose complex nodes
+    are not conjugate, so W_m(z) is not real at a real z."""
+    if scheme_kind != "gaussian":
+        return random_scheme(rng, 16, scheme_kind)
+    real = random_scheme(rng, 16, "oprl")
+    nodes = [([random_rational(rng), random_rational(rng, nonzero=True)],
+              [random_rational(rng), random_rational(rng)]) for _ in range(16)]
+    return CoefficientScheme.general([real.rho(m) for m in range(16)],
+                                     [real.c(m) for m in range(16)],
+                                     [real.lam(m) for m in range(16)], nodes)
+
+
+_points = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+    st.floats(min_value=-6, max_value=6),
+    st.builds(GaussianRational, st.fractions(-3, 3, max_denominator=4),
+              st.fractions(-3, 3, max_denominator=4)),
+)
+
+
+@pytest.mark.parametrize("scheme_kind", ["general", "special", "oprl", "gaussian"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), shape=st.sampled_from(("corec", "codil", "both")),
+       kind=st.sampled_from(("first", "second")), shift=st.integers(0, 4),
+       n=st.integers(0, 9), z=_points)
+def test_eval_matches_coefficient_path_on_random_schemes(scheme_kind, seed, shape, kind,
+                                                         shift, n, z):
+    # the scalar path (integers at a rational z with real weights, Fraction and
+    # GaussianRational values otherwise) equals the Poly families at z
+    rng = random.Random(seed)
+    scheme = _random_scheme(rng, scheme_kind)
+    pert = random_perturbation(rng, 6, shape)
+    polys = iterate(lambda m: center_term(scheme, pert, m),
+                    lambda m: weight_term(scheme, pert, m),
+                    kind, n, shift, Poly.one(), Poly.zero())
+    assert eval_sequence_at(scheme, pert, kind, n, z, shift=shift) == \
+        [p(z) for p in polys]
+    family = (gen_first_kind if kind == "first" else gen_second_kind)(scheme, pert, n)
+    assert eval_sequence_at(scheme, pert, kind, n, z) == [p(z) for p in family]
+    assert eval_recurrence_at(scheme, pert, kind, n, z) == family[n](z)
+    assert gen_both_kinds(scheme, pert, n) == (
+        gen_first_kind(scheme, pert, n), gen_second_kind(scheme, pert, n))
+    if shift:
         associated = gen_associated(scheme, shift - 1, n, kind)
         assert eval_sequence_at(scheme, None, kind, n, z, shift=shift) == \
             [p(z) for p in associated]

@@ -1,6 +1,9 @@
 """Transfer matrices and the exact structural/transfer identities."""
 
+import random
 from fractions import Fraction
+
+import pytest
 
 from rii import (
     Perturbation,
@@ -16,6 +19,7 @@ from rii import (
     transfer_entries,
     transfer_residual,
 )
+from rii.suites import random_perturbation, random_scheme
 
 
 def test_step_matrix_determinants(cauchy):
@@ -37,6 +41,23 @@ def test_f_matrix_rows_are_the_two_families(cauchy):
     assert f.a21 == p[n]
     assert f.a22 == -q[n]
     assert f.det() == lambda_weight_product(cauchy, pert, n)
+
+
+@pytest.mark.parametrize("kind", ["general", "special", "oprl"])
+def test_f_matrix_is_the_step_matrix_product(kind):
+    # F_{n+1} = T_n ... T_0, the transfer-matrix product, checked against the
+    # matrix read off the two families
+    rng = random.Random("f-matrix/" + kind)
+    for _ in range(4):
+        scheme = random_scheme(rng, 16, kind)
+        for pert in (None, random_perturbation(rng, 12)):
+            product = step_matrix(scheme, pert, 0)
+            for n in range(13):
+                if n:
+                    product = step_matrix(scheme, pert, n) @ product
+                assert f_matrix(scheme, pert, n) == product
+    with pytest.raises(ValueError):
+        f_matrix(cauchy_scheme(), None, -1)
 
 
 def test_lambda_weight_product_is_unperturbed_for_none(cauchy):

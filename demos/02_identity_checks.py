@@ -36,14 +36,14 @@ print("  K_m F^T(mu,nu) - S F at z=9/4:", res)
 
 print()
 print("== spectral chain ==")
-pert_kwargs = dict(k=1, mu=Fraction(1, 5), kp=2, nu=Fraction(6, 5))
+pert = Perturbation(k=1, mu=Fraction(1, 5), kp=2, nu=Fraction(6, 5))
 for z in (Fraction(5, 2), Fraction(-7, 3)):
-    r = spectral_residual(scheme, z=z, depth=8, **pert_kwargs)
+    r = spectral_residual(scheme, pert, 8, z)
     print("  matched truncation at z=%s: residual %s" % (z, r))
 print("  unmatched truncations leave a gap that dies off the real axis:")
+pert = Perturbation(k=1, mu=Fraction(1, 4))
 for d in (4, 10, 18):
-    g = spectral_gap(scheme, k=1, mu=Fraction(1, 4), z=0.7 + 0.6j,
-                     depth_perturbed=d, depth_plain=25)
+    g = spectral_gap(scheme, pert, d, 25, 0.7 + 0.6j)
     print("    depth %2d: gap %.3e" % (d, g))
 
 print()

@@ -8,9 +8,9 @@ approximates the perturbed orthogonality measure.  `rii.cli` provides the
 command-line front end (installed as `rii`).
 """
 
-from .cfrac import (CFracSpec, Homography, convergent, lemma1_matrix,
-                    lemma2_residual, spectral_gap, spectral_residual,
-                    spectral_transform, tail_convergent)
+from .cfrac import (Homography, convergent, lemma1_matrix, lemma2_residual,
+                    spectral_gap, spectral_residual, spectral_transform,
+                    tail_convergent)
 from .density import (DensityApprox, cauchy_density, lagrange_density,
                       sample_density, second_derivative_gaps, spline_density)
 from .errors import (ComplexZerosError, DegeneracyError, IntegrandError, ParseError,

@@ -4,10 +4,12 @@ The fraction attached to a scheme is
 
     R(z) = 1/(rho_0(z-c_0) - lam_1 W_1(z)/(rho_1(z-c_1) - lam_2 W_2(z)/(...)))
 
-whose depth-n convergent equals Q_n(z)/P_n(z).  A CFracSpec may start at a
-later coefficient index (start = kp+1 gives the (kp+1)-th tail, whose depth-m
+whose depth-n convergent equals Q_n(z)/P_n(z).  A tail starts at a later
+coefficient index (start = kp+1 gives the (kp+1)-th tail, whose depth-m
 convergent is the ratio of second- to first-kind associated polynomials of
 that order), and perturbations are applied by absolute coefficient index.
+Every function takes (scheme, perturbation, ...), the perturbation a
+Perturbation or None.
 
 Evaluation runs bottom-up on the fraction's continuants, so a vanishing
 denominator is detected at a specific coefficient index: exact z raises
@@ -31,7 +33,6 @@ because both sides reduce to the same tail value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PoleError
@@ -42,32 +43,34 @@ from .sequences import center_term, cleared_terms, gen_both_kinds, weight_term
 from .transfer import f_matrix, perturbation_transfer
 
 
-@dataclass(frozen=True)
-class CFracSpec:
-    scheme: object
-    perturbation: object = None
-    start: int = 0
-
-    def pert(self):
-        return self.perturbation or Perturbation.none()
-
-
-def convergent(spec, depth, z):
-    """Depth-n convergent (= Q_n/P_n of the shifted, perturbed families).
+def convergent(scheme, perturbation, depth, z):
+    """Depth-n convergent (= Q*_n/P*_n of the perturbed families).
 
     depth 0 is the empty fraction, 0.  Exact z gives an exact scalar; a float
     or complex z gives the exact value rounded once, or +inf at a pole.
     """
+    return tail_convergent(scheme, perturbation, -1, depth, z)
+
+
+def tail_convergent(scheme, perturbation, kp, depth, z):
+    """Convergent of the fraction that remains after deleting indices <= kp.
+
+    kp = -1 is the full fraction.  depth 0 returns 0 (the empty tail), the
+    value the matched-truncation chain needs at n = kp+1.
+    """
+    if kp < -1:
+        raise ValueError("kp must be >= -1")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     x = exact_point(z)
-    u0, u1 = _continuants(spec, depth, x, strict=x is z)   # poles raise at exact z only
+    # poles raise at exact z only
+    u0, u1 = _continuants(scheme, perturbation, kp + 1, depth, x, strict=x is z)
     if u0 == 0:
         return math.inf
     return rounded(Fraction(u1, u0) if isinstance(u0, int) else u1 / u0, z)
 
 
-def singular_index(spec, depth):
+def singular_index(scheme, perturbation, depth):
     """Coefficient index of a nested denominator that vanishes identically.
 
     Run on polynomials, `_continuants` raises PoleError at the index where
@@ -75,19 +78,20 @@ def singular_index(spec, depth):
     that (deepest) index is returned, else None.
     """
     try:
-        _continuants(spec, depth)
+        _continuants(scheme, perturbation, 0, depth)
     except PoleError as exc:
         return exc.index
     return None
 
 
-def _continuants(spec, depth, z=None, strict=True, clear=None):
+def _continuants(scheme, perturbation, s, depth, z=None, strict=True, clear=None):
     """(U_0, U_1) with U_1/U_0 the convergent: Polys when z is None, else values.
 
-    With b, a the center and weight terms, U_depth = 1 and U_j = b_{s+j}
-    U_{j+1} - a_{s+j+1} U_{j+2}.  U_j/U_{j+1} is the nested denominator at
-    index s+j; with strict, dividing by a zero one raises PoleError(s+j).  A
-    zero partial numerator (e.g. special form, z = +-i*omega) truncates there.
+    The fraction starts at coefficient index s.  With b, a the center and
+    weight terms, U_depth = 1 and U_j = b_{s+j} U_{j+1} - a_{s+j+1} U_{j+2}.
+    U_j/U_{j+1} is the nested denominator at index s+j; with strict, dividing
+    by a zero one raises PoleError(s+j).  A zero partial numerator (e.g.
+    special form, z = +-i*omega) truncates there.
 
     At a rational z with real terms the pair is two ints of the same ratio:
     level j is scaled by t_j, the lcm of the denominators of b_{s+j} and
@@ -98,9 +102,7 @@ def _continuants(spec, depth, z=None, strict=True, clear=None):
     """
     if clear is None:
         clear = isinstance(z, (int, Fraction))
-    scheme = spec.scheme
-    pert = spec.pert()
-    s = spec.start
+    pert = perturbation or Perturbation.none()
     lower, upper = 0, 1                        # U_{j+2}, U_{j+1}
     scale = 1                                  # t_{j+1}
     for j in range(depth - 1, -1, -1):
@@ -108,7 +110,7 @@ def _continuants(spec, depth, z=None, strict=True, clear=None):
         if clear:
             terms = cleared_terms(scheme, pert, s + j, k, z)
             if terms is None:
-                return _continuants(spec, depth, z, strict, clear=False)
+                return _continuants(scheme, perturbation, s, depth, z, strict, clear=False)
             t, b, a = terms
             a *= scale
             scale = t
@@ -124,17 +126,6 @@ def _continuants(spec, depth, z=None, strict=True, clear=None):
     if strict and upper == 0:
         raise PoleError(s)
     return upper, (scale * lower if clear else lower)
-
-
-def tail_convergent(scheme, kp, depth, z, perturbation=None):
-    """Convergent of the fraction that remains after deleting indices <= kp.
-
-    kp = -1 is the full fraction.  depth 0 returns 0 (the empty tail), the
-    value the matched-truncation chain needs at n = kp+1.
-    """
-    if kp < -1:
-        raise ValueError("kp must be >= -1")
-    return convergent(CFracSpec(scheme, perturbation, kp + 1), depth, z)
 
 
 class Homography:
@@ -184,7 +175,7 @@ class Homography:
         return a * v + b, c * v + d
 
 
-def lemma1_matrix(scheme, k=None, kp=None, mu=None, nu=None):
+def lemma1_matrix(scheme, perturbation):
     """The homography mapping the plain (kp+1)-th tail to the perturbed fraction.
 
     Entries (g = lambda_{kp+1} W_{kp+1}, all sequences carrying the full
@@ -197,7 +188,7 @@ def lemma1_matrix(scheme, k=None, kp=None, mu=None, nu=None):
     n >= kp+1.  Perturbation orders with k <= kp are supported here (the
     matrix lives at level kp).
     """
-    pert = Perturbation(k=k, mu=mu, kp=kp, nu=nu)
+    pert = perturbation or Perturbation.none()
     level = pert.max_level()
     if pert.kp is not None:
         if pert.k is not None and pert.k > pert.kp:
@@ -213,48 +204,44 @@ def lemma1_matrix(scheme, k=None, kp=None, mu=None, nu=None):
     ))
 
 
-def spectral_transform(scheme, k=None, kp=None, mu=None, nu=None):
+def spectral_transform(scheme, perturbation):
     """The homography cof(S) taking R(z) to R(z; mu, nu), S the transfer matrix.
 
     It depends on the scheme and the perturbation only, not on z or on the
     truncation depth, so one build serves every point of an instance.
     """
-    return Homography(perturbation_transfer(scheme, k, kp, mu, nu).cofactor_matrix())
+    return Homography(perturbation_transfer(scheme, perturbation).cofactor_matrix())
 
 
-def spectral_residual(scheme, k=None, kp=None, mu=None, nu=None, z=0, depth=None,
-                      transform=None):
+def spectral_residual(scheme, perturbation, depth, z, transform=None):
     """R_depth(z; mu,nu) - apply(cof(S), R_depth(z)) at matched truncation.
 
     Exactly zero (exact z) whenever depth >= max(k, kp) + 1.  Poles of either
     convergent propagate as PoleError.  `transform` is the instance's
     spectral_transform when the caller has already built it.
     """
-    pert = Perturbation(k=k, mu=mu, kp=kp, nu=nu)
-    level = pert.max_level()
-    if depth is None or depth < level + 1:
+    level = (perturbation or Perturbation.none()).max_level()
+    if depth < level + 1:
         raise ValueError("matched truncation needs depth >= max perturbation level + 1")
     if transform is None:
-        transform = spectral_transform(scheme, k, kp, mu, nu)
-    lhs = convergent(CFracSpec(scheme, pert), depth, z)
-    rhs = transform.apply(convergent(CFracSpec(scheme, None), depth, z), z)
+        transform = spectral_transform(scheme, perturbation)
+    lhs = convergent(scheme, perturbation, depth, z)
+    rhs = transform.apply(convergent(scheme, None, depth, z), z)
     return lhs - rhs
 
 
-def spectral_gap(scheme, k=None, kp=None, mu=None, nu=None, z=0.0,
-                 depth_perturbed=8, depth_plain=8):
+def spectral_gap(scheme, perturbation, depth_perturbed, depth_plain, z):
     """|R(z;mu,nu) at one depth - transformed R(z) at another| as a float.
 
     Exact at the point z stores, rounded once; a pole on either side gives inf.
     Diagnostic for unmatched truncations: decreases toward 0 as both depths
     grow (the limit functions satisfy the transformation identity).
     """
-    pert = Perturbation(k=k, mu=mu, kp=kp, nu=nu)
-    transform = spectral_transform(scheme, k, kp, mu, nu)
+    transform = spectral_transform(scheme, perturbation)
     x = exact_point(z)
     try:
-        lhs = convergent(CFracSpec(scheme, pert), depth_perturbed, x)
-        rhs = transform.apply(convergent(CFracSpec(scheme, None), depth_plain, x), x)
+        lhs = convergent(scheme, perturbation, depth_perturbed, x)
+        rhs = transform.apply(convergent(scheme, None, depth_plain, x), x)
     except PoleError:
         return math.inf
     return abs(complex(lhs - rhs))
@@ -270,6 +257,6 @@ def lemma2_residual(scheme, kp, n, z):
     if n < kp + 1:
         raise ValueError("needs n >= kp + 1")
     g = weight_term(scheme, Perturbation.none(), kp + 1, z)
-    tail = tail_convergent(scheme, kp, n - kp - 1, z)
+    tail = tail_convergent(scheme, None, kp, n - kp - 1, z)
     h = Homography(f_matrix(scheme, None, kp))
-    return g * tail - h.apply(convergent(CFracSpec(scheme, None), n, z), z)
+    return g * tail - h.apply(convergent(scheme, None, n, z), z)

@@ -25,7 +25,7 @@ from .density import lagrange_density, sample_density, spline_density
 from .errors import RiiError
 from .exact import integer, rational
 from .integrands import parse_integrand
-from .quadrature import TOL_IMAG, build_rule, estimate, real_zeros
+from .quadrature import TOL_IMAG, build_rule, estimate, real_zeros, require_degree
 from .schemes import CoefficientScheme, Perturbation, cauchy_scheme
 from .sequences import gen_first_kind, gen_second_kind
 from .suites import SUITES, run_suite
@@ -174,7 +174,7 @@ def _cmd_poly(args):
 def _cmd_zeros(args):
     scheme = _load_scheme(args.scheme)
     pert = _perturbation_from_args(args)
-    poly = gen_first_kind(scheme, pert, args.n)[args.n]
+    poly = require_degree(gen_first_kind(scheme, pert, args.n)[args.n], args.n)
     zeros = real_zeros(poly, tol_imag=args.tol_imag)
     _emit(args.out, args.precision, {"n": args.n, "zeros": zeros}, ("j", "zero"),
           [{"j": j + 1, "zero": z} for j, z in enumerate(zeros)],

@@ -38,7 +38,7 @@ from fractions import Fraction
 from .errors import SingularReductionError
 from .exact import rational
 from .poly import Poly
-from .schemes import CoefficientScheme, Perturbation
+from .schemes import CoefficientScheme
 from .sequences import eval_recurrence_at, gen_first_kind
 from .transfer import structural_residual
 
@@ -113,10 +113,9 @@ def mobius_check(scheme, params, n, x):
     return lhs, rhs
 
 
-def coprl_structural(oprl, k=None, kp=None, mu=None, nu=None, n=0, x=0):
+def coprl_structural(oprl, perturbation, n, x):
     """Structural residual pair on a reduced scheme (delegates; zero in exact mode)."""
-    pert = Perturbation(k=k, mu=mu, kp=kp, nu=nu)
-    return structural_residual(oprl, pert, n, rational(x))
+    return structural_residual(oprl, perturbation, n, rational(x))
 
 
 # --- monic, shifted-index convention ---------------------------------------

@@ -124,11 +124,11 @@ class Poly:
     # --- constructors -------------------------------------------------
     @staticmethod
     def zero():
-        return Poly(())
+        return _ZERO
 
     @staticmethod
     def one():
-        return Poly((1,))
+        return _ONE
 
     @staticmethod
     def x():
@@ -205,7 +205,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             if not self._nums or not other._nums:
-                return Poly(())
+                return _ZERO
             if self._den is None or other._den is None:
                 return Poly(_convolve(self.coeffs, other.coeffs, Fraction(0)))
             return _make(_convolve(self._nums, other._nums, 0),
@@ -224,7 +224,7 @@ class Poly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        out = Poly.one()
+        out = _ONE
         base = self
         while n:
             if n & 1:
@@ -372,6 +372,12 @@ class Poly:
             else:
                 parts.append("%s*x^%d" % (c, j))
         return " + ".join(parts)
+
+
+# Poly is immutable (`_fixed` is a cache, set only from degree
+# ENCLOSE_MIN_DEGREE up), so one instance of each constant serves every caller.
+_ZERO = _make([], 1)
+_ONE = _make([1], 1)
 
 
 def _as_poly(value):

@@ -85,7 +85,7 @@ def _has_nonreal_ratio(poly):
                for c in poly.coeffs)
 
 
-def _roots_with_diagnostics(poly, dpoly, tol_imag):
+def _polished_zeros(poly, dpoly, tol_imag):
     import numpy as np   # only root finding needs it: other commands start without it
 
     if poly.degree < 1:
@@ -94,7 +94,7 @@ def _roots_with_diagnostics(poly, dpoly, tol_imag):
     raw = np.roots(coeffs[::-1])
     complex_pairs = []
     accepted = []
-    near_real = []
+    near_real = []       # accepted roots with a tiny nonzero Im part
     for r in raw:
         r = complex(r)
         if abs(r.imag) > tol_imag * (1.0 + abs(r.real)):
@@ -102,12 +102,11 @@ def _roots_with_diagnostics(poly, dpoly, tol_imag):
         else:
             accepted.append(r.real)
             if r.imag != 0.0:
-                near_real.append((r.real, r.imag))
+                near_real.append(r)
     if complex_pairs:
         raise ComplexZerosError(sorted(complex_pairs, key=lambda v: (v.real, v.imag)))
     if any(isinstance(c, complex) for c in coeffs) and _has_nonreal_ratio(poly):
-        raise ComplexZerosError(sorted((complex(x, y) for x, y in near_real),
-                                       key=lambda v: (v.real, v.imag)))
+        raise ComplexZerosError(sorted(near_real, key=lambda v: (v.real, v.imag)))
 
     magnitudes = [abs(c) for c in coeffs]
     polished = []
@@ -133,7 +132,7 @@ def _roots_with_diagnostics(poly, dpoly, tol_imag):
                 "root polish failed near x = %.17g (residual above tolerance)" % x)
         polished.append(x)
     polished.sort()
-    return polished, near_real
+    return polished
 
 
 def real_zeros(poly, tol_imag=TOL_IMAG):
@@ -146,8 +145,20 @@ def real_zeros(poly, tol_imag=TOL_IMAG):
     if not (math.isfinite(tol_imag) and tol_imag >= 0):
         raise ValueError("the imaginary-part tolerance must be finite and >= 0, got %r"
                          % (tol_imag,))
-    roots, _ = _roots_with_diagnostics(poly, poly.derivative(), tol_imag)
-    return roots
+    return _polished_zeros(poly, poly.derivative(), tol_imag)
+
+
+def require_degree(poly, n):
+    """poly, which must be P*_n of degree n; else DegeneracyError naming both.
+
+    A co-dilation can cancel the leading coefficient of P*_n (k' = 1,
+    nu = 12/5 at n = 6 leaves degree 4), and then no n-point rule exists.
+    """
+    if poly.degree != n:
+        raise DegeneracyError(
+            "the leading coefficient of P*_%d vanishes: it has degree %d, not %d"
+            % (n, poly.degree, n))
+    return poly
 
 
 def calibrate_m0(scheme, n):
@@ -239,33 +250,32 @@ class QuadratureRule:
     weights: tuple
     perturbation: object
     m0: Fraction
-    complex_flag: tuple = ()  # (re, im) of accepted roots that had tiny Im parts
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
             raise DegeneracyError("nodes must be strictly increasing")
 
 
-def build_rule(scheme, perturbation=None, n=1, m0=None):
+def build_rule(scheme, perturbation, n, m0=None):
     """Construct the n-point rule: the perturbed zeros, weighed by M_0 Q*_n/P*_n'.
 
     m0 defaults to the calibrated mass constant; m0=1 gives the raw ratios.
     Raises ComplexZerosError when the perturbed polynomial leaves the real
-    line (the rule does not exist), DegeneracyError on vanishing weight
-    denominators.
+    line (the rule does not exist), DegeneracyError when P*_n has degree
+    below n or a weight denominator vanishes.
     """
     if n < 1:
         raise ValueError("a rule needs n >= 1 nodes, got %d" % n)
     pert = perturbation or Perturbation.none()
     p, q = gen_both_kinds(scheme, pert, n)
-    dp = p[n].derivative()
-    nodes, near_real = _roots_with_diagnostics(p[n], dp, TOL_IMAG)
+    dp = require_degree(p[n], n).derivative()
+    nodes = _polished_zeros(p[n], dp, TOL_IMAG)
     if m0 is None:
         m0 = calibrate_m0(scheme, n)
     weights = weights_second_kind(nodes, m0, q[n], dp)
     return QuadratureRule(
         n=n, nodes=tuple(nodes), weights=tuple(weights), perturbation=pert,
-        m0=Fraction(m0), complex_flag=tuple(near_real),
+        m0=Fraction(m0),
     )
 
 

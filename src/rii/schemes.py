@@ -28,8 +28,7 @@ import json
 from fractions import Fraction
 
 from .errors import PerturbationError, SchemeIndexError
-from .exact import (GaussianRational, exact_point, format_rational, integer, rational,
-                    rounded, simplify_scalar)
+from .exact import GaussianRational, format_rational, integer, rational
 from .poly import Poly
 
 
@@ -143,13 +142,9 @@ class CoefficientScheme:
         return weight
 
     def weight_at(self, n, z):
-        """W_n(z) without building a general-form Poly; a float or complex z
-        gives the exact value at the point it stores, rounded once."""
-        if self._weight is not None:
-            return self._weight(z)
-        a, b = self.nodes(n)
-        x = exact_point(z)
-        return rounded(simplify_scalar((x - a) * (x - b)), z)
+        """W_n(z); a float or complex z gives the exact value at the point it
+        stores, rounded once."""
+        return self.weight_poly(n)(z)
 
     # --- serialization ------------------------------------------------
     def to_dict(self):

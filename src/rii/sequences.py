@@ -156,12 +156,12 @@ def _rational_family(scheme, pert, kind, shift, n, z):
     return [Fraction(v, d) for v, d in zip(values, dens)]
 
 
-def gen_first_kind(scheme, perturbation=None, n=0):
+def gen_first_kind(scheme, perturbation, n):
     """P_0..P_n of the (optionally perturbed) recurrence."""
     return tuple(_family(scheme, perturbation, "first", 0, n))
 
 
-def gen_second_kind(scheme, perturbation=None, n=1):
+def gen_second_kind(scheme, perturbation, n):
     """Q_0..Q_n (Q_0 = 0, Q_1 = 1); deg Q_n = n - 1.
 
     The recurrence's step 0 is never executed for this family, so a
@@ -170,7 +170,7 @@ def gen_second_kind(scheme, perturbation=None, n=1):
     return tuple(_family(scheme, perturbation, "second", 0, n))
 
 
-def gen_both_kinds(scheme, perturbation=None, n=1):
+def gen_both_kinds(scheme, perturbation, n):
     """(P_0..P_n, Q_0..Q_n): both families iterated over one list of step terms."""
     pert = perturbation or Perturbation.none()
     centers = [center_term(scheme, pert, m) for m in range(n)]

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cfrac import CFracSpec, singular_index, spectral_residual, spectral_transform
+from .cfrac import singular_index, spectral_residual, spectral_transform
 from .errors import PoleError
 from .oprl import MobiusParams, coprl_structural, corrected_vs_flawed, mobius_check, reduce_to_oprl
 from .poly import Poly
@@ -114,8 +114,8 @@ def suite_transfer(seed=0, instances=100, n_max=12):
         pert = random_perturbation(rng, rng.randint(1, n_max - 2), shapes[i % 3])
         m = pert.max_level()
         n = rng.randint(m, min(n_max, m + 3))
-        s = perturbation_transfer(scheme, pert.k, pert.kp, pert.mu, pert.nu)
-        entries = transfer_entries(scheme, pert.k, pert.kp, pert.mu, pert.nu)
+        s = perturbation_transfer(scheme, pert)
+        entries = transfer_entries(scheme, pert)
         if entries != s:
             _record(failures, instance=i, scheme=scheme.to_dict(),
                     perturbation=pert.to_dict(), kind="entry-construction")
@@ -147,16 +147,14 @@ def suite_spectral(seed=0, instances=25, z_count=20, n_max=8):
         scheme = random_scheme(rng, n_max + 8)
         pert = random_perturbation(rng, rng.randint(1, n_max), shapes[i % 3])
         depth = pert.max_level() + 1 + rng.randint(0, 2)
-        transform = spectral_transform(scheme, pert.k, pert.kp, pert.mu, pert.nu)
+        transform = spectral_transform(scheme, pert)
         hits = 0
         attempts = 0
         while hits < z_count and attempts < 40 * z_count:
             attempts += 1
             z = random_rational(rng, low=-9, high=9, max_den=7)
             try:
-                residual = spectral_residual(scheme, k=pert.k, kp=pert.kp,
-                                             mu=pert.mu, nu=pert.nu,
-                                             z=z, depth=depth, transform=transform)
+                residual = spectral_residual(scheme, pert, depth, z, transform)
             except PoleError:
                 continue
             hits += 1
@@ -166,7 +164,7 @@ def suite_spectral(seed=0, instances=25, z_count=20, n_max=8):
                         perturbation=pert.to_dict(), z=str(z), depth=depth,
                         residual=str(residual))
         if hits < z_count:
-            singular = {label: singular_index(CFracSpec(scheme, p), depth)
+            singular = {label: singular_index(scheme, p, depth)
                         for label, p in (("perturbed", pert), ("plain", None))}
             if any(index is not None for index in singular.values()):
                 _record(skipped, instance=i, kind="singular-denominator",
@@ -226,8 +224,7 @@ def suite_oprl(seed=0, instances=50, n_max=8):
             continue
 
         pert = random_perturbation(rng, n)
-        residuals = coprl_structural(reduced, k=pert.k, kp=pert.kp,
-                                     mu=pert.mu, nu=pert.nu, n=n, x=x)
+        residuals = coprl_structural(reduced, pert, n, x)
         if residuals[0] != 0 or residuals[1] != 0:
             _record(failures, instance=i, kind="structural",
                     perturbation=pert.to_dict(), n=n, x=str(x))

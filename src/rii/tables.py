@@ -86,7 +86,7 @@ def _perturbation_from_row(row, shift=0):
     )
 
 
-def estimate_cell(scheme, n, perturbation=None, m0=None):
+def estimate_cell(scheme, perturbation, n, m0):
     """One table cell: the n-point rule applied to the tables' integrand, example3."""
     return estimate(build_rule(scheme, perturbation, n, m0=m0),
                     BUILTINS["example3"].evaluator)
@@ -124,7 +124,7 @@ def reproduce_table(table_id):
             "paper_value": raw["ref"],
         }
         try:
-            value = estimate_cell(scheme, int(raw["n"]), pert, m0=m0)
+            value = estimate_cell(scheme, pert, int(raw["n"]), m0)
         except ComplexZerosError:
             flagged += 1
             out["I_star"] = ""
@@ -183,7 +183,7 @@ def order_flip_experiment(scheme, pairs, n):
 
     def cell(k, mu, kp, nu):
         pert = Perturbation.both(k, mu, kp, nu)
-        value = estimate_cell(scheme, n, pert, m0=m0)
+        value = estimate_cell(scheme, pert, n, m0)
         return {"k": k, "mu": mu, "kp": kp, "nu": nu,
                 "I_star": value, "dev": abs(value - E_REFERENCE)}
 

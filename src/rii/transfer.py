@@ -73,14 +73,15 @@ def lambda_weight_product(scheme, perturbation, upto):
     return out
 
 
-def perturbation_transfer(scheme, k=None, kp=None, mu=None, nu=None):
+def perturbation_transfer(scheme, perturbation):
     """The transfer matrix S of the perturbation, at level m = max(k, kp).
 
     Built as F_{m+1}(mu,nu)^T @ adj(F_{m+1})^T, which is exact for either
     order of k and kp and for the same-level case.  The identity perturbation
-    yields prod lambda_j W_j * I (the empty perturbation: the identity matrix).
+    yields prod lambda_j W_j * I (the empty perturbation, None: the identity
+    matrix).
     """
-    pert = Perturbation(k=k, mu=mu, kp=kp, nu=nu)
+    pert = perturbation or Perturbation.none()
     m = pert.max_level()
     if m < 0:
         return PolyMatrix2.identity()
@@ -89,7 +90,7 @@ def perturbation_transfer(scheme, k=None, kp=None, mu=None, nu=None):
     return shifted.transpose() @ plain.adjugate().transpose()
 
 
-def transfer_entries(scheme, k=None, kp=None, mu=None, nu=None):
+def transfer_entries(scheme, perturbation):
     """S assembled from the polynomial sequences per the structural theorems.
 
     With m = max(k, kp), writes the top entries through one perturbed
@@ -101,7 +102,7 @@ def transfer_entries(scheme, k=None, kp=None, mu=None, nu=None):
     where ° marks the sequence perturbed only below m and * the value after
     the level-m step.  Cross-checks perturbation_transfer entry by entry.
     """
-    pert = Perturbation(k=k, mu=mu, kp=kp, nu=nu)
+    pert = perturbation or Perturbation.none()
     m = pert.max_level()
     if m < 0:
         return PolyMatrix2.identity()
@@ -165,8 +166,7 @@ def _structural_value(scheme, pert, kind, n, z):
             jump = jump - (pert.nu - 1) * scheme.lam(level) * w * below[level - 1]
         value = value + jump * _association_value(scheme, level, n, z)
         if idx + 1 < len(events):
-            lower = Perturbation(k=pert.k, mu=pert.mu) if tag == "corec" \
-                else Perturbation(kp=pert.kp, nu=pert.nu)
+            lower = pert.corec_only() if tag == "corec" else pert.codil_only()
             below = eval_sequence_at(scheme, lower, kind, events[idx + 1][1], z)
     return value
 
@@ -195,7 +195,7 @@ def transfer_residual(scheme, perturbation, n, z):
     if n < m:
         raise ValueError("transfer identity needs n >= max perturbation level")
     kappa = lambda_weight_product(scheme, None, m)(z)
-    s = perturbation_transfer(scheme, pert.k, pert.kp, pert.mu, pert.nu)
+    s = perturbation_transfer(scheme, pert)
     (s11, s12), (s21, s22) = s.eval_at(z)
 
     p = eval_sequence_at(scheme, None, "first", n + 1, z)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rii import (
-    CFracSpec,
     Perturbation,
     PoleError,
     cauchy_scheme,
@@ -31,19 +30,19 @@ def test_convergent_equals_qn_over_pn(cauchy):
     p = eval_sequence_at(cauchy, None, "first", 8, z)
     q = eval_sequence_at(cauchy, None, "second", 8, z)
     for depth in range(1, 9):
-        assert convergent(CFracSpec(cauchy), depth, z) == q[depth] / p[depth]
-    assert convergent(CFracSpec(cauchy), 0, z) == 0
+        assert convergent(cauchy, None, depth, z) == q[depth] / p[depth]
+    assert convergent(cauchy, None, 0, z) == 0
 
 
 def test_convergent_pole_is_detected(cauchy):
     # P_2 = (3z^2-1)/4 vanishes at z = 1/sqrt(3); rational z with P_1(z) = 0
     # is z = 0 (P_1 = z), a pole of the depth-1 convergent's denominator
     with pytest.raises(PoleError):
-        convergent(CFracSpec(cauchy), 1, Fraction(0))
+        convergent(cauchy, None, 1, Fraction(0))
     # float path returns a signed infinity instead
     import math
 
-    assert math.isinf(convergent(CFracSpec(cauchy), 1, 0.0))
+    assert math.isinf(convergent(cauchy, None, 1, 0.0))
 
 
 def test_zero_partial_numerator_truncates(cauchy):
@@ -53,34 +52,32 @@ def test_zero_partial_numerator_truncates(cauchy):
 
     scheme = CoefficientScheme.general(1, 0, 1, nodes=[(2, -1)] * 8)
     z = Fraction(2)  # W_n(2) = 0 for every n
-    value = convergent(CFracSpec(scheme), 5, z)
-    assert value == convergent(CFracSpec(scheme), 1, z)
+    value = convergent(scheme, None, 5, z)
+    assert value == convergent(scheme, None, 1, z)
 
 
 def test_tail_convergent_shifts_indices(cauchy):
     z = Fraction(5, 3)
-    assert tail_convergent(cauchy, -1, 4, z) == convergent(CFracSpec(cauchy), 4, z)
-    assert tail_convergent(cauchy, 2, 0, z) == 0
+    assert tail_convergent(cauchy, None, -1, 4, z) == convergent(cauchy, None, 4, z)
+    assert tail_convergent(cauchy, None, 2, 0, z) == 0
     with pytest.raises(ValueError):
-        tail_convergent(cauchy, -2, 1, z)
+        tail_convergent(cauchy, None, -2, 1, z)
 
 
 def test_lemma1_maps_tail_to_perturbed_fraction(cauchy):
     k, kp = 1, 3
     mu, nu = Fraction(1, 5), Fraction(7, 6)
-    h = lemma1_matrix(cauchy, k=k, kp=kp, mu=mu, nu=nu)
-    from rii import Perturbation
-
     pert = Perturbation.both(k, mu, kp, nu)
+    h = lemma1_matrix(cauchy, pert)
     z = Fraction(4, 3)
     for n in range(kp + 1, kp + 5):
-        lhs = convergent(CFracSpec(cauchy, pert), n, z)
-        tail = tail_convergent(cauchy, kp, n - kp - 1, z)
+        lhs = convergent(cauchy, pert, n, z)
+        tail = tail_convergent(cauchy, None, kp, n - kp - 1, z)
         assert lhs == h.apply(tail, z)
     with pytest.raises(ValueError):
-        lemma1_matrix(cauchy, k=4, kp=2, mu=mu, nu=nu)
+        lemma1_matrix(cauchy, Perturbation.both(4, mu, 2, nu))
     with pytest.raises(ValueError):
-        lemma1_matrix(cauchy)
+        lemma1_matrix(cauchy, None)
 
 
 def test_lemma2_residual_vanishes(cauchy):
@@ -94,25 +91,24 @@ def test_lemma2_residual_vanishes(cauchy):
 
 def test_spectral_residual_matched_truncation(cauchy):
     cases = (
-        {"k": 0, "mu": Fraction(1, 10)},
-        {"kp": 2, "nu": Fraction(5, 4)},
-        {"k": 1, "mu": Fraction(-1, 3), "kp": 3, "nu": Fraction(2, 3)},
+        Perturbation.corec(0, Fraction(1, 10)),
+        Perturbation.codil(2, Fraction(5, 4)),
+        Perturbation.both(1, Fraction(-1, 3), 3, Fraction(2, 3)),
     )
-    for kwargs in cases:
-        level = max(v for key, v in kwargs.items() if key in ("k", "kp"))
+    for pert in cases:
+        level = pert.max_level()
         for depth in (level + 1, level + 3):
-            r = spectral_residual(cauchy, z=Fraction(5, 2), depth=depth, **kwargs)
+            r = spectral_residual(cauchy, pert, depth, Fraction(5, 2))
             assert r == 0
     with pytest.raises(ValueError):
-        spectral_residual(cauchy, k=2, mu=Fraction(1, 2), z=Fraction(1), depth=1)
+        spectral_residual(cauchy, Perturbation.corec(2, Fraction(1, 2)), 1, Fraction(1))
 
 
 def test_spectral_gap_shrinks_with_depth(cauchy):
     # off the real axis the convergents actually converge; on the axis
     # (inside the support) they oscillate and the gap is meaningless
-    gaps = [spectral_gap(cauchy, k=1, mu=Fraction(1, 4), z=0.7 + 0.6j,
-                         depth_perturbed=d, depth_plain=25)
-            for d in (4, 10, 18)]
+    pert = Perturbation.corec(1, Fraction(1, 4))
+    gaps = [spectral_gap(cauchy, pert, d, 25, 0.7 + 0.6j) for d in (4, 10, 18)]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 1e-4
 
@@ -122,37 +118,34 @@ def test_spectral_transform_is_built_once_and_reused():
     for _ in range(6):
         scheme = random_scheme(rng, 12)
         pert = random_perturbation(rng, 4)
-        args = (scheme, pert.k, pert.kp, pert.mu, pert.nu)
-        transform = spectral_transform(*args)
-        assert transform.matrix == perturbation_transfer(*args).cofactor_matrix()
+        transform = spectral_transform(scheme, pert)
+        assert transform.matrix == perturbation_transfer(scheme, pert).cofactor_matrix()
         depth = pert.max_level() + 2
         for z in (Fraction(7, 3), Fraction(-5, 2), Fraction(9)):
-            kwargs = dict(k=pert.k, kp=pert.kp, mu=pert.mu, nu=pert.nu, z=z, depth=depth)
             try:
-                fresh = spectral_residual(scheme, **kwargs)
+                fresh = spectral_residual(scheme, pert, depth, z)
             except PoleError:
                 with pytest.raises(PoleError):
-                    spectral_residual(scheme, transform=transform, **kwargs)
+                    spectral_residual(scheme, pert, depth, z, transform)
                 continue
-            assert fresh == spectral_residual(scheme, transform=transform, **kwargs) == 0
+            assert fresh == spectral_residual(scheme, pert, depth, z, transform) == 0
 
 
-def _fraction_continuants(spec, depth, z):
+def _fraction_continuants(scheme, pert, start, depth, z):
     """The level loop of `_continuants` on Fraction values, without integer
     scaling: (U_0, U_1), or PoleError at the index of a vanishing denominator."""
-    pert = spec.pert()
     lower, upper = Fraction(0), Fraction(1)
     for j in range(depth - 1, -1, -1):
-        a = weight_term(spec.scheme, pert, spec.start + j + 1, z) if j < depth - 1 else 0
-        b = center_term(spec.scheme, pert, spec.start + j, z)
+        a = weight_term(scheme, pert, start + j + 1, z) if j < depth - 1 else 0
+        b = center_term(scheme, pert, start + j, z)
         if a == 0:
             lower, upper = Fraction(1), b
         else:
             if upper == 0:
-                raise PoleError(spec.start + j + 1)
+                raise PoleError(start + j + 1)
             lower, upper = upper, b * upper - a * lower
     if upper == 0:
-        raise PoleError(spec.start)
+        raise PoleError(start)
     return upper, lower
 
 
@@ -168,17 +161,16 @@ def test_continuants_on_integers_match_fraction_reference(seed, kind, shape, sta
     rng = random.Random(seed)
     scheme = random_scheme(rng, 16, kind)
     pert = random_perturbation(rng, 6, shape) if shape else Perturbation.none()
-    spec = CFracSpec(scheme, pert, start)
     try:
-        u0, u1 = _fraction_continuants(spec, depth, z)
+        u0, u1 = _fraction_continuants(scheme, pert, start, depth, z)
     except PoleError as exc:
         with pytest.raises(PoleError) as raised:
-            _continuants(spec, depth, z)
+            _continuants(scheme, pert, start, depth, z)
         assert raised.value.index == exc.index
         return
-    v0, v1 = _continuants(spec, depth, z)
+    v0, v1 = _continuants(scheme, pert, start, depth, z)
     assert Fraction(v1, v0) == u1 / u0
-    assert convergent(spec, depth, z) == u1 / u0
+    assert tail_convergent(scheme, pert, start - 1, depth, z) == u1 / u0
 
 
 @settings(max_examples=100, deadline=None)
@@ -191,7 +183,7 @@ def test_homography_on_integers_matches_fraction_values(seed, u, z, at_pole):
     rng = random.Random(seed)
     scheme = random_scheme(rng, 12)
     pert = random_perturbation(rng, 4)
-    transform = spectral_transform(scheme, pert.k, pert.kp, pert.mu, pert.nu)
+    transform = spectral_transform(scheme, pert)
     (a, b), (c, d) = transform.matrix.eval_at(z)
     if at_pole and c != 0:
         u = -d / c

@@ -272,6 +272,9 @@ def test_malformed_config_exits_one(tmp_path, capsys, document):
     ("poly", "--n", "2", "--scheme", '{"rho": 1, "c": Infinity, "lambda": 1}'),
     ("zeros", "--n", "18", "--nu", "2.12", "--tol-imag", "nan"),
     ("zeros", "--n", "4", "--tol-imag", "-1"),
+    # the leading coefficient of P*_n vanishes: degree 4 at n = 6, 0 at n = 2
+    ("quad", "--n", "6", "--nu", "12/5"),
+    ("zeros", "--n", "2", "--nu", "4"),
 ])
 def test_domain_failures_exit_one_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

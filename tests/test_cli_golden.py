@@ -1,10 +1,12 @@
-"""Byte-for-byte CLI output against files recorded in tests/golden/.
+"""Byte-for-byte CLI and demo output against files recorded in tests/golden/.
 
 Each case runs `rii` in-process and compares its stdout with
 tests/golden/<case>.out.  The cases cover every subcommand in every --out
 format at the default precision, nested float rounding in JSON at
 --precision 3, and `quad --config`.  --precision 17 is left out on purpose:
-its last digits can differ between LAPACK builds.
+its last digits can differ between LAPACK builds.  The exact demos 01 and 02
+run the same way against tests/golden/demo-<name>.out, with the suite
+timings demo 02 prints masked.
 
 To re-record after a deliberate output change:
 
@@ -13,6 +15,8 @@ To re-record after a deliberate output change:
 
 import contextlib
 import io
+import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -21,6 +25,9 @@ from rii.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
 CONFIG = str(GOLDEN / "experiment.json")
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+DEMO_CASES = ("01_recurrence_basics", "02_identity_checks")
+TIMING = re.compile(r"\(\d+\.\d+s\)")
 
 POLY = ("poly", "--n", "3", "--kind", "both", "--mu", "1/10", "--k", "1")
 ZEROS = ("zeros", "--n", "5", "--nu", "1.004", "--kp", "2")
@@ -64,11 +71,25 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _run_demo(name):
+    """The demo's stdout with every printed suite time replaced by (<s>)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(DEMOS / ("%s.py" % name)), run_name="__main__")
+    return TIMING.sub("(<s>)", out.getvalue())
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     code, out, err = _run(CASES[name])
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / ("%s.out" % name)).read_bytes()
+
+
+@pytest.mark.parametrize("name", DEMO_CASES)
+def test_demo_output_matches_golden(name):
+    out = _run_demo(name)
+    assert out.encode("utf-8") == (GOLDEN / ("demo-%s.out" % name)).read_bytes()
 
 
 if __name__ == "__main__":
@@ -77,3 +98,5 @@ if __name__ == "__main__":
         if code != 0 or err:
             raise SystemExit("%s: exit %s, %s" % (name, code, err))
         (GOLDEN / ("%s.out" % name)).write_bytes(out.encode("utf-8"))
+    for name in DEMO_CASES:
+        (GOLDEN / ("demo-%s.out" % name)).write_bytes(_run_demo(name).encode("utf-8"))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from rii import (CoefficientScheme, GaussianRational, Perturbation, PoleError, cauchy_scheme,
                  eval_recurrence_at, eval_sequence_at, gen_first_kind, spectral_gap)
-from rii.cfrac import CFracSpec, convergent, spectral_transform
+from rii.cfrac import convergent, spectral_transform, tail_convergent
 from rii.exact import exact_point, rounded
 from rii.suites import random_perturbation, random_rational, random_scheme
 
@@ -77,17 +77,17 @@ def test_float_and_complex_results_are_the_exact_value_rounded_once(seed, kind, 
             same(got, exact)
     same(scheme.weight_at(n + 1, z), scheme.weight_at(n + 1, x))
     same(gen_first_kind(scheme, pert, n)[n](z), gen_first_kind(scheme, pert, n)[n](x))
-    spec = CFracSpec(scheme, pert, start=rng.randint(0, 2))
+    kp = rng.randint(0, 2) - 1
     try:
-        exact = convergent(spec, n, x)
+        exact = tail_convergent(scheme, pert, kp, n, x)
     except PoleError:
         return   # a nested denominator vanishes at the point z stores
-    same(convergent(spec, n, z), exact)
+    same(tail_convergent(scheme, pert, kp, n, z), exact)
 
 
 def test_complex_zero_no_longer_raises():
-    assert _bits(convergent(CFracSpec(cauchy_scheme()), 2, 0j)) == _bits(0j)
-    gap = spectral_gap(cauchy_scheme(), k=1, mu=1, z=0j, depth_perturbed=3, depth_plain=3)
+    assert _bits(convergent(cauchy_scheme(), None, 2, 0j)) == _bits(0j)
+    gap = spectral_gap(cauchy_scheme(), Perturbation.corec(1, 1), 3, 3, 0j)
     assert gap == math.inf   # the plain depth-3 convergent has a pole at 0
 
 
@@ -95,8 +95,8 @@ def test_spectral_gap_is_the_exact_gap_rounded_once():
     # demo 02's deepest gap: both sides exact at the point z stores
     scheme, z = cauchy_scheme(), 0.7 + 0.6j
     x = exact_point(z)
-    pert = dict(k=1, mu=Fraction(1, 4))
-    lhs = convergent(CFracSpec(scheme, Perturbation(**pert)), 18, x)
-    rhs = spectral_transform(scheme, **pert).apply(convergent(CFracSpec(scheme), 25, x), x)
-    gap = spectral_gap(scheme, z=z, depth_perturbed=18, depth_plain=25, **pert)
+    pert = Perturbation.corec(1, Fraction(1, 4))
+    lhs = convergent(scheme, pert, 18, x)
+    rhs = spectral_transform(scheme, pert).apply(convergent(scheme, None, 25, x), x)
+    gap = spectral_gap(scheme, pert, 18, 25, z)
     assert gap == abs(complex(lhs - rhs)) == 1.0643845385383006e-06

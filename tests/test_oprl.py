@@ -8,6 +8,7 @@ import pytest
 from rii import (
     CoefficientScheme,
     MobiusParams,
+    Perturbation,
     Poly,
     SingularReductionError,
     coprl_structural,
@@ -78,10 +79,10 @@ def test_mobius_check_is_an_equality():
 
 def test_coprl_structural_residuals_vanish():
     reduced = reduce_to_oprl(pinned_scheme(), pinned_params(), 12)
-    for kwargs in ({"k": 0, "mu": Fraction(1, 3)},
-                   {"kp": 2, "nu": Fraction(3, 2)},
-                   {"k": 1, "mu": Fraction(-2, 5), "kp": 4, "nu": Fraction(1, 2)}):
-        r1, r2 = coprl_structural(reduced, n=7, x=Fraction(2, 3), **kwargs)
+    for pert in (Perturbation.corec(0, Fraction(1, 3)),
+                 Perturbation.codil(2, Fraction(3, 2)),
+                 Perturbation.both(1, Fraction(-2, 5), 4, Fraction(1, 2))):
+        r1, r2 = coprl_structural(reduced, pert, 7, Fraction(2, 3))
         assert r1 == 0 and r2 == 0
 
 

@@ -224,3 +224,14 @@ def test_zero_weights_are_positive_zero(cauchy):
     # float(Fraction(0)) is +0.0 whatever the sign of the denominator
     rule = build_rule(cauchy, None, 5, m0=0)
     assert [math.copysign(1.0, w) for w in rule.weights] == [1.0] * 5
+
+
+def test_degree_drop_raises_naming_the_degree(cauchy):
+    # k' = 1, nu = 12/5: L_6 = (nu + (2 - nu) 6) / 2^6 = 0, so P*_6 has degree 4;
+    # nu = 4: P*_2 = x^2 - 4 (x^2 + 1)/4 is the constant -1
+    for nu, n, degree in (Fraction(12, 5), 6, 4), (Fraction(4), 2, 0):
+        pert = Perturbation.codil(1, nu)
+        assert gen_first_kind(cauchy, pert, n)[n].degree == degree
+        message = "P\\*_%d vanishes: it has degree %d, not %d" % (n, degree, n)
+        with pytest.raises(DegeneracyError, match=message):
+            build_rule(cauchy, pert, n)

@@ -13,7 +13,7 @@ from rii import (
     cauchy_scheme,
     spectral_gap,
 )
-from rii.cfrac import CFracSpec, convergent
+from rii.cfrac import convergent
 from rii.sequences import eval_recurrence_at
 
 
@@ -62,11 +62,11 @@ def test_gaussian_nodes_evaluate_at_float_and_complex_z(cauchy):
             got = eval_recurrence_at(general, pert, kind, 6, z)
             want = eval_recurrence_at(cauchy, pert, kind, 6, z)
             assert abs(got - want) <= 1e-15 * abs(want)
-        got = convergent(CFracSpec(general, pert), 6, z)
-        want = convergent(CFracSpec(cauchy, pert), 6, z)
+        got = convergent(general, pert, 6, z)
+        want = convergent(cauchy, pert, 6, z)
         assert abs(got - want) <= 1e-15 * abs(want)
-    gaps = [spectral_gap(scheme, k=1, mu=Fraction(1, 10), kp=2, nu=Fraction(2),
-                         z=0.7 + 0.6j, depth_perturbed=12, depth_plain=11)
+    gaps = [spectral_gap(scheme, Perturbation.both(1, Fraction(1, 10), 2, Fraction(2)),
+                         12, 11, 0.7 + 0.6j)
             for scheme in (general, cauchy)]
     assert abs(gaps[0] - gaps[1]) <= 1e-12 * gaps[1]
 

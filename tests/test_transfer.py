@@ -68,19 +68,19 @@ def test_lambda_weight_product_is_unperturbed_for_none(cauchy):
 
 
 def test_transfer_entries_match_product_form(cauchy):
-    for kwargs in (
-        {"k": 2, "mu": Fraction(1, 3)},
-        {"kp": 3, "nu": Fraction(5, 4)},
-        {"k": 1, "mu": Fraction(-1, 2), "kp": 4, "nu": Fraction(1, 3)},
-        {"k": 2, "mu": Fraction(1, 7), "kp": 2, "nu": Fraction(9, 5)},
+    for pert in (
+        Perturbation.corec(2, Fraction(1, 3)),
+        Perturbation.codil(3, Fraction(5, 4)),
+        Perturbation.both(1, Fraction(-1, 2), 4, Fraction(1, 3)),
+        Perturbation.both(2, Fraction(1, 7), 2, Fraction(9, 5)),
     ):
-        assert transfer_entries(cauchy, **kwargs) == perturbation_transfer(cauchy, **kwargs)
+        assert transfer_entries(cauchy, pert) == perturbation_transfer(cauchy, pert)
 
 
 def test_transfer_identity_as_exact_polynomials(cauchy):
     pert = Perturbation.both(1, Fraction(2, 3), 3, Fraction(3, 2))
     m = pert.max_level()
-    s = perturbation_transfer(cauchy, k=pert.k, mu=pert.mu, kp=pert.kp, nu=pert.nu)
+    s = perturbation_transfer(cauchy, pert)
     kappa = lambda_weight_product(cauchy, None, m)
     for n in range(m, m + 4):
         lhs = f_matrix(cauchy, pert, n).transpose().scale(kappa)
@@ -126,4 +126,4 @@ def test_transfer_residual_rejects_small_n(cauchy):
 def test_identity_perturbation_gives_identity_matrix(cauchy):
     from rii import PolyMatrix2
 
-    assert perturbation_transfer(cauchy) == PolyMatrix2.identity()
+    assert perturbation_transfer(cauchy, None) == PolyMatrix2.identity()

@@ -15,10 +15,11 @@ Evaluation runs bottom-up on the fraction's continuants, so a vanishing
 denominator is detected at a specific coefficient index: exact z raises
 PoleError naming it.  A float or complex z is evaluated exactly and rounded
 once; an intermediate zero is absorbed and a zero final denominator gives +inf.
-At a rational z (a float's binary rational included) with real weights the
-continuants are integers: each level's two terms are scaled by the lcm of
-their denominators, and the convergent is one Fraction of two ints.  Gaussian
-points and non-real weights run on Fraction and GaussianRational values.
+The continuants come from one scaled loop over `sequences.cleared_terms`:
+each level's two terms are scaled by the lcm of their denominators at a
+rational z (a float's binary rational included) with a real weight, so the
+convergent is one Fraction of two ints there, and by 1 at every other level,
+which then runs on its Fraction or GaussianRational terms.
 
 Homographies u -> (a u + b)/(c u + d) with polynomial entries and nonzero
 determinant tie the perturbed fraction to the unperturbed one:
@@ -39,7 +40,7 @@ from .errors import PoleError
 from .exact import exact_point, rounded
 from .polymat import PolyMatrix2
 from .schemes import Perturbation
-from .sequences import center_term, cleared_terms, gen_both_kinds, weight_term
+from .sequences import cleared_terms, gen_both_kinds, weight_term
 from .transfer import f_matrix, perturbation_transfer
 
 
@@ -84,7 +85,7 @@ def singular_index(scheme, perturbation, depth):
     return None
 
 
-def _continuants(scheme, perturbation, s, depth, z=None, strict=True, clear=None):
+def _continuants(scheme, perturbation, s, depth, z=None, strict=True):
     """(U_0, U_1) with U_1/U_0 the convergent: Polys when z is None, else values.
 
     The fraction starts at coefficient index s.  With b, a the center and
@@ -93,30 +94,21 @@ def _continuants(scheme, perturbation, s, depth, z=None, strict=True, clear=None
     by a zero one raises PoleError(s+j).  A zero partial numerator (e.g.
     special form, z = +-i*omega) truncates there.
 
-    At a rational z with real terms the pair is two ints of the same ratio:
-    level j is scaled by t_j, the lcm of the denominators of b_{s+j} and
-    a_{s+j+1}, so V_j = (t_j b) V_{j+1} - (t_j t_{j+1} a) V_{j+2} holds
-    V_j = E_j U_j with E_j = t_j E_{j+1}, and U_1/U_0 = t_0 V_1/V_0.  Scaling
-    keeps every zero, so a pole raises at the same index.  A non-real term
-    reruns the level loop on Fraction and GaussianRational values.
+    Level j is scaled by t_j, the scale `cleared_terms` gives its two terms,
+    so V_j = (t_j b) V_{j+1} - (t_j t_{j+1} a) V_{j+2} holds V_j = E_j U_j
+    with E_j = t_j E_{j+1}, and U_1/U_0 = t_0 V_1/V_0.  At a rational z with
+    real terms the pair is two ints; a level with t_j = 1 runs on its exact
+    terms.  Scaling keeps every zero, so a pole raises at the same index.
     """
-    if clear is None:
-        clear = isinstance(z, (int, Fraction))
     pert = perturbation or Perturbation.none()
-    lower, upper = 0, 1                        # U_{j+2}, U_{j+1}
+    lower, upper = 0, 1                        # V_{j+2}, V_{j+1}
     scale = 1                                  # t_{j+1}
     for j in range(depth - 1, -1, -1):
         k = s + j + 1 if j < depth - 1 else None
-        if clear:
-            terms = cleared_terms(scheme, pert, s + j, k, z)
-            if terms is None:
-                return _continuants(scheme, perturbation, s, depth, z, strict, clear=False)
-            t, b, a = terms
+        t, b, a = cleared_terms(scheme, pert, s + j, k, z)
+        if scale != 1:
             a *= scale
-            scale = t
-        else:
-            a = weight_term(scheme, pert, k, z) if k is not None else 0
-            b = center_term(scheme, pert, s + j, z)
+        scale = t
         if a == 0:
             lower, upper = 1, b
         else:
@@ -125,7 +117,7 @@ def _continuants(scheme, perturbation, s, depth, z=None, strict=True, clear=None
             lower, upper = upper, b * upper - a * lower
     if strict and upper == 0:
         raise PoleError(s)
-    return upper, (scale * lower if clear else lower)
+    return upper, scale * lower
 
 
 class Homography:

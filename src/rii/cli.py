@@ -314,7 +314,8 @@ def build_parser():
         description="Recurrence identities, quadrature tables, and measure "
                     "approximation for perturbed R_II-type schemes.")
     parser.add_argument("--precision", type=int, default=10,
-                        help="significant digits for printed floats (default 10)")
+                        help="significant digits for printed floats, at least 1 "
+                             "(default 10)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("poly", help="print a recurrence polynomial")
@@ -385,6 +386,8 @@ def main(argv=None):
         logging.basicConfig(level=logging.WARNING)
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.precision < 1:
+        parser.error("--precision must be at least 1, got %d" % args.precision)
     try:
         code = args.func(args)
         sys.stdout.flush()

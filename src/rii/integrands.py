@@ -4,6 +4,11 @@ Grammar over floats: binary + - * / ^ (power is right-associative and binds
 tighter than unary minus, so -x^2 means -(x^2)), unary minus, parentheses,
 the variable x, the constant pi, numeric literals, and the functions
 exp, sin, cos, abs.  Every rejection carries the character position.
+
+An expression nested deeper than MAX_DEPTH levels is rejected, counting each
+operator, function call and pair of parentheses as a level.  That bounds the
+recursion of both the parser and the evaluator, so a deep input ends in a
+ParseError rather than a RecursionError.
 """
 
 from __future__ import annotations
@@ -12,6 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParseError
+
+MAX_DEPTH = 200
 
 _FUNCTIONS = {"exp": math.exp, "sin": math.sin, "cos": math.cos, "abs": abs}
 _CONSTANTS = {"pi": math.pi}
@@ -87,14 +94,18 @@ class _Parser:
         return tok
 
     def parse(self):
-        ast = self.expression(0)
+        ast, _ = self.expression(0, 1)
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError("unexpected trailing input %r" % tok[1], tok[2])
         return ast
 
-    def expression(self, min_bp):
-        ast = self.prefix()
+    def expression(self, min_bp, depth):
+        """(ast, height) of the expression that starts here, `depth` levels in."""
+        start = self.peek()[2]
+        _check_depth(depth, start)
+        ast, height = self.prefix(depth)
+        _check_depth(height, start)
         while True:
             kind, text, pos = self.peek()
             if kind != "op" or text not in _BINDING:
@@ -104,38 +115,45 @@ class _Parser:
                 break
             self.advance()
             # right-associative power re-enters at its own binding power
-            rhs = self.expression(bp if text == "^" else bp + 1)
-            ast = ("bin", text, ast, rhs)
-        return ast
+            rhs, rhs_height = self.expression(bp if text == "^" else bp + 1, depth + 1)
+            ast, height = ("bin", text, ast, rhs), 1 + max(height, rhs_height)
+            _check_depth(height, pos)
+        return ast, height
 
-    def prefix(self):
+    def prefix(self, depth):
         kind, text, pos = self.advance()
         if kind == "num":
-            return ("num", float(text))
+            return ("num", float(text)), 1
         if kind == "op" and text == "-":
-            return ("neg", self.expression(_UNARY_BINDING))
+            operand, height = self.expression(_UNARY_BINDING, depth + 1)
+            return ("neg", operand), height + 1
         if kind == "lparen":
-            inner = self.expression(0)
+            inner, height = self.expression(0, depth + 1)
             closing = self.advance()
             if closing[0] != "rparen":
                 raise ParseError("unbalanced parentheses", closing[2])
-            return inner
+            return inner, height
         if kind == "name":
             if text == "x":
-                return ("var",)
+                return ("var",), 1
             if text in _CONSTANTS:
-                return ("const", text)
+                return ("const", text), 1
             if text in _FUNCTIONS:
                 opening = self.advance()
                 if opening[0] != "lparen":
                     raise ParseError("function %r needs parentheses" % text, opening[2])
-                arg = self.expression(0)
+                arg, height = self.expression(0, depth + 1)
                 closing = self.advance()
                 if closing[0] != "rparen":
                     raise ParseError("unbalanced parentheses", closing[2])
-                return ("call", text, arg)
+                return ("call", text, arg), height + 1
             raise ParseError("unknown name %r" % text, pos)
         raise ParseError("expected a value", pos)
+
+
+def _check_depth(depth, pos):
+    if depth > MAX_DEPTH:
+        raise ParseError("expression nested deeper than %d levels" % MAX_DEPTH, pos)
 
 
 def _eval_ast(ast, x):

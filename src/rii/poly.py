@@ -367,10 +367,10 @@ class Poly:
                 continue
             if j == 0:
                 parts.append(str(c))
-            elif j == 1:
-                parts.append("%s*x" % (c,))
-            else:
-                parts.append("%s*x^%d" % (c, j))
+                continue
+            # a non-real coefficient is a sum, so it is parenthesized before "*x"
+            text = "(%s)" % (c,) if isinstance(c, GaussianRational) else str(c)
+            parts.append(text + ("*x" if j == 1 else "*x^%d" % j))
         return " + ".join(parts)
 
 

@@ -277,12 +277,12 @@ class Perturbation:
             lam = lam * self.nu
         return lam
 
-    def corec_only(self):
-        """The co-recursion half alone (identity if absent)."""
-        return Perturbation(k=self.k, mu=self.mu)
-
-    def codil_only(self):
-        return Perturbation(kp=self.kp, nu=self.nu)
+    def below(self, level):
+        """The parts of this perturbation at levels strictly below `level`."""
+        corec = self.k is not None and self.k < level
+        codil = self.kp is not None and self.kp < level
+        return Perturbation(k=self.k if corec else None, mu=self.mu if corec else None,
+                            kp=self.kp if codil else None, nu=self.nu if codil else None)
 
     # --- serialization ------------------------------------------------
     def to_dict(self):

@@ -15,26 +15,29 @@ initial values and index shift:
   (first-kind initials G_0 = 1 by default; second-kind on request)
 
 Perturbations are applied by absolute coefficient index, so shifted sequences
-and truncated continued fractions see exactly the same modified steps.  The
-step terms also make up transfer's step matrices and cfrac's convergents;
-oprl's monic families and quadrature's M_0 calibration run `iterate`.
-`gen_both_kinds` builds the step terms once and iterates both kinds over them,
-for callers that need P and Q of one perturbation.
+and truncated continued fractions see exactly the same modified steps.
+`cleared_terms` is the only source of step terms for the families and for
+cfrac's convergents; transfer's step matrices use `center_term` and
+`weight_term`, and oprl's monic families and quadrature's M_0 calibration
+run `iterate`.
 
-All of it is exact: the public evaluators take a float or complex z as the
-exact rational it stores and round the exact result once on the way out.
-
-At a rational z (an int, a Fraction, or the binary rational of a float) with
-real step terms, `iterate` runs on Python ints, fraction-free in the manner of
-Bareiss: step m is scaled by s_m, the lcm of the denominators of its two
-terms a_m = rho_m (z - c*_m) and b_m = lambda*_m W_m(z), so that
+Every family is one scaled loop: the step list is built once and each
+requested kind is iterated over it, fraction-free in the manner of Bareiss.
+Step m is scaled by s_m (`cleared_terms`), so that
 
     v_{i+1} = (s_m a_m) v_i - (s_m s_{m-1} b_m) v_{i-1},   v_i = D_i u_i,
 
-with D_i the product of the scales of the steps before i; each u_i =
-Fraction(v_i, D_i) costs one gcd.  A step term is zero exactly when its
-scaled form is.  Gaussian points and non-real W_m(z) take the generic path,
-`iterate` over Fraction and GaussianRational scalars.
+with a_m = rho_m (z - c*_m), b_m = lambda*_m W_m(z) and D_i the product of
+the scales of the steps before i.  The first kind starts from v_0 = 1, the
+second from (v_0, v_1) = (0, s_shift), so both share one step list and one
+list of D_i.  The scaling is exact for any s_m: at an int or Fraction z with
+real W_m(z), s_m is the lcm of the denominators of a_m and b_m and the step
+runs on Python ints; at every other step s_m = 1 and a_m, b_m are the exact
+terms (Polys when z is None, Fraction or GaussianRational values at a
+Gaussian point or a non-real W_m(z)).  Each u_i = v_i / D_i costs one gcd.
+
+All of it is exact: the public evaluators take a float or complex z as the
+exact rational it stores and round the exact result once on the way out.
 """
 
 from __future__ import annotations
@@ -65,30 +68,37 @@ def weight_term(scheme, pert, m, z=None):
 
 
 def cleared_terms(scheme, pert, m, k, z):
-    """(s, s a, s b) as ints at a rational z, or None when W_k(z) is not real.
+    """(s, s a, s b) for a = rho_m (z - c*_m) and b = lambda*_k W_k(z) (b = 0
+    when k is None): the only source of step terms.
 
-    a = rho_m (z - c*_m) and b = lambda*_k W_k(z) (b = 0 when k is None) are
-    reduced, and s is the lcm of their denominators.
+    At an int or Fraction z with real W_k(z) the three are ints: a and b are
+    reduced and s is the lcm of their denominators.  Everywhere else s = 1
+    and a, b are the exact terms: Polys when z is None, else Fraction or
+    GaussianRational values.
     """
-    p, q = z.as_integer_ratio()
-    rho = scheme.rho(m)
-    c = pert.center(scheme, m)
-    an = rho.numerator * (p * c.denominator - c.numerator * q)
-    ad = rho.denominator * q * c.denominator
-    g = math.gcd(an, ad)
-    an, ad = an // g, ad // g
-    if k is None:
-        return ad, an, 0
-    try:
-        wn, wd = scheme.weight_poly(k).ratio_at(z)
-    except TypeError:       # Gaussian coefficients: W_k(z) may be non-real
-        return None
-    lam = pert.coefficient(scheme, k)
-    bn, bd = lam.numerator * wn, lam.denominator * wd
-    g = math.gcd(bn, bd)
-    bn, bd = bn // g, bd // g
-    s = math.lcm(ad, bd)
-    return s, an * (s // ad), bn * (s // bd)
+    if isinstance(z, (int, Fraction)):
+        p, q = z.as_integer_ratio()
+        rho = scheme.rho(m)
+        c = pert.center(scheme, m)
+        an = rho.numerator * (p * c.denominator - c.numerator * q)
+        ad = rho.denominator * q * c.denominator
+        g = math.gcd(an, ad)
+        an, ad = an // g, ad // g
+        if k is None:
+            return ad, an, 0
+        try:
+            wn, wd = scheme.weight_poly(k).ratio_at(z)
+        except TypeError:       # Gaussian coefficients: W_k(z) may be non-real
+            pass
+        else:
+            lam = pert.coefficient(scheme, k)
+            bn, bd = lam.numerator * wn, lam.denominator * wd
+            g = math.gcd(bn, bd)
+            bn, bd = bn // g, bd // g
+            s = math.lcm(ad, bd)
+            return s, an * (s // ad), bn * (s // bd)
+    b = 0 if k is None else weight_term(scheme, pert, k, z)
+    return 1, center_term(scheme, pert, m, z), b
 
 
 def iterate(a, b, kind, n, shift=0, one=1, zero=0):
@@ -120,45 +130,36 @@ def iterate(a, b, kind, n, shift=0, one=1, zero=0):
     return out
 
 
-def _family(scheme, pert, kind, shift, n, z=None):
-    """u_0..u_n of the scheme's recurrence: Polys when z is None, else values at an exact z."""
+def _families(scheme, pert, kinds, shift, n, z):
+    """u_0..u_n of each kind in kinds, iterated over one list of scaled steps:
+    Polys when z is None, else values at an exact z (see the module docstring)."""
     pert = pert or Perturbation.none()
-    if isinstance(z, (int, Fraction)):
-        values = _rational_family(scheme, pert, kind, shift, n, z)
-        if values is not None:
-            return values
-    if z is None:
-        one, zero = Poly.one(), Poly.zero()
-    else:
-        one, zero = Fraction(1), Fraction(0)
-    return iterate(lambda m: center_term(scheme, pert, m, z),
-                   lambda m: weight_term(scheme, pert, m, z),
-                   kind, n, shift, one, zero)
-
-
-def _rational_family(scheme, pert, kind, shift, n, z):
-    """u_0..u_n at a rational z, iterated on integers (see the module docstring);
-    None when a step term is not real."""
-    start = 0 if kind == "first" else 1
-    a_int, b_int = {}, {}
-    dens = [1] * (start + 1)     # D_0 (and D_1 = 1 for the second kind: v_0 = 0)
+    a, b = {}, {}
+    dens = [1]                   # D_i, the product of the scales of the steps before i
     prev = 1                     # s_{m-1}
-    for m in range(shift + start, shift + n):
+    for m in range(shift, shift + n):
         # iterate skips b at the first-kind step 0, so it is not queried here
-        terms = cleared_terms(scheme, pert, m, m if m > shift else None, z)
-        if terms is None:
-            return None
-        s, a_int[m], b = terms
-        b_int[m] = b * prev
+        s, a[m], b[m] = cleared_terms(scheme, pert, m, m if m > shift else None, z)
+        if prev != 1:
+            b[m] *= prev
         dens.append(dens[-1] * s)
         prev = s
-    values = iterate(a_int.__getitem__, b_int.__getitem__, kind, n, shift)
-    return [Fraction(v, d) for v, d in zip(values, dens)]
+    one, zero = (Poly.one(), Poly.zero()) if z is None else (1, 0)
+    out = []
+    for kind in kinds:
+        # the second kind starts from v_1 = D_1 u_1 = s_shift
+        start = one * dens[1] if kind == "second" and n > 0 else one
+        values = iterate(a.__getitem__, b.__getitem__, kind, n, shift, start, zero)
+        if z is not None:
+            values = [Fraction(v, d) if isinstance(v, int) else v / d
+                      for v, d in zip(values, dens)]
+        out.append(values)
+    return out
 
 
 def gen_first_kind(scheme, perturbation, n):
     """P_0..P_n of the (optionally perturbed) recurrence."""
-    return tuple(_family(scheme, perturbation, "first", 0, n))
+    return tuple(_families(scheme, perturbation, ("first",), 0, n, None)[0])
 
 
 def gen_second_kind(scheme, perturbation, n):
@@ -167,17 +168,13 @@ def gen_second_kind(scheme, perturbation, n):
     The recurrence's step 0 is never executed for this family, so a
     co-recursion at k = 0 leaves every Q_n unchanged.
     """
-    return tuple(_family(scheme, perturbation, "second", 0, n))
+    return tuple(_families(scheme, perturbation, ("second",), 0, n, None)[0])
 
 
 def gen_both_kinds(scheme, perturbation, n):
     """(P_0..P_n, Q_0..Q_n): both families iterated over one list of step terms."""
-    pert = perturbation or Perturbation.none()
-    centers = [center_term(scheme, pert, m) for m in range(n)]
-    weights = [None] + [weight_term(scheme, pert, m) for m in range(1, n)]
-    return tuple(tuple(iterate(centers.__getitem__, weights.__getitem__, kind, n,
-                               one=Poly.one(), zero=Poly.zero()))
-                 for kind in ("first", "second"))
+    return tuple(tuple(values) for values in
+                 _families(scheme, perturbation, ("first", "second"), 0, n, None))
 
 
 def gen_associated(scheme, j, n, kind="first"):
@@ -189,7 +186,7 @@ def gen_associated(scheme, j, n, kind="first"):
     """
     if j < 0:
         raise ValueError("associated order shift j must be >= 0")
-    return tuple(_family(scheme, None, kind, j + 1, n))
+    return tuple(_families(scheme, None, (kind,), j + 1, n, None)[0])
 
 
 def eval_recurrence_at(scheme, perturbation, kind, n, z):
@@ -198,13 +195,13 @@ def eval_recurrence_at(scheme, perturbation, kind, n, z):
     Exact z (int/Fraction/GaussianRational) gives an exact scalar; a float or
     complex z gives the exact value at the point it stores, rounded once.
     """
-    return rounded(_family(scheme, perturbation, kind, 0, n, exact_point(z))[n], z)
+    return rounded(_families(scheme, perturbation, (kind,), 0, n, exact_point(z))[0][n], z)
 
 
 def eval_sequence_at(scheme, perturbation, kind, n, z, shift=0):
     """All of u_0(z)..u_n(z); same conventions as eval_recurrence_at."""
     x = exact_point(z)
-    values = _family(scheme, perturbation, kind, shift, n, x)
+    values = _families(scheme, perturbation, (kind,), shift, n, x)[0]
     return values if x is z else [rounded(u, z) for u in values]
 
 

@@ -30,9 +30,10 @@ verifies that identity and the scalar structural identities it transposes.
 `f_matrix` reads F_{n+1} off one `gen_both_kinds` call instead of multiplying
 n + 1 step matrices; `step_matrix` keeps the product form as a reference.
 The scalar identities evaluate the families at z through
-`sequences.eval_sequence_at`, which runs on integers at a rational z with
-real weights (denominators cleared once per step) and on Fraction and
-GaussianRational values otherwise.
+`sequences.eval_sequence_at`, one scaled loop that runs on integers at the
+steps of a rational z with a real weight and on Fraction and
+GaussianRational values at the others.  `Perturbation.below` decides which
+parts of the perturbation lie below a level.
 """
 
 from __future__ import annotations
@@ -106,12 +107,8 @@ def transfer_entries(scheme, perturbation):
     m = pert.max_level()
     if m < 0:
         return PolyMatrix2.identity()
-    if pert.k is not None and pert.kp is not None and pert.k != pert.kp:
-        lower = pert.corec_only() if pert.k < pert.kp else pert.codil_only()
-    else:
-        lower = Perturbation.none()
     p_plain, q_plain = gen_both_kinds(scheme, None, m + 1)
-    p_low, q_low = gen_both_kinds(scheme, lower, m)
+    p_low, q_low = gen_both_kinds(scheme, pert.below(m), m)
 
     a_step = center_term(scheme, pert, m)
     if m == 0:
@@ -145,29 +142,20 @@ def _structural_value(scheme, pert, kind, n, z):
     """RHS of the structural identity for u_{n+1} at z (kind "first"/"second")."""
     plain = eval_sequence_at(scheme, None, kind, n + 1, z)
     value = plain[n + 1]
-    events = []
-    if pert.k is not None and pert.kp is not None and pert.k == pert.kp:
-        events.append(("both", pert.k))
-    else:
-        if pert.k is not None:
-            events.append(("corec", pert.k))
-        if pert.kp is not None:
-            events.append(("codil", pert.kp))
-        events.sort(key=lambda e: e[1])
-    below = plain  # values of the sequence perturbed by the events below this one
-    for idx, (tag, level) in enumerate(events):
+    levels = sorted({level for level in (pert.k, pert.kp) if level is not None})
+    below = plain  # values of the sequence perturbed at the levels below this one
+    for level in levels:
         if level > n:
-            continue
+            break
+        if level > levels[0]:
+            below = eval_sequence_at(scheme, pert.below(level), kind, level, z)
         jump = Fraction(0)
-        if tag in ("corec", "both"):
+        if pert.k == level:
             jump = jump - pert.mu * scheme.rho(level) * below[level]
-        if tag in ("codil", "both"):
+        if pert.kp == level:
             w = scheme.weight_at(level, z)
             jump = jump - (pert.nu - 1) * scheme.lam(level) * w * below[level - 1]
         value = value + jump * _association_value(scheme, level, n, z)
-        if idx + 1 < len(events):
-            lower = pert.corec_only() if tag == "corec" else pert.codil_only()
-            below = eval_sequence_at(scheme, lower, kind, events[idx + 1][1], z)
     return value
 
 

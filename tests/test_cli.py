@@ -84,6 +84,9 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["quad", "--n", "4", "--method", "moment"])   # one weight formula, no option
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--precision", "-3", "quad", "--n", "4"])     # no digits to print
+    assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -275,6 +278,9 @@ def test_malformed_config_exits_one(tmp_path, capsys, document):
     # the leading coefficient of P*_n vanishes: degree 4 at n = 6, 0 at n = 2
     ("quad", "--n", "6", "--nu", "12/5"),
     ("zeros", "--n", "2", "--nu", "4"),
+    # nested deeper than the parser allows: in the parser, then in the evaluator
+    ("quad", "--n", "4", "--integrand", "(" * 500 + "x" + ")" * 500),
+    ("quad", "--n", "4", "--integrand", "+".join(["x"] * 3000)),
 ])
 def test_domain_failures_exit_one_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -296,13 +302,17 @@ def test_closed_pipe_exits_one_silently():
     assert (proc.wait(timeout=60), err) == (1, b"")
 
 
-def test_check_does_not_import_numpy_or_scipy():
+@pytest.mark.parametrize("argv", [
+    ("check", "--suite", "all", "--instances", "1"),
+    ("poly", "--n", "5", "--kind", "both"),
+])
+def test_check_does_not_import_numpy_or_scipy(argv):
     # only root finding and the oracles need them; a fresh interpreter shows it
     script = ("import io, sys, contextlib\n"
               "from rii.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
-              "    code = main(['check', '--suite', 'all', '--instances', '1'])\n"
-              "print(code, sorted({'numpy', 'scipy'} & set(sys.modules)))\n")
+              "    code = main(%r)\n"
+              "print(code, sorted({'numpy', 'scipy'} & set(sys.modules)))\n" % (list(argv),))
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rii.__file__))))
@@ -337,7 +347,8 @@ _VALUES = {
         '{"rho": {}, "c": null, "lambda": [[1]], "nodes": [[0, 1]]}',
         '{"rho": 1, "c": 0, "lambda": 1, "nodes": [[0, [0, 1]], [1]]}',
         '{"rho": "1/0", "c": 0, "lambda": 1}', '{"rho": 1, "c": Infinity, "lambda": 1}']),
-    "--integrand": st.sampled_from(["example3", "x^2", "exp(x)", "1/(x-x)", "x^x", "sin("]),
+    "--integrand": st.sampled_from(["example3", "x^2", "exp(x)", "1/(x-x)", "x^x", "sin(",
+                                    "^".join(["x"] * 1000)]),
     "--method": st.sampled_from(["lagrange", "spline", "bogus"]),
     "--config": st.just("no-such-config.json"),
     "--tol-imag": st.sampled_from(["1e-9", "0", "-1", "nan", "inf"]),

@@ -3,10 +3,11 @@
 Each case runs `rii` in-process and compares its stdout with
 tests/golden/<case>.out.  The cases cover every subcommand in every --out
 format at the default precision, nested float rounding in JSON at
---precision 3, and `quad --config`.  --precision 17 is left out on purpose:
-its last digits can differ between LAPACK builds.  The exact demos 01 and 02
-run the same way against tests/golden/demo-<name>.out, with the suite
-timings demo 02 prints masked.
+--precision 3, `quad --config`, and the text form of non-real polynomial
+coefficients.  --precision 17 is left out on purpose: its last digits can
+differ between LAPACK builds.  The exact demos 01 and 02 run the same way
+against tests/golden/demo-<name>.out, with the suite timings demo 02 prints
+masked.
 
 To re-record after a deliberate output change:
 
@@ -32,6 +33,9 @@ TIMING = re.compile(r"\(\d+\.\d+s\)")
 POLY = ("poly", "--n", "3", "--kind", "both", "--mu", "1/10", "--k", "1")
 ZEROS = ("zeros", "--n", "5", "--nu", "1.004", "--kp", "2")
 QUAD = ("quad", "--n", "8", "--mu=-1/100", "--k", "2", "--nu", "0.98", "--kp", "4")
+# non-conjugate nodes at index 1 give P_3 and Q_3 non-real coefficients
+GAUSSIAN = ('{"rho": 1, "c": 0, "lambda": "1/4", "nodes": [[[0, 1], [0, 2]], '
+            '[[1, 1], [1, -1]], [[0, 1], [0, 2]], [[0, 1], [0, 2]]]}')
 MEASURE = ("measure", "--n", "6", "--method", "spline", "--samples", "9",
            "--x-min", "-5", "--x-max", "5")
 
@@ -39,6 +43,7 @@ CASES = {
     "poly-text": POLY,
     "poly-csv": POLY + ("--out", "csv"),
     "poly-json": POLY + ("--out", "json"),
+    "poly-gaussian-text": POLY + ("--scheme", GAUSSIAN),
     "zeros-text": ZEROS,
     "zeros-csv": ZEROS + ("--out", "csv"),
     "zeros-json": ZEROS + ("--out", "json"),

@@ -96,8 +96,15 @@ def test_perturbation_constructors_and_validation():
     assert p.max_level() == 2 and p.kp is None
     b = Perturbation.both(1, Fraction(1, 2), 4, Fraction(2))
     assert b.max_level() == 4
-    assert b.corec_only() == Perturbation.corec(1, Fraction(1, 2))
-    assert b.codil_only() == Perturbation.codil(4, Fraction(2))
+    assert b.below(4) == Perturbation.corec(1, Fraction(1, 2))          # k < kp
+    flip = Perturbation.both(4, Fraction(1, 2), 1, Fraction(2))
+    assert flip.below(4) == Perturbation.codil(1, Fraction(2))          # k > kp
+    assert b.below(5) == b and b.below(1) == Perturbation.none()
+    same = Perturbation.both(3, Fraction(1, 2), 3, Fraction(2))
+    assert same.below(3) == Perturbation.none() and same.below(4) == same   # k = kp
+    assert p.below(2) == Perturbation.none() and p.below(3) == p          # one part
+    d = Perturbation.codil(2, Fraction(3))
+    assert d.below(2) == Perturbation.none() and d.below(3) == d
     with pytest.raises(PerturbationError):
         Perturbation.codil(0, Fraction(2))      # lambda_0 does not exist
     with pytest.raises(PerturbationError):

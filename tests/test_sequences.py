@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rii import (
-    CoefficientScheme,
     GaussianRational,
     Perturbation,
     Poly,
@@ -21,7 +20,7 @@ from rii import (
     gen_second_kind,
 )
 from rii.sequences import center_term, iterate, weight_term
-from rii.suites import random_perturbation, random_rational, random_scheme
+from rii.suites import random_perturbation
 
 
 def test_first_kind_worked_values(cauchy):
@@ -98,19 +97,6 @@ def test_eval_matches_coefficient_path(cauchy):
     assert [p(z) for p in seq] == list(values)
 
 
-def _random_scheme(rng, scheme_kind):
-    """random_scheme of a kind; "gaussian" is a general scheme whose complex nodes
-    are not conjugate, so W_m(z) is not real at a real z."""
-    if scheme_kind != "gaussian":
-        return random_scheme(rng, 16, scheme_kind)
-    real = random_scheme(rng, 16, "oprl")
-    nodes = [([random_rational(rng), random_rational(rng, nonzero=True)],
-              [random_rational(rng), random_rational(rng)]) for _ in range(16)]
-    return CoefficientScheme.general([real.rho(m) for m in range(16)],
-                                     [real.c(m) for m in range(16)],
-                                     [real.lam(m) for m in range(16)], nodes)
-
-
 _points = st.one_of(
     st.integers(-6, 6),
     st.fractions(min_value=-6, max_value=6, max_denominator=12),
@@ -120,17 +106,18 @@ _points = st.one_of(
 )
 
 
-@pytest.mark.parametrize("scheme_kind", ["general", "special", "oprl", "gaussian"])
+@pytest.mark.parametrize("scheme_kind", ["general", "special", "oprl", "gaussian", "mixed"])
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), shape=st.sampled_from(("corec", "codil", "both")),
        kind=st.sampled_from(("first", "second")), shift=st.integers(0, 4),
        n=st.integers(0, 9), z=_points)
-def test_eval_matches_coefficient_path_on_random_schemes(scheme_kind, seed, shape, kind,
-                                                         shift, n, z):
-    # the scalar path (integers at a rational z with real weights, Fraction and
-    # GaussianRational values otherwise) equals the Poly families at z
+def test_eval_matches_coefficient_path_on_random_schemes(scheme_of_kind, scheme_kind, seed,
+                                                         shape, kind, shift, n, z):
+    # the scaled scalar loop (integer steps at a rational z with real weights,
+    # Fraction and GaussianRational steps otherwise, both in one family when
+    # the scheme is mixed) equals the Poly families at z
     rng = random.Random(seed)
-    scheme = _random_scheme(rng, scheme_kind)
+    scheme = scheme_of_kind(rng, scheme_kind)
     pert = random_perturbation(rng, 6, shape)
     polys = iterate(lambda m: center_term(scheme, pert, m),
                     lambda m: weight_term(scheme, pert, m),

@@ -31,7 +31,7 @@ for k, kp in ((0, 2), (1, 4), (2, 6)):
 print()
 print("== transfer identity, scalar probe ==")
 pert = Perturbation(k=1, mu=Fraction(1, 3), kp=3, nu=Fraction(7, 5))
-res = transfer_residual(scheme, pert, 6, Fraction(9, 4))
+res = transfer_residual(scheme, pert, 6)[1].eval_at(Fraction(9, 4))
 print("  K_m F^T(mu,nu) - S F at z=9/4:", res)
 
 print()

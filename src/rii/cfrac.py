@@ -168,24 +168,19 @@ class Homography:
 
 
 def lemma1_matrix(scheme, perturbation):
-    """The homography mapping the plain (kp+1)-th tail to the perturbed fraction.
+    """The homography mapping the plain (m+1)-th tail to the perturbed fraction.
 
-    Entries (g = lambda_{kp+1} W_{kp+1}, all sequences carrying the full
-    perturbation, which only reaches them through levels <= kp):
+    With m = max(k, kp), g = lambda_{m+1} W_{m+1} and all sequences carrying
+    the full perturbation, which only reaches them through levels <= m:
 
-        [[ g * Q_kp,  -Q_{kp+1} ],
-         [ g * P_kp,  -P_{kp+1} ]]
+        [[ g * Q_m,  -Q_{m+1} ],
+         [ g * P_m,  -P_{m+1} ]]
 
-    Satisfies R_n(z; mu, nu) = apply(., tail at depth n-kp-1) exactly for
-    n >= kp+1.  Perturbation orders with k <= kp are supported here (the
-    matrix lives at level kp).
+    Satisfies R_n(z; mu, nu) = apply(., tail at depth n-m-1) exactly for
+    n >= m+1, for either order of k and kp.
     """
     pert = perturbation or Perturbation.none()
     level = pert.max_level()
-    if pert.kp is not None:
-        if pert.k is not None and pert.k > pert.kp:
-            raise ValueError("lemma1_matrix needs k <= kp")
-        level = pert.kp
     if level < 0:
         raise ValueError("lemma1_matrix needs at least one perturbation level")
     p, q = gen_both_kinds(scheme, pert, level + 1)

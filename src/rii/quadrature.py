@@ -85,13 +85,24 @@ def _has_nonreal_ratio(poly):
                for c in poly.coeffs)
 
 
+def _out_of_float_range(poly):
+    return DegeneracyError("the zeros of P*_%d leave the float range: a coefficient, a "
+                           "root or a Newton step is not finite" % poly.degree)
+
+
 def _polished_zeros(poly, dpoly, tol_imag):
     import numpy as np   # only root finding needs it: other commands start without it
 
     if poly.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    coeffs = poly.float_coeffs()
-    raw = np.roots(coeffs[::-1])
+    try:
+        coeffs = poly.float_coeffs()
+        raw = np.roots(coeffs[::-1])
+        finite = np.isfinite(raw).all()
+    except OverflowError:       # a coefficient beyond the float range
+        finite = False
+    if not finite:
+        raise _out_of_float_range(poly)
     complex_pairs = []
     accepted = []
     near_real = []       # accepted roots with a tiny nonzero Im part
@@ -120,6 +131,8 @@ def _polished_zeros(poly, dpoly, tol_imag):
                 break
             step = residual / slope
             x_new = x - step
+            if not math.isfinite(x_new):
+                raise _out_of_float_range(poly)
             if abs(x_new - x) <= 1e-16 * (1.0 + abs(x)):
                 x = x_new
                 break
@@ -192,18 +205,16 @@ def calibrate_m0(scheme, n):
     return Fraction(1) / lead_sum
 
 
-def weights_moment_formula(scheme, perturbation, nodes, m0, p, dp=None):
+def weights_moment_formula(scheme, perturbation, nodes, m0, p):
     """Weights by the moment formula at the given nodes (floats), each the exact
     value at the node rounded once; the exact reference the rule's weights are
     compared against.
 
-    p is the perturbed first-kind family through P_n (n = len(nodes)); dp is
-    P_n', derived from p[n] when not given.
+    p is the perturbed first-kind family through P_n (n = len(nodes)).
     """
     pert = perturbation or Perturbation.none()
     n = len(nodes)
-    if dp is None:
-        dp = p[n].derivative()
+    dp = p[n].derivative()
     product = Fraction(m0)
     powers = {}  # W_i -> how many i in 1..n-1 share it (one W in the special form)
     for i in range(1, n):

@@ -15,7 +15,11 @@ initial values and index shift:
   (first-kind initials G_0 = 1 by default; second-kind on request)
 
 Perturbations are applied by absolute coefficient index, so shifted sequences
-and truncated continued fractions see exactly the same modified steps.
+and truncated continued fractions see exactly the same modified steps.  A part
+at level L first changes u_{L+1} (step L computes it), so the first L + 1
+values u_0..u_L of either kind are those of the perturbation without its parts
+at levels >= L: a perturbed family carries, as its prefixes, every family
+perturbed only below a level.
 `cleared_terms` is the only source of step terms for the families and for
 cfrac's convergents; transfer's step matrices use `center_term` and
 `weight_term`, and oprl's monic families and quadrature's M_0 calibration

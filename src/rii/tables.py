@@ -180,6 +180,9 @@ def order_flip_experiment(scheme, pairs, n):
     if len(medians) != 1 or (medians.pop() % 2) != 0:
         raise ValueError("pairs must share one integer median level (k + kp)/2")
     median = (pairs[0][0] + pairs[0][2]) // 2
+    if all(k == kp for k, _mu, kp, _nu in pairs):
+        raise ValueError("every pair is at the median level %d: no flipped row to "
+                         "average" % median)
 
     def cell(k, mu, kp, nu):
         pert = Perturbation.both(k, mu, kp, nu)

@@ -24,21 +24,21 @@ a polynomial matrix (no division: adj supplies det * inverse).  It satisfies
     K_m(z) * F_{n+1}(z; mu, nu)^T = S(z) @ F_{n+1}(z)^T   for all n >= m,
 
 with K_m = det F_{m+1} = prod_{j=1..m} lambda_j W_j: the perturbed family is a
-left matrix multiple of the unperturbed one from level m onward.  This module
-verifies that identity and the scalar structural identities it transposes.
+left matrix multiple of the unperturbed one from level m onward.
 
-`f_matrix` reads F_{n+1} off one `gen_both_kinds` call instead of multiplying
-n + 1 step matrices; `step_matrix` keeps the product form as a reference.
-The scalar identities evaluate the families at z through
-`sequences.eval_sequence_at`, one scaled loop that runs on integers at the
-steps of a rational z with a real weight and on Fraction and
-GaussianRational values at the others.  `Perturbation.below` decides which
-parts of the perturbation lie below a level.
+Every identity here reads what it needs off one plain and one perturbed
+(P, Q) family from `gen_both_kinds`.  The values perturbed only below a level
+L are the first L + 1 values of the perturbed family itself (see
+`rii.sequences`), so no family is rebuilt for part of a perturbation.
+`transfer_residual` is the one check of the transfer theorem: S written
+entry by entry through an explicit level-m step must equal the product form,
+and the matrix identity above must hold, both as exact polynomial matrices.
+`structural_residual` checks the scalar structural identities at a point.
+`f_matrix` reads F_{n+1} off the two families instead of multiplying n + 1
+step matrices; `step_matrix` keeps the product form as a reference.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .polymat import PolyMatrix2
 from .poly import Poly
@@ -56,13 +56,23 @@ def step_matrix(scheme, perturbation, n):
     return PolyMatrix2(center_term(scheme, pert, n), top_right, Poly.one(), Poly.zero())
 
 
+def _f(family, n):
+    """F_{n+1} read off a (P, Q) family pair that runs through index n + 1."""
+    p, q = family
+    return PolyMatrix2(p[n + 1], -q[n + 1], p[n], -q[n])
+
+
+def _read(scheme, perturbation, n):
+    """The plain and the perturbed (P, Q) families through index n."""
+    return gen_both_kinds(scheme, None, n), gen_both_kinds(scheme, perturbation, n)
+
+
 def f_matrix(scheme, perturbation, n):
     """F_{n+1} = T_n ... T_0 = [[P_{n+1}, -Q_{n+1}], [P_n, -Q_n]], read off the
     two families rather than multiplied out."""
     if n < 0:
         raise ValueError("n must be >= 0, got %d" % n)
-    p, q = gen_both_kinds(scheme, perturbation, n + 1)
-    return PolyMatrix2(p[n + 1], -q[n + 1], p[n], -q[n])
+    return _f(gen_both_kinds(scheme, perturbation, n + 1), n)
 
 
 def lambda_weight_product(scheme, perturbation, upto):
@@ -78,38 +88,45 @@ def perturbation_transfer(scheme, perturbation):
     """The transfer matrix S of the perturbation, at level m = max(k, kp).
 
     Built as F_{m+1}(mu,nu)^T @ adj(F_{m+1})^T, which is exact for either
-    order of k and kp and for the same-level case.  The identity perturbation
-    yields prod lambda_j W_j * I (the empty perturbation, None: the identity
-    matrix).
+    order of k and kp and for the same-level case.  The empty perturbation
+    (None) yields the identity matrix.
     """
-    pert = perturbation or Perturbation.none()
-    m = pert.max_level()
+    m = (perturbation or Perturbation.none()).max_level()
+    return _transfer(*_read(scheme, perturbation, m + 1), m)
+
+
+def _transfer(plain, perturbed, m):
+    """S from the plain and perturbed families through index m + 1 or beyond."""
     if m < 0:
         return PolyMatrix2.identity()
-    plain = f_matrix(scheme, None, m)
-    shifted = f_matrix(scheme, pert, m)
-    return shifted.transpose() @ plain.adjugate().transpose()
+    return _f(perturbed, m).transpose() @ _f(plain, m).adjugate().transpose()
 
 
 def transfer_entries(scheme, perturbation):
     """S assembled from the polynomial sequences per the structural theorems.
 
     With m = max(k, kp), writes the top entries through one perturbed
-    recurrence step applied to the lower-perturbed sequence values:
+    recurrence step applied to the sequence values perturbed below m:
 
         S11 = -P*_{m+1} Q_m + P°_m Q_{m+1}      S12 = -P*_{m+1} P_m + P°_m P_{m+1}
         S21 =  Q*_{m+1} Q_m - Q°_m Q_{m+1}      S22 =  Q*_{m+1} P_m - Q°_m P_{m+1}
 
-    where ° marks the sequence perturbed only below m and * the value after
-    the level-m step.  Cross-checks perturbation_transfer entry by entry.
+    where ° marks the values perturbed only below m (the perturbed family's
+    values through index m) and * the value after the explicit level-m step.
+    Cross-checks perturbation_transfer entry by entry.
     """
     pert = perturbation or Perturbation.none()
     m = pert.max_level()
+    return _entries(scheme, pert, *_read(scheme, pert, m + 1), m)
+
+
+def _entries(scheme, pert, plain, perturbed, m):
+    """transfer_entries from the plain and perturbed families; of the perturbed
+    one it reads only the values through index m."""
     if m < 0:
         return PolyMatrix2.identity()
-    p_plain, q_plain = gen_both_kinds(scheme, None, m + 1)
-    p_low, q_low = gen_both_kinds(scheme, pert.below(m), m)
-
+    p_plain, q_plain = plain
+    p_low, q_low = perturbed
     a_step = center_term(scheme, pert, m)
     if m == 0:
         # Step 0: the P-side lambda term multiplies P_{-1} = 0; Q_1 is an
@@ -129,74 +146,49 @@ def transfer_entries(scheme, perturbation):
     )
 
 
-def _association_value(scheme, level, n, z):
-    """G^{(level+1)}_{n-level}(z) with the convention that negative index is 0."""
-    length = n - level
-    if length < 0:
-        return Fraction(0)
-    values = eval_sequence_at(scheme, None, "first", length, z, shift=level + 1)
-    return values[length]
-
-
-def _structural_value(scheme, pert, kind, n, z):
-    """RHS of the structural identity for u_{n+1} at z (kind "first"/"second")."""
-    plain = eval_sequence_at(scheme, None, kind, n + 1, z)
-    value = plain[n + 1]
-    levels = sorted({level for level in (pert.k, pert.kp) if level is not None})
-    below = plain  # values of the sequence perturbed at the levels below this one
-    for level in levels:
-        if level > n:
-            break
-        if level > levels[0]:
-            below = eval_sequence_at(scheme, pert.below(level), kind, level, z)
-        jump = Fraction(0)
-        if pert.k == level:
-            jump = jump - pert.mu * scheme.rho(level) * below[level]
-        if pert.kp == level:
-            w = scheme.weight_at(level, z)
-            jump = jump - (pert.nu - 1) * scheme.lam(level) * w * below[level - 1]
-        value = value + jump * _association_value(scheme, level, n, z)
-    return value
-
-
 def structural_residual(scheme, perturbation, n, z):
     """LHS - RHS of the first- and second-kind structural identities at z.
 
     LHS is u_{n+1}(z; mu, nu) by direct perturbed recurrence; RHS is the
-    unperturbed value plus one correction term per perturbation event, each
-    carrying the first-kind associated factor G^{(level+1)}_{n-level} and the
-    sequence value already perturbed below that level.  Exactly (0, 0) for
-    exact z.
+    unperturbed value plus one correction term per perturbation level L <= n,
+    each carrying the first-kind associated factor G^{(L+1)}_{n-L}(z) and the
+    sequence values perturbed below L, which are the direct values u_L and
+    u_{L-1}.  Exactly (0, 0) for exact z.
     """
     pert = perturbation or Perturbation.none()
+    factors = {level: eval_sequence_at(scheme, None, "first", n - level, z,
+                                       shift=level + 1)[-1]
+               for level in (pert.k, pert.kp) if level is not None and level <= n}
     out = []
     for kind in ("first", "second"):
-        direct = eval_sequence_at(scheme, pert, kind, n + 1, z)[n + 1]
-        out.append(direct - _structural_value(scheme, pert, kind, n, z))
+        direct = eval_sequence_at(scheme, pert, kind, n + 1, z)
+        value = eval_sequence_at(scheme, None, kind, n + 1, z)[n + 1]
+        for level, factor in factors.items():
+            jump = 0
+            if pert.k == level:
+                jump -= pert.mu * scheme.rho(level) * direct[level]
+            if pert.kp == level:
+                w = scheme.weight_at(level, z)
+                jump -= (pert.nu - 1) * scheme.lam(level) * w * direct[level - 1]
+            value += jump * factor
+        out.append(direct[n + 1] - value)
     return tuple(out)
 
 
-def transfer_residual(scheme, perturbation, n, z):
-    """Entrywise K_m(z) F^T_{n+1}(z; mu,nu) - S(z) F^T_{n+1}(z); zero for n >= m."""
+def transfer_residual(scheme, perturbation, n):
+    """The transfer theorem as two polynomial matrices that vanish for n >= m:
+
+        transfer_entries - perturbation_transfer,
+        K_m F^T_{n+1}(mu,nu) - S F^T_{n+1},
+
+    both read off one plain and one perturbed family through index n + 1.
+    """
     pert = perturbation or Perturbation.none()
     m = pert.max_level()
-    if n < m:
-        raise ValueError("transfer identity needs n >= max perturbation level")
-    kappa = lambda_weight_product(scheme, None, m)(z)
-    s = perturbation_transfer(scheme, pert)
-    (s11, s12), (s21, s22) = s.eval_at(z)
-
-    p = eval_sequence_at(scheme, None, "first", n + 1, z)
-    q = eval_sequence_at(scheme, None, "second", n + 1, z)
-    pp = eval_sequence_at(scheme, pert, "first", n + 1, z)
-    qp = eval_sequence_at(scheme, pert, "second", n + 1, z)
-    # F^T rows: (P_{n+1}, P_n) and (-Q_{n+1}, -Q_n)
-    g = ((p[n + 1], p[n]), (-q[n + 1], -q[n]))
-    gp = ((pp[n + 1], pp[n]), (-qp[n + 1], -qp[n]))
-
-    return (
-        (kappa * gp[0][0] - (s11 * g[0][0] + s12 * g[1][0]),
-         kappa * gp[0][1] - (s11 * g[0][1] + s12 * g[1][1])),
-        (kappa * gp[1][0] - (s21 * g[0][0] + s22 * g[1][0]),
-         kappa * gp[1][1] - (s21 * g[0][1] + s22 * g[1][1])),
-    )
+    if n < max(m, 0):
+        raise ValueError("transfer identity needs n >= max perturbation level and n >= 0")
+    plain, perturbed = _read(scheme, pert, n + 1)
+    s = _transfer(plain, perturbed, m)
+    kappa = lambda_weight_product(scheme, None, m)
+    return (_entries(scheme, pert, plain, perturbed, m) - s,
+            _f(perturbed, n).transpose().scale(kappa) - s @ _f(plain, n).transpose())

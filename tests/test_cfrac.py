@@ -65,17 +65,17 @@ def test_tail_convergent_shifts_indices(cauchy):
 
 
 def test_lemma1_maps_tail_to_perturbed_fraction(cauchy):
-    k, kp = 1, 3
+    # the matrix lives at level m = max(k, kp), for either order of k and kp
     mu, nu = Fraction(1, 5), Fraction(7, 6)
-    pert = Perturbation.both(k, mu, kp, nu)
-    h = lemma1_matrix(cauchy, pert)
     z = Fraction(4, 3)
-    for n in range(kp + 1, kp + 5):
-        lhs = convergent(cauchy, pert, n, z)
-        tail = tail_convergent(cauchy, None, kp, n - kp - 1, z)
-        assert lhs == h.apply(tail, z)
-    with pytest.raises(ValueError):
-        lemma1_matrix(cauchy, Perturbation.both(4, mu, 2, nu))
+    for k, kp in ((1, 3), (4, 2)):
+        pert = Perturbation.both(k, mu, kp, nu)
+        h = lemma1_matrix(cauchy, pert)
+        m = max(k, kp)
+        for n in range(m + 1, m + 5):
+            lhs = convergent(cauchy, pert, n, z)
+            tail = tail_convergent(cauchy, None, m, n - m - 1, z)
+            assert lhs == h.apply(tail, z)
     with pytest.raises(ValueError):
         lemma1_matrix(cauchy, None)
 

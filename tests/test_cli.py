@@ -281,6 +281,15 @@ def test_malformed_config_exits_one(tmp_path, capsys, document):
     # nested deeper than the parser allows: in the parser, then in the evaluator
     ("quad", "--n", "4", "--integrand", "(" * 500 + "x" + ")" * 500),
     ("quad", "--n", "4", "--integrand", "+".join(["x"] * 3000)),
+    # no pair off the median level leaves no flipped row to average
+    ("flip", "--pairs", "1:1"),
+    # P*_n beyond the float range: a coefficient, then a root's polish
+    ("quad", "--n", "4", "--mu", "1e400"),
+    ("zeros", "--n", "4", "--mu", "1e400"),
+    ("measure", "--n", "4", "--mu", "1e400"),
+    ("flip", "--mu", "1e400"),
+    ("quad", "--n", "4", "--mu", "1e200"),
+    ("zeros", "--n", "4", "--mu", "1e200"),
 ])
 def test_domain_failures_exit_one_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -335,7 +344,8 @@ _VALUES = {
     "--n": st.integers(-30, 30).map(str),
     "--k": st.integers(-3, 12).map(str),
     "--kp": st.integers(-3, 12).map(str),
-    "--mu": st.sampled_from(["0.01", "-0.001", "1/10", "0", "-2", "1/0", "abc", "1e3"]),
+    "--mu": st.sampled_from(["0.01", "-0.001", "1/10", "0", "-2", "1/0", "abc", "1e3",
+                            "1e400"]),
     "--nu": st.sampled_from(["1.004", "0.98", "2.12", "0", "-1", "1/0", "x"]),
     "--out": st.sampled_from(["text", "csv", "json", "xml"]),
     "--kind": st.sampled_from(["first", "second", "both", "third"]),
@@ -359,7 +369,7 @@ _VALUES = {
     "--suite": st.sampled_from(["structural", "transfer", "spectral", "oprl", "all", "none"]),
     "--seed": st.integers(-5, 300).map(str),
     "--instances": st.integers(-3, 3).map(str),
-    "--pairs": st.sampled_from(["2:6,3:5", "3:7", "1:0", "-1:2", "a:b", ""]),
+    "--pairs": st.sampled_from(["2:6,3:5", "3:7", "1:0", "-1:2", "a:b", "", "4:4"]),
 }
 
 

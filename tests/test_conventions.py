@@ -17,7 +17,7 @@ import rii
 from rii import (CoefficientScheme, MobiusParams, Perturbation, cauchy_scheme,
                  coprl_structural, convergent, lemma1_matrix, perturbation_transfer,
                  reduce_to_oprl, spectral_gap, spectral_residual, spectral_transform,
-                 tail_convergent, transfer_entries)
+                 tail_convergent, transfer_entries, transfer_residual)
 from rii.cfrac import singular_index
 from rii.tables import estimate_cell
 
@@ -78,6 +78,7 @@ Z = Fraction(5, 2)
 CALLS = {
     "perturbation_transfer": (perturbation_transfer, (SCHEME, PERT)),
     "transfer_entries": (transfer_entries, (SCHEME, PERT)),
+    "transfer_residual": (transfer_residual, (SCHEME, PERT, 4)),
     "lemma1_matrix": (lemma1_matrix, (SCHEME, PERT)),
     "spectral_transform": (spectral_transform, (SCHEME, PERT)),
     "spectral_residual": (spectral_residual, (SCHEME, PERT, 4, Z)),

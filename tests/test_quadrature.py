@@ -90,6 +90,10 @@ def test_build_rule_complex_flag_and_errors(cauchy):
     for nu in ("0.94", "0.98", "1.004", "1.036", "1.1"):
         rule = build_rule(cauchy, Perturbation.codil(1, Fraction(nu)), 15)
         assert len(rule.nodes) == 15
+    # a coefficient beyond the float range, then a zero whose polish overflows
+    for mu in ("1e400", "1e200"):
+        with pytest.raises(DegeneracyError, match="zeros of P\\*_4 leave the float range"):
+            build_rule(cauchy, Perturbation.corec(0, Fraction(mu)), 4)
 
 
 def test_estimate_applies_the_rule(cauchy):

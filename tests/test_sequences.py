@@ -20,7 +20,7 @@ from rii import (
     gen_second_kind,
 )
 from rii.sequences import center_term, iterate, weight_term
-from rii.suites import random_perturbation
+from rii.suites import random_perturbation, random_scheme
 
 
 def test_first_kind_worked_values(cauchy):
@@ -133,6 +133,27 @@ def test_eval_matches_coefficient_path_on_random_schemes(scheme_of_kind, scheme_
         associated = gen_associated(scheme, shift - 1, n, kind)
         assert eval_sequence_at(scheme, None, kind, n, z, shift=shift) == \
             [p(z) for p in associated]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), flip=st.booleans())
+def test_perturbed_family_prefixes_are_the_families_perturbed_below(seed, flip):
+    # a part at level L first changes u_{L+1}: the first L + 1 values of both
+    # kinds are those of the perturbation without its parts at levels >= L
+    rng = random.Random(seed)
+    scheme = random_scheme(rng, 16)
+    pert = random_perturbation(rng, 8)
+    if flip and pert.k is not None and pert.kp is not None and pert.k >= 1:
+        pert = Perturbation.both(pert.kp, pert.mu, pert.k, pert.nu)     # k >= kp
+    p, q = gen_both_kinds(scheme, pert, 10)
+    for level in {pert.k, pert.kp} - {None}:
+        corec = pert.k is not None and pert.k < level
+        codil = pert.kp is not None and pert.kp < level
+        lower = Perturbation(k=pert.k if corec else None, mu=pert.mu if corec else None,
+                             kp=pert.kp if codil else None, nu=pert.nu if codil else None)
+        p_low, q_low = gen_both_kinds(scheme, lower, 10)
+        assert p[:level + 1] == p_low[:level + 1]
+        assert q[:level + 1] == q_low[:level + 1]
 
 
 def test_eval_in_floating_point(cauchy):

@@ -90,3 +90,6 @@ def test_order_flip_experiment_validation():
     with pytest.raises(ValueError):
         # odd k + kp has no integer median
         order_flip_experiment(scheme, [(3, Fraction(1, 100), 6, Fraction(2))], 10)
+    with pytest.raises(ValueError, match="median level 4"):
+        # every pair at the median level leaves no flipped row to average
+        order_flip_experiment(scheme, [(4, Fraction(1, 100), 4, Fraction(2))], 10)

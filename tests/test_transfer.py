@@ -5,15 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+import rii.transfer
 from rii import (
     Perturbation,
     Poly,
+    PolyMatrix2,
     cauchy_scheme,
     f_matrix,
+    gen_both_kinds,
     gen_first_kind,
     gen_second_kind,
     lambda_weight_product,
     perturbation_transfer,
+    run_suite,
     step_matrix,
     structural_residual,
     transfer_entries,
@@ -78,14 +82,17 @@ def test_transfer_entries_match_product_form(cauchy):
 
 
 def test_transfer_identity_as_exact_polynomials(cauchy):
-    pert = Perturbation.both(1, Fraction(2, 3), 3, Fraction(3, 2))
-    m = pert.max_level()
-    s = perturbation_transfer(cauchy, pert)
-    kappa = lambda_weight_product(cauchy, None, m)
-    for n in range(m, m + 4):
-        lhs = f_matrix(cauchy, pert, n).transpose().scale(kappa)
-        rhs = s @ f_matrix(cauchy, None, n).transpose()
-        assert (lhs - rhs).is_zero()
+    # both residuals of the transfer theorem vanish as polynomial matrices for
+    # n >= m, for either order of k and kp; the empty perturbation gives zeros
+    for pert in (Perturbation.both(1, Fraction(2, 3), 3, Fraction(3, 2)),
+                 Perturbation.both(0, Fraction(1, 2), 3, Fraction(2, 3)),
+                 Perturbation.both(4, Fraction(-1, 3), 2, Fraction(5, 4))):
+        m = pert.max_level()
+        for n in range(m, m + 4):
+            entries, identity = transfer_residual(cauchy, pert, n)
+            assert entries.is_zero() and identity.is_zero()
+    for n in (0, 3):
+        assert all(r.is_zero() for r in transfer_residual(cauchy, None, n))
 
 
 def test_structural_residuals_vanish_beyond_gap_two(cauchy):
@@ -109,21 +116,32 @@ def test_structural_residual_pure_shapes(cauchy):
 
 
 def test_transfer_residual_scalar_form(cauchy):
+    # both residual matrices vanish at a rational point, for k = 0 < k' = 3
     pert = Perturbation.both(0, Fraction(1, 2), 3, Fraction(2, 3))
     for n in range(3, 7):
-        res = transfer_residual(cauchy, pert, n, Fraction(5, 6))
-        assert all(v == 0 for row in res for v in row)
+        for res in transfer_residual(cauchy, pert, n):
+            assert all(v == 0 for row in res.eval_at(Fraction(5, 6)) for v in row)
 
 
 def test_transfer_residual_rejects_small_n(cauchy):
-    import pytest
-
     pert = Perturbation.codil(4, Fraction(3, 2))
     with pytest.raises(ValueError):
-        transfer_residual(cauchy, pert, 2, Fraction(1, 2))
+        transfer_residual(cauchy, pert, 2)
 
 
 def test_identity_perturbation_gives_identity_matrix(cauchy):
-    from rii import PolyMatrix2
-
     assert perturbation_transfer(cauchy, None) == PolyMatrix2.identity()
+    assert transfer_entries(cauchy, None) == PolyMatrix2.identity()
+
+
+def test_transfer_suite_builds_two_families_per_instance(monkeypatch):
+    # one plain and one perturbed family serve both residuals of an instance
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return gen_both_kinds(*args)
+
+    monkeypatch.setattr(rii.transfer, "gen_both_kinds", counted)
+    result = run_suite("transfer", seed=3, instances=6)
+    assert result.ok() and len(calls) == 2 * 6

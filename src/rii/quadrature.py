@@ -133,7 +133,8 @@ def _polished_zeros(poly, dpoly, tol_imag):
             x_new = x - step
             if not math.isfinite(x_new):
                 raise _out_of_float_range(poly)
-            if abs(x_new - x) <= 1e-16 * (1.0 + abs(x)):
+            # near 0 a step that is large next to x_new has not converged
+            if abs(x_new - x) <= min(1e-16 * (1.0 + abs(x)), 0.5 * abs(x_new)):
                 x = x_new
                 break
             x = x_new

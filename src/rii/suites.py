@@ -1,9 +1,13 @@
 """Randomized exact-arithmetic verification suites.
 
-Each suite draws schemes (all three weight-factor kinds), perturbation levels
-0 <= k <= k' <= n, rational mu/nu/z, and checks the corresponding identity in
-exact arithmetic: any nonzero residual is recorded with the full instance so
-it can be replayed.  A correct build reports zero failures for every seed.
+`run_suite` runs every suite: it seeds one `random.Random`, times the run
+and calls the suite's check once per instance.  Each check draws its
+instance (schemes of all three weight-factor kinds, perturbation levels
+0 <= k <= k' <= n, rational mu/nu/z) and tests the corresponding identity in
+exact arithmetic.  A nonzero residual is recorded with every input of the
+failing identity call, as strings and `to_dict()` forms, so
+`CoefficientScheme.from_dict` and `Perturbation.from_dict` replay the
+instance on its own.  A correct build reports zero failures for every seed.
 An instance whose identity cannot be evaluated at any z, because a
 denominator vanishes identically, is recorded as skipped, not failed.
 """
@@ -12,7 +16,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .cfrac import singular_index, spectral_residual, spectral_transform
@@ -21,6 +25,10 @@ from .oprl import MobiusParams, coprl_structural, corrected_vs_flawed, mobius_ch
 from .poly import Poly
 from .schemes import CoefficientScheme, Perturbation
 from .transfer import structural_residual, transfer_residual
+
+SHAPES = ("corec", "codil", "both")
+Z_POINTS = 20      # spectral z per instance
+Z_ATTEMPTS = 800   # draws before a spectral instance counts as out of z
 
 
 def random_rational(rng, low=-4, high=4, max_den=4, nonzero=False, positive=False):
@@ -50,7 +58,7 @@ def random_scheme(rng, length, kind=None):
 
 def random_perturbation(rng, n, shape=None):
     """corec / codil / both with 0 <= k <= kp <= n (kp >= 1)."""
-    shape = shape or rng.choice(("corec", "codil", "both"))
+    shape = shape or rng.choice(SHAPES)
     mu = random_rational(rng, nonzero=True)
     nu = random_rational(rng, low=1, high=8, positive=True)
     if shape == "corec":
@@ -69,6 +77,7 @@ class SuiteResult:
     failures: list = field(default_factory=list)
     elapsed: float = 0.0
     skipped: list = field(default_factory=list)   # degenerate instances
+    points: int = 0                               # spectral z checked
 
     def ok(self):
         return not self.failures
@@ -78,100 +87,72 @@ class SuiteResult:
             self.name, self.instances, len(self.failures), self.elapsed)
 
 
-def _record(failures, **info):
-    failures.append(info)
+def _structural(rng, i, result):
+    """Scalar structural identities (first and second kind) at a random z, n <= 12."""
+    scheme = random_scheme(rng, 18)
+    n = rng.randint(2, 12)
+    pert = random_perturbation(rng, n, SHAPES[i % 3])
+    z = random_rational(rng, low=-6, high=6, max_den=5)
+    residuals = structural_residual(scheme, pert, n, z)
+    if any(residuals):
+        result.failures.append(dict(
+            instance=i, scheme=scheme.to_dict(), n=n, perturbation=pert.to_dict(),
+            z=str(z), residuals=tuple(str(r) for r in residuals)))
 
 
-def suite_structural(seed=0, instances=100, n_max=12):
-    """Scalar structural identities (first and second kind) at random z."""
-    rng = random.Random(seed)
-    start = time.perf_counter()
-    failures = []
-    shapes = ("corec", "codil", "both")
-    for i in range(instances):
-        scheme = random_scheme(rng, n_max + 6)
-        n = rng.randint(2, n_max)
-        pert = random_perturbation(rng, n, shapes[i % 3])
-        z = random_rational(rng, low=-6, high=6, max_den=5)
-        r_first, r_second = structural_residual(scheme, pert, n, z)
-        if r_first != 0 or r_second != 0:
-            _record(failures, instance=i, scheme=scheme.to_dict(), n=n,
-                    perturbation=pert.to_dict(), z=str(z),
-                    residuals=(str(r_first), str(r_second)))
-    return SuiteResult("structural", instances, failures, time.perf_counter() - start)
-
-
-def suite_transfer(seed=0, instances=100, n_max=12):
+def _transfer(rng, i, result):
     """Matrix identity K_m F^T(mu,nu) = S F^T as exact polynomials, plus the
-    closed-form entry construction of S against the product form."""
-    rng = random.Random(seed)
-    start = time.perf_counter()
-    failures = []
-    shapes = ("corec", "codil", "both")
-    for i in range(instances):
-        scheme = random_scheme(rng, n_max + 6)
-        pert = random_perturbation(rng, rng.randint(1, n_max - 2), shapes[i % 3])
-        m = pert.max_level()
-        n = rng.randint(m, min(n_max, m + 3))
-        entries, identity = transfer_residual(scheme, pert, n)
-        if not entries.is_zero():
-            _record(failures, instance=i, scheme=scheme.to_dict(),
-                    perturbation=pert.to_dict(), kind="entry-construction")
-            continue
-        if not identity.is_zero():
-            _record(failures, instance=i, scheme=scheme.to_dict(), n=n,
-                    perturbation=pert.to_dict(), kind="matrix-identity")
-    return SuiteResult("transfer", instances, failures, time.perf_counter() - start)
+    closed-form entry construction of S against the product form; n <= 12."""
+    scheme = random_scheme(rng, 18)
+    pert = random_perturbation(rng, rng.randint(1, 10), SHAPES[i % 3])
+    m = pert.max_level()
+    n = rng.randint(m, min(12, m + 3))
+    entries, identity = transfer_residual(scheme, pert, n)
+    for kind, residual in (("entry-construction", entries), ("matrix-identity", identity)):
+        if not residual.is_zero():
+            result.failures.append(dict(
+                instance=i, scheme=scheme.to_dict(), n=n, perturbation=pert.to_dict(),
+                kind=kind))
+            return
 
 
-def suite_spectral(seed=0, instances=25, z_count=20, n_max=8):
-    """Matched-truncation spectral identity at z_count rational z per instance.
+def _spectral(rng, i, result):
+    """Matched-truncation spectral identity at Z_POINTS rational z, levels <= 8.
 
     An instance that runs out of z is a failure unless a nested denominator
     of one of its two convergents is identically zero (e.g. at kp = 2 when
     rho_1 rho_2 (z - c_1)(z - c_2) == lam_2 W_2(z), the plain depth-3
     convergent has a pole everywhere); then it is skipped as degenerate.
     """
-    rng = random.Random(seed)
-    start = time.perf_counter()
-    failures = []
-    skipped = []
-    shapes = ("corec", "codil", "both")
-    checked = 0
-    for i in range(instances):
-        scheme = random_scheme(rng, n_max + 8)
-        pert = random_perturbation(rng, rng.randint(1, n_max), shapes[i % 3])
-        depth = pert.max_level() + 1 + rng.randint(0, 2)
-        transform = spectral_transform(scheme, pert)
-        hits = 0
-        attempts = 0
-        while hits < z_count and attempts < 40 * z_count:
-            attempts += 1
-            z = random_rational(rng, low=-9, high=9, max_den=7)
-            try:
-                residual = spectral_residual(scheme, pert, depth, z, transform)
-            except PoleError:
-                continue
-            hits += 1
-            checked += 1
-            if residual != 0:
-                _record(failures, instance=i, scheme=scheme.to_dict(),
-                        perturbation=pert.to_dict(), z=str(z), depth=depth,
-                        residual=str(residual))
-        if hits < z_count:
-            singular = {label: singular_index(scheme, p, depth)
-                        for label, p in (("perturbed", pert), ("plain", None))}
-            if any(index is not None for index in singular.values()):
-                _record(skipped, instance=i, kind="singular-denominator",
-                        depth=depth, pole_index=singular,
-                        scheme=scheme.to_dict(), perturbation=pert.to_dict())
-            else:
-                _record(failures, instance=i, kind="pole-exhaustion",
-                        scheme=scheme.to_dict(), perturbation=pert.to_dict())
-    result = SuiteResult("spectral", instances, failures, time.perf_counter() - start,
-                         skipped)
-    result.points = checked
-    return result
+    scheme = random_scheme(rng, 16)
+    pert = random_perturbation(rng, rng.randint(1, 8), SHAPES[i % 3])
+    depth = pert.max_level() + 1 + rng.randint(0, 2)
+    transform = spectral_transform(scheme, pert)
+    hits = 0
+    for _ in range(Z_ATTEMPTS):
+        z = random_rational(rng, low=-9, high=9, max_den=7)
+        try:
+            residual = spectral_residual(scheme, pert, depth, z, transform)
+        except PoleError:
+            continue
+        hits += 1
+        if residual != 0:
+            result.failures.append(dict(
+                instance=i, scheme=scheme.to_dict(), perturbation=pert.to_dict(),
+                z=str(z), depth=depth, residual=str(residual)))
+        if hits == Z_POINTS:
+            break
+    result.points += hits
+    if hits < Z_POINTS:
+        singular = {label: singular_index(scheme, p, depth)
+                    for label, p in (("perturbed", pert), ("plain", None))}
+        record = dict(instance=i, depth=depth, scheme=scheme.to_dict(),
+                      perturbation=pert.to_dict())
+        if any(index is not None for index in singular.values()):
+            result.skipped.append(dict(record, kind="singular-denominator",
+                                       pole_index=singular))
+        else:
+            result.failures.append(dict(record, kind="pole-exhaustion"))
 
 
 def _random_mobius(rng):
@@ -188,70 +169,79 @@ def _random_mobius(rng):
         return MobiusParams(alpha, beta, gamma, delta, a)
 
 
-def suite_oprl(seed=0, instances=50, n_max=8):
+def _oprl(rng, i, result):
     """Reduction consistency, reduced-scheme structural identities, and the
-    corrected-vs-flawed shifted-index comparison."""
-    rng = random.Random(seed)
-    start = time.perf_counter()
-    failures = []
-    for i in range(instances):
-        params = _random_mobius(rng)
-        length = n_max + 4
-        rho = [random_rational(rng, nonzero=True) for _ in range(length)]
-        c = []
-        for _ in range(length):
+    corrected-vs-flawed shifted-index comparison, n <= 8.  A record's scheme and
+    Moebius parameters replay all three: reduced = reduce_to_oprl(scheme,
+    mobius, len(rho) - 1)."""
+    params = _random_mobius(rng)
+    length = 12
+    rho = [random_rational(rng, nonzero=True) for _ in range(length)]
+    c = []
+    for _ in range(length):
+        value = random_rational(rng)
+        while value == params.a:  # keep alpha - gamma c_n away from zero
             value = random_rational(rng)
-            while value == params.a:  # keep alpha - gamma c_n away from zero
-                value = random_rational(rng)
-            c.append(value)
-        lam = [random_rational(rng, low=1, high=6, positive=True) for _ in range(length)]
-        scheme = CoefficientScheme.general(rho, c, lam, [(params.a, params.a)] * length)
-        reduced = reduce_to_oprl(scheme, params, length - 1)
+        c.append(value)
+    lam = [random_rational(rng, low=1, high=6, positive=True) for _ in range(length)]
+    scheme = CoefficientScheme.general(rho, c, lam, [(params.a, params.a)] * length)
+    reduced = reduce_to_oprl(scheme, params, length - 1)
+    failure = _oprl_failure(rng, params, scheme, reduced)
+    if failure:
+        mobius = {name: str(value) for name, value in asdict(params).items()}
+        result.failures.append(dict(failure, instance=i, scheme=scheme.to_dict(),
+                                    mobius=mobius))
 
+
+def _oprl_failure(rng, params, scheme, reduced):
+    """The first of _oprl's three checks that fails, as a record, else None."""
+    x = random_rational(rng, low=-5, high=5, max_den=5)
+    while params.gamma * x + params.delta == 0:
         x = random_rational(rng, low=-5, high=5, max_den=5)
-        while params.gamma * x + params.delta == 0:
-            x = random_rational(rng, low=-5, high=5, max_den=5)
-        n = rng.randint(2, n_max)
-        lhs, rhs = mobius_check(scheme, params, n, x)
-        if lhs != rhs:
-            _record(failures, instance=i, kind="reduction", n=n, x=str(x),
-                    lhs=str(lhs), rhs=str(rhs))
-            continue
+    n = rng.randint(2, 8)
+    lhs, rhs = mobius_check(scheme, params, n, x)
+    if lhs != rhs:
+        return dict(kind="reduction", n=n, x=str(x), lhs=str(lhs), rhs=str(rhs))
 
-        pert = random_perturbation(rng, n)
-        residuals = coprl_structural(reduced, pert, n, x)
-        if residuals[0] != 0 or residuals[1] != 0:
-            _record(failures, instance=i, kind="structural",
-                    perturbation=pert.to_dict(), n=n, x=str(x))
-            continue
+    pert = random_perturbation(rng, n)
+    if any(coprl_structural(reduced, pert, n, x)):
+        return dict(kind="structural", perturbation=pert.to_dict(), n=n, x=str(x))
 
-        k = rng.randint(1, n_max - 2)
-        mu = random_rational(rng, nonzero=True)
-        nu = random_rational(rng, low=1, high=8, positive=True)
-        report = corrected_vs_flawed(reduced, k, mu, nu, x)
-        shift = Poly((-(reduced.c(k + 1) + 1), 1))
-        if report.corrected != report.direct or \
-                report.discrepancy != -(report.correction * shift):
-            _record(failures, instance=i, kind="corrected-vs-flawed",
-                    k=k, mu=str(mu), nu=str(nu))
-    return SuiteResult("oprl", instances, failures, time.perf_counter() - start)
+    k = rng.randint(1, 6)
+    mu = random_rational(rng, nonzero=True)
+    nu = random_rational(rng, low=1, high=8, positive=True)
+    report = corrected_vs_flawed(reduced, k, mu, nu, x)
+    shift = Poly((-(reduced.c(k + 1) + 1), 1))
+    if report.corrected != report.direct or \
+            report.discrepancy != -(report.correction * shift):
+        return dict(kind="corrected-vs-flawed", k=k, mu=str(mu), nu=str(nu), x=str(x))
+    return None
 
 
+# name -> (per-instance check, default instance count)
 SUITES = {
-    "structural": suite_structural,
-    "transfer": suite_transfer,
-    "spectral": suite_spectral,
-    "oprl": suite_oprl,
+    "structural": (_structural, 100),
+    "transfer": (_transfer, 100),
+    "spectral": (_spectral, 25),
+    "oprl": (_oprl, 50),
 }
 
 
 def run_suite(name, seed=0, instances=None):
+    """Run suite `name` on `instances` instances (its default when None) drawn
+    from random.Random(seed)."""
     if name not in SUITES:
         raise ValueError("unknown suite %r (expected one of %s)"
                          % (name, ", ".join(sorted(SUITES))))
-    kwargs = {"seed": seed}
-    if instances is not None:
-        if instances < 1:
-            raise ValueError("instances must be >= 1, got %d" % instances)
-        kwargs["instances"] = instances
-    return SUITES[name](**kwargs)
+    check, default = SUITES[name]
+    if instances is None:
+        instances = default
+    elif instances < 1:
+        raise ValueError("instances must be >= 1, got %d" % instances)
+    rng = random.Random(seed)
+    result = SuiteResult(name, instances)
+    start = time.perf_counter()
+    for i in range(instances):
+        check(rng, i, result)
+    result.elapsed = time.perf_counter() - start
+    return result

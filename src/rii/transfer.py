@@ -27,7 +27,8 @@ with K_m = det F_{m+1} = prod_{j=1..m} lambda_j W_j: the perturbed family is a
 left matrix multiple of the unperturbed one from level m onward.
 
 Every identity here reads what it needs off one plain and one perturbed
-(P, Q) family from `gen_both_kinds`.  The values perturbed only below a level
+(P, Q) family: Polys from `gen_both_kinds`, or values at the exact point for
+`structural_residual`.  The values perturbed only below a level
 L are the first L + 1 values of the perturbed family itself (see
 `rii.sequences`), so no family is rebuilt for part of a perturbation.
 `transfer_residual` is the one check of the transfer theorem: S written
@@ -40,10 +41,11 @@ step matrices; `step_matrix` keeps the product form as a reference.
 
 from __future__ import annotations
 
+from .exact import exact_point, rounded
 from .polymat import PolyMatrix2
 from .poly import Poly
 from .schemes import Perturbation
-from .sequences import center_term, eval_sequence_at, gen_both_kinds, weight_term
+from .sequences import _families, center_term, gen_both_kinds, weight_term
 
 def step_matrix(scheme, perturbation, n):
     """T_n with the perturbed center/coefficient substituted at n = k / kp.
@@ -153,25 +155,28 @@ def structural_residual(scheme, perturbation, n, z):
     unperturbed value plus one correction term per perturbation level L <= n,
     each carrying the first-kind associated factor G^{(L+1)}_{n-L}(z) and the
     sequence values perturbed below L, which are the direct values u_L and
-    u_{L-1}.  Exactly (0, 0) for exact z.
+    u_{L-1}.  Both kinds come from one plain and one perturbed family at the
+    exact point z stores, and each residual is rounded once: exactly (0, 0)
+    for every z (0.0 or 0j at a float or complex z).
     """
     pert = perturbation or Perturbation.none()
-    factors = {level: eval_sequence_at(scheme, None, "first", n - level, z,
-                                       shift=level + 1)[-1]
+    x = exact_point(z)
+    factors = {level: _families(scheme, None, ("first",), level + 1, n - level, x)[0][-1]
                for level in (pert.k, pert.kp) if level is not None and level <= n}
+    kinds = ("first", "second")
     out = []
-    for kind in ("first", "second"):
-        direct = eval_sequence_at(scheme, pert, kind, n + 1, z)
-        value = eval_sequence_at(scheme, None, kind, n + 1, z)[n + 1]
+    for direct, plain in zip(_families(scheme, pert, kinds, 0, n + 1, x),
+                             _families(scheme, None, kinds, 0, n + 1, x)):
+        value = plain[n + 1]
         for level, factor in factors.items():
             jump = 0
             if pert.k == level:
                 jump -= pert.mu * scheme.rho(level) * direct[level]
             if pert.kp == level:
-                w = scheme.weight_at(level, z)
+                w = scheme.weight_at(level, x)
                 jump -= (pert.nu - 1) * scheme.lam(level) * w * direct[level - 1]
             value += jump * factor
-        out.append(direct[n + 1] - value)
+        out.append(rounded(direct[n + 1] - value, z))
     return tuple(out)
 
 

@@ -36,9 +36,7 @@ from rii import (
     reduce_to_oprl,
     reference_value_oracle,
     reproduce_table,
-    suite_spectral,
-    suite_structural,
-    suite_transfer,
+    run_suite,
 )
 from rii.integrands import BUILTINS
 
@@ -61,7 +59,7 @@ def reports():
 
 def test_criterion_01_structural_identities():
     start = time.perf_counter()
-    result = suite_structural(seed=7, instances=100, n_max=12)
+    result = run_suite("structural", seed=7, instances=100)
     elapsed = time.perf_counter() - start
     passed = result.ok() and elapsed < 30.0
     record_criterion(1, "structural identities exactly zero (100 runs)", passed,
@@ -72,7 +70,7 @@ def test_criterion_01_structural_identities():
 
 def test_criterion_02_transfer_identities():
     start = time.perf_counter()
-    result = suite_transfer(seed=11, instances=100, n_max=12)
+    result = run_suite("transfer", seed=11, instances=100)
     elapsed = time.perf_counter() - start
     passed = result.ok() and elapsed < 60.0
     record_criterion(2, "transfer identity zero matrix (100 runs)", passed,
@@ -82,7 +80,7 @@ def test_criterion_02_transfer_identities():
 
 
 def test_criterion_03_spectral_chain():
-    result = suite_spectral(seed=3, instances=25, z_count=20)
+    result = run_suite("spectral", seed=3, instances=25)
     passed = result.ok() and result.instances >= 25 and result.points >= 25 * 20
     record_criterion(3, "spectral transformation exact at matched depth", passed,
                      "%d instances, %d points" % (result.instances, result.points))

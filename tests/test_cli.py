@@ -298,6 +298,16 @@ def test_domain_failures_exit_one_without_traceback(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["quad", "zeros"])
+def test_zero_near_origin_polishes(capsys, command):
+    # mu = 1e20 at k = 0 gives P*_10 a zero at -5e-22, where an absolute
+    # Newton stop would end one step early and fail the residual gate
+    code, out, err = run_cli(capsys, command, "--n", "10", "--mu", "1e20")
+    assert (code, err) == (0, "")
+    if command == "zeros":
+        assert float(out.split()[4]) == pytest.approx(-5e-22, rel=1e-12)
+
+
 def test_closed_pipe_exits_one_silently():
     # 5000 samples are more than a pipe buffer holds, so rii is still writing
     # when its reader goes away after the first line

@@ -61,6 +61,9 @@ CASES = {
     "measure-lagrange-csv": ("measure", "--n", "8", "--samples", "7", "--mu=-1/100",
                              "--x-min", "-3", "--x-max", "3"),
     "check": ("check", "--suite", "all", "--seed", "3", "--instances", "2"),
+    # instance 10 is identically singular: one `skipped:` record
+    "check-skip": ("check", "--suite", "spectral", "--seed", "1555393582",
+                   "--instances", "11"),
     "flip-text": ("flip",),
     "flip-csv": ("flip", "--out", "csv"),
     "flip-json": ("flip", "--out", "json"),

@@ -1,14 +1,18 @@
 """Smoke runs of the randomized identity suites (full runs live in acceptance)."""
 
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
-from rii import run_suite
+import rii.suites as suites
+from rii import (CoefficientScheme, MobiusParams, Perturbation, PoleError, PolyMatrix2,
+                 reduce_to_oprl, run_suite)
 from rii.suites import (
     SUITES,
     random_perturbation,
     random_rational,
     random_scheme,
-    suite_oprl,
 )
 
 
@@ -32,7 +36,7 @@ def test_spectral_small_run():
 
 
 def test_oprl_small_run():
-    result = suite_oprl(seed=11, instances=6)
+    result = run_suite("oprl", seed=11, instances=6)
     assert result.ok(), result.failures[:2]
 
 
@@ -80,3 +84,95 @@ def test_spectral_skips_an_identically_singular_instance():
     assert singular_index(scheme, None, 4) is None
     # every other instance checked all of its z
     assert result.points == 10 * 20
+
+
+def _key(value):
+    """A comparable form of an identity's argument."""
+    if isinstance(value, (CoefficientScheme, Perturbation)):
+        return value.to_dict()
+    if isinstance(value, MobiusParams):
+        return dataclasses.asdict(value)
+    return value
+
+
+def _scheme_pert(record):
+    return (CoefficientScheme.from_dict(record["scheme"]),
+            Perturbation.from_dict(record["perturbation"]))
+
+
+def _mobius(record):
+    return MobiusParams(**{name: Fraction(v) for name, v in record["mobius"].items()})
+
+
+def _reduced(record):
+    scheme = CoefficientScheme.from_dict(record["scheme"])
+    return reduce_to_oprl(scheme, _mobius(record), len(record["scheme"]["rho"]) - 1)
+
+
+# (suite, identity as rii.suites names it, a nonzero stand-in for its result,
+#  its inputs rebuilt from the failure record, its result is zero)
+REPLAYS = [
+    pytest.param("structural", "structural_residual", lambda r: (Fraction(1), r[1]),
+                 lambda rec: (*_scheme_pert(rec), rec["n"], Fraction(rec["z"])),
+                 lambda r: r == (0, 0), id="structural"),
+    pytest.param("transfer", "transfer_residual", lambda r: (PolyMatrix2.identity(), r[1]),
+                 lambda rec: (*_scheme_pert(rec), rec["n"]),
+                 lambda r: r[0].is_zero() and r[1].is_zero(), id="transfer-entries"),
+    pytest.param("transfer", "transfer_residual", lambda r: (r[0], PolyMatrix2.identity()),
+                 lambda rec: (*_scheme_pert(rec), rec["n"]),
+                 lambda r: r[0].is_zero() and r[1].is_zero(), id="transfer-identity"),
+    pytest.param("spectral", "spectral_residual", lambda r: r + 1,
+                 lambda rec: (*_scheme_pert(rec), rec["depth"], Fraction(rec["z"])),
+                 lambda r: r == 0, id="spectral"),
+    pytest.param("oprl", "mobius_check", lambda r: (r[0], r[1] + 1),
+                 lambda rec: (CoefficientScheme.from_dict(rec["scheme"]), _mobius(rec),
+                              rec["n"], Fraction(rec["x"])),
+                 lambda r: r[0] - r[1] == 0, id="oprl-reduction"),
+    pytest.param("oprl", "coprl_structural", lambda r: (Fraction(1), r[1]),
+                 lambda rec: (_reduced(rec), Perturbation.from_dict(rec["perturbation"]),
+                              rec["n"], Fraction(rec["x"])),
+                 lambda r: r == (0, 0), id="oprl-structural"),
+    pytest.param("oprl", "corrected_vs_flawed",
+                 lambda r: dataclasses.replace(r, corrected=r.corrected + 1),
+                 lambda rec: (_reduced(rec), rec["k"], Fraction(rec["mu"]),
+                              Fraction(rec["nu"]), Fraction(rec["x"])),
+                 lambda r: r.corrected - r.direct == 0, id="oprl-corrected-vs-flawed"),
+]
+
+
+@pytest.mark.parametrize("suite, name, spoil, inputs, vanishes", REPLAYS)
+def test_failure_record_replays_its_instance(monkeypatch, suite, name, spoil, inputs,
+                                             vanishes):
+    # the identity's third evaluation reports a nonzero residual; its failure
+    # record must hold every input of that call, and the unpatched identity
+    # must vanish on those inputs rebuilt from the record alone
+    identity = getattr(suites, name)
+    calls = []
+
+    def spoiled(*args):
+        out = identity(*args)
+        calls.append(args)
+        return spoil(out) if len(calls) == 3 else out
+
+    monkeypatch.setattr(suites, name, spoiled)
+    result = run_suite(suite, seed=5, instances=4)
+    [record] = result.failures
+    args = inputs(record)
+    assert [_key(a) for a in args] == [_key(a) for a in calls[2][:len(args)]]
+    assert vanishes(identity(*args))
+
+
+def test_pole_exhaustion_record_replays_its_instance(monkeypatch):
+    calls = []
+
+    def pole(*args):
+        calls.append(args)
+        raise PoleError()
+
+    monkeypatch.setattr(suites, "spectral_residual", pole)
+    result = run_suite("spectral", seed=5, instances=1)
+    [record] = result.failures
+    assert record["kind"] == "pole-exhaustion" and result.points == 0
+    assert len(calls) == suites.Z_ATTEMPTS
+    scheme, pert = _scheme_pert(record)
+    assert [_key(a) for a in calls[0][:3]] == [_key(scheme), _key(pert), record["depth"]]

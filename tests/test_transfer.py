@@ -115,6 +115,16 @@ def test_structural_residual_pure_shapes(cauchy):
             assert r1 == 0 and r2 == 0
 
 
+def test_structural_residual_is_exact_at_inexact_points(cauchy):
+    # evaluated at the exact point a float or complex z stores and rounded
+    # once, so no rounding error survives into the residuals
+    pert = Perturbation.both(1, Fraction(1, 5), 3, Fraction(6, 5))
+    for z, zero in ((0.3, 0.0), (0.3 + 0.2j, 0j), (Fraction(3, 10), Fraction(0))):
+        residuals = structural_residual(cauchy, pert, 6, z)
+        assert residuals == (zero, zero)
+        assert all(type(r) is type(zero) for r in residuals)
+
+
 def test_transfer_residual_scalar_form(cauchy):
     # both residual matrices vanish at a rational point, for k = 0 < k' = 3
     pert = Perturbation.both(0, Fraction(1, 2), 3, Fraction(2, 3))

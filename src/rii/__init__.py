@@ -27,7 +27,8 @@ from .quadrature import (QuadratureRule, build_rule, calibrate_m0, estimate,
                          weights_second_kind)
 from .schemes import CoefficientScheme, Perturbation, cauchy_scheme
 from .sequences import (eval_recurrence_at, eval_sequence_at, example_closed_form,
-                        gen_associated, gen_both_kinds, gen_first_kind, gen_second_kind)
+                        family_ends, gen_associated, gen_both_kinds, gen_first_kind,
+                        gen_second_kind)
 from .suites import SUITES, SuiteResult, run_suite
 from .tables import (E_REFERENCE, FlipReport, TableReport, load_fixture,
                      order_flip_experiment, reference_value_oracle,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -27,7 +28,7 @@ from .exact import integer, rational
 from .integrands import parse_integrand
 from .quadrature import TOL_IMAG, build_rule, estimate, real_zeros, require_degree
 from .schemes import CoefficientScheme, Perturbation, cauchy_scheme
-from .sequences import gen_first_kind, gen_second_kind
+from .sequences import family_ends
 from .suites import SUITES, run_suite
 from .tables import order_flip_experiment, reproduce_table
 
@@ -154,11 +155,7 @@ def _cmd_poly(args):
     scheme = _load_scheme(args.scheme)
     pert = _perturbation_from_args(args)
     kinds = ("first", "second") if args.kind == "both" else (args.kind,)
-    entries = []
-    for kind in kinds:
-        seq = (gen_first_kind if kind == "first" else gen_second_kind)(
-            scheme, pert, args.n)
-        entries.append((kind, seq[args.n]))
+    entries = list(zip(kinds, family_ends(scheme, pert, args.n, kinds)))
     document = {"polynomials": [
         {"kind": kind, "n": args.n, "coefficients": [str(c) for c in p.coeffs]}
         for kind, p in entries]}
@@ -174,7 +171,7 @@ def _cmd_poly(args):
 def _cmd_zeros(args):
     scheme = _load_scheme(args.scheme)
     pert = _perturbation_from_args(args)
-    poly = require_degree(gen_first_kind(scheme, pert, args.n)[args.n], args.n)
+    poly = require_degree(family_ends(scheme, pert, args.n, ("first",))[0], args.n)
     zeros = real_zeros(poly, tol_imag=args.tol_imag)
     _emit(args.out, args.precision, {"n": args.n, "zeros": zeros}, ("j", "zero"),
           [{"j": j + 1, "zero": z} for j, z in enumerate(zeros)],
@@ -379,12 +376,17 @@ def build_parser():
     return parser
 
 
+# parse_args leaves the parser as it found it, so one serves every call of
+# main in a process; building it costs about 2 ms
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
     try:
         logging.basicConfig(level=os.environ.get("LOG_LEVEL", "WARNING").upper())
     except ValueError:
         logging.basicConfig(level=logging.WARNING)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.precision < 1:
         parser.error("--precision must be at least 1, got %d" % args.precision)

@@ -35,6 +35,14 @@ A call at a float returns the enclosure's rounding when both ends round to
 the same float (`exact.common_rounding`), which proves it is the correctly
 rounded P(x); otherwise `ratio_at` decides, and so it does when the bound
 overflows or the degree is below ENCLOSE_MIN_DEGREE.
+
+A polynomial with integer coefficients (denominator 1) packs into one int,
+its value at X = 2^bits (`packed`; Kronecker substitution).  Evaluation at
+2^bits is a ring map Z[X] -> Z, so sums and products of packed values are
+the packed sums and products, each one big-int operation.  `unpacked` reads
+the coefficients back as the signed base-2^bits digits of such a value; the
+digits are unique, so they are the coefficients whenever every coefficient
+lies in [-2^(bits-1), 2^(bits-1)).
 """
 
 from __future__ import annotations
@@ -138,6 +146,11 @@ class Poly:
     def const(c):
         return Poly((c,))
 
+    @staticmethod
+    def from_integers(nums, den):
+        """The Poly sum_j nums[j] x^j / den of integers nums and den > 0."""
+        return _make(list(nums), den)
+
     # --- structure ----------------------------------------------------
     @property
     def coeffs(self):
@@ -146,6 +159,11 @@ class Poly:
             return self._nums
         den = self._den
         return tuple([Fraction(a, den) for a in self._nums])
+
+    @property
+    def denominator(self):
+        """The common denominator of the coefficients; None when one is not real."""
+        return self._den
 
     @property
     def degree(self):
@@ -210,14 +228,14 @@ class Poly:
                 return Poly(_convolve(self.coeffs, other.coeffs, Fraction(0)))
             return _make(_convolve(self._nums, other._nums, 0),
                          self._den * other._den)
+        if isinstance(other, (int, Fraction)) and self._den is not None:
+            p = other.numerator
+            return _make([p * a for a in self._nums], self._den * other.denominator)
         try:
             c = _norm_coeff(other)
         except TypeError:
             return NotImplemented
-        if self._den is None or isinstance(c, GaussianRational):
-            return Poly([c * a for a in self.coeffs])
-        p = c.numerator
-        return _make([p * a for a in self._nums], self._den * c.denominator)
+        return Poly([c * a for a in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -243,13 +261,7 @@ class Poly:
         +-inf.
         """
         if self._den is not None and isinstance(z, float) and math.isfinite(z):
-            box = self.enclose(z)
-            if box is not None:
-                lo, hi, den = box
-                value = common_rounding(((lo, den), (hi, den)))
-                if value is not None:
-                    return value
-            return quotient(*self.ratio_at(z))
+            return self.value_and_enclosure(z)[0]
         x = exact_point(z)
         if self._den is not None and isinstance(x, (int, Fraction)):
             return rounded(Fraction(*self.ratio_at(x)), z)
@@ -257,6 +269,20 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return rounded(simplify_scalar(acc), z)
+
+    def value_and_enclosure(self, x):
+        """(P(x), enclose(x)) at a finite float x: P(x) rounded once, as a call
+        gives it, and the enclosure it was read from (None when there is none).
+
+        The coefficients must be rational.
+        """
+        box = self.enclose(x)
+        if box is not None:
+            lo, hi, den = box
+            value = common_rounding(((lo, den), (hi, den)))
+            if value is not None:
+                return value, box
+        return quotient(*self.ratio_at(x)), box
 
     def ratio_at(self, z):
         """P(z) as an unreduced integer pair (num, den) with den > 0, exact.
@@ -378,6 +404,36 @@ class Poly:
 # ENCLOSE_MIN_DEGREE up), so one instance of each constant serves every caller.
 _ZERO = _make([], 1)
 _ONE = _make([1], 1)
+
+
+def norm1(poly):
+    """sum_j |a_j| over the integer numerators a_j of a rational Poly."""
+    return sum(map(abs, poly._nums))
+
+
+def packed(poly, bits):
+    """P(2^bits) of a Poly with integer coefficients (denominator 1), an int."""
+    if poly._den != 1:
+        raise ValueError("only integer polynomials pack")
+    t = 0
+    for a in reversed(poly._nums):
+        t = (t << bits) + a
+    return t
+
+
+def unpacked(value, bits, size, den):
+    """The Poly sum_{j<size} d_j x^j / den, d_j the signed base-2^bits digits of
+    value, each in [-2^(bits-1), 2^(bits-1)); bits is a multiple of 8.
+
+    Adding 2^(bits-1) to every digit makes them all nonnegative, so one
+    little-endian byte string holds them, bits/8 bytes each.
+    """
+    width = bits // 8
+    half = 1 << (bits - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * size, "little")
+    raw = (value + bias).to_bytes(width * size, "little")
+    return _make([int.from_bytes(raw[j:j + width], "little") - half
+                  for j in range(0, width * size, width)], den)
 
 
 def _as_poly(value):

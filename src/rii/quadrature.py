@@ -25,8 +25,8 @@ hit, at finite n.
 
 M_0 needs only leading coefficients, so it runs the recurrence loop
 (`sequences.iterate`) on scalars: L_{m+1} = rho_m L_m - lam_m L_{m-1} (the
-W_m are monic quadratics), without the lam term for oprl schemes (W = 1);
-no polynomial family is built.
+W_m are monic quadratics), without the lam term for oprl schemes (W = 1),
+on integers scaled as the families are; no polynomial family is built.
 
 Every node is a binary float, and each float the rule needs -- Newton
 residual and slope, residual gate, weight -- is the correctly rounded value of
@@ -37,9 +37,14 @@ whenever their ends round to one float, and from exact integer Horner
 is as cheap.  A weight is monotone in Q*_n(x) and in P*_n'(x) over
 enclosures where P*_n' keeps its sign, so its enclosure is spanned by the
 four corner quotients.  The only floating-point error in a rule is the node
-rounding itself.  `build_rule` generates P_0..P_n and Q_0..Q_n once, over
-one list of step terms (`gen_both_kinds`), and P_n' once, so the polish and
-the weights share the cached fixed-point coefficients of P_n'.
+rounding itself.
+
+`build_rule` reads P*_n and Q*_n alone: `sequences.family_ends` iterates
+both families once, over one list of step terms, and turns only those two
+into Polys.  It forms P*_n' once.  Newton reads the residual gate's P*_n(x)
+and the weight's P*_n'(x) enclosure from its own last step when that step
+left x unchanged, which most do; they are the same exact values, so the
+rule is the same.
 """
 
 from __future__ import annotations
@@ -51,15 +56,15 @@ from fractions import Fraction
 from .errors import ComplexZerosError, DegeneracyError, IntegrandError
 from .exact import GaussianRational, common_rounding, quotient, simplify_scalar
 from .schemes import Perturbation
-from .sequences import gen_both_kinds, iterate
+from .sequences import family_ends, iterate
 
 # A root with |Im| <= TOL_IMAG * (1 + |Re|) counts as real.
 TOL_IMAG = 1e-9
 
 
-def _enclosed_ratio(m0, top, bottom, x):
+def _enclosed_ratio(m0, top, bottom, x, b=None):
     """m0 * top(x) / bottom(x), rounded once, when the enclosures of top(x) and
-    bottom(x) prove the rounding; else None.
+    bottom(x) prove the rounding; else None.  b, when given, is bottom.enclose(x).
 
     The quotient is monotone in each factor over enclosures where bottom(x)
     excludes 0, so its range is spanned by the corner quotients.
@@ -67,7 +72,8 @@ def _enclosed_ratio(m0, top, bottom, x):
     t = top.enclose(x)
     if t is None:
         return None
-    b = bottom.enclose(x)
+    if b is None:
+        b = bottom.enclose(x)
     if b is None or b[0] <= 0 <= b[1]:
         return None
     return common_rounding([(m0.numerator * u * b[2], m0.denominator * t[2] * v)
@@ -91,6 +97,11 @@ def _out_of_float_range(poly):
 
 
 def _polished_zeros(poly, dpoly, tol_imag):
+    """(sorted zeros, dpoly's enclosure at each or None): see real_zeros.
+
+    A zero's enclosure is the one its last Newton slope was read from, when
+    that step left x unchanged, so the weights need not enclose dpoly again.
+    """
     import numpy as np   # only root finding needs it: other commands start without it
 
     if poly.degree < 1:
@@ -123,10 +134,11 @@ def _polished_zeros(poly, dpoly, tol_imag):
     polished = []
     for x in accepted:
         for _ in range(40):
-            residual = poly(x)
+            # residual and box are read at `at`, the x of this iteration
+            residual, at, box = poly(x), x, None
             if residual == 0.0:
                 break
-            slope = dpoly(x)
+            slope, box = dpoly.value_and_enclosure(x)
             if slope == 0.0:
                 break
             step = residual / slope
@@ -138,15 +150,17 @@ def _polished_zeros(poly, dpoly, tol_imag):
                 x = x_new
                 break
             x = x_new
+        if x != at:         # the last step moved x
+            residual, box = poly(x), None
         scale = 0.0
         for m in reversed(magnitudes):
             scale = scale * abs(x) + m
-        if abs(poly(x)) > 1e-13 * max(scale, 1e-300):
+        if abs(residual) > 1e-13 * max(scale, 1e-300):
             raise DegeneracyError(
                 "root polish failed near x = %.17g (residual above tolerance)" % x)
-        polished.append(x)
-    polished.sort()
-    return polished
+        polished.append((x, box))
+    polished.sort(key=lambda pair: pair[0])
+    return [x for x, _ in polished], [box for _, box in polished]
 
 
 def real_zeros(poly, tol_imag=TOL_IMAG):
@@ -159,7 +173,7 @@ def real_zeros(poly, tol_imag=TOL_IMAG):
     if not (math.isfinite(tol_imag) and tol_imag >= 0):
         raise ValueError("the imaginary-part tolerance must be finite and >= 0, got %r"
                          % (tol_imag,))
-    return _polished_zeros(poly, poly.derivative(), tol_imag)
+    return _polished_zeros(poly, poly.derivative(), tol_imag)[0]
 
 
 def require_degree(poly, n):
@@ -187,23 +201,33 @@ def calibrate_m0(scheme, n):
     The leading coefficients of the unperturbed P_m (degree m) and Q_m
     (degree m-1) follow the recurrence loop on scalars,
     L_{m+1} = rho_m L_m - lam_m L_{m-1}, without the lam term for oprl
-    (there W_m = 1 lowers the degree instead of keeping it).
+    (there W_m = 1 lowers the degree instead of keeping it).  It runs on
+    integers, scaled as the families are: step m by s_m, the lcm of the
+    denominators of rho_m and lam_m, so V_m = D_m L_m with D_m the product
+    of the scales before m.  Both kinds share D_m, which cancels from
+    lead(Q_m)/lead(P_m) = V^Q_m / V^P_m, and M_0 is one Fraction.
     """
     if n < 1:
         raise ValueError("calibration needs n >= 1, got %d" % n)
     lam = scheme.lam if scheme.kind != "oprl" else (lambda m: 0)
-    lead_p = iterate(scheme.rho, lam, "first", n + 1)
-    lead_q = iterate(scheme.rho, lam, "second", n + 1)
-
-    def ratio(m):
+    a, b, scales = {}, {}, []
+    for m in range(n + 1):
+        rho = scheme.rho(m)
+        lam_m = lam(m) if m else 0      # the first-kind step 0 has no lam term
+        s = math.lcm(rho.denominator, lam_m.denominator)
+        a[m] = rho.numerator * (s // rho.denominator)
+        b[m] = lam_m.numerator * (s // lam_m.denominator) * (scales[-1] if m else 1)
+        scales.append(s)
+    lead_p = iterate(a.__getitem__, b.__getitem__, "first", n + 1)
+    lead_q = iterate(a.__getitem__, b.__getitem__, "second", n + 1, 0, scales[0])
+    for m in (n + 1, n):
         if lead_p[m] == 0 or lead_q[m] == 0:
             raise DegeneracyError("degenerate leading coefficient at index %d" % m)
-        return lead_q[m] / lead_p[m]
-
-    lead_sum = (n + 2) * ratio(n + 1) - (n + 1) * ratio(n)
+    # M_0 = 1 / ((n + 2) lead_q[n+1]/lead_p[n+1] - (n + 1) lead_q[n]/lead_p[n])
+    lead_sum = (n + 2) * lead_q[n + 1] * lead_p[n] - (n + 1) * lead_q[n] * lead_p[n + 1]
     if lead_sum == 0:
         raise DegeneracyError("calibration failed: extrapolated weight sum is zero")
-    return Fraction(1) / lead_sum
+    return Fraction(lead_p[n + 1] * lead_p[n], lead_sum)
 
 
 def weights_moment_formula(scheme, perturbation, nodes, m0, p):
@@ -237,14 +261,17 @@ def weights_moment_formula(scheme, perturbation, nodes, m0, p):
     return out
 
 
-def weights_second_kind(nodes, m0, q, dp):
+def weights_second_kind(nodes, m0, q, dp, enclosures=None):
     """Weights M_0 Q_n/P_n' at the given nodes (floats), each the exact value
     at the node rounded once; q is the perturbed Q_n and dp the perturbed P_n'.
+
+    enclosures, when given, holds dp.enclose(x) or None for each node, as the
+    polish leaves them; a None entry is enclosed here.
     """
     m0 = Fraction(m0)
     out = []
-    for j, x in enumerate(nodes):
-        weight = _enclosed_ratio(m0, q, dp, x)
+    for j, (x, box) in enumerate(zip(nodes, enclosures or [None] * len(nodes))):
+        weight = _enclosed_ratio(m0, q, dp, x, box)
         if weight is None:
             a, b = dp.ratio_at(x)
             if a == 0:
@@ -279,12 +306,12 @@ def build_rule(scheme, perturbation, n, m0=None):
     if n < 1:
         raise ValueError("a rule needs n >= 1 nodes, got %d" % n)
     pert = perturbation or Perturbation.none()
-    p, q = gen_both_kinds(scheme, pert, n)
-    dp = require_degree(p[n], n).derivative()
-    nodes = _polished_zeros(p[n], dp, TOL_IMAG)
+    p, q = family_ends(scheme, pert, n)
+    dp = require_degree(p, n).derivative()
+    nodes, slopes = _polished_zeros(p, dp, TOL_IMAG)
     if m0 is None:
         m0 = calibrate_m0(scheme, n)
-    weights = weights_second_kind(nodes, m0, q[n], dp)
+    weights = weights_second_kind(nodes, m0, q, dp, slopes)
     return QuadratureRule(
         n=n, nodes=tuple(nodes), weights=tuple(weights), perturbation=pert,
         m0=Fraction(m0),

@@ -34,11 +34,33 @@ Step m is scaled by s_m (`cleared_terms`), so that
 with a_m = rho_m (z - c*_m), b_m = lambda*_m W_m(z) and D_i the product of
 the scales of the steps before i.  The first kind starts from v_0 = 1, the
 second from (v_0, v_1) = (0, s_shift), so both share one step list and one
-list of D_i.  The scaling is exact for any s_m: at an int or Fraction z with
-real W_m(z), s_m is the lcm of the denominators of a_m and b_m and the step
-runs on Python ints; at every other step s_m = 1 and a_m, b_m are the exact
-terms (Polys when z is None, Fraction or GaussianRational values at a
-Gaussian point or a non-real W_m(z)).  Each u_i = v_i / D_i costs one gcd.
+list of D_i.  The scaling is exact for any s_m.  When z is None, s_m is the
+lcm of the coefficient denominators of a_m and b_m; at an int or Fraction z
+with real W_m(z), the lcm of the denominators of the values.  Then every v_i
+has integer coefficients (is an int).  At a step with a non-real term s_m = 1
+and a_m, b_m are the exact terms (Gaussian Polys, or Fraction and
+GaussianRational values at a Gaussian point or a non-real W_m(z)).
+
+When z is None and every step is an integer Poly, the loop runs on Python
+ints: each step Poly is packed as its value at X = 2^bits (`poly.packed`),
+evaluation at 2^bits being a ring map Z[X] -> Z, so a step is three big-int
+operations, not two convolutions.  The packing is exact because bits
+bounds every coefficient.  The 1-norm is subadditive and submultiplicative,
+so
+
+    ||v_{i+1}||_1 <= ||s_m a_m||_1 ||v_i||_1 + ||s_m s_{m-1} b_m||_1 ||v_{i-1}||_1,
+
+and by induction ||v_i||_1 <= N_i, where N_i follows the same step with
+the norms, N_{i+1} = ||s_m a_m||_1 N_i + ||s_m s_{m-1} b_m||_1 N_{i-1}, from
+N_0 = 1 (first kind) or (N_0, N_1) = (0, s_shift) (second kind).  Every
+coefficient of v_i is at most ||v_i||_1 <= N_i <= N in size, for N the
+largest N_i, and bits is the least multiple of 8 with 2^(bits-1) > N.  So
+every coefficient lies in [-2^(bits-1), 2^(bits-1)), its signed base-2^bits
+digits are unique, and `poly.unpacked` reads v_i back exactly; u_i = v_i / D_i
+is reduced by one gcd.  Only the values a caller reads are unpacked:
+`family_ends` reads u_n alone.  A family with a non-real step iterates the
+Polys themselves in the same loop.  At an exact z each u_i = v_i / D_i costs
+one gcd.
 
 All of it is exact: the public evaluators take a float or complex z as the
 exact rational it stores and round the exact result once on the way out.
@@ -50,7 +72,7 @@ import math
 from fractions import Fraction
 
 from .exact import GaussianRational, exact_point, rounded
-from .poly import Poly
+from .poly import Poly, norm1, packed, unpacked
 from .schemes import Perturbation
 
 
@@ -59,6 +81,10 @@ def center_term(scheme, pert, m, z=None):
     rho = scheme.rho(m)
     c = pert.center(scheme, m)
     if z is None:
+        if isinstance(rho, (int, Fraction)) and isinstance(c, (int, Fraction)):
+            p = rho.numerator
+            return Poly.from_integers((-p * c.numerator, p * c.denominator),
+                                      rho.denominator * c.denominator)
         return Poly((-rho * c, rho))
     return rho * (z - c)
 
@@ -75,11 +101,20 @@ def cleared_terms(scheme, pert, m, k, z):
     """(s, s a, s b) for a = rho_m (z - c*_m) and b = lambda*_k W_k(z) (b = 0
     when k is None): the only source of step terms.
 
-    At an int or Fraction z with real W_k(z) the three are ints: a and b are
-    reduced and s is the lcm of their denominators.  Everywhere else s = 1
-    and a, b are the exact terms: Polys when z is None, else Fraction or
-    GaussianRational values.
+    When z is None and W_k is real, s is the lcm of the denominators of a
+    and b, and s a, s b are Polys with integer coefficients.  At an int or
+    Fraction z with real W_k(z) the three are ints: a and b are reduced and
+    s is the lcm of their denominators.  Everywhere else s = 1 and a, b are
+    the exact terms: Polys when z is None, else Fraction or GaussianRational
+    values.
     """
+    if z is None:
+        a = center_term(scheme, pert, m)
+        b = Poly.zero() if k is None else weight_term(scheme, pert, k)
+        if a.denominator is None or b.denominator is None:     # a non-real term
+            return 1, a, b
+        s = math.lcm(a.denominator, b.denominator)
+        return s, a * s, b * s
     if isinstance(z, (int, Fraction)):
         p, q = z.as_integer_ratio()
         rho = scheme.rho(m)
@@ -134,9 +169,10 @@ def iterate(a, b, kind, n, shift=0, one=1, zero=0):
     return out
 
 
-def _families(scheme, pert, kinds, shift, n, z):
-    """u_0..u_n of each kind in kinds, iterated over one list of scaled steps:
-    Polys when z is None, else values at an exact z (see the module docstring)."""
+def _families(scheme, pert, kinds, shift, n, z, last=False):
+    """u_0..u_n of each kind in kinds (only u_n when last), iterated over one
+    list of scaled steps: Polys when z is None, else values at an exact z (see
+    the module docstring)."""
     pert = pert or Perturbation.none()
     a, b = {}, {}
     dens = [1]                   # D_i, the product of the scales of the steps before i
@@ -148,17 +184,42 @@ def _families(scheme, pert, kinds, shift, n, z):
             b[m] *= prev
         dens.append(dens[-1] * s)
         prev = s
-    one, zero = (Poly.one(), Poly.zero()) if z is None else (1, 0)
+    # the second kind starts from v_1 = D_1 u_1 = s_shift
+    starts = [dens[1] if kind == "second" and n > 0 else 1 for kind in kinds]
+    indices = [n] if last else range(n + 1)
+    zero = 0
+    if z is not None:
+        def value(v, i):
+            return Fraction(v, dens[i]) if isinstance(v, int) else v / dens[i]
+    elif all(p.denominator == 1 for p in (*a.values(), *b.values())):   # integer steps
+        bits = _packing_bits(a, b, kinds, starts, shift, n)
+        a = {m: packed(p, bits) for m, p in a.items()}
+        b = {m: packed(p, bits) for m, p in b.items()}
+
+        def value(v, i):
+            return unpacked(v, bits, i + 1, dens[i])
+    else:
+        starts = [Poly.const(start) for start in starts]
+        zero = Poly.zero()
+
+        def value(v, i):
+            return v if dens[i] == 1 else v * Fraction(1, dens[i])
     out = []
-    for kind in kinds:
-        # the second kind starts from v_1 = D_1 u_1 = s_shift
-        start = one * dens[1] if kind == "second" and n > 0 else one
+    for kind, start in zip(kinds, starts):
         values = iterate(a.__getitem__, b.__getitem__, kind, n, shift, start, zero)
-        if z is not None:
-            values = [Fraction(v, d) if isinstance(v, int) else v / d
-                      for v, d in zip(values, dens)]
-        out.append(values)
+        out.append([value(values[i], i) for i in indices])
     return out
+
+
+def _packing_bits(a, b, kinds, starts, shift, n):
+    """The least multiple of 8 with 2^(bits-1) above the norm bound N_i of every
+    v_i of each kind (see the module docstring)."""
+    # iterate subtracts its b term, so the norms of the b terms enter negated
+    na = {m: norm1(p) for m, p in a.items()}
+    nb = {m: -norm1(p) for m, p in b.items()}
+    top = max(max(iterate(na.__getitem__, nb.__getitem__, kind, n, shift, start, 0))
+              for kind, start in zip(kinds, starts))
+    return (top.bit_length() // 8 + 1) * 8
 
 
 def gen_first_kind(scheme, perturbation, n):
@@ -179,6 +240,16 @@ def gen_both_kinds(scheme, perturbation, n):
     """(P_0..P_n, Q_0..Q_n): both families iterated over one list of step terms."""
     return tuple(tuple(values) for values in
                  _families(scheme, perturbation, ("first", "second"), 0, n, None))
+
+
+def family_ends(scheme, perturbation, n, kinds=("first", "second")):
+    """u_n of each kind in kinds, a tuple of Polys: (P_n, Q_n) by default.
+
+    The families run over one list of step terms, as in gen_both_kinds, and
+    only u_n becomes a Poly.
+    """
+    return tuple(values[0] for values in
+                 _families(scheme, perturbation, kinds, 0, n, None, last=True))
 
 
 def gen_associated(scheme, j, n, kind="first"):
@@ -237,6 +308,7 @@ __all__ = [
     "gen_first_kind",
     "gen_second_kind",
     "gen_both_kinds",
+    "family_ends",
     "gen_associated",
     "eval_recurrence_at",
     "eval_sequence_at",

@@ -3,8 +3,9 @@
 Each case runs `rii` in-process and compares its stdout with
 tests/golden/<case>.out.  The cases cover every subcommand in every --out
 format at the default precision, nested float rounding in JSON at
---precision 3, `quad --config`, and the text form of non-real polynomial
-coefficients.  --precision 17 is left out on purpose: its last digits can
+--precision 3, `quad --config`, the text form of non-real polynomial
+coefficients, and a rule and a polynomial of degree above 10, where
+`Poly.enclose` and packed families do the work.  --precision 17 is left out on purpose: its last digits can
 differ between LAPACK builds.  The exact demos 01 and 02 run the same way
 against tests/golden/demo-<name>.out, with the suite timings demo 02 prints
 masked.
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from rii.cli import main
+from rii.cli import build_parser, main
 
 GOLDEN = Path(__file__).with_name("golden")
 CONFIG = str(GOLDEN / "experiment.json")
@@ -36,6 +37,8 @@ QUAD = ("quad", "--n", "8", "--mu=-1/100", "--k", "2", "--nu", "0.98", "--kp", "
 # non-conjugate nodes at index 1 give P_3 and Q_3 non-real coefficients
 GAUSSIAN = ('{"rho": 1, "c": 0, "lambda": "1/4", "nodes": [[[0, 1], [0, 2]], '
             '[[1, 1], [1, -1]], [[0, 1], [0, 2]], [[0, 1], [0, 2]]]}')
+# the t5 cell (k = 2, mu = 1/100, k' = 6, nu = 1.004)
+T5_CELL = ("--mu", "1/100", "--k", "2", "--nu", "1.004", "--kp", "6")
 MEASURE = ("measure", "--n", "6", "--method", "spline", "--samples", "9",
            "--x-min", "-5", "--x-max", "5")
 
@@ -50,6 +53,9 @@ CASES = {
     "quad-text": QUAD,
     "quad-csv": QUAD + ("--out", "csv"),
     "quad-json": QUAD + ("--out", "json"),
+    "quad-n100": ("quad", "--n", "100", "--mu", "0.01", "--k", "2", "--nu", "1.004",
+                  "--kp", "6"),
+    "poly-n40-csv": ("poly", "--n", "40", "--kind", "both") + T5_CELL + ("--out", "csv"),
     "quad-config": ("quad", "--config", CONFIG),
     "quad-config-json": ("quad", "--config", CONFIG, "--out", "json"),
     "table-t5-text": ("table", "--id", "t5", "--out", "text"),
@@ -92,6 +98,21 @@ def test_cli_output_matches_golden(name):
     code, out, err = _run(CASES[name])
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / ("%s.out" % name)).read_bytes()
+
+
+def test_one_parser_serves_every_call():
+    # main builds its parser once per process: a usage error leaves it as it
+    # was, and later commands of three kinds still print their goldens
+    usage = io.StringIO()
+    with contextlib.redirect_stderr(usage), pytest.raises(SystemExit) as exit_2:
+        main(["quad", "--n", "ten"])
+    expected = io.StringIO()
+    with contextlib.redirect_stderr(expected), pytest.raises(SystemExit):
+        build_parser().parse_args(["quad", "--n", "ten"])
+    assert exit_2.value.code == 2
+    assert usage.getvalue() == expected.getvalue()
+    for name in ("poly-csv", "quad-text", "table-t5-csv"):
+        assert _run(CASES[name]) == (0, (GOLDEN / ("%s.out" % name)).read_text("utf-8"), "")
 
 
 @pytest.mark.parametrize("name", DEMO_CASES)

@@ -4,9 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rii import GaussianRational, Poly, PolyMatrix2
+from rii.poly import norm1, packed, unpacked
 
 
 def test_construction_strips_leading_zeros():
@@ -296,3 +297,21 @@ def test_gaussian_and_mixed_products():
     assert mixed(Fraction(2)) == GaussianRational(5, -Fraction(5, 2))
     assert mixed.leading() == 1 and mixed[0] == -i * Fraction(1, 2)
     assert mixed.float_coeffs() == [-0.5j, 0.5 - 1j, 1.0]
+
+
+_digits = st.lists(st.integers(-2 ** 15, 2 ** 15 - 1), max_size=6)
+
+
+@example([-2 ** 15, 2 ** 15 - 1, -1, 0, 1], [2 ** 15 - 1, -2 ** 15])
+@given(_digits, _digits)
+def test_packed_arithmetic_unpacks_exactly(a, b):
+    # 16 bits hold every coefficient in [-2^15, 2^15), the ends included; a
+    # product packed at 48 bits has coefficients below 6 * 2^30 < 2^47
+    p, q = Poly(a), Poly(b)
+    assert unpacked(packed(p, 16), 16, len(a), 1) == p
+    assert unpacked(packed(p, 16), 16, len(a) + 2, 6) == p * Fraction(1, 6)
+    product = unpacked(packed(p, 48) * packed(q, 48) - packed(q, 48), 48, len(a) + len(b), 1)
+    assert product == p * q - q
+    assert norm1(p) == sum(abs(c) for c in a)
+    with pytest.raises(ValueError):
+        packed(Poly((Fraction(1, 2),)), 16)

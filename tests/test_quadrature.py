@@ -18,7 +18,10 @@ from rii import (
     gen_first_kind,
     real_zeros,
     weights_moment_formula,
+    weights_second_kind,
 )
+from rii.quadrature import TOL_IMAG, _polished_zeros
+from rii.sequences import family_ends
 
 
 def test_real_zeros_are_cotangents(cauchy):
@@ -143,15 +146,31 @@ def test_each_family_is_generated_once_per_rule(cauchy, monkeypatch):
     import rii.quadrature as quadrature
     import rii.sequences as sequences
 
-    calls = _counting(monkeypatch, quadrature, ("gen_both_kinds",))
+    calls = _counting(monkeypatch, quadrature, ("family_ends",))
     terms = _counting(monkeypatch, sequences, ("center_term", "weight_term"))
     pert = Perturbation.both(2, Fraction(1, 100), 6, Fraction(251, 250))
     build_rule(cauchy, pert, 12)
     # one list of step terms serves both families
-    assert calls == {"gen_both_kinds": 1}
+    assert calls == {"family_ends": 1}
     assert terms == {"center_term": 12, "weight_term": 11}
     calibrate_m0(cauchy, 40)
-    assert calls == {"gen_both_kinds": 1}
+    assert calls == {"family_ends": 1}
+    assert terms == {"center_term": 12, "weight_term": 11}
+
+
+@pytest.mark.parametrize("n", [12, 40, 100])
+def test_reused_enclosures_give_the_same_weights(cauchy, n):
+    # the polish hands on P_n' enclosures at most nodes; each is the one the
+    # weights would make, so weighing afresh gives the rule's weights exactly
+    pert = Perturbation.both(2, Fraction(1, 100), 6, Fraction(251, 250))
+    rule = build_rule(cauchy, pert, n)
+    p, q = family_ends(cauchy, pert, n)
+    dp = p.derivative()
+    nodes, boxes = _polished_zeros(p, dp, TOL_IMAG)
+    assert nodes == list(rule.nodes)
+    assert sum(box is not None for box in boxes) > n // 2
+    assert all(box in (None, dp.enclose(x)) for x, box in zip(nodes, boxes))
+    assert weights_second_kind(rule.nodes, rule.m0, q, dp) == list(rule.weights)
 
 
 def _calibrate_from_polynomials(scheme, n):

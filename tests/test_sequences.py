@@ -19,7 +19,7 @@ from rii import (
     gen_first_kind,
     gen_second_kind,
 )
-from rii.sequences import center_term, iterate, weight_term
+from rii.sequences import center_term, family_ends, iterate, weight_term
 from rii.suites import random_perturbation, random_scheme
 
 
@@ -154,6 +154,60 @@ def test_perturbed_family_prefixes_are_the_families_perturbed_below(seed, flip):
         p_low, q_low = gen_both_kinds(scheme, lower, 10)
         assert p[:level + 1] == p_low[:level + 1]
         assert q[:level + 1] == q_low[:level + 1]
+
+
+def _unscaled(scheme, pert, kind, n):
+    """u_0..u_n by the unscaled Poly loop: the reference for the packed one."""
+    pert = pert or Perturbation.none()
+    return iterate(lambda m: center_term(scheme, pert, m),
+                   lambda m: weight_term(scheme, pert, m),
+                   kind, n, 0, Poly.one(), Poly.zero())
+
+
+@pytest.mark.parametrize("scheme_kind", ["general", "special", "oprl", "mixed"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(0, 12), shift=st.integers(0, 3),
+       flip=st.booleans())
+def test_packed_families_match_their_values(scheme_of_kind, scheme_kind, seed, n, shift,
+                                            flip):
+    # every member that the packed loop unpacks (a non-real step in "mixed"
+    # leaves it to the Poly loop) has, at three rational points, the values
+    # eval_sequence_at finds on its own integer loop; flip puts k above k'
+    rng = random.Random(seed)
+    scheme = scheme_of_kind(rng, scheme_kind)
+    pert = random_perturbation(rng, 8)
+    if flip and pert.k is not None and pert.kp is not None and pert.k >= 1:
+        pert = Perturbation.both(pert.kp, pert.mu, pert.k, pert.nu)
+    points = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
+    p, q = gen_both_kinds(scheme, pert, n)
+    assert list(p) == _unscaled(scheme, pert, "first", n)
+    assert list(q) == _unscaled(scheme, pert, "second", n)
+    assert family_ends(scheme, pert, n) == (p[n], q[n])
+    associated = [(kind, gen_associated(scheme, shift - 1, n, kind))
+                  for kind in ("first", "second")] if shift else []
+    for z in points:
+        assert [u(z) for u in p] == eval_sequence_at(scheme, pert, "first", n, z)
+        assert [u(z) for u in q] == eval_sequence_at(scheme, pert, "second", n, z)
+        for kind, family in associated:
+            assert [u(z) for u in family] == eval_sequence_at(scheme, None, kind, n, z,
+                                                              shift=shift)
+
+
+@pytest.mark.parametrize("pert, n, degree", [
+    (None, 30, 30),
+    (Perturbation.codil(1, Fraction(12, 5)), 6, 4),     # the leading coefficient cancels
+    (Perturbation.corec(0, 10 ** 20), 12, 12),           # 67-bit coefficients
+    (Perturbation.both(2, Fraction(1, 100), 6, Fraction(251, 250)), 40, 40),
+])
+def test_packed_families_at_the_edges(cauchy, pert, n, degree):
+    p, q = gen_both_kinds(cauchy, pert, n)
+    assert list(p) == _unscaled(cauchy, pert, "first", n)
+    assert list(q) == _unscaled(cauchy, pert, "second", n)
+    assert family_ends(cauchy, pert, n) == (p[n], q[n])
+    assert family_ends(cauchy, pert, n, ("second",)) == (q[n],)
+    assert p[n].degree == degree
+    if pert is None:
+        assert p[n] == example_closed_form(n)
 
 
 def test_eval_in_floating_point(cauchy):

@@ -56,7 +56,7 @@ from fractions import Fraction
 from .errors import ComplexZerosError, DegeneracyError, IntegrandError
 from .exact import GaussianRational, common_rounding, quotient, simplify_scalar
 from .schemes import Perturbation
-from .sequences import family_ends, iterate
+from .sequences import clear, family_ends, iterate, scaled_steps
 
 # A root with |Im| <= TOL_IMAG * (1 + |Re|) counts as real.
 TOL_IMAG = 1e-9
@@ -202,24 +202,22 @@ def calibrate_m0(scheme, n):
     (degree m-1) follow the recurrence loop on scalars,
     L_{m+1} = rho_m L_m - lam_m L_{m-1}, without the lam term for oprl
     (there W_m = 1 lowers the degree instead of keeping it).  It runs on
-    integers, scaled as the families are: step m by s_m, the lcm of the
-    denominators of rho_m and lam_m, so V_m = D_m L_m with D_m the product
-    of the scales before m.  Both kinds share D_m, which cancels from
-    lead(Q_m)/lead(P_m) = V^Q_m / V^P_m, and M_0 is one Fraction.
+    integers, scaled as the families are (`sequences.scaled_steps`): step m
+    by s_m, the lcm of the denominators of rho_m and lam_m, so V_m = D_m L_m
+    with D_m the product of the scales before m.  Both kinds share D_m,
+    which cancels from lead(Q_m)/lead(P_m) = V^Q_m / V^P_m, and M_0 is one
+    Fraction.
     """
     if n < 1:
         raise ValueError("calibration needs n >= 1, got %d" % n)
     lam = scheme.lam if scheme.kind != "oprl" else (lambda m: 0)
-    a, b, scales = {}, {}, []
-    for m in range(n + 1):
-        rho = scheme.rho(m)
-        lam_m = lam(m) if m else 0      # the first-kind step 0 has no lam term
-        s = math.lcm(rho.denominator, lam_m.denominator)
-        a[m] = rho.numerator * (s // rho.denominator)
-        b[m] = lam_m.numerator * (s // lam_m.denominator) * (scales[-1] if m else 1)
-        scales.append(s)
-    lead_p = iterate(a.__getitem__, b.__getitem__, "first", n + 1)
-    lead_q = iterate(a.__getitem__, b.__getitem__, "second", n + 1, 0, scales[0])
+    # the first-kind step 0 has no lam term
+    a, b, _, (one_p, one_q) = scaled_steps(
+        (clear(*scheme.rho(m).as_integer_ratio(),
+               *(lam(m) if m else 0).as_integer_ratio()) for m in range(n + 1)),
+        ("first", "second"), 0)
+    lead_p = iterate(a.__getitem__, b.__getitem__, "first", n + 1, 0, one_p)
+    lead_q = iterate(a.__getitem__, b.__getitem__, "second", n + 1, 0, one_q)
     for m in (n + 1, n):
         if lead_p[m] == 0 or lead_q[m] == 0:
             raise DegeneracyError("degenerate leading coefficient at index %d" % m)

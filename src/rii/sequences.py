@@ -27,7 +27,7 @@ run `iterate`.
 
 Every family is one scaled loop: the step list is built once and each
 requested kind is iterated over it, fraction-free in the manner of Bareiss.
-Step m is scaled by s_m (`cleared_terms`), so that
+Step m is scaled by s_m (`cleared_terms`, then `scaled_steps`), so that
 
     v_{i+1} = (s_m a_m) v_i - (s_m s_{m-1} b_m) v_{i-1},   v_i = D_i u_i,
 
@@ -77,15 +77,17 @@ from .schemes import Perturbation
 
 
 def center_term(scheme, pert, m, z=None):
-    """rho_m (z - c*_m): a Poly when z is None, else its value at an exact z."""
+    """rho_m (z - c*_m): a Poly when z is None, else its value at an exact z.
+
+    rho_m and c*_m are rationals, so the Poly is built from their integer
+    parts, without Fraction arithmetic.
+    """
     rho = scheme.rho(m)
     c = pert.center(scheme, m)
     if z is None:
-        if isinstance(rho, (int, Fraction)) and isinstance(c, (int, Fraction)):
-            p = rho.numerator
-            return Poly.from_integers((-p * c.numerator, p * c.denominator),
-                                      rho.denominator * c.denominator)
-        return Poly((-rho * c, rho))
+        p = rho.numerator
+        return Poly.from_integers((-p * c.numerator, p * c.denominator),
+                                  rho.denominator * c.denominator)
     return rho * (z - c)
 
 
@@ -124,7 +126,7 @@ def cleared_terms(scheme, pert, m, k, z):
         g = math.gcd(an, ad)
         an, ad = an // g, ad // g
         if k is None:
-            return ad, an, 0
+            return clear(an, ad, 0, 1)
         try:
             wn, wd = scheme.weight_poly(k).ratio_at(z)
         except TypeError:       # Gaussian coefficients: W_k(z) may be non-real
@@ -133,11 +135,36 @@ def cleared_terms(scheme, pert, m, k, z):
             lam = pert.coefficient(scheme, k)
             bn, bd = lam.numerator * wn, lam.denominator * wd
             g = math.gcd(bn, bd)
-            bn, bd = bn // g, bd // g
-            s = math.lcm(ad, bd)
-            return s, an * (s // ad), bn * (s // bd)
+            return clear(an, ad, bn // g, bd // g)
     b = 0 if k is None else weight_term(scheme, pert, k, z)
     return 1, center_term(scheme, pert, m, z), b
+
+
+def clear(an, ad, bn, bd):
+    """(s, s a, s b) for a = an/ad and b = bn/bd in lowest terms (ad, bd > 0):
+    s = lcm(ad, bd), so the three are ints."""
+    s = math.lcm(ad, bd)
+    return s, an * (s // ad), bn * (s // bd)
+
+
+def scaled_steps(terms, kinds, shift):
+    """The scaled loop's steps from terms, one (s_m, s_m a_m, s_m b_m) per step
+    m = shift, shift + 1, ... (see the module docstring).
+
+    Returns (a, b, dens, starts): s_m a_m and s_m s_{m-1} b_m as dicts keyed
+    by m, the products D_0, D_1, ... of the scales, and the start `iterate`
+    takes for each kind in kinds (v_1 = s_shift for the second kind, 1 for
+    the first).
+    """
+    a, b, dens = {}, {}, [1]
+    prev = 1                     # s_{m-1}
+    for m, (s, sa, sb) in enumerate(terms, shift):
+        a[m] = sa
+        b[m] = sb if prev == 1 else sb * prev
+        dens.append(dens[-1] * s)
+        prev = s
+    starts = [dens[1] if kind == "second" and len(dens) > 1 else 1 for kind in kinds]
+    return a, b, dens, starts
 
 
 def iterate(a, b, kind, n, shift=0, one=1, zero=0):
@@ -174,18 +201,10 @@ def _families(scheme, pert, kinds, shift, n, z, last=False):
     list of scaled steps: Polys when z is None, else values at an exact z (see
     the module docstring)."""
     pert = pert or Perturbation.none()
-    a, b = {}, {}
-    dens = [1]                   # D_i, the product of the scales of the steps before i
-    prev = 1                     # s_{m-1}
-    for m in range(shift, shift + n):
-        # iterate skips b at the first-kind step 0, so it is not queried here
-        s, a[m], b[m] = cleared_terms(scheme, pert, m, m if m > shift else None, z)
-        if prev != 1:
-            b[m] *= prev
-        dens.append(dens[-1] * s)
-        prev = s
-    # the second kind starts from v_1 = D_1 u_1 = s_shift
-    starts = [dens[1] if kind == "second" and n > 0 else 1 for kind in kinds]
+    # iterate skips b at the first-kind step 0, so it is not queried here
+    a, b, dens, starts = scaled_steps(
+        (cleared_terms(scheme, pert, m, m if m > shift else None, z)
+         for m in range(shift, shift + n)), kinds, shift)
     indices = [n] if last else range(n + 1)
     zero = 0
     if z is not None:

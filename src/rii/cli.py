@@ -26,7 +26,7 @@ from .density import lagrange_density, sample_density, spline_density
 from .errors import RiiError
 from .exact import integer, rational
 from .integrands import parse_integrand
-from .quadrature import TOL_IMAG, build_rule, estimate, real_zeros, require_degree
+from .quadrature import build_rule, estimate, real_zeros, require_degree
 from .schemes import CoefficientScheme, Perturbation, cauchy_scheme
 from .sequences import family_ends
 from .suites import SUITES, run_suite
@@ -172,7 +172,7 @@ def _cmd_zeros(args):
     scheme = _load_scheme(args.scheme)
     pert = _perturbation_from_args(args)
     poly = require_degree(family_ends(scheme, pert, args.n, ("first",))[0], args.n)
-    zeros = real_zeros(poly, tol_imag=args.tol_imag)
+    zeros = real_zeros(poly)
     _emit(args.out, args.precision, {"n": args.n, "zeros": zeros}, ("j", "zero"),
           [{"j": j + 1, "zero": z} for j, z in enumerate(zeros)],
           [_fmt(z, args.precision) for z in zeros])
@@ -325,7 +325,6 @@ def build_parser():
 
     p = sub.add_parser("zeros", help="real zeros of P_n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tol-imag", type=float, default=TOL_IMAG, dest="tol_imag")
     p.add_argument("--out", choices=OUT_FORMATS, default="text")
     _add_scheme_arg(p)
     _add_pert_args(p)

@@ -28,6 +28,9 @@ M_0 needs only leading coefficients, so it runs the recurrence loop
 W_m are monic quadratics), without the lam term for oprl schemes (W = 1),
 on integers scaled as the families are; no polynomial family is built.
 
+The nodes are n sorted, pairwise distinct floats, or there is no rule:
+`_polished_zeros` alone decides it, for `build_rule` and `real_zeros` alike.
+
 Every node is a binary float, and each float the rule needs -- Newton
 residual and slope, residual gate, weight -- is the correctly rounded value of
 the exact expression at the node.  It comes from fixed-point enclosures of
@@ -54,7 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ComplexZerosError, DegeneracyError, IntegrandError
-from .exact import GaussianRational, common_rounding, quotient, simplify_scalar
+from .exact import GaussianRational, common_rounding, quotient
 from .schemes import Perturbation
 from .sequences import clear, family_ends, iterate, scaled_steps
 
@@ -80,24 +83,23 @@ def _enclosed_ratio(m0, top, bottom, x, b=None):
                             for u in t[:2] for v in b[:2]])
 
 
-def _has_nonreal_ratio(poly):
-    """Whether some coefficient / leading coefficient is not real.
-
-    P = lead * prod (z - x_j) with every x_j real has real ratios, so a
-    non-real one proves a non-real zero, whatever the float roots show.
-    """
-    lead = poly.leading()
-    return any(isinstance(simplify_scalar(c / lead), GaussianRational)
-               for c in poly.coeffs)
-
-
 def _out_of_float_range(poly):
     return DegeneracyError("the zeros of P*_%d leave the float range: a coefficient, a "
                            "root or a Newton step is not finite" % poly.degree)
 
 
-def _polished_zeros(poly, dpoly, tol_imag):
-    """(sorted zeros, dpoly's enclosure at each or None): see real_zeros.
+def _polished_zeros(poly, dpoly):
+    """(zeros, dpoly's enclosure at each or None) of poly, of degree n >= 1 with a
+    real leading coefficient, and its derivative dpoly.
+
+    The zeros are n sorted, pairwise distinct floats, or this raises.  The
+    seeds are companion eigenvalues.  ComplexZerosError lists those with
+    |Im| > TOL_IMAG (1 + |Re|); failing those, when a coefficient is not real,
+    every seed off the axis: over a real lead that is a non-real ratio, which
+    a product of real factors (z - x_j) cannot have.  lead(P*_n) is real, as
+    L_{m+1} = rho_m L_m - lam*_m L_{m-1} with W_m monic (no lam term for oprl).
+    Newton on the exact coefficients polishes each seed's real part; a
+    residual above the gate or two equal zeros raise DegeneracyError.
 
     A zero's enclosure is the one its last Newton slope was read from, when
     that step left x unchanged, so the weights need not enclose dpoly again.
@@ -114,25 +116,15 @@ def _polished_zeros(poly, dpoly, tol_imag):
         finite = False
     if not finite:
         raise _out_of_float_range(poly)
-    complex_pairs = []
-    accepted = []
-    near_real = []       # accepted roots with a tiny nonzero Im part
-    for r in raw:
-        r = complex(r)
-        if abs(r.imag) > tol_imag * (1.0 + abs(r.real)):
-            complex_pairs.append(r)
-        else:
-            accepted.append(r.real)
-            if r.imag != 0.0:
-                near_real.append(r)
-    if complex_pairs:
-        raise ComplexZerosError(sorted(complex_pairs, key=lambda v: (v.real, v.imag)))
-    if any(isinstance(c, complex) for c in coeffs) and _has_nonreal_ratio(poly):
-        raise ComplexZerosError(sorted(near_real, key=lambda v: (v.real, v.imag)))
+    seeds = [complex(r) for r in raw]
+    off_axis = [r for r in seeds if abs(r.imag) > TOL_IMAG * (1.0 + abs(r.real))]
+    if off_axis or poly.denominator is None:
+        raise ComplexZerosError(sorted(off_axis or [r for r in seeds if r.imag],
+                                       key=lambda v: (v.real, v.imag)))
 
     magnitudes = [abs(c) for c in coeffs]
     polished = []
-    for x in accepted:
+    for x in (r.real for r in seeds):
         for _ in range(40):
             # residual and box are read at `at`, the x of this iteration
             residual, at, box = poly(x), x, None
@@ -160,20 +152,22 @@ def _polished_zeros(poly, dpoly, tol_imag):
                 "root polish failed near x = %.17g (residual above tolerance)" % x)
         polished.append((x, box))
     polished.sort(key=lambda pair: pair[0])
-    return [x for x, _ in polished], [box for _, box in polished]
+    zeros = [x for x, _ in polished]
+    if any(b <= a for a, b in zip(zeros, zeros[1:])):
+        raise DegeneracyError("nodes must be strictly increasing")
+    return zeros, [box for _, box in polished]
 
 
-def real_zeros(poly, tol_imag=TOL_IMAG):
-    """Sorted real zeros via companion eigenvalues + exact-coefficient Newton.
+def real_zeros(poly):
+    """The zeros of poly as n sorted, pairwise distinct floats, or an error.
 
-    Roots with |Im| <= tol_imag * (1 + |Re|) are accepted as real and
-    polished; anything farther off the axis raises ComplexZerosError listing
-    the pairs.  tol_imag must be finite and >= 0.
+    A non-real leading coefficient is divided out first; then the zeros are
+    those of `build_rule`, with its errors (see `_polished_zeros`).
     """
-    if not (math.isfinite(tol_imag) and tol_imag >= 0):
-        raise ValueError("the imaginary-part tolerance must be finite and >= 0, got %r"
-                         % (tol_imag,))
-    return _polished_zeros(poly, poly.derivative(), tol_imag)[0]
+    lead = poly.leading()
+    if isinstance(lead, GaussianRational):
+        poly = poly * (1 / lead)
+    return _polished_zeros(poly, poly.derivative())[0]
 
 
 def require_degree(poly, n):
@@ -299,14 +293,14 @@ def build_rule(scheme, perturbation, n, m0=None):
     m0 defaults to the calibrated mass constant; m0=1 gives the raw ratios.
     Raises ComplexZerosError when the perturbed polynomial leaves the real
     line (the rule does not exist), DegeneracyError when P*_n has degree
-    below n or a weight denominator vanishes.
+    below n, two of its zeros coincide or a weight denominator vanishes.
     """
     if n < 1:
         raise ValueError("a rule needs n >= 1 nodes, got %d" % n)
     pert = perturbation or Perturbation.none()
     p, q = family_ends(scheme, pert, n)
     dp = require_degree(p, n).derivative()
-    nodes, slopes = _polished_zeros(p, dp, TOL_IMAG)
+    nodes, slopes = _polished_zeros(p, dp)
     if m0 is None:
         m0 = calibrate_m0(scheme, n)
     weights = weights_second_kind(nodes, m0, q, dp, slopes)

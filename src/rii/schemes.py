@@ -35,9 +35,7 @@ from .poly import Poly
 def as_coeff_fn(spec, name):
     """Normalize a constant / list / callable coefficient spec to fn(n)."""
     if callable(spec):
-        def rule(n, _f=spec):
-            return _f(n)
-        return rule
+        return spec
     if isinstance(spec, (list, tuple)):
         table = [rational(v) for v in spec]
 

@@ -289,7 +289,8 @@ def eval_recurrence_at(scheme, perturbation, kind, n, z):
     Exact z (int/Fraction/GaussianRational) gives an exact scalar; a float or
     complex z gives the exact value at the point it stores, rounded once.
     """
-    return rounded(_families(scheme, perturbation, (kind,), 0, n, exact_point(z))[0][n], z)
+    u_n = _families(scheme, perturbation, (kind,), 0, n, exact_point(z), last=True)[0][0]
+    return rounded(u_n, z)
 
 
 def eval_sequence_at(scheme, perturbation, kind, n, z, shift=0):

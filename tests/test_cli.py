@@ -87,6 +87,9 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--precision", "-3", "quad", "--n", "4"])     # no digits to print
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["zeros", "--n", "4", "--tol-imag", "1e-9"])   # one zero finder, no override
+    assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -262,7 +265,7 @@ def test_malformed_config_exits_one(tmp_path, capsys, document):
     ("flip", "--mu", "1/0"),
     ("check", "--suite", "all", "--instances", "-1"),
     ("check", "--suite", "oprl", "--instances", "0"),
-    ("zeros", "--n", "3", "--tol-imag", "100", "--scheme",
+    ("zeros", "--n", "3", "--scheme",
      '{"rho": 1, "c": 0, "lambda": "1/4", "nodes": [[[0, 1], [0, 2]], [[0, 1], [0, 2]],'
      ' [[0, 1], [0, 2]], [[0, 1], [0, 2]]]}'),
     # perturbed: the unperturbed weights are all 1/11, so its interpolant is constant
@@ -273,8 +276,9 @@ def test_malformed_config_exits_one(tmp_path, capsys, document):
     ("poly", "--n", "2", "--scheme", '{"rho": "1/0", "c": 0, "lambda": 1}'),
     ("poly", "--n", "2", "--scheme", '{"rho": 1, "c": 0, "lambda": 1, "nodes": [["1/0", 0]]}'),
     ("poly", "--n", "2", "--scheme", '{"rho": 1, "c": Infinity, "lambda": 1}'),
-    ("zeros", "--n", "18", "--nu", "2.12", "--tol-imag", "nan"),
-    ("zeros", "--n", "4", "--tol-imag", "-1"),
+    # the worked example's companion seeds meet in pairs: two equal zeros
+    ("zeros", "--n", "103"),
+    ("zeros", "--n", "104"),
     # the leading coefficient of P*_n vanishes: degree 4 at n = 6, 0 at n = 2
     ("quad", "--n", "6", "--nu", "12/5"),
     ("zeros", "--n", "2", "--nu", "4"),
@@ -343,7 +347,7 @@ def test_check_does_not_import_numpy_or_scipy(argv):
 _PERT = ("--mu", "--k", "--nu", "--kp", "--scheme")
 _FLAGS = {
     "poly": ("--n", "--kind", "--out") + _PERT,
-    "zeros": ("--n", "--tol-imag", "--out") + _PERT,
+    "zeros": ("--n", "--out") + _PERT,
     "quad": ("--n", "--integrand", "--config", "--out") + _PERT,
     "table": ("--id", "--out"),
     "measure": ("--n", "--method", "--samples", "--x-min", "--x-max", "--out") + _PERT,
@@ -371,7 +375,6 @@ _VALUES = {
                                     "^".join(["x"] * 1000)]),
     "--method": st.sampled_from(["lagrange", "spline", "bogus"]),
     "--config": st.just("no-such-config.json"),
-    "--tol-imag": st.sampled_from(["1e-9", "0", "-1", "nan", "inf"]),
     "--samples": st.integers(-2, 20).map(str),
     "--x-min": st.sampled_from(["-1", "0.5", "nan", "inf", "-inf", "1e308"]),
     "--x-max": st.sampled_from(["1", "-0.5", "nan", "inf", "-1e308"]),

@@ -1,14 +1,19 @@
 """Rules of the worked scheme: zeros, calibration, weights, guards."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rii import (
     ComplexZerosError,
     DegeneracyError,
+    GaussianRational,
     Perturbation,
+    Poly,
+    RiiError,
     build_rule,
     calibrate_m0,
     cauchy_scheme,
@@ -20,8 +25,9 @@ from rii import (
     weights_moment_formula,
     weights_second_kind,
 )
-from rii.quadrature import TOL_IMAG, _polished_zeros
+from rii.quadrature import _polished_zeros
 from rii.sequences import family_ends
+from rii.suites import random_perturbation, random_scheme
 
 
 def test_real_zeros_are_cotangents(cauchy):
@@ -42,6 +48,48 @@ def test_real_zeros_complex_guard(cauchy):
     with pytest.raises(ComplexZerosError) as exc:
         real_zeros(seq[18])
     assert exc.value.pairs
+
+
+def test_real_zeros_divides_out_a_non_real_lead():
+    # 2i - 2i x^2 = -2i (x^2 - 1): its ratios are real, and so are its zeros
+    i = GaussianRational.i()
+    assert real_zeros(Poly((2 * i, 0, -2 * i))) == [-1.0, 1.0]
+
+
+def test_non_real_coefficient_over_a_real_lead_is_refused():
+    # (x - 1)(x - 2 - 10^-12 i): both seeds lie within TOL_IMAG of the axis,
+    # but a non-real coefficient over lead 1 proves a non-real zero
+    i = GaussianRational.i()
+    poly = Poly((-1, 1)) * Poly((-(2 + Fraction(1, 10 ** 12) * i), 1))
+    with pytest.raises(ComplexZerosError) as exc:
+        real_zeros(poly)
+    assert exc.value.pairs[-1] == pytest.approx(2 + 1e-12j, abs=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 12))
+def test_real_zeros_are_the_rule_nodes_or_its_error(seed, n):
+    # one zero finder: real_zeros(P*_n) fails as build_rule fails, or returns
+    # n strictly increasing floats that are the rule's nodes when it builds
+    rng = random.Random(seed)
+    scheme = random_scheme(rng, n + 2)
+    pert = random_perturbation(rng, n)
+    p = family_ends(scheme, pert, n, ("first",))[0]
+    assume(p.degree == n)
+    try:
+        zeros = real_zeros(p)
+    except RiiError as exc:
+        with pytest.raises(type(exc)) as raised:
+            build_rule(scheme, pert, n)
+        assert str(raised.value) == str(exc)
+        return
+    assert len(zeros) == n and all(isinstance(x, float) for x in zeros)
+    assert all(a < b for a, b in zip(zeros, zeros[1:]))
+    try:
+        rule = build_rule(scheme, pert, n)
+    except RiiError:
+        return
+    assert list(rule.nodes) == zeros
 
 
 def test_calibrated_mass_is_one_half(cauchy):
@@ -166,7 +214,7 @@ def test_reused_enclosures_give_the_same_weights(cauchy, n):
     rule = build_rule(cauchy, pert, n)
     p, q = family_ends(cauchy, pert, n)
     dp = p.derivative()
-    nodes, boxes = _polished_zeros(p, dp, TOL_IMAG)
+    nodes, boxes = _polished_zeros(p, dp)
     assert nodes == list(rule.nodes)
     assert sum(box is not None for box in boxes) > n // 2
     assert all(box in (None, dp.enclose(x)) for x, box in zip(nodes, boxes))

@@ -8,16 +8,15 @@ the unperturbed I_n in a controlled way.
 
 from fractions import Fraction
 
-from rii import (BUILTINS, Perturbation, build_rule, calibrate_m0,
-                 cauchy_scheme, estimate, exactness_check,
-                 order_flip_experiment, reproduce_table)
+from rii import (BUILTINS, Perturbation, build_rule, cauchy_scheme, estimate,
+                 exactness_check, order_flip_experiment, reproduce_table)
 
 scheme = cauchy_scheme()
 f = BUILTINS["example3"].evaluator
 
 print("== the unperturbed rule ==")
 rule = build_rule(scheme, None, 5)
-print("  calibrated mass factor:", calibrate_m0(scheme, 5))
+print("  calibrated mass factor:", rule.m0)
 print("  nodes  :", " ".join("%+.6f" % x for x in rule.nodes))
 print("  weights:", " ".join("%.6f" % w for w in rule.weights))
 

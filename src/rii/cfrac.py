@@ -153,16 +153,13 @@ class Homography:
         rational entries e(x) = e_n/e_d (`Poly.ratio_at`), two ints of the same
         ratio: (a_n p b_d + b_n q a_d) c_d d_d and (c_n p d_d + d_n q c_d) a_d b_d.
         Otherwise the two values."""
-        if isinstance(v, (int, Fraction)) and isinstance(x, (int, Fraction)):
-            try:
-                (an, ad), (bn, bd), (cn, cd), (dn, dd) = [
-                    entry.ratio_at(x) for entry in self.matrix.entries()]
-            except TypeError:      # a non-real entry
-                pass
-            else:
-                p, q = v.as_integer_ratio()
-                return ((an * p * bd + bn * q * ad) * cd * dd,
-                        (cn * p * dd + dn * q * cd) * ad * bd)
+        entries = self.matrix.entries()
+        if isinstance(v, (int, Fraction)) and isinstance(x, (int, Fraction)) and \
+                all(entry.denominator is not None for entry in entries):
+            (an, ad), (bn, bd), (cn, cd), (dn, dd) = [e.ratio_at(x) for e in entries]
+            p, q = v.as_integer_ratio()
+            return ((an * p * bd + bn * q * ad) * cd * dd,
+                    (cn * p * dd + dn * q * cd) * ad * bd)
         (a, b), (c, d) = self.matrix.eval_at(x)
         return a * v + b, c * v + d
 

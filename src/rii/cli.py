@@ -124,6 +124,11 @@ class ExperimentConfig:
         if out not in OUT_FORMATS:
             raise ValueError("config out must be one of %s, got %r"
                              % (", ".join(OUT_FORMATS), out))
+        for key in ("perturbations", "n"):
+            # a string or an object would be iterated by character or by key
+            if not isinstance(data.get(key, []), list):
+                raise ValueError("malformed config: %s must be a JSON array, got %r"
+                                 % (key, data[key]))
         try:
             return cls(
                 scheme=CoefficientScheme.from_dict(data["scheme"]),

@@ -38,7 +38,7 @@ from fractions import Fraction
 from .errors import SingularReductionError
 from .exact import rational
 from .poly import Poly
-from .schemes import CoefficientScheme
+from .schemes import CoefficientScheme, Perturbation
 from .sequences import eval_recurrence_at, gen_first_kind
 from .transfer import structural_residual
 
@@ -120,33 +120,24 @@ def coprl_structural(oprl, perturbation, n, x):
 
 # --- monic, shifted-index convention ---------------------------------------
 
-def _monic_view(oprl, order, k=None, mu=0, nu=1):
-    """The monic recurrence of `order` as an oprl scheme.
-
-    Step m has rho 1, center c_{m+order+1} (+ mu at m = k) and lam_{m+order}
-    (* nu at m = k).  (mu, nu) live in the view rather than in a
-    Perturbation, whose checks would reject a nu <= 0 that the monic
-    demonstration accepts.
-    """
-    def center(m):
-        c = oprl.c(m + order + 1)
-        return c + mu if m == k else c
-
-    def lam(m):
-        value = oprl.lam(m + order)
-        return value * nu if m == k else value
-
-    return CoefficientScheme.oprl(1, center, lam)
+def _monic_view(oprl, order):
+    """The monic recurrence of `order` as an oprl scheme: step m has rho 1,
+    center c_{m+order+1} and lam_{m+order}."""
+    return CoefficientScheme.oprl(1, lambda m: oprl.c(m + order + 1),
+                                  lambda m: oprl.lam(m + order))
 
 
 def monic_sequence(oprl, n, k=None, mu=0, nu=1):
     """P_0..P_n of P_{j+1} = (x - c_{j+1}) P_j - lam_j P_{j-1} as Polys.
 
     The optional perturbation (mu, nu) lands on step j = k: center c_{k+1}
-    shifts by mu and lam_k scales by nu.  Step 0 has no lam term.
+    shifts by mu and lam_k scales by nu.  Step 0 has no lam term, so nu
+    acts only at k >= 1.  The view's step k is index k of a Perturbation,
+    which rejects nu <= 0 there (PerturbationError).
     """
-    view = _monic_view(oprl, 0, k, rational(mu), rational(nu))
-    return list(gen_first_kind(view, None, n))
+    pert = None if k is None else Perturbation(k=k, mu=mu, kp=k or None,
+                                               nu=nu if k else None)
+    return list(gen_first_kind(_monic_view(oprl, 0), pert, n))
 
 
 def monic_associated(oprl, order, n):
@@ -175,7 +166,8 @@ class CorrectionReport:
 def corrected_vs_flawed(oprl, k, mu, nu, x):
     """Compare direct recurrence, corrected formula, and flawed formula at n = k+1.
 
-    Requires k >= 1 (so nu multiplies a live lam_k).  The discrepancy
+    Requires k >= 1 (so nu multiplies a live lam_k); nu <= 0 raises
+    PerturbationError, as in `monic_sequence`.  The discrepancy
     polynomial equals -W_k(x) * (x - c_{k+1} - 1) exactly.
     """
     if k < 1:

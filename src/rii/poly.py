@@ -29,12 +29,14 @@ runs Horner in fixed point with FRACTION_BITS fraction bits,
 whose width is that of the coefficients plus FRACTION_BITS and the size of
 the partial sums, not 53 bits more each step.  Each floor loses less than
 one unit, so the exact numerator lies within sum_{k<n} |x|^k units of t; that
-sum is bounded in floats (2 for |x| < 1/2, n for |x| <= 1, n |x|^(n-1) for
-|x| <= 2, |x|^n / (|x| - 1) beyond) with a relative margin, plus one unit.
-A call at a float returns the enclosure's rounding when both ends round to
-the same float (`exact.common_rounding`), which proves it is the correctly
-rounded P(x); otherwise `ratio_at` decides, and so it does when the bound
-overflows or the degree is below ENCLOSE_MIN_DEGREE.
+sum is at most n max(1, |x|)^(n-1), which is bounded in floats with a
+relative margin, plus one unit.  A call at a float returns the enclosure's
+rounding when both ends round to the same float (`exact.common_rounding`),
+which proves it is the correctly rounded P(x); otherwise `ratio_at` decides,
+and so it does when the bound overflows or the degree is below
+ENCLOSE_MIN_DEGREE.  `rounded_ratio` rounds a scaled quotient of two
+polynomials at x the same way, from the corners of their enclosures or from
+exact Horner.
 
 A polynomial with integer coefficients (denominator 1) packs into one int,
 its value at X = 2^bits (`packed`; Kronecker substitution).  Evaluation at
@@ -332,19 +334,11 @@ class Poly:
         n = len(nums) - 1
         if n < ENCLOSE_MIN_DEGREE:
             return None
-        size = abs(x)
         try:
-            if size < 0.5:
-                bound = 2.0
-            elif size <= 1.0:
-                bound = float(n)
-            elif size <= 2.0:
-                bound = n * size ** (n - 1)
-            else:
-                bound = size ** n / (size - 1.0)
+            # sum_{k<n} |x|^k <= n max(1, |x|)^(n-1)
+            bound = n * max(1.0, abs(x)) ** (n - 1) * (1.0 + 1e-12)
         except OverflowError:
             return None
-        bound *= 1.0 + 1e-12
         if bound == math.inf:
             return None
         err = math.ceil(bound) + 1
@@ -404,6 +398,31 @@ class Poly:
 # ENCLOSE_MIN_DEGREE up), so one instance of each constant serves every caller.
 _ZERO = _make([], 1)
 _ONE = _make([1], 1)
+
+
+def rounded_ratio(scale, top, bottom, x, bottom_box=None):
+    """scale * top(x) / bottom(x) at a finite float x, correctly rounded.
+
+    scale is an int or a Fraction; top and bottom have rational coefficients.
+    bottom_box, when given, is bottom.enclose(x).  The quotient is monotone in
+    each factor over enclosures where bottom(x) keeps its sign, so when the
+    four corner quotients round alike, that is its rounding; otherwise exact
+    Horner decides.  Raises ZeroDivisionError when bottom(x) = 0.
+    """
+    num, den = scale.numerator, scale.denominator
+    t = top.enclose(x)
+    if t is not None:
+        b = bottom.enclose(x) if bottom_box is None else bottom_box
+        if b is not None and not b[0] <= 0 <= b[1]:
+            value = common_rounding([(num * u * b[2], den * t[2] * v)
+                                     for u in t[:2] for v in b[:2]])
+            if value is not None:
+                return value
+    bn, bd = bottom.ratio_at(x)
+    if bn == 0:
+        raise ZeroDivisionError("the denominator vanishes at x = %r" % (x,))
+    tn, td = top.ratio_at(x)
+    return quotient(num * tn * bd, den * td * bn)
 
 
 def norm1(poly):

@@ -17,9 +17,10 @@ other where P*_n vanishes.  At a float node the two differ by
 M_0 P*_n Q*_{n-1} / (P*_n' P*_{n-1}); `weights_moment_formula` is kept as an
 exact reference for that comparison.
 
-M_0 is calibrated without any floating point: the raw weights (m0 = 1) sum
-to lead(Q_n)/lead(P_n) exactly (a residue identity), and a two-point fit in
-n removes its C/(n+1) tail.  For the worked example this yields exactly 1/2
+M_0 is chosen in one place, `build_rule`, which calibrates it at the rule's
+n without any floating point: the raw weights (M_0 = 1) sum to
+lead(Q_n)/lead(P_n) exactly (a residue identity), and a two-point fit in n
+removes its C/(n+1) tail.  For the worked example this yields exactly 1/2
 at every n, and the weights sum to n/(n+1): total mass is approached, not
 hit, at finite n.
 
@@ -37,10 +38,9 @@ the exact expression at the node.  It comes from fixed-point enclosures of
 the polynomials (`Poly.enclose`, 128 fraction bits, with a proven error bound)
 whenever their ends round to one float, and from exact integer Horner
 (`Poly.ratio_at`) otherwise, and always below degree 11, where exact Horner
-is as cheap.  A weight is monotone in Q*_n(x) and in P*_n'(x) over
-enclosures where P*_n' keeps its sign, so its enclosure is spanned by the
-four corner quotients.  The only floating-point error in a rule is the node
-rounding itself.
+is as cheap.  A weight is rounded by `poly.rounded_ratio`, which owns the
+enclosures: quadrature hands them on and never looks inside one.  The only
+floating-point error in a rule is the node rounding itself.
 
 `build_rule` reads P*_n and Q*_n alone: `sequences.family_ends` iterates
 both families once, over one list of step terms, and turns only those two
@@ -57,30 +57,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ComplexZerosError, DegeneracyError, IntegrandError
-from .exact import GaussianRational, common_rounding, quotient
+from .exact import GaussianRational, quotient
+from .poly import rounded_ratio
 from .schemes import Perturbation
 from .sequences import clear, family_ends, iterate, scaled_steps
 
 # A root with |Im| <= TOL_IMAG * (1 + |Re|) counts as real.
 TOL_IMAG = 1e-9
-
-
-def _enclosed_ratio(m0, top, bottom, x, b=None):
-    """m0 * top(x) / bottom(x), rounded once, when the enclosures of top(x) and
-    bottom(x) prove the rounding; else None.  b, when given, is bottom.enclose(x).
-
-    The quotient is monotone in each factor over enclosures where bottom(x)
-    excludes 0, so its range is spanned by the corner quotients.
-    """
-    t = top.enclose(x)
-    if t is None:
-        return None
-    if b is None:
-        b = bottom.enclose(x)
-    if b is None or b[0] <= 0 <= b[1]:
-        return None
-    return common_rounding([(m0.numerator * u * b[2], m0.denominator * t[2] * v)
-                            for u in t[:2] for v in b[:2]])
 
 
 def _out_of_float_range(poly):
@@ -255,22 +238,20 @@ def weights_moment_formula(scheme, perturbation, nodes, m0, p):
 
 def weights_second_kind(nodes, m0, q, dp, enclosures=None):
     """Weights M_0 Q_n/P_n' at the given nodes (floats), each the exact value
-    at the node rounded once; q is the perturbed Q_n and dp the perturbed P_n'.
+    at the node rounded once (`poly.rounded_ratio`); q is the perturbed Q_n
+    and dp the perturbed P_n'.
 
     enclosures, when given, holds dp.enclose(x) or None for each node, as the
-    polish leaves them; a None entry is enclosed here.
+    polish leaves them; a None entry is enclosed afresh.
     """
     m0 = Fraction(m0)
     out = []
     for j, (x, box) in enumerate(zip(nodes, enclosures or [None] * len(nodes))):
-        weight = _enclosed_ratio(m0, q, dp, x, box)
-        if weight is None:
-            a, b = dp.ratio_at(x)
-            if a == 0:
-                raise DegeneracyError("P'_n vanished at node %d (node not simple?)" % j)
-            c, d = q.ratio_at(x)
-            weight = quotient(m0.numerator * c * b, m0.denominator * d * a)
-        out.append(weight)
+        try:
+            out.append(rounded_ratio(m0, q, dp, x, box))
+        except ZeroDivisionError:
+            raise DegeneracyError(
+                "P'_n vanished at node %d (node not simple?)" % j) from None
     return out
 
 
@@ -287,13 +268,14 @@ class QuadratureRule:
             raise DegeneracyError("nodes must be strictly increasing")
 
 
-def build_rule(scheme, perturbation, n, m0=None):
+def build_rule(scheme, perturbation, n):
     """Construct the n-point rule: the perturbed zeros, weighed by M_0 Q*_n/P*_n'.
 
-    m0 defaults to the calibrated mass constant; m0=1 gives the raw ratios.
-    Raises ComplexZerosError when the perturbed polynomial leaves the real
-    line (the rule does not exist), DegeneracyError when P*_n has degree
-    below n, two of its zeros coincide or a weight denominator vanishes.
+    M_0 is the scheme's calibrated mass constant, `calibrate_m0(scheme, n)`;
+    `weights_second_kind` weighs nodes by any other M_0.  Raises
+    ComplexZerosError when the perturbed polynomial leaves the real line
+    (the rule does not exist), DegeneracyError when P*_n has degree below n,
+    two of its zeros coincide or a weight denominator vanishes.
     """
     if n < 1:
         raise ValueError("a rule needs n >= 1 nodes, got %d" % n)
@@ -301,13 +283,10 @@ def build_rule(scheme, perturbation, n, m0=None):
     p, q = family_ends(scheme, pert, n)
     dp = require_degree(p, n).derivative()
     nodes, slopes = _polished_zeros(p, dp)
-    if m0 is None:
-        m0 = calibrate_m0(scheme, n)
+    m0 = calibrate_m0(scheme, n)
     weights = weights_second_kind(nodes, m0, q, dp, slopes)
-    return QuadratureRule(
-        n=n, nodes=tuple(nodes), weights=tuple(weights), perturbation=pert,
-        m0=Fraction(m0),
-    )
+    return QuadratureRule(n=n, nodes=tuple(nodes), weights=tuple(weights),
+                          perturbation=pert, m0=m0)
 
 
 def estimate(rule, f):

@@ -127,11 +127,9 @@ def cleared_terms(scheme, pert, m, k, z):
         an, ad = an // g, ad // g
         if k is None:
             return clear(an, ad, 0, 1)
-        try:
-            wn, wd = scheme.weight_poly(k).ratio_at(z)
-        except TypeError:       # Gaussian coefficients: W_k(z) may be non-real
-            pass
-        else:
+        weight = scheme.weight_poly(k)
+        if weight.denominator is not None:  # else W_k(z) may be non-real
+            wn, wd = weight.ratio_at(z)
             lam = pert.coefficient(scheme, k)
             bn, bd = lam.numerator * wn, lam.denominator * wd
             g = math.gcd(bn, bd)

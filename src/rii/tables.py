@@ -9,9 +9,10 @@ obtained from n-point rules of the worked scheme under co-recursion (t1, t2),
 co-dilation (t3), and both together with the levels swapped row to row
 (t5, t6); t4 holds the 10 nodes and weights of the (n=10, mu_0=0.01) rule.
 
-Every cell weighs its rule by the second-kind ratio with the calibrated mass
-constant, M_0 Q*_n/P*_n' (the raw ratio's sum is ~2 for this scheme,
-irreconcilable with the t3 magnitudes).  The moment formula
+Every cell is `build_rule`'s rule, weighed by the second-kind ratio with the
+mass constant M_0 it calibrates at the cell's n (1/2 for this scheme at every
+n), M_0 Q*_n/P*_n' (the raw ratio's sum is ~2 for this scheme, irreconcilable
+with the t3 magnitudes).  The moment formula
 M_0 prod lam*_i W_i / (P*_n' P*_{n-1}) is the same weight at an exact zero of
 P*_n for every scheme and perturbation (the Casorati identity); at the float
 nodes the two differ by M_0 P*_n Q*_{n-1} / (P*_n' P*_{n-1}).
@@ -44,7 +45,7 @@ from importlib import resources
 
 from .errors import ComplexZerosError
 from .integrands import BUILTINS
-from .quadrature import build_rule, calibrate_m0, estimate
+from .quadrature import build_rule, estimate
 from .schemes import Perturbation, cauchy_scheme
 
 E_REFERENCE = 0.6133229495946
@@ -86,10 +87,9 @@ def _perturbation_from_row(row, shift=0):
     )
 
 
-def estimate_cell(scheme, perturbation, n, m0):
+def estimate_cell(scheme, perturbation, n):
     """One table cell: the n-point rule applied to the tables' integrand, example3."""
-    return estimate(build_rule(scheme, perturbation, n, m0=m0),
-                    BUILTINS["example3"].evaluator)
+    return estimate(build_rule(scheme, perturbation, n), BUILTINS["example3"].evaluator)
 
 
 @dataclass(frozen=True)
@@ -105,9 +105,8 @@ def reproduce_table(table_id):
     """Recompute every cell of one bundled table next to its reference value."""
     fixture = load_fixture(table_id)
     scheme = cauchy_scheme()
-    m0 = calibrate_m0(scheme, 10)
     if table_id == "t4":
-        return _reproduce_node_table(fixture, scheme, m0)
+        return _reproduce_node_table(fixture, scheme)
     rows = []
     worst = 0.0
     flagged = 0
@@ -124,7 +123,7 @@ def reproduce_table(table_id):
             "paper_value": raw["ref"],
         }
         try:
-            value = estimate_cell(scheme, pert, int(raw["n"]), m0)
+            value = estimate_cell(scheme, pert, int(raw["n"]))
         except ComplexZerosError:
             flagged += 1
             out["I_star"] = ""
@@ -138,10 +137,10 @@ def reproduce_table(table_id):
     return TableReport(table_id, VALUE_COLUMNS, tuple(rows), worst, flagged)
 
 
-def _reproduce_node_table(fixture, scheme, m0):
+def _reproduce_node_table(fixture, scheme):
     # mirror orientation: the fixture's nodes belong to the -mu rule here
     pert = Perturbation.corec(0, Fraction("-0.01"))
-    rule = build_rule(scheme, pert, len(fixture), m0=m0)
+    rule = build_rule(scheme, pert, len(fixture))
     rows = []
     worst = 0.0
     for raw, node, weight in zip(fixture, rule.nodes, rule.weights):
@@ -175,7 +174,6 @@ def order_flip_experiment(scheme, pairs, n):
     """
     if not pairs:
         raise ValueError("need at least one (k, mu, kp, nu) pair")
-    m0 = calibrate_m0(scheme, n)
     medians = {k + kp for k, _mu, kp, _nu in pairs}
     if len(medians) != 1 or (medians.pop() % 2) != 0:
         raise ValueError("pairs must share one integer median level (k + kp)/2")
@@ -186,7 +184,7 @@ def order_flip_experiment(scheme, pairs, n):
 
     def cell(k, mu, kp, nu):
         pert = Perturbation.both(k, mu, kp, nu)
-        value = estimate_cell(scheme, pert, n, m0)
+        value = estimate_cell(scheme, pert, n)
         return {"k": k, "mu": mu, "kp": kp, "nu": nu,
                 "I_star": value, "dev": abs(value - E_REFERENCE)}
 

@@ -161,7 +161,8 @@ def structural_residual(scheme, perturbation, n, z):
     """
     pert = perturbation or Perturbation.none()
     x = exact_point(z)
-    factors = {level: _families(scheme, None, ("first",), level + 1, n - level, x)[0][-1]
+    factors = {level: _families(scheme, None, ("first",), level + 1, n - level, x,
+                                last=True)[0][0]
                for level in (pert.k, pert.kp) if level is not None and level <= n}
     kinds = ("first", "second")
     out = []

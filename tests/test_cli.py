@@ -241,6 +241,9 @@ def test_config_schema_guard():
      "perturbations": [{"codil": {"kp": 2.5, "nu": "2"}}], "n": [4]},
     {"schema": 1, "scheme": cauchy_scheme().to_dict(),
      "perturbations": [{"corec": {"k": False, "mu": "1/100"}}], "n": [4]},
+    # sizes and perturbations are arrays: a string or an object is not iterated
+    {"schema": 1, "scheme": cauchy_scheme().to_dict(), "perturbations": [], "n": "12"},
+    {"schema": 1, "scheme": cauchy_scheme().to_dict(), "perturbations": {}, "n": [4]},
 ])
 def test_malformed_config_exits_one(tmp_path, capsys, document):
     path = tmp_path / "experiment.json"

@@ -2,13 +2,14 @@
 
 Each case runs `rii` in-process and compares its stdout with
 tests/golden/<case>.out.  The cases cover every subcommand in every --out
-format at the default precision, nested float rounding in JSON at
+format at the default precision, each of the six tables (t4 in JSON at
+--precision 3, the others as CSV), nested float rounding in JSON at
 --precision 3, `quad --config`, the text form of non-real polynomial
 coefficients, and a rule and a polynomial of degree above 10, where
-`Poly.enclose` and packed families do the work.  --precision 17 is left out on purpose: its last digits can
-differ between LAPACK builds.  The exact demos 01 and 02 run the same way
-against tests/golden/demo-<name>.out, with the suite timings demo 02 prints
-masked.
+`Poly.enclose` and packed families do the work.  --precision 17 is left
+out on purpose: its last digits can differ between LAPACK builds.  The
+exact demos 01 and 02 run the same way against tests/golden/demo-<name>.out,
+with the suite timings demo 02 prints masked.
 
 To re-record after a deliberate output change:
 
@@ -58,8 +59,12 @@ CASES = {
     "poly-n40-csv": ("poly", "--n", "40", "--kind", "both") + T5_CELL + ("--out", "csv"),
     "quad-config": ("quad", "--config", CONFIG),
     "quad-config-json": ("quad", "--config", CONFIG, "--out", "json"),
+    "table-t1-csv": ("table", "--id", "t1"),
+    "table-t2-csv": ("table", "--id", "t2"),
+    "table-t3-csv": ("table", "--id", "t3"),
     "table-t5-text": ("table", "--id", "t5", "--out", "text"),
     "table-t5-csv": ("table", "--id", "t5"),
+    "table-t6-csv": ("table", "--id", "t6"),
     "table-t5-json": ("table", "--id", "t5", "--out", "json"),
     "measure-text": MEASURE + ("--out", "text"),
     "measure-csv": MEASURE,

@@ -3,7 +3,8 @@
 Every public function that takes a perturbation takes it second, after the
 scheme, and no public function takes its parts (mu, nu) as loose keywords.
 The exceptions are Perturbation's own constructors and the monic
-shifted-index demonstration, whose nu may be <= 0, which Perturbation rejects.
+shifted-index demonstration, whose level k means center c_{k+1} and lam_k,
+not c_k and lam_k; it builds its Perturbation itself.
 """
 
 import importlib
@@ -87,7 +88,7 @@ CALLS = {
     "convergent": (convergent, (SCHEME, PERT, 4, Z)),
     "tail_convergent": (tail_convergent, (SCHEME, PERT, 0, 4, Z)),
     "singular_index": (singular_index, (SCHEME, PERT, 4)),
-    "estimate_cell": (estimate_cell, (SCHEME, PERT, 4, None)),
+    "estimate_cell": (estimate_cell, (SCHEME, PERT, 4)),
 }
 
 

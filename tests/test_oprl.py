@@ -9,6 +9,7 @@ from rii import (
     CoefficientScheme,
     MobiusParams,
     Perturbation,
+    PerturbationError,
     Poly,
     SingularReductionError,
     coprl_structural,
@@ -141,9 +142,13 @@ def test_monic_families_match_hand_loops():
                     _hand_monic_associated(oprl, order, n)
             for k in (0, 1, 3):
                 for mu, nu in ((Fraction(1, 3), 1), (0, Fraction(5, 2)),
-                               (Fraction(-2, 7), Fraction(3, 4)), (1, 0), (1, -2)):
+                               (Fraction(-2, 7), Fraction(3, 4))):
                     assert monic_sequence(oprl, n, k, mu, nu) == \
                         _hand_monic_sequence(oprl, n, k, Fraction(mu), Fraction(nu))
+                if k:   # nu scales a live lam_k, and must be positive
+                    for nu in (0, -2):
+                        with pytest.raises(PerturbationError):
+                            monic_sequence(oprl, n, k, 1, nu)
 
 
 def test_corrected_vs_flawed_discrepancy():
@@ -160,3 +165,5 @@ def test_corrected_vs_flawed_discrepancy():
         assert report.flawed == report.direct + report.discrepancy(Fraction(3, 4))
     with pytest.raises(ValueError):
         corrected_vs_flawed(reduced, 0, mu, nu, Fraction(1, 2))
+    with pytest.raises(PerturbationError):
+        corrected_vs_flawed(reduced, 1, mu, 0, Fraction(1, 2))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from rii import GaussianRational, Poly, PolyMatrix2
-from rii.poly import norm1, packed, unpacked
+from rii.poly import ENCLOSE_MIN_DEGREE, norm1, packed, rounded_ratio, unpacked
 
 
 def test_construction_strips_leading_zeros():
@@ -315,3 +315,31 @@ def test_packed_arithmetic_unpacks_exactly(a, b):
     assert norm1(p) == sum(abs(c) for c in a)
     with pytest.raises(ValueError):
         packed(Poly((Fraction(1, 2),)), 16)
+
+
+_int_polys = st.lists(st.integers(-2 ** 80, 2 ** 80), min_size=1, max_size=25).filter(
+    lambda a: a[-1] != 0)
+
+
+@given(_int_polys, _int_polys, st.integers(1, 2 ** 40), st.floats(-3, 3),
+       st.fractions(max_denominator=10 ** 6))
+def test_rounded_ratio_is_the_exact_quotient_rounded_once(top, bottom, den, x, scale):
+    top, bottom = Poly.from_integers(top, den), Poly.from_integers(bottom, 3)
+    b = Fraction(*bottom.ratio_at(x))
+    if b == 0:
+        with pytest.raises(ZeroDivisionError):
+            rounded_ratio(scale, top, bottom, x)
+        return
+    exact = float(scale * Fraction(*top.ratio_at(x)) / b)
+    assert float.hex(rounded_ratio(scale, top, bottom, x)) == float.hex(exact)
+    # a bottom enclosure handed in gives the same value
+    box = bottom.enclose(x)
+    assert float.hex(rounded_ratio(scale, top, bottom, x, box)) == float.hex(exact)
+
+
+def test_rounded_ratio_refuses_a_vanishing_bottom():
+    x = 0.375
+    for degree in (1, ENCLOSE_MIN_DEGREE + 3):
+        bottom = Poly((-Fraction(x), 1)) * Poly((1,) * degree)
+        with pytest.raises(ZeroDivisionError):
+            rounded_ratio(1, Poly((1,) * 20), bottom, x)

@@ -108,12 +108,13 @@ def test_unperturbed_weights_equal_uniform(cauchy):
 
 def test_second_kind_raw_vs_unit_mass(cauchy):
     n = 4
-    raw = build_rule(cauchy, None, n, m0=1)
     unit = build_rule(cauchy, None, n)
+    p, q = family_ends(cauchy, None, n)
+    raw = weights_second_kind(unit.nodes, 1, q, p.derivative())
     # raw weights are 2/5 each; the calibrated factor 1/2 scales them to 1/5
-    assert max(abs(w - 0.4) for w in raw.weights) < 1e-12
+    assert max(abs(w - 0.4) for w in raw) < 1e-12
     assert max(abs(w - 0.2) for w in unit.weights) < 1e-12
-    assert (raw.m0, unit.m0) == (1, Fraction(1, 2))
+    assert unit.m0 == Fraction(1, 2)
 
 
 def test_moment_and_second_kind_weights_coincide(cauchy):
@@ -293,8 +294,17 @@ def test_boundary_errors(cauchy):
 
 def test_zero_weights_are_positive_zero(cauchy):
     # float(Fraction(0)) is +0.0 whatever the sign of the denominator
-    rule = build_rule(cauchy, None, 5, m0=0)
-    assert [math.copysign(1.0, w) for w in rule.weights] == [1.0] * 5
+    rule = build_rule(cauchy, None, 5)
+    p, q = family_ends(cauchy, None, 5)
+    weights = weights_second_kind(rule.nodes, 0, q, p.derivative())
+    assert [math.copysign(1.0, w) for w in weights] == [1.0] * 5
+
+
+def test_vanishing_slope_is_a_degeneracy():
+    # P_n'(x) = 0 at a node: the weight has no value, and the node is named
+    dp = Poly((Fraction(-1, 2), 1))
+    with pytest.raises(DegeneracyError, match="P'_n vanished at node 1"):
+        weights_second_kind([0.25, 0.5], 1, Poly.one(), dp)
 
 
 def test_degree_drop_raises_naming_the_degree(cauchy):

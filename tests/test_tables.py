@@ -62,7 +62,7 @@ def test_t1_has_exactly_one_anomalous_cell():
 
 def test_estimate_cell_matches_fixture_row():
     scheme = cauchy_scheme()
-    value = estimate_cell(scheme, Perturbation.corec(0, Fraction("0.1")), 4, None)
+    value = estimate_cell(scheme, Perturbation.corec(0, Fraction("0.1")), 4)
     assert abs(value - 0.5444480269) < 1e-6
 
 

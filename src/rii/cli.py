@@ -129,6 +129,8 @@ class ExperimentConfig:
             if not isinstance(data.get(key, []), list):
                 raise ValueError("malformed config: %s must be a JSON array, got %r"
                                  % (key, data[key]))
+        if data.get("n") == []:
+            raise ValueError("malformed config: n must list at least one size")
         try:
             return cls(
                 scheme=CoefficientScheme.from_dict(data["scheme"]),
@@ -197,31 +199,27 @@ def _cmd_quad(args):
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
             config = ExperimentConfig.from_json(handle.read())
-        integrand = parse_integrand(config.integrand)
-        out = args.out or config.out
-        rows = [_run_quad_once(config.scheme, pert, n, integrand)
-                for pert in config.perturbations or (Perturbation.none(),)
-                for n in config.n_values]
+    elif args.n is None:
+        raise ValueError("--n is required without --config")
     else:
-        if args.n is None:
-            raise ValueError("--n is required without --config")
-        scheme = _load_scheme(args.scheme)
-        pert = _perturbation_from_args(args)
-        integrand = parse_integrand(args.integrand)
-        out = args.out
-        rows = [_run_quad_once(scheme, pert, args.n, integrand)]
-    _emit(out, args.precision, {"results": rows}, ("n", "mu", "k", "nu", "kp", "I_star"),
-          rows, [_fmt(row["I_star"], args.precision) for row in rows])
+        config = ExperimentConfig(_load_scheme(args.scheme), (_perturbation_from_args(args),),
+                                  (args.n,), args.integrand)
+    integrand = parse_integrand(config.integrand)
+    rows = [_run_quad_once(config.scheme, pert, n, integrand)
+            for pert in config.perturbations or (Perturbation.none(),)
+            for n in config.n_values]
+    _emit(args.out or config.out, args.precision, {"results": rows},
+          ("n", "mu", "k", "nu", "kp", "I_star"), rows,
+          [_fmt(row["I_star"], args.precision) for row in rows])
     return 0
 
 
 def _cmd_table(args):
     report = reproduce_table(args.id)
-    rows = [{c: r.get(c, "") for c in report.columns} for r in report.rows]
     _emit(args.out, args.precision,
           {"table": report.table_id, "max_deviation": report.max_deviation,
-           "flagged": report.flagged, "rows": rows},
-          report.columns, rows)
+           "flagged": report.flagged, "rows": report.rows},
+          report.columns, report.rows)
     if args.out == "text":
         print("# max |computed - reference| = %s over %d cells (%d flagged)"
               % (_fmt(report.max_deviation, args.precision),

@@ -201,13 +201,18 @@ _EXAMPLE3_EXPR = "(22/7)*exp(-x^2)/(x^2+1)^7"
 BUILTINS = {}
 
 
-def _register(name, expression, description, aliases=()):
-    ast = _Parser(expression).parse()
+def _compile(text):
+    """The evaluator x -> value of the expression `text`."""
+    ast = _Parser(text).parse()
 
     def evaluator(x, _ast=ast):
         return _eval_ast(_ast, x)
 
-    item = Integrand(name, evaluator, description)
+    return evaluator
+
+
+def _register(name, expression, description, aliases=()):
+    item = Integrand(name, _compile(expression), description)
     BUILTINS[name] = item
     for alias in aliases:
         BUILTINS[alias] = item
@@ -230,9 +235,4 @@ def parse_integrand(text):
     key = text.strip()
     if key in BUILTINS:
         return BUILTINS[key]
-    ast = _Parser(text).parse()
-
-    def evaluator(x, _ast=ast):
-        return _eval_ast(_ast, x)
-
-    return Integrand(key, evaluator, "parsed expression")
+    return Integrand(key, _compile(text), "parsed expression")

@@ -32,19 +32,22 @@ from .exact import GaussianRational, format_rational, integer, rational
 from .poly import Poly
 
 
+def _tabulated(values, name):
+    """fn(n) -> values[n]; an index past either end raises SchemeIndexError."""
+    def tabulated(n, _t=tuple(values)):
+        if n < 0 or n >= len(_t):
+            raise SchemeIndexError(name, n, len(_t))
+        return _t[n]
+
+    return tabulated
+
+
 def as_coeff_fn(spec, name):
     """Normalize a constant / list / callable coefficient spec to fn(n)."""
     if callable(spec):
         return spec
     if isinstance(spec, (list, tuple)):
-        table = [rational(v) for v in spec]
-
-        def tabulated(n, _t=table, _name=name):
-            if n < 0 or n >= len(_t):
-                raise SchemeIndexError(_name, n, len(_t))
-            return _t[n]
-
-        return tabulated
+        return _tabulated([rational(v) for v in spec], name)
     value = rational(spec)
 
     def constant(n, _v=value):
@@ -63,9 +66,17 @@ def _node_value(v):
 
 
 class CoefficientScheme:
-    """Immutable bundle of recurrence data (rho_n, c_n, lambda_n, W_n)."""
+    """Immutable bundle of recurrence data (rho_n, c_n, lambda_n, W_n).
 
-    def __init__(self, rho, c, lam, kind, omega=None, nodes=None, raw=None):
+    It keeps the specs it is given (`as_coeff_fn`'s, and nodes: a callable
+    n -> (a_n, b_n) or a list of pairs), so `to_dict` writes them back."""
+
+    def __init__(self, rho, c, lam, kind, omega=None, nodes=None):
+        self._specs = (rho, c, lam, nodes)
+        if nodes is not None and not callable(nodes):
+            nodes = _tabulated([(_node_value(a), _node_value(b)) for a, b in nodes],
+                               "nodes")
+        self._nodes = nodes
         self.rho = as_coeff_fn(rho, "rho")
         self.c = as_coeff_fn(c, "c")
         self.lam = as_coeff_fn(lam, "lambda")
@@ -73,13 +84,11 @@ class CoefficientScheme:
             raise ValueError("unknown scheme kind %r" % (kind,))
         self.kind = kind
         self.omega = rational(omega) if omega is not None else None
-        self._nodes = nodes
-        self._raw = raw  # serializable specs, kept when constructed from data
         if kind == "special":
             if self.omega is None or self.omega == 0:
                 raise ValueError("special form requires a nonzero omega")
         if kind == "general" and nodes is None:
-            raise ValueError("general form requires a nodes function")
+            raise ValueError("general form requires nodes")
         # W_n does not depend on n for these kinds: one shared (immutable) Poly;
         # the general form builds each W_n once, on first use
         self._weight = None
@@ -92,31 +101,16 @@ class CoefficientScheme:
     # --- constructors ---------------------------------------------------
     @staticmethod
     def special(rho, c, lam, omega):
-        return CoefficientScheme(rho, c, lam, "special", omega=omega,
-                                 raw={"rho": rho, "c": c, "lambda": lam, "omega": omega})
+        return CoefficientScheme(rho, c, lam, "special", omega=omega)
 
     @staticmethod
     def general(rho, c, lam, nodes):
         """nodes: callable n -> (a_n, b_n), or a list of pairs."""
-        if callable(nodes):
-            fn = nodes
-            raw_nodes = None
-        else:
-            table = [(_node_value(a), _node_value(b)) for a, b in nodes]
-
-            def fn(n, _t=table):
-                if n < 0 or n >= len(_t):
-                    raise SchemeIndexError("nodes", n, len(_t))
-                return _t[n]
-
-            raw_nodes = nodes
-        return CoefficientScheme(rho, c, lam, "general", nodes=fn,
-                                 raw={"rho": rho, "c": c, "lambda": lam, "nodes": raw_nodes})
+        return CoefficientScheme(rho, c, lam, "general", nodes=nodes)
 
     @staticmethod
     def oprl(rho, c, lam):
-        return CoefficientScheme(rho, c, lam, "oprl",
-                                 raw={"rho": rho, "c": c, "lambda": lam})
+        return CoefficientScheme(rho, c, lam, "oprl")
 
     # --- weight factor ----------------------------------------------------
     def nodes(self, n):
@@ -146,28 +140,15 @@ class CoefficientScheme:
 
     # --- serialization ------------------------------------------------
     def to_dict(self):
-        if self._raw is None:
-            raise ValueError("rule-based schemes are not serializable")
-
-        def enc(spec):
-            if callable(spec):
-                raise ValueError("rule-based coefficients are not serializable")
-            if isinstance(spec, (list, tuple)):
-                return [format_rational(rational(v)) for v in spec]
-            return format_rational(rational(spec))
-
-        out = {"rho": enc(self._raw["rho"]), "c": enc(self._raw["c"]),
-               "lambda": enc(self._raw["lambda"])}
+        """The specs as JSON data; a callable (rule-based) spec raises ValueError."""
+        rho, c, lam, nodes = self._specs
+        out = {"rho": _enc_coeff(rho), "c": _enc_coeff(c), "lambda": _enc_coeff(lam)}
         if self.kind == "special":
             out["omega"] = format_rational(self.omega)
         elif self.kind == "general":
-            node_spec = self._raw.get("nodes")
-            if node_spec is None:
+            if callable(nodes):
                 raise ValueError("rule-based nodes are not serializable")
-            pairs = []
-            for a, b in node_spec:
-                pairs.append([_enc_node(a), _enc_node(b)])
-            out["nodes"] = pairs
+            out["nodes"] = [[_enc_node(a), _enc_node(b)] for a, b in nodes]
         else:
             out["kind"] = "oprl"
         return out
@@ -194,6 +175,14 @@ class CoefficientScheme:
     @staticmethod
     def from_json(text):
         return CoefficientScheme.from_dict(json.loads(text))
+
+
+def _enc_coeff(spec):
+    if callable(spec):
+        raise ValueError("rule-based coefficients are not serializable")
+    if isinstance(spec, (list, tuple)):
+        return [format_rational(rational(v)) for v in spec]
+    return format_rational(rational(spec))
 
 
 def _enc_node(v):

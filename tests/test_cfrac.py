@@ -1,5 +1,6 @@
 """Continued-fraction convergents and the spectral transformation chain."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,9 @@ from rii import (
     spectral_transform,
     tail_convergent,
 )
-from rii.cfrac import _continuants
+from rii.cfrac import Homography, _continuants
+from rii.poly import Poly
+from rii.polymat import PolyMatrix2
 from rii.sequences import center_term, weight_term
 from rii.suites import random_perturbation, random_scheme
 from rii.transfer import perturbation_transfer
@@ -195,3 +198,19 @@ def test_homography_on_integers_matches_fraction_values(seed, u, z, at_pole):
             transform.apply(u, z)
         return
     assert transform.apply(u, z) == (a * u + b) / (c * u + d)
+
+
+def test_homography_at_infinity_and_at_a_float_pole():
+    # u -> (z u + 1) / ((z - 1/2) u + 2); u = +-inf maps to z / (z - 1/2)
+    transform = Homography(PolyMatrix2(Poly((0, 1)), 1, Poly((Fraction(-1, 2), 1)), 2))
+    for u in (math.inf, -math.inf):
+        assert transform.apply(u, 0.25) == -1.0
+        assert transform.apply(u, Fraction(1, 4)) == -1.0
+        # c vanishes at z = 1/2: a / c is +inf, signed by a = 1/2
+        assert transform.apply(u, 0.5) == math.inf
+    # the denominator vanishes at u = 8, z = 0.25 (numerator 3) and at u = -8,
+    # z = 0.75 (numerator -5): a signed inf at a float, a pole at exact points
+    assert transform.apply(8, 0.25) == math.inf
+    assert transform.apply(-8.0, 0.75) == -math.inf
+    with pytest.raises(PoleError):
+        transform.apply(8, Fraction(1, 4))

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import rii
 from rii import Perturbation, cauchy_scheme
 from rii.cli import ExperimentConfig, main
+from rii.suites import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -146,6 +147,21 @@ def test_check_reports_zero_failures(capsys):
     assert out.strip() == "structural: 10 instances, 0 failures"
 
 
+def test_check_prints_failures_and_exits_one(monkeypatch, capsys):
+    def spoiled(rng, i, result):
+        result.failures.append({"kind": "spoiled", "instance": i})
+
+    monkeypatch.setitem(SUITES, "transfer", (spoiled, 100))
+    code, out, err = run_cli(capsys, "check", "--suite", "all", "--instances", "7")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    start = lines.index("transfer: 7 instances, 7 failures")
+    # at most five records are printed
+    assert lines[start + 1:start + 6] == [
+        '  failure: {"instance": %d, "kind": "spoiled"}' % i for i in range(5)]
+    assert sum(line.startswith("  failure: ") for line in lines) == 5
+
+
 def test_measure_csv(capsys):
     code, out, _ = run_cli(capsys, "measure", "--n", "6", "--method", "spline",
                            "--samples", "9", "--x-min", "-5", "--x-max", "5")
@@ -244,6 +260,8 @@ def test_config_schema_guard():
     # sizes and perturbations are arrays: a string or an object is not iterated
     {"schema": 1, "scheme": cauchy_scheme().to_dict(), "perturbations": [], "n": "12"},
     {"schema": 1, "scheme": cauchy_scheme().to_dict(), "perturbations": {}, "n": [4]},
+    # an experiment with no sizes would run nothing
+    {"schema": 1, "scheme": cauchy_scheme().to_dict(), "perturbations": [], "n": []},
 ])
 def test_malformed_config_exits_one(tmp_path, capsys, document):
     path = tmp_path / "experiment.json"

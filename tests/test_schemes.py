@@ -1,8 +1,11 @@
 """Coefficient schemes, their weight factors, and perturbation bookkeeping."""
 
+import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rii import (
     CoefficientScheme,
@@ -89,6 +92,29 @@ def test_scheme_json_round_trip(cauchy):
         assert again.c(n) == cauchy.c(n)
         assert again.weight_poly(n) == cauchy.weight_poly(n)
     assert again.lam(3) == cauchy.lam(3)
+
+
+@pytest.mark.parametrize("scheme_kind", ["general", "special", "oprl", "gaussian", "mixed"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_schemes_of_every_kind_round_trip(scheme_of_kind, scheme_kind, seed):
+    scheme = scheme_of_kind(random.Random(seed), scheme_kind)
+    data = json.loads(scheme.to_json())
+    again = CoefficientScheme.from_dict(data)
+    assert again.kind == scheme.kind and again.to_dict() == data
+    for n in range(16):   # every tabulated index
+        for name in ("rho", "c", "lam"):
+            assert getattr(again, name)(n) == getattr(scheme, name)(n)
+        assert again.weight_poly(n) == scheme.weight_poly(n)
+    # a rule in place of any one table refuses serialization
+    rules = {"rho": scheme.rho, "c": scheme.c, "lambda": scheme.lam}
+    if scheme.kind == "general":
+        rules["nodes"] = scheme.nodes
+    for key, rule in rules.items():
+        ruled = CoefficientScheme.from_dict(dict(data, **{key: rule}))
+        with pytest.raises(ValueError, match="^rule-based (coefficients|nodes) are not "
+                                             "serializable$"):
+            ruled.to_dict()
 
 
 def test_perturbation_constructors_and_validation():

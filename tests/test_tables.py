@@ -13,6 +13,8 @@ from rii import (
     reference_value_oracle,
     reproduce_table,
 )
+from rii import tables
+from rii.cli import main
 from rii.tables import NODE_COLUMNS, VALUE_COLUMNS, estimate_cell
 
 
@@ -58,6 +60,21 @@ def test_t1_has_exactly_one_anomalous_cell():
     bad = over[0]
     assert (bad["n"], bad["mu"]) == (10, "0.001")
     assert bad["abs_dev"] < 1e-4
+
+
+def test_cell_with_complex_zeros_is_flagged(monkeypatch, capsys):
+    # criterion 10's cell: nu_1 = 2.12 gives P*_18 a conjugate pair of zeros
+    rows = [{"n": "18", "kp": "1", "nu": "2.12", "ref": "0.6"},
+            {"n": "4", "kp": "1", "nu": "0.94", "ref": "0.5922947288"}]
+    monkeypatch.setattr(tables, "load_fixture", lambda table_id: rows)
+    report = reproduce_table("t3")
+    assert report.flagged == 1
+    assert (report.rows[0]["I_star"], report.rows[0]["abs_dev"]) == ("", "")
+    assert report.max_deviation == report.rows[1]["abs_dev"] < 1e-9
+    assert main(["table", "--id", "t3", "--out", "text"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1] == "18,,,2.12,1,,0.6,"
+    assert out[-1].endswith(" over 2 cells (1 flagged)")
 
 
 def test_estimate_cell_matches_fixture_row():

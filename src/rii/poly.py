@@ -24,19 +24,25 @@ at a float or complex z is exact at the point z stores, rounded once.
 
 The exact numerator grows by about 53 bits a Horner step, yet a float result
 only has to be rounded correctly.  So at a float x = p/2^e, `enclose` first
-runs Horner in fixed point with FRACTION_BITS fraction bits,
-    t <- floor(t * p / 2^e) + a_j * 2^FRACTION_BITS,
-whose width is that of the coefficients plus FRACTION_BITS and the size of
-the partial sums, not 53 bits more each step.  Each floor loses less than
-one unit, so the exact numerator lies within sum_{k<n} |x|^k units of t; that
-sum is at most n max(1, |x|)^(n-1), which is bounded in floats with a
-relative margin, plus one unit.  A call at a float returns the enclosure's
-rounding when both ends round to the same float (`exact.common_rounding`),
-which proves it is the correctly rounded P(x); otherwise `ratio_at` decides,
-and so it does when the bound overflows or the degree is below
-ENCLOSE_MIN_DEGREE.  `rounded_ratio` rounds a scaled quotient of two
-polynomials at x the same way, from the corners of their enclosures or from
-exact Horner.
+runs Horner in fixed point on coefficients f_j in a unit 1/U,
+    t <- floor(t * p / 2^e) + f_j,
+whose width is that of the f_j and the size of the partial sums, not 53 bits
+more each step.  Each floor loses less than one unit, so U P(x) lies within
+sum_{k<n} |x|^k units of t; that sum is at most n max(1, |x|)^(n-1), which is
+bounded in floats with a relative margin, plus one unit.  The unit is chosen
+once per polynomial.  While every numerator has at most 2 FRACTION_BITS
+bits, as every rule polynomial's has, f_j = a_j 2^FRACTION_BITS is exact over
+U = _den 2^FRACTION_BITS.  A wider numerator would make every step as wide as
+_den (about 9,350 bits for the Lagrange interpolant at n = 20), so then U is
+the power of two that holds the largest coefficient in about 3 FRACTION_BITS
+bits (at least 1), each f_j = floor(a_j U / _den), and the bound gains the
+floors' sum_{k<=n} |x|^k <= (n+1) max(1, |x|)^n units.  A call at a float
+returns the enclosure's rounding when both ends round to the same float
+(`exact.common_rounding`), which proves it is the correctly rounded P(x);
+otherwise `ratio_at` decides, and so it does when the bound overflows or the
+degree is below ENCLOSE_MIN_DEGREE.  `rounded_ratio` rounds a scaled quotient
+of two polynomials at x the same way, from the corners of their enclosures or
+from exact Horner.
 
 A polynomial with integer coefficients (denominator 1) packs into one int,
 its value at X = 2^bits (`packed`; Kronecker substitution).  Evaluation at
@@ -113,8 +119,8 @@ def _convolve(a, b, zero):
 class Poly:
     """Immutable dense polynomial; supports +, -, *, scalar mul, ** and calls."""
 
-    # _fixed: the numerators shifted left by FRACTION_BITS, set by the first
-    # enclosure
+    # _fixed: the fixed-point coefficients, their unit and whether they are
+    # floored (`_fixed_point`), set by the first enclosure
     __slots__ = ("_nums", "_den", "_fixed")
 
     def __init__(self, coeffs=()):
@@ -323,35 +329,49 @@ class Poly:
     def enclose(self, x):
         """(lo, hi, den) with lo/den <= P(x) <= hi/den at a finite float x, or None.
 
-        Fixed-point Horner with FRACTION_BITS fraction bits over den = _den *
-        2^FRACTION_BITS (see the module docstring).  None, meaning "evaluate
-        exactly", below degree ENCLOSE_MIN_DEGREE and when the bound on the
-        error overflows a float.  The coefficients must be rational.
+        Fixed-point Horner over the unit 1/den of `_fixed_point` (see the
+        module docstring).  None, meaning "evaluate exactly", below degree
+        ENCLOSE_MIN_DEGREE and when the bound on the error overflows a float.
+        The coefficients must be rational.
         """
         if self._den is None:
             raise TypeError("enclose needs rational coefficients")
-        nums = self._nums
-        n = len(nums) - 1
+        n = len(self._nums) - 1
         if n < ENCLOSE_MIN_DEGREE:
             return None
         try:
-            # sum_{k<n} |x|^k <= n max(1, |x|)^(n-1)
-            bound = n * max(1.0, abs(x)) ** (n - 1) * (1.0 + 1e-12)
+            fixed, den, floored = self._fixed
+        except AttributeError:
+            fixed, den, floored = self._fixed = self._fixed_point()
+        try:
+            # the floors of Horner: sum_{k<n} |x|^k <= n max(1, |x|)^(n-1);
+            # floored coefficients: sum_{k<=n} |x|^k <= (n+1) max(1, |x|)^n
+            m = max(1.0, abs(x))
+            bound = n * m ** (n - 1)
+            if floored:
+                bound += (n + 1) * m ** n
+            bound *= 1.0 + 1e-12
         except OverflowError:
             return None
         if bound == math.inf:
             return None
         err = math.ceil(bound) + 1
-        try:
-            fixed = self._fixed
-        except AttributeError:
-            fixed = self._fixed = tuple([a << FRACTION_BITS for a in nums])
         p, q = x.as_integer_ratio()
         e = q.bit_length() - 1
         t = fixed[-1]
         for s in fixed[-2::-1]:
             t = ((t * p) >> e) + s
-        return t - err, t + err, self._den << FRACTION_BITS
+        return t - err, t + err, den
+
+    def _fixed_point(self):
+        """(coefficients, den, floored): the coefficients in the unit 1/den of
+        `enclose`, exact or floored (see the module docstring)."""
+        nums, common = self._nums, self._den
+        top = max([a.bit_length() for a in nums])
+        if top <= 2 * FRACTION_BITS:
+            return tuple([a << FRACTION_BITS for a in nums]), common << FRACTION_BITS, False
+        shift = max(0, 3 * FRACTION_BITS + common.bit_length() - top)
+        return tuple([(a << shift) // common for a in nums]), 1 << shift, True
 
     def derivative(self):
         out = [j * a for j, a in enumerate(self._nums)][1:]

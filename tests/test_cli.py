@@ -323,6 +323,16 @@ def test_domain_failures_exit_one_without_traceback(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bounds", [("--x-min=-1.7e308", "--x-max=1.7e308"),
+                                    ("--x-min", "nan"), ("--x-max", "inf")])
+def test_measure_refuses_unsampleable_intervals(capsys, bounds):
+    # a width beyond the float range once sampled at nan; a nan end passed the
+    # empty-interval check
+    code, out, err = run_cli(capsys, "measure", "--n", "4", *bounds)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot sample [") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["quad", "zeros"])
 def test_zero_near_origin_polishes(capsys, command):
     # mu = 1e20 at k = 0 gives P*_10 a zero at -5e-22, where an absolute

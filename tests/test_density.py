@@ -1,11 +1,15 @@
 """Density approximation: Lagrange interpolant, natural spline, sampling."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rii import (
+    Perturbation,
+    Poly,
     build_rule,
     cauchy_density,
     cauchy_scheme,
@@ -15,6 +19,7 @@ from rii import (
     spline_density,
 )
 from rii.density import EXTRAPOLATED
+from rii.exact import quotient
 
 
 @pytest.fixture(scope="module")
@@ -83,3 +88,73 @@ def test_sample_density_accepts_plain_callables():
     samples = sample_density(cauchy_density, -1.0, 1.0, 5)
     assert all(flag == "" for _x, _v, flag in samples)
     assert abs(samples[2][1] - 1.0 / math.pi) < 1e-15
+
+
+def test_sample_density_refuses_unsampleable_intervals():
+    for lo, hi in ((-1.7e308, 1.7e308), (math.nan, 1.0), (0.0, math.inf),
+                   (-math.inf, 0.0), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match=re.escape("cannot sample [%r, %r]" % (lo, hi))):
+            sample_density(cauchy_density, lo, hi, 400)
+    with pytest.raises(ValueError, match="empty"):
+        sample_density(cauchy_density, 1.0, -1.0, 3)
+    # the widest finite grid keeps its points
+    samples = sample_density(lambda x: 0.0, -0.8e308, 0.8e308, 3)
+    assert [x for x, _v, _f in samples] == [-0.8e308, 0.0, 0.8e308]
+
+
+@pytest.mark.parametrize("build", [lagrange_density, spline_density])
+def test_non_finite_points_are_refused(build):
+    for nodes, values in (([0.0, 1.0, math.inf], [1, 2, 3]),
+                          ([0.0, 1.0, -math.inf], [1, 2, 3]),
+                          ([0.0, math.nan, 2.0], [1, 2, 3]),
+                          ([0.0, 1.0, 2.0], [1, math.inf, 3]),
+                          ([0.0, 1.0, 2.0], [math.nan, 2, 3])):
+        with pytest.raises(ValueError, match="finite"):
+            build(nodes, values)
+
+
+def _divided_differences(nodes, values):
+    """Reference interpolant: Newton divided differences over Fractions,
+    expanded to a dense Poly."""
+    pts = sorted(zip(map(Fraction, nodes), map(Fraction, values)))
+    xs = [x for x, _ in pts]
+    dd = [v for _, v in pts]
+    for order in range(1, len(xs)):
+        for j in range(len(xs) - 1, order - 1, -1):
+            dd[j] = (dd[j] - dd[j - 1]) / (xs[j] - xs[j - order])
+    poly = Poly.const(dd[-1])
+    for j in range(len(xs) - 2, -1, -1):
+        poly = poly * Poly((-xs[j], 1)) + dd[j]
+    return poly
+
+
+_scalars = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.floats(-1e-3, 1e-3, allow_nan=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nodes=st.lists(_scalars, min_size=1, max_size=10, unique_by=Fraction),
+       data=st.data())
+def test_lagrange_matches_divided_differences(nodes, data):
+    values = data.draw(st.lists(_scalars, min_size=len(nodes), max_size=len(nodes)))
+    approx = lagrange_density(nodes, values)
+    assert approx.poly == _divided_differences(nodes, values)
+    assert approx.poly.degree <= len(nodes) - 1
+    # the input order does not matter
+    order = data.draw(st.permutations(range(len(nodes))))
+    again = lagrange_density([nodes[i] for i in order], [values[i] for i in order])
+    assert again.poly == approx.poly
+
+
+@pytest.mark.parametrize("mu", [Fraction(1, 100), Fraction(-1, 100)])
+def test_lagrange_samples_are_correctly_rounded(mu):
+    rule = build_rule(cauchy_scheme(), Perturbation.corec(0, mu), 20)
+    approx = lagrange_density(rule.nodes, rule.weights)
+    samples = sample_density(approx, rule.nodes[0], rule.nodes[-1], 400)
+    assert len(samples) == 400
+    for x, value, _flag in samples:
+        assert float.hex(value) == float.hex(quotient(*approx.poly.ratio_at(x)))

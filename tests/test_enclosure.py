@@ -1,6 +1,7 @@
 """Fixed-point enclosures of rational polynomials at floats, and the exact fallback."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from rii import (GaussianRational, Perturbation, Poly, build_rule, cauchy_scheme,
                  eval_recurrence_at, gen_first_kind)
 from rii.exact import quotient, rounded
-from rii.poly import ENCLOSE_MIN_DEGREE
+from rii.poly import ENCLOSE_MIN_DEGREE, FRACTION_BITS
 
 
 def _rounded_ratio(num, den):
@@ -57,6 +58,35 @@ def test_call_next_to_an_exact_root(nums, den, root, step):
     for _ in range(abs(step)):
         x = math.nextafter(x, math.copysign(math.inf, step))
     _check(poly, x)
+
+
+_wide_nums = st.lists(st.integers(-2 ** 4000, 2 ** 4000), min_size=ENCLOSE_MIN_DEGREE + 1,
+                      max_size=25).filter(lambda a: a[-1] != 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nums=_wide_nums, den=st.integers(1, 2 ** 4000), x=_points)
+def test_wide_denominators_enclose_on_floored_coefficients(nums, den, x):
+    poly = Poly.from_integers(nums, den)
+    _check(poly, x)
+    nums, den = poly._nums, poly.denominator
+    if max(a.bit_length() for a in nums) > 2 * FRACTION_BITS:
+        fixed, unit, floored = poly._fixed
+        assert floored and unit & (unit - 1) == 0     # a power-of-two unit
+        # each coefficient is floored to that unit, which holds the largest in
+        # 3*FRACTION_BITS + 1 bits unless it is coarser than 1
+        assert all(f * den <= a * unit < (f + 1) * den for f, a in zip(fixed, nums))
+        top = max(a.bit_length() for a in nums) - den.bit_length() + 1
+        assert max(f.bit_length() for f in fixed) <= max(3 * FRACTION_BITS + 1, top)
+
+
+def test_a_wide_polynomial_is_floored_and_rounds_exactly():
+    rng = random.Random(4000)
+    den = rng.getrandbits(4000) | 1 << 3999 | 1
+    poly = Poly.from_integers([rng.getrandbits(4000) - 2 ** 3999 for _ in range(30)], den)
+    for x in (0.0, -0.0, 0.3, -1.25, 2.0, 7.5, -40.0, 5e-324):
+        _check(poly, x)
+    assert poly._fixed[2]
 
 
 @pytest.mark.parametrize("n", [3, 13, 31, 61])
@@ -108,10 +138,21 @@ def test_rules_without_the_enclosure_are_identical(monkeypatch, pert):
             high_degree_exact.append(self.degree)
         return ratio_at(self, z)
 
+    fixed_point = Poly._fixed_point
+    floored = []
+
+    def recorded(self):
+        out = fixed_point(self)
+        floored.append(out[2])
+        return out
+
     monkeypatch.setattr(Poly, "ratio_at", counted)
+    monkeypatch.setattr(Poly, "_fixed_point", recorded)
     rules = {n: build_rule(scheme, pert, n) for n in (10, 40, 80, 100)}
-    # every polish and weight float of the ladder is proven by its enclosure
+    # every polish and weight float of the ladder is proven by its enclosure,
+    # on exact coefficients: no rule polynomial is wide enough to be floored
     assert high_degree_exact == []
+    assert floored and not any(floored)
     monkeypatch.setattr(Poly, "enclose", lambda self, x: None)
     for n, rule in rules.items():
         exact = build_rule(scheme, pert, n)

@@ -10,9 +10,9 @@ cubic; sampled points out there carry a flag.
 The Lagrange polynomial is built on integers from one product polynomial
 (see `lagrange_density`), and its float samples are correctly rounded calls
 of the `Poly`.  Float nodes have denominators up to 2^1074, so its common
-denominator is wide (about 9,350 bits at n = 20); `Poly.enclose` floors such
-coefficients to a narrow fixed point, so a sample costs about as much as one
-of a rule polynomial.
+denominator is wide (about 9,350 bits at n = 20); `Poly.enclose` truncates
+such coefficients to a narrow fixed point at any degree, so a sample costs
+about as much as one of a rule polynomial.
 """
 
 from __future__ import annotations

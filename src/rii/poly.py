@@ -35,14 +35,14 @@ bits, as every rule polynomial's has, f_j = a_j 2^FRACTION_BITS is exact over
 U = _den 2^FRACTION_BITS.  A wider numerator would make every step as wide as
 _den (about 9,350 bits for the Lagrange interpolant at n = 20), so then U is
 the power of two that holds the largest coefficient in about 3 FRACTION_BITS
-bits (at least 1), each f_j = floor(a_j U / _den), and the bound gains the
-floors' sum_{k<=n} |x|^k <= (n+1) max(1, |x|)^n units.  A call at a float
+bits (at least 1), each f_j is a_j U / _den truncated toward zero, and the
+bound gains sum_{k<=n} |x|^k <= (n+1) max(1, |x|)^n units.  A call at a float
 returns the enclosure's rounding when both ends round to the same float
 (`exact.common_rounding`), which proves it is the correctly rounded P(x);
 otherwise `ratio_at` decides, and so it does when the bound overflows or the
-degree is below ENCLOSE_MIN_DEGREE.  `rounded_ratio` rounds a scaled quotient
-of two polynomials at x the same way, from the corners of their enclosures or
-from exact Horner.
+numerators are narrow below degree ENCLOSE_MIN_DEGREE.  `rounded_ratio`
+rounds a scaled quotient of two polynomials at x the same way, from the
+corners of their enclosures or from exact Horner.
 
 A polynomial with integer coefficients (denominator 1) packs into one int,
 its value at X = 2^bits (`packed`; Kronecker substitution).  Evaluation at
@@ -64,11 +64,12 @@ from .exact import (GaussianRational, common_rounding, exact_point, quotient, ro
                     simplify_scalar)
 
 FRACTION_BITS = 128    # fixed-point fraction bits of `Poly.enclose`
-# Below this degree the exact numerator is hardly wider than the fixed-point
-# one, and exact Horner with one division costs no more than the enclosure
-# and its two-sided rounding check: with the enclosure, `build_rule` took
-# 0-14% longer at n = 3..10 and 2-20% less at n = 12..30.  So `enclose`
-# leaves such polynomials to `ratio_at`.
+# Below this degree a narrow exact numerator (2 FRACTION_BITS bits at most,
+# as a rule polynomial's) is hardly wider than the fixed-point one, and exact
+# Horner with one division costs no more than the enclosure and its rounding
+# check: with the enclosure, `build_rule` took 0-14% longer at n = 3..10 and
+# 2-20% less at n = 12..30.  So `enclose` leaves such polynomials to
+# `ratio_at`.
 ENCLOSE_MIN_DEGREE = 11
 
 
@@ -120,7 +121,7 @@ class Poly:
     """Immutable dense polynomial; supports +, -, *, scalar mul, ** and calls."""
 
     # _fixed: the fixed-point coefficients, their unit and whether they are
-    # floored (`_fixed_point`), set by the first enclosure
+    # truncated, or None (`_fixed_point`), set by the first enclosure
     __slots__ = ("_nums", "_den", "_fixed")
 
     def __init__(self, coeffs=()):
@@ -269,7 +270,13 @@ class Poly:
         +-inf.
         """
         if self._den is not None and isinstance(z, float) and math.isfinite(z):
-            return self.value_and_enclosure(z)[0]
+            box = self.enclose(z)
+            if box is not None:
+                lo, hi, den = box
+                value = common_rounding(((lo, den), (hi, den)))
+                if value is not None:
+                    return value
+            return quotient(*self.ratio_at(z))
         x = exact_point(z)
         if self._den is not None and isinstance(x, (int, Fraction)):
             return rounded(Fraction(*self.ratio_at(x)), z)
@@ -277,20 +284,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return rounded(simplify_scalar(acc), z)
-
-    def value_and_enclosure(self, x):
-        """(P(x), enclose(x)) at a finite float x: P(x) rounded once, as a call
-        gives it, and the enclosure it was read from (None when there is none).
-
-        The coefficients must be rational.
-        """
-        box = self.enclose(x)
-        if box is not None:
-            lo, hi, den = box
-            value = common_rounding(((lo, den), (hi, den)))
-            if value is not None:
-                return value, box
-        return quotient(*self.ratio_at(x)), box
 
     def ratio_at(self, z):
         """P(z) as an unreduced integer pair (num, den) with den > 0, exact.
@@ -330,25 +323,26 @@ class Poly:
         """(lo, hi, den) with lo/den <= P(x) <= hi/den at a finite float x, or None.
 
         Fixed-point Horner over the unit 1/den of `_fixed_point` (see the
-        module docstring).  None, meaning "evaluate exactly", below degree
-        ENCLOSE_MIN_DEGREE and when the bound on the error overflows a float.
-        The coefficients must be rational.
+        module docstring).  None, meaning "evaluate exactly", on narrow
+        numerators below degree ENCLOSE_MIN_DEGREE and when the bound on the
+        error overflows a float.  The coefficients must be rational.
         """
         if self._den is None:
             raise TypeError("enclose needs rational coefficients")
-        n = len(self._nums) - 1
-        if n < ENCLOSE_MIN_DEGREE:
-            return None
         try:
-            fixed, den, floored = self._fixed
+            fixed = self._fixed
         except AttributeError:
-            fixed, den, floored = self._fixed = self._fixed_point()
+            fixed = self._fixed = self._fixed_point()
+        if fixed is None:
+            return None
+        fixed, den, truncated = fixed
+        n = len(fixed) - 1
         try:
             # the floors of Horner: sum_{k<n} |x|^k <= n max(1, |x|)^(n-1);
-            # floored coefficients: sum_{k<=n} |x|^k <= (n+1) max(1, |x|)^n
+            # truncated coefficients: sum_{k<=n} |x|^k <= (n+1) max(1, |x|)^n
             m = max(1.0, abs(x))
             bound = n * m ** (n - 1)
-            if floored:
+            if truncated:
                 bound += (n + 1) * m ** n
             bound *= 1.0 + 1e-12
         except OverflowError:
@@ -364,14 +358,19 @@ class Poly:
         return t - err, t + err, den
 
     def _fixed_point(self):
-        """(coefficients, den, floored): the coefficients in the unit 1/den of
-        `enclose`, exact or floored (see the module docstring)."""
+        """(coefficients, den, truncated): the coefficients in the unit 1/den of
+        `enclose`, exact or truncated toward zero (see the module docstring);
+        None below degree ENCLOSE_MIN_DEGREE on narrow numerators."""
         nums, common = self._nums, self._den
-        top = max([a.bit_length() for a in nums])
+        top = max([a.bit_length() for a in nums], default=0)
         if top <= 2 * FRACTION_BITS:
+            if len(nums) <= ENCLOSE_MIN_DEGREE:
+                return None
             return tuple([a << FRACTION_BITS for a in nums]), common << FRACTION_BITS, False
         shift = max(0, 3 * FRACTION_BITS + common.bit_length() - top)
-        return tuple([(a << shift) // common for a in nums]), 1 << shift, True
+        # truncated, |f_j| <= |a_j| U / den: never wider than the exact value
+        return (tuple([(a << shift) // common if a >= 0 else -((-a << shift) // common)
+                       for a in nums]), 1 << shift, True)
 
     def derivative(self):
         out = [j * a for j, a in enumerate(self._nums)][1:]
@@ -414,8 +413,8 @@ class Poly:
         return " + ".join(parts)
 
 
-# Poly is immutable (`_fixed` is a cache, set only from degree
-# ENCLOSE_MIN_DEGREE up), so one instance of each constant serves every caller.
+# Poly is immutable (`_fixed` is a cache of what the coefficients determine),
+# so one instance of each constant serves every caller.
 _ZERO = _make([], 1)
 _ONE = _make([1], 1)
 

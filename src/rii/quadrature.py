@@ -32,22 +32,20 @@ on integers scaled as the families are; no polynomial family is built.
 The nodes are n sorted, pairwise distinct floats, or there is no rule:
 `_polished_zeros` alone decides it, for `build_rule` and `real_zeros` alike.
 
-Every node is a binary float, and each float the rule needs -- Newton
-residual and slope, residual gate, weight -- is the correctly rounded value of
-the exact expression at the node.  It comes from fixed-point enclosures of
-the polynomials (`Poly.enclose`, 128 fraction bits, with a proven error bound)
-whenever their ends round to one float, and from exact integer Horner
-(`Poly.ratio_at`) otherwise, and always below degree 11, where exact Horner
-is as cheap.  A weight is rounded by `poly.rounded_ratio`, which owns the
+Every node is a binary float, and each float the rule needs -- Newton step
+P*_n/P*_n', weight M_0 Q*_n/P*_n' -- is the exact ratio at the node rounded
+once by `poly.rounded_ratio`: from fixed-point enclosures of the polynomials
+(`Poly.enclose`, 128 fraction bits, with a proven error bound) when their
+corners round to one float, else from exact integer Horner (`Poly.ratio_at`),
+as always below degree 11, where it is as cheap.  `rounded_ratio` owns the
 enclosures: quadrature hands them on and never looks inside one.  The only
 floating-point error in a rule is the node rounding itself.
 
 `build_rule` reads P*_n and Q*_n alone: `sequences.family_ends` iterates
 both families once, over one list of step terms, and turns only those two
-into Polys.  It forms P*_n' once.  Newton reads the residual gate's P*_n(x)
-and the weight's P*_n'(x) enclosure from its own last step when that step
-left x unchanged, which most do; they are the same exact values, so the
-rule is the same.
+into Polys.  It forms P*_n' once.  The weight reuses the P*_n'(x)
+enclosure of Newton's last step when that step left x unchanged, which most
+do; it is the same exact value, so the rule is the same.
 """
 
 from __future__ import annotations
@@ -71,6 +69,10 @@ def _out_of_float_range(poly):
                            "root or a Newton step is not finite" % poly.degree)
 
 
+def _polish_failed(x):
+    return DegeneracyError("root polish failed near x = %.17g" % x)
+
+
 def _polished_zeros(poly, dpoly):
     """(zeros, dpoly's enclosure at each or None) of poly, of degree n >= 1 with a
     real leading coefficient, and its derivative dpoly.
@@ -81,10 +83,11 @@ def _polished_zeros(poly, dpoly):
     every seed off the axis: over a real lead that is a non-real ratio, which
     a product of real factors (z - x_j) cannot have.  lead(P*_n) is real, as
     L_{m+1} = rho_m L_m - lam*_m L_{m-1} with W_m monic (no lam term for oprl).
-    Newton on the exact coefficients polishes each seed's real part; a
-    residual above the gate or two equal zeros raise DegeneracyError.
+    Newton polishes each seed's real part by steps P(x)/P'(x), each the exact
+    ratio rounded once; P'(x) = 0, 40 steps without converging or two equal
+    zeros raise DegeneracyError.
 
-    A zero's enclosure is the one its last Newton slope was read from, when
+    A zero's enclosure is the one its last Newton step read P'(x) from, when
     that step left x unchanged, so the weights need not enclose dpoly again.
     """
     import numpy as np   # only root finding needs it: other commands start without it
@@ -92,8 +95,7 @@ def _polished_zeros(poly, dpoly):
     if poly.degree < 1:
         raise ValueError("need a nonconstant polynomial")
     try:
-        coeffs = poly.float_coeffs()
-        raw = np.roots(coeffs[::-1])
+        raw = np.roots(poly.float_coeffs()[::-1])
         finite = np.isfinite(raw).all()
     except OverflowError:       # a coefficient beyond the float range
         finite = False
@@ -105,35 +107,25 @@ def _polished_zeros(poly, dpoly):
         raise ComplexZerosError(sorted(off_axis or [r for r in seeds if r.imag],
                                        key=lambda v: (v.real, v.imag)))
 
-    magnitudes = [abs(c) for c in coeffs]
     polished = []
     for x in (r.real for r in seeds):
         for _ in range(40):
-            # residual and box are read at `at`, the x of this iteration
-            residual, at, box = poly(x), x, None
-            if residual == 0.0:
-                break
-            slope, box = dpoly.value_and_enclosure(x)
-            if slope == 0.0:
-                break
-            step = residual / slope
+            box = dpoly.enclose(x)
+            try:
+                step = rounded_ratio(1, poly, dpoly, x, box)
+            except ZeroDivisionError:       # P'(x) = 0 exactly
+                raise _polish_failed(x) from None
             x_new = x - step
             if not math.isfinite(x_new):
                 raise _out_of_float_range(poly)
             # near 0 a step that is large next to x_new has not converged
             if abs(x_new - x) <= min(1e-16 * (1.0 + abs(x)), 0.5 * abs(x_new)):
-                x = x_new
                 break
             x = x_new
-        if x != at:         # the last step moved x
-            residual, box = poly(x), None
-        scale = 0.0
-        for m in reversed(magnitudes):
-            scale = scale * abs(x) + m
-        if abs(residual) > 1e-13 * max(scale, 1e-300):
-            raise DegeneracyError(
-                "root polish failed near x = %.17g (residual above tolerance)" % x)
-        polished.append((x, box))
+        else:
+            raise _polish_failed(x)
+        # box was read at x: it is P'(x_new)'s only when the step left x unchanged
+        polished.append((x_new, box if x_new == x else None))
     polished.sort(key=lambda pair: pair[0])
     zeros = [x for x, _ in polished]
     if any(b <= a for a, b in zip(zeros, zeros[1:])):

@@ -21,9 +21,10 @@ values u_0..u_L of either kind are those of the perturbation without its parts
 at levels >= L: a perturbed family carries, as its prefixes, every family
 perturbed only below a level.
 `cleared_terms` is the only source of step terms for the families and for
-cfrac's convergents; transfer's step matrices use `center_term` and
-`weight_term`, and oprl's monic families and quadrature's M_0 calibration
-run `iterate`.
+cfrac's convergents; oprl's monic families are `gen_first_kind` over a monic
+view of the scheme (`oprl._monic_view`), transfer's step matrices use
+`center_term` and `weight_term`, and quadrature's M_0 calibration runs
+`iterate` on scalars.
 
 Every family is one scaled loop: the step list is built once and each
 requested kind is iterated over it, fraction-free in the manner of Bareiss.

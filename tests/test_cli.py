@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import rii
 from rii import Perturbation, cauchy_scheme
 from rii.cli import ExperimentConfig, main
+from rii.sequences import family_ends
 from rii.suites import SUITES
 
 
@@ -308,19 +310,34 @@ def test_malformed_config_exits_one(tmp_path, capsys, document):
     ("quad", "--n", "4", "--integrand", "+".join(["x"] * 3000)),
     # no pair off the median level leaves no flipped row to average
     ("flip", "--pairs", "1:1"),
-    # P*_n beyond the float range: a coefficient, then a root's polish
+    # a coefficient of P*_n beyond the float range
     ("quad", "--n", "4", "--mu", "1e400"),
     ("zeros", "--n", "4", "--mu", "1e400"),
     ("measure", "--n", "4", "--mu", "1e400"),
     ("flip", "--mu", "1e400"),
+    # P*_4 has a zero at 1.6e200, where the default integrand overflows
     ("quad", "--n", "4", "--mu", "1e200"),
-    ("zeros", "--n", "4", "--mu", "1e200"),
 ])
 def test_domain_failures_exit_one_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_zeros_far_beyond_the_coefficients(capsys):
+    # P*_4 is about 10^800 at its zero near 1.6e200; each printed zero is
+    # bracketed by an exact sign change of P*_4 between its float neighbours
+    code, out, err = run_cli(capsys, "--precision", "17", "zeros", "--n", "4", "--mu", "1e200")
+    assert (code, err) == (0, "")
+    zeros = [float(line) for line in out.split()]
+    assert zeros == [-1.0, -1.25e-201, 1.0, 1.6000000000000002e200]
+    p, _ = family_ends(cauchy_scheme(), Perturbation.corec(0, Fraction("1e200")), 4)
+    for x in zeros:
+        below, above = (p.ratio_at(math.nextafter(x, end))[0] for end in (-math.inf, math.inf))
+        assert below * above < 0
+    code, out, err = run_cli(capsys, "quad", "--n", "4", "--mu", "1e200", "--integrand", "1")
+    assert (code, out, err) == (0, "0.8\n", "")
 
 
 @pytest.mark.parametrize("bounds", [("--x-min=-1.7e308", "--x-max=1.7e308"),

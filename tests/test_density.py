@@ -20,6 +20,7 @@ from rii import (
 )
 from rii.density import EXTRAPOLATED
 from rii.exact import quotient
+from rii.poly import ENCLOSE_MIN_DEGREE, FRACTION_BITS
 
 
 @pytest.fixture(scope="module")
@@ -156,5 +157,28 @@ def test_lagrange_samples_are_correctly_rounded(mu):
     approx = lagrange_density(rule.nodes, rule.weights)
     samples = sample_density(approx, rule.nodes[0], rule.nodes[-1], 400)
     assert len(samples) == 400
+    for x, value, _flag in samples:
+        assert float.hex(value) == float.hex(quotient(*approx.poly.ratio_at(x)))
+
+
+@pytest.mark.parametrize("mu", [Fraction(1, 100), Fraction(-1, 100)])
+def test_a_low_degree_interpolant_is_sampled_on_its_enclosure(monkeypatch, mu):
+    # at n = 10 the interpolant has degree 9 but a denominator of thousands
+    # of bits: the enclosure, not exact Horner, rounds every sample
+    rule = build_rule(cauchy_scheme(), Perturbation.corec(0, mu), 10)
+    approx = lagrange_density(rule.nodes, rule.weights)
+    assert approx.poly.degree < ENCLOSE_MIN_DEGREE
+    assert approx.poly.denominator.bit_length() > 2 * FRACTION_BITS
+    exact = []
+    ratio_at = Poly.ratio_at
+
+    def counted(self, z):
+        exact.append(z)
+        return ratio_at(self, z)
+
+    monkeypatch.setattr(Poly, "ratio_at", counted)
+    samples = sample_density(approx, rule.nodes[0], rule.nodes[-1], 400)
+    monkeypatch.undo()
+    assert len(samples) == 400 and exact == []
     for x, value, _flag in samples:
         assert float.hex(value) == float.hex(quotient(*approx.poly.ratio_at(x)))

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from rii import (GaussianRational, Perturbation, Poly, build_rule, cauchy_scheme,
                  eval_recurrence_at, gen_first_kind)
@@ -64,18 +64,24 @@ _wide_nums = st.lists(st.integers(-2 ** 4000, 2 ** 4000), min_size=ENCLOSE_MIN_D
                       max_size=25).filter(lambda a: a[-1] != 0)
 
 
-@settings(max_examples=150, deadline=None)
+# wide integers can exceed hypothesis's per-example data budget
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.data_too_large])
 @given(nums=_wide_nums, den=st.integers(1, 2 ** 4000), x=_points)
+# the unit is 1 (no shift) here, and floor(a/2) would take 386 bits, one more
+# than a/2 itself
+@example(nums=[0] * 11 + [-(2 ** 386 - 1)], den=2, x=0.5)
 def test_wide_denominators_enclose_on_floored_coefficients(nums, den, x):
     poly = Poly.from_integers(nums, den)
     _check(poly, x)
     nums, den = poly._nums, poly.denominator
     if max(a.bit_length() for a in nums) > 2 * FRACTION_BITS:
-        fixed, unit, floored = poly._fixed
-        assert floored and unit & (unit - 1) == 0     # a power-of-two unit
-        # each coefficient is floored to that unit, which holds the largest in
-        # 3*FRACTION_BITS + 1 bits unless it is coarser than 1
-        assert all(f * den <= a * unit < (f + 1) * den for f, a in zip(fixed, nums))
+        fixed, unit, truncated = poly._fixed
+        assert truncated and unit & (unit - 1) == 0     # a power-of-two unit
+        # each coefficient is truncated toward zero in that unit, which holds
+        # the largest in 3*FRACTION_BITS + 1 bits unless it is coarser than 1
+        for f, a in zip(fixed, nums):
+            assert abs(f) * den <= abs(a) * unit < (abs(f) + 1) * den
+            assert f == 0 or (f < 0) == (a < 0)
         top = max(a.bit_length() for a in nums) - den.bit_length() + 1
         assert max(f.bit_length() for f in fixed) <= max(3 * FRACTION_BITS + 1, top)
 
@@ -100,6 +106,8 @@ def test_worked_example_at_its_rational_zero(n):
 def test_enclosure_edges():
     assert Poly.zero().enclose(0.3) is None
     assert Poly((1,) * ENCLOSE_MIN_DEGREE).enclose(0.3) is None    # exact is as cheap
+    wide = Poly.from_integers([1, 2 ** 300], 3)      # but not on wide numerators
+    assert wide.enclose(0.3) is not None and wide(0.3) == quotient(*wide.ratio_at(0.3))
     p = Poly((Fraction(1, 3),) + (2,) * ENCLOSE_MIN_DEGREE + (-5,))
     assert p.enclose(0.3) is not None
     assert p.enclose(1e30) is None                # the error bound overflows
@@ -143,7 +151,8 @@ def test_rules_without_the_enclosure_are_identical(monkeypatch, pert):
 
     def recorded(self):
         out = fixed_point(self)
-        floored.append(out[2])
+        if out is not None:
+            floored.append(out[2])
         return out
 
     monkeypatch.setattr(Poly, "ratio_at", counted)

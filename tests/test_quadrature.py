@@ -142,10 +142,39 @@ def test_build_rule_complex_flag_and_errors(cauchy):
     for nu in ("0.94", "0.98", "1.004", "1.036", "1.1"):
         rule = build_rule(cauchy, Perturbation.codil(1, Fraction(nu)), 15)
         assert len(rule.nodes) == 15
-    # a coefficient beyond the float range, then a zero whose polish overflows
-    for mu in ("1e400", "1e200"):
-        with pytest.raises(DegeneracyError, match="zeros of P\\*_4 leave the float range"):
-            build_rule(cauchy, Perturbation.corec(0, Fraction(mu)), 4)
+    # a coefficient beyond the float range
+    with pytest.raises(DegeneracyError, match="zeros of P\\*_4 leave the float range"):
+        build_rule(cauchy, Perturbation.corec(0, Fraction("1e400")), 4)
+
+
+def changes_sign_around(poly, x):
+    """Whether poly's exact values at the two float neighbours of x have opposite signs."""
+    below, above = (poly.ratio_at(math.nextafter(x, end))[0] for end in (-math.inf, math.inf))
+    return below * above < 0
+
+
+def test_zeros_far_beyond_the_coefficients_are_bracketed(cauchy):
+    # mu = 1e200 puts a zero at 1.6e200, where P*_4 is about 10^800: the
+    # Newton step is one rounded exact ratio, so no value of P*_4 overflows
+    pert = Perturbation.corec(0, Fraction("1e200"))
+    rule = build_rule(cauchy, pert, 4)
+    assert rule.nodes == (-1.0, -1.25e-201, 1.0, 1.6e200)
+    p, _ = family_ends(cauchy, pert, 4)
+    assert all(changes_sign_around(p, x) for x in rule.nodes)
+
+
+@pytest.mark.parametrize("poly, cause", [(Poly((2, -2, 0, 1)), type(None)),
+                                         (Poly((-1, 0, 1)), ZeroDivisionError)],
+                         ids=("two-cycle", "flat-seed"))
+def test_a_polish_that_cannot_converge_is_refused(monkeypatch, poly, cause):
+    # every seed is 0: Newton on x^3 - 2x + 2 cycles 0 -> 1 -> 0 through all
+    # its steps, and (x - 1)(x + 1) has P'(0) = 0 exactly
+    import numpy as np
+
+    monkeypatch.setattr(np, "roots", lambda coeffs: np.zeros(len(coeffs) - 1))
+    with pytest.raises(DegeneracyError, match="root polish failed near x = 0$") as info:
+        real_zeros(poly)
+    assert isinstance(info.value.__context__, cause)
 
 
 def test_estimate_applies_the_rule(cauchy):

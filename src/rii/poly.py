@@ -24,24 +24,23 @@ at a float or complex z is exact at the point z stores, rounded once.
 
 The exact numerator grows by about 53 bits a Horner step, yet a float result
 only has to be rounded correctly.  So at a float x = p/2^e, `enclose` first
-runs Horner in fixed point on coefficients f_j in a unit 1/U,
+runs Horner in fixed point on coefficients f_j in a unit 2^-s,
     t <- floor(t * p / 2^e) + f_j,
 whose width is that of the f_j and the size of the partial sums, not 53 bits
-more each step.  Each floor loses less than one unit, so U P(x) lies within
-sum_{k<n} |x|^k units of t; that sum is at most n max(1, |x|)^(n-1), which is
-bounded in floats with a relative margin, plus one unit.  The unit is chosen
-once per polynomial.  While every numerator has at most 2 FRACTION_BITS
-bits, as every rule polynomial's has, f_j = a_j 2^FRACTION_BITS is exact over
-U = _den 2^FRACTION_BITS.  A wider numerator would make every step as wide as
-_den (about 9,350 bits for the Lagrange interpolant at n = 20), so then U is
-the power of two that holds the largest coefficient in about 3 FRACTION_BITS
-bits (at least 1), each f_j is a_j U / _den truncated toward zero, and the
-bound gains sum_{k<=n} |x|^k <= (n+1) max(1, |x|)^n units.  A call at a float
-returns the enclosure's rounding when both ends round to the same float
-(`exact.common_rounding`), which proves it is the correctly rounded P(x);
-otherwise `ratio_at` decides, and so it does when the bound overflows or the
-numerators are narrow below degree ENCLOSE_MIN_DEGREE.  `rounded_ratio`
-rounds a scaled quotient of two polynomials at x the same way, from the
+more each step.  Each f_j is a_j 2^s / _den truncated toward zero and each
+floor loses less than one unit, so 2^s P(x) lies within
+sum_{k<=n} |x|^k + sum_{k<n} |x|^k <= (2n+1) max(1, |x|)^n units of t, an
+integer bound at every |x|, raised to a power of two.  The unit is chosen
+once per polynomial: s = bits(_den) + FRACTION_BITS, finer than
+1/(_den 2^FRACTION_BITS), while the numerators have at most 2 FRACTION_BITS
+bits, as every rule polynomial's has.  A wider numerator would make every
+step as wide as _den (about 9,350 bits for the Lagrange interpolant at
+n = 20), so then s shrinks until the largest f_j has about 3 FRACTION_BITS
+bits (s >= 0).  A call at a float returns the enclosure's rounding when both
+ends round to the same float (`exact.common_rounding`), which proves it is
+the correctly rounded P(x); otherwise `ratio_at` decides, and so it does on
+narrow numerators below degree ENCLOSE_MIN_DEGREE.  `rounded_ratio` rounds
+a scaled quotient of two polynomials at x the same way, from the extreme
 corners of their enclosures or from exact Horner.
 
 A polynomial with integer coefficients (denominator 1) packs into one int,
@@ -120,8 +119,8 @@ def _convolve(a, b, zero):
 class Poly:
     """Immutable dense polynomial; supports +, -, *, scalar mul, ** and calls."""
 
-    # _fixed: the fixed-point coefficients, their unit and whether they are
-    # truncated, or None (`_fixed_point`), set by the first enclosure
+    # _fixed: the fixed-point coefficients and their unit, or None
+    # (`_fixed_point`), set by the first enclosure
     __slots__ = ("_nums", "_den", "_fixed")
 
     def __init__(self, coeffs=()):
@@ -323,9 +322,9 @@ class Poly:
         """(lo, hi, den) with lo/den <= P(x) <= hi/den at a finite float x, or None.
 
         Fixed-point Horner over the unit 1/den of `_fixed_point` (see the
-        module docstring).  None, meaning "evaluate exactly", on narrow
-        numerators below degree ENCLOSE_MIN_DEGREE and when the bound on the
-        error overflows a float.  The coefficients must be rational.
+        module docstring).  None, meaning "evaluate exactly", only on narrow
+        numerators below degree ENCLOSE_MIN_DEGREE (the zero polynomial among
+        them).  The coefficients must be rational.
         """
         if self._den is None:
             raise TypeError("enclose needs rational coefficients")
@@ -335,21 +334,11 @@ class Poly:
             fixed = self._fixed = self._fixed_point()
         if fixed is None:
             return None
-        fixed, den, truncated = fixed
+        fixed, den = fixed
         n = len(fixed) - 1
-        try:
-            # the floors of Horner: sum_{k<n} |x|^k <= n max(1, |x|)^(n-1);
-            # truncated coefficients: sum_{k<=n} |x|^k <= (n+1) max(1, |x|)^n
-            m = max(1.0, abs(x))
-            bound = n * m ** (n - 1)
-            if truncated:
-                bound += (n + 1) * m ** n
-            bound *= 1.0 + 1e-12
-        except OverflowError:
-            return None
-        if bound == math.inf:
-            return None
-        err = math.ceil(bound) + 1
+        # the error is below (2n+1) max(1, |x|)^n units; log2 errs by far less
+        # than the one bit added
+        err = 1 << (math.ceil(math.log2(2 * n + 1) + n * math.log2(max(1.0, abs(x)))) + 1)
         p, q = x.as_integer_ratio()
         e = q.bit_length() - 1
         t = fixed[-1]
@@ -358,19 +347,17 @@ class Poly:
         return t - err, t + err, den
 
     def _fixed_point(self):
-        """(coefficients, den, truncated): the coefficients in the unit 1/den of
-        `enclose`, exact or truncated toward zero (see the module docstring);
-        None below degree ENCLOSE_MIN_DEGREE on narrow numerators."""
+        """(coefficients, den): each a_j / _den in the unit 1/den of `enclose`,
+        rounded toward zero, den a power of two (see the module docstring);
+        None on narrow numerators below degree ENCLOSE_MIN_DEGREE."""
         nums, common = self._nums, self._den
         top = max([a.bit_length() for a in nums], default=0)
-        if top <= 2 * FRACTION_BITS:
-            if len(nums) <= ENCLOSE_MIN_DEGREE:
-                return None
-            return tuple([a << FRACTION_BITS for a in nums]), common << FRACTION_BITS, False
-        shift = max(0, 3 * FRACTION_BITS + common.bit_length() - top)
-        # truncated, |f_j| <= |a_j| U / den: never wider than the exact value
+        if top <= 2 * FRACTION_BITS and len(nums) <= ENCLOSE_MIN_DEGREE:
+            return None
+        shift = max(0, common.bit_length() + min(FRACTION_BITS, 3 * FRACTION_BITS - top))
+        # toward zero, |f_j| <= |a_j| 2^shift / den: never wider than the exact value
         return (tuple([(a << shift) // common if a >= 0 else -((-a << shift) // common)
-                       for a in nums]), 1 << shift, True)
+                       for a in nums]), 1 << shift)
 
     def derivative(self):
         out = [j * a for j, a in enumerate(self._nums)][1:]
@@ -423,18 +410,24 @@ def rounded_ratio(scale, top, bottom, x, bottom_box=None):
     """scale * top(x) / bottom(x) at a finite float x, correctly rounded.
 
     scale is an int or a Fraction; top and bottom have rational coefficients.
-    bottom_box, when given, is bottom.enclose(x).  The quotient is monotone in
-    each factor over enclosures where bottom(x) keeps its sign, so when the
-    four corner quotients round alike, that is its rounding; otherwise exact
-    Horner decides.  Raises ZeroDivisionError when bottom(x) = 0.
+    bottom_box, when given, is bottom.enclose(x).  Over enclosures where
+    bottom(x) keeps its sign, the quotient is monotone in each factor, so it
+    lies between two corners: the least and the greatest top, each over the
+    bottom end that makes the quotient more extreme.  When they round alike,
+    that is its rounding; otherwise exact Horner decides.  Raises
+    ZeroDivisionError when bottom(x) = 0.
     """
     num, den = scale.numerator, scale.denominator
     t = top.enclose(x)
     if t is not None:
         b = bottom.enclose(x) if bottom_box is None else bottom_box
         if b is not None and not b[0] <= 0 <= b[1]:
-            value = common_rounding([(num * u * b[2], den * t[2] * v)
-                                     for u in t[:2] for v in b[:2]])
+            (t_lo, t_hi, td), (b_lo, b_hi, bd) = t, b
+            # the ends of the bottom nearest to and farthest from 0
+            near, far = (b_lo, b_hi) if b_lo > 0 else (b_hi, b_lo)
+            nb, dt = num * bd, den * td
+            value = common_rounding(((nb * t_lo, dt * (near if t_lo < 0 else far)),
+                                     (nb * t_hi, dt * (near if t_hi > 0 else far))))
             if value is not None:
                 return value
     bn, bd = bottom.ratio_at(x)

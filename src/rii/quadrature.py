@@ -17,12 +17,12 @@ other where P*_n vanishes.  At a float node the two differ by
 M_0 P*_n Q*_{n-1} / (P*_n' P*_{n-1}); `weights_moment_formula` is kept as an
 exact reference for that comparison.
 
-M_0 is chosen in one place, `build_rule`, which calibrates it at the rule's
-n without any floating point: the raw weights (M_0 = 1) sum to
-lead(Q_n)/lead(P_n) exactly (a residue identity), and a two-point fit in n
-removes its C/(n+1) tail.  For the worked example this yields exactly 1/2
-at every n, and the weights sum to n/(n+1): total mass is approached, not
-hit, at finite n.
+M_0 is chosen in one place, `build_rule`, which calibrates it once per
+scheme object and n, without any floating point: the raw weights (M_0 = 1)
+sum to lead(Q_n)/lead(P_n) exactly (a residue identity), and a two-point fit
+in n removes its C/(n+1) tail.  For the worked example this yields exactly
+1/2 at every n, and the weights sum to n/(n+1): total mass is approached,
+not hit, at finite n.
 
 M_0 needs only leading coefficients, so it runs the recurrence loop
 (`sequences.iterate`) on scalars: L_{m+1} = rho_m L_m - lam_m L_{m-1} (the
@@ -35,22 +35,24 @@ The nodes are n sorted, pairwise distinct floats, or there is no rule:
 Every node is a binary float, and each float the rule needs -- Newton step
 P*_n/P*_n', weight M_0 Q*_n/P*_n' -- is the exact ratio at the node rounded
 once by `poly.rounded_ratio`: from fixed-point enclosures of the polynomials
-(`Poly.enclose`, 128 fraction bits, with a proven error bound) when their
-corners round to one float, else from exact integer Horner (`Poly.ratio_at`),
-as always below degree 11, where it is as cheap.  `rounded_ratio` owns the
-enclosures: quadrature hands them on and never looks inside one.  The only
-floating-point error in a rule is the node rounding itself.
+(`Poly.enclose`, 128 fraction bits, with a proven integer error bound) when
+their corners round to one float, else from exact integer Horner
+(`Poly.ratio_at`), as always below degree 11, where it is as cheap.
+`rounded_ratio` owns the enclosures: quadrature hands them on and never
+looks inside one.  The only floating-point error in a rule is the node
+rounding itself.
 
 `build_rule` reads P*_n and Q*_n alone: `sequences.family_ends` iterates
 both families once, over one list of step terms, and turns only those two
-into Polys.  It forms P*_n' once.  The weight reuses the P*_n'(x)
-enclosure of Newton's last step when that step left x unchanged, which most
-do; it is the same exact value, so the rule is the same.
+into Polys.  It forms P*_n' once, and the weight reuses the P*_n'(x)
+enclosure of Newton's last step, which left x unchanged: the same exact
+value, so the same rule.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,6 +65,9 @@ from .sequences import clear, family_ends, iterate, scaled_steps
 # A root with |Im| <= TOL_IMAG * (1 + |Re|) counts as real.
 TOL_IMAG = 1e-9
 
+# scheme -> {n: M_0}, filled by build_rule; a scheme is immutable
+_M0 = weakref.WeakKeyDictionary()
+
 
 def _out_of_float_range(poly):
     return DegeneracyError("the zeros of P*_%d leave the float range: a coefficient, a "
@@ -74,8 +79,8 @@ def _polish_failed(x):
 
 
 def _polished_zeros(poly, dpoly):
-    """(zeros, dpoly's enclosure at each or None) of poly, of degree n >= 1 with a
-    real leading coefficient, and its derivative dpoly.
+    """(zeros, dpoly's enclosure at each) of poly, of degree n >= 1 with a real
+    leading coefficient, and its derivative dpoly.
 
     The zeros are n sorted, pairwise distinct floats, or this raises.  The
     seeds are companion eigenvalues.  ComplexZerosError lists those with
@@ -84,11 +89,10 @@ def _polished_zeros(poly, dpoly):
     a product of real factors (z - x_j) cannot have.  lead(P*_n) is real, as
     L_{m+1} = rho_m L_m - lam*_m L_{m-1} with W_m monic (no lam term for oprl).
     Newton polishes each seed's real part by steps P(x)/P'(x), each the exact
-    ratio rounded once; P'(x) = 0, 40 steps without converging or two equal
-    zeros raise DegeneracyError.
-
-    A zero's enclosure is the one its last Newton step read P'(x) from, when
-    that step left x unchanged, so the weights need not enclose dpoly again.
+    ratio rounded once, to its fixed point, where a step leaves x unchanged;
+    P'(x) = 0, 40 steps without one or two equal zeros raise DegeneracyError.
+    Each zero hands on the enclosure its last step read P'(x) from, so the
+    weights need not enclose dpoly again.
     """
     import numpy as np   # only root finding needs it: other commands start without it
 
@@ -118,14 +122,12 @@ def _polished_zeros(poly, dpoly):
             x_new = x - step
             if not math.isfinite(x_new):
                 raise _out_of_float_range(poly)
-            # near 0 a step that is large next to x_new has not converged
-            if abs(x_new - x) <= min(1e-16 * (1.0 + abs(x)), 0.5 * abs(x_new)):
+            if x_new == x:
                 break
             x = x_new
         else:
             raise _polish_failed(x)
-        # box was read at x: it is P'(x_new)'s only when the step left x unchanged
-        polished.append((x_new, box if x_new == x else None))
+        polished.append((x_new, box))     # x_new == x, up to the sign of a zero
     polished.sort(key=lambda pair: pair[0])
     zeros = [x for x, _ in polished]
     if any(b <= a for a, b in zip(zeros, zeros[1:])):
@@ -189,7 +191,8 @@ def calibrate_m0(scheme, n):
     lead_q = iterate(a.__getitem__, b.__getitem__, "second", n + 1, 0, one_q)
     for m in (n + 1, n):
         if lead_p[m] == 0 or lead_q[m] == 0:
-            raise DegeneracyError("degenerate leading coefficient at index %d" % m)
+            raise DegeneracyError("M_0 calibration failed: the leading coefficient of the "
+                                  "unperturbed %s_%d vanishes" % ("Q" if lead_p[m] else "P", m))
     # M_0 = 1 / ((n + 2) lead_q[n+1]/lead_p[n+1] - (n + 1) lead_q[n]/lead_p[n])
     lead_sum = (n + 2) * lead_q[n + 1] * lead_p[n] - (n + 1) * lead_q[n] * lead_p[n + 1]
     if lead_sum == 0:
@@ -233,8 +236,8 @@ def weights_second_kind(nodes, m0, q, dp, enclosures=None):
     at the node rounded once (`poly.rounded_ratio`); q is the perturbed Q_n
     and dp the perturbed P_n'.
 
-    enclosures, when given, holds dp.enclose(x) or None for each node, as the
-    polish leaves them; a None entry is enclosed afresh.
+    enclosures, when given, holds dp.enclose(x) for each node, as the polish
+    leaves them.
     """
     m0 = Fraction(m0)
     out = []
@@ -275,10 +278,12 @@ def build_rule(scheme, perturbation, n):
     p, q = family_ends(scheme, pert, n)
     dp = require_degree(p, n).derivative()
     nodes, slopes = _polished_zeros(p, dp)
-    m0 = calibrate_m0(scheme, n)
-    weights = weights_second_kind(nodes, m0, q, dp, slopes)
+    known = _M0.setdefault(scheme, {})
+    if n not in known:      # a refusal is not kept: it is raised again
+        known[n] = calibrate_m0(scheme, n)
+    weights = weights_second_kind(nodes, known[n], q, dp, slopes)
     return QuadratureRule(n=n, nodes=tuple(nodes), weights=tuple(weights),
-                          perturbation=pert, m0=m0)
+                          perturbation=pert, m0=known[n])
 
 
 def estimate(rule, f):

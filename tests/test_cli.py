@@ -340,6 +340,16 @@ def test_zeros_far_beyond_the_coefficients(capsys):
     assert (code, out, err) == (0, "0.8\n", "")
 
 
+def test_an_m0_refusal_names_the_calibration(capsys):
+    # rho_1 = 0: P*_1 = x has its zero, but the unperturbed Q_2 that M_0's
+    # two-point fit reads has no leading coefficient
+    scheme = '{"rho": [1, 0, 1, 1], "c": 0, "lambda": "1/4", "omega": 1}'
+    assert run_cli(capsys, "zeros", "--n", "1", "--scheme", scheme) == (0, "0\n", "")
+    assert run_cli(capsys, "quad", "--n", "1", "--scheme", scheme) == (
+        1, "", "error: M_0 calibration failed: the leading coefficient of the unperturbed "
+        "Q_2 vanishes\n")
+
+
 @pytest.mark.parametrize("bounds", [("--x-min=-1.7e308", "--x-max=1.7e308"),
                                     ("--x-min", "nan"), ("--x-max", "inf")])
 def test_measure_refuses_unsampleable_intervals(capsys, bounds):

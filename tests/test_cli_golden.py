@@ -6,9 +6,10 @@ format at the default precision, each of the six tables (t4 in JSON at
 --precision 3, the others as CSV), nested float rounding in JSON at
 --precision 3, `quad --config`, the text form of non-real polynomial
 coefficients, and a rule and a polynomial of degree above 10, where
-`Poly.enclose` and packed families do the work.  --precision 17 is left
-out on purpose: its last digits can differ between LAPACK builds.  The
-exact demos 01 and 02 run the same way against tests/golden/demo-<name>.out,
+`Poly.enclose` and packed families do the work.  `zeros` at n = 100 also
+runs at --precision 17: every node is the fixed point of Newton's correctly
+rounded step, whatever seed LAPACK's eigenvalues give it, so all 17 digits
+are the same on every build.  The exact demos 01 and 02 run the same way against tests/golden/demo-<name>.out,
 with the suite timings demo 02 prints masked.
 
 To re-record after a deliberate output change:
@@ -56,6 +57,8 @@ CASES = {
     "quad-json": QUAD + ("--out", "json"),
     "quad-n100": ("quad", "--n", "100", "--mu", "0.01", "--k", "2", "--nu", "1.004",
                   "--kp", "6"),
+    "p17-zeros-n100": ("--precision", "17", "zeros", "--n", "100", "--mu", "0.01", "--k", "2",
+                       "--nu", "1.004", "--kp", "6"),
     "poly-n40-csv": ("poly", "--n", "40", "--kind", "both") + T5_CELL + ("--out", "csv"),
     "quad-config": ("quad", "--config", CONFIG),
     "quad-config-json": ("quad", "--config", CONFIG, "--out", "json"),

@@ -31,14 +31,36 @@ _points = st.one_of(
 )
 
 
+def _check_fixed_point(poly):
+    """The truncation identity of an enclosed polynomial's fixed-point form."""
+    fixed, unit = poly._fixed
+    nums, den = poly._nums, poly.denominator
+    assert unit & (unit - 1) == 0     # a power-of-two unit
+    # each coefficient is truncated toward zero in that unit
+    for f, a in zip(fixed, nums):
+        assert abs(f) * den <= abs(a) * unit < (abs(f) + 1) * den
+        assert f == 0 or (f < 0) == (a < 0)
+    top = max(a.bit_length() for a in nums)
+    if top <= 2 * FRACTION_BITS:
+        # at least as fine as the unit 1/(den 2^FRACTION_BITS)
+        assert unit >= den << FRACTION_BITS
+    else:
+        # the largest coefficient fits 3*FRACTION_BITS + 1 bits unless the
+        # unit is coarser than 1
+        assert max(f.bit_length() for f in fixed) <= max(3 * FRACTION_BITS + 1,
+                                                          top - den.bit_length() + 1)
+
+
 def _check(poly, x):
     num, den = poly.ratio_at(x)
     box = poly.enclose(x)
-    if poly.degree >= ENCLOSE_MIN_DEGREE and abs(x) <= 2:
-        assert box is not None
+    narrow = max((a.bit_length() for a in poly._nums), default=0) <= 2 * FRACTION_BITS
+    # only narrow numerators below ENCLOSE_MIN_DEGREE are left to exact Horner
+    assert (box is None) == (narrow and poly.degree < ENCLOSE_MIN_DEGREE)
     if box is not None:
         lo, hi, d = box
         assert d > 0 and lo * den <= num * d <= hi * den
+        _check_fixed_point(poly)
     assert float.hex(poly(x)) == float.hex(_rounded_ratio(num, den))
 
 
@@ -71,19 +93,7 @@ _wide_nums = st.lists(st.integers(-2 ** 4000, 2 ** 4000), min_size=ENCLOSE_MIN_D
 # than a/2 itself
 @example(nums=[0] * 11 + [-(2 ** 386 - 1)], den=2, x=0.5)
 def test_wide_denominators_enclose_on_floored_coefficients(nums, den, x):
-    poly = Poly.from_integers(nums, den)
-    _check(poly, x)
-    nums, den = poly._nums, poly.denominator
-    if max(a.bit_length() for a in nums) > 2 * FRACTION_BITS:
-        fixed, unit, truncated = poly._fixed
-        assert truncated and unit & (unit - 1) == 0     # a power-of-two unit
-        # each coefficient is truncated toward zero in that unit, which holds
-        # the largest in 3*FRACTION_BITS + 1 bits unless it is coarser than 1
-        for f, a in zip(fixed, nums):
-            assert abs(f) * den <= abs(a) * unit < (abs(f) + 1) * den
-            assert f == 0 or (f < 0) == (a < 0)
-        top = max(a.bit_length() for a in nums) - den.bit_length() + 1
-        assert max(f.bit_length() for f in fixed) <= max(3 * FRACTION_BITS + 1, top)
+    _check(Poly.from_integers(nums, den), x)
 
 
 def test_a_wide_polynomial_is_floored_and_rounds_exactly():
@@ -92,7 +102,9 @@ def test_a_wide_polynomial_is_floored_and_rounds_exactly():
     poly = Poly.from_integers([rng.getrandbits(4000) - 2 ** 3999 for _ in range(30)], den)
     for x in (0.0, -0.0, 0.3, -1.25, 2.0, 7.5, -40.0, 5e-324):
         _check(poly, x)
-    assert poly._fixed[2]
+    # the unit is coarser than 1/den: the fixed point keeps about
+    # 3*FRACTION_BITS bits of each 4000-bit numerator
+    assert poly._fixed[1] < den
 
 
 @pytest.mark.parametrize("n", [3, 13, 31, 61])
@@ -109,8 +121,11 @@ def test_enclosure_edges():
     wide = Poly.from_integers([1, 2 ** 300], 3)      # but not on wide numerators
     assert wide.enclose(0.3) is not None and wide(0.3) == quotient(*wide.ratio_at(0.3))
     p = Poly((Fraction(1, 3),) + (2,) * ENCLOSE_MIN_DEGREE + (-5,))
-    assert p.enclose(0.3) is not None
-    assert p.enclose(1e30) is None                # the error bound overflows
+    # the integer error bound holds at any |x|: about 10^360 at 1e30, where
+    # P(x) is about -5e360 and rounds to -inf
+    for x in (0.3, 1e30, -1e30, 1e300):
+        _check(p, x)
+    assert p(1e30) == -math.inf
     assert p(1e300) == -math.inf and (p * Poly.x())(-1e300) == math.inf
     with pytest.raises(TypeError):
         Poly((GaussianRational(0, 1), 1)).enclose(0.5)
@@ -147,21 +162,21 @@ def test_rules_without_the_enclosure_are_identical(monkeypatch, pert):
         return ratio_at(self, z)
 
     fixed_point = Poly._fixed_point
-    floored = []
+    fine_units = []
 
     def recorded(self):
         out = fixed_point(self)
         if out is not None:
-            floored.append(out[2])
+            fine_units.append(out[1] == 1 << (self.denominator.bit_length() + FRACTION_BITS))
         return out
 
     monkeypatch.setattr(Poly, "ratio_at", counted)
     monkeypatch.setattr(Poly, "_fixed_point", recorded)
     rules = {n: build_rule(scheme, pert, n) for n in (10, 40, 80, 100)}
-    # every polish and weight float of the ladder is proven by its enclosure,
-    # on exact coefficients: no rule polynomial is wide enough to be floored
+    # every polish and weight float of the ladder is proven by its enclosure:
+    # no rule polynomial is wide enough for a unit coarser than 1/(den 2^128)
     assert high_degree_exact == []
-    assert floored and not any(floored)
+    assert fine_units and all(fine_units)
     monkeypatch.setattr(Poly, "enclose", lambda self, x: None)
     for n, rule in rules.items():
         exact = build_rule(scheme, pert, n)

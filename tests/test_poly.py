@@ -337,6 +337,31 @@ def test_rounded_ratio_is_the_exact_quotient_rounded_once(top, bottom, den, x, s
     assert float.hex(rounded_ratio(scale, top, bottom, x, box)) == float.hex(exact)
 
 
+def _box_at(num, den, outer):
+    """An enclosure (lo, hi, den') of num/den (den > 0) with ends v and
+    v (1 + 2^-20): num/den is the end of larger magnitude when outer, else
+    the smaller."""
+    lo, hi = sorted((num << 20, num * ((1 << 20) + 1)))
+    return lo, hi, den * ((1 << 20) + outer)
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_rounded_ratio_holds_on_any_enclosures(monkeypatch, signs):
+    # with the top's value at its outer end and the bottom's at its inner end
+    # (or the reverse) the ratio is an extreme corner; both other corners are
+    # the ratio moved by 2^-20, so they round alike, and elsewhere: only the
+    # two extreme corners prove the rounding
+    top, bottom = Poly((1, 3, 0, -2)) * signs[0], Poly((5, 0, 1)) * signs[1]
+    for x in (0.3, 1.7, -2.25, 11.0):
+        (tn, td), (bn, bd) = top.ratio_at(x), bottom.ratio_at(x)
+        exact = float(Fraction(3 * tn * bd, td * bn))
+        for top_outer in (False, True):
+            box = _box_at(tn, td, top_outer)
+            monkeypatch.setattr(Poly, "enclose", lambda self, z, _box=box: _box)
+            for bottom_outer in (False, True):
+                assert rounded_ratio(3, top, bottom, x, _box_at(bn, bd, bottom_outer)) == exact
+
+
 def test_rounded_ratio_refuses_a_vanishing_bottom():
     x = 0.375
     for degree in (1, ENCLOSE_MIN_DEGREE + 3):

@@ -28,6 +28,7 @@ from rii import (
 from rii.quadrature import _polished_zeros
 from rii.sequences import family_ends
 from rii.suites import random_perturbation, random_scheme
+from rii.tables import load_fixture
 
 
 def test_real_zeros_are_cotangents(cauchy):
@@ -147,10 +148,47 @@ def test_build_rule_complex_flag_and_errors(cauchy):
         build_rule(cauchy, Perturbation.corec(0, Fraction("1e400")), 4)
 
 
-def changes_sign_around(poly, x):
-    """Whether poly's exact values at the two float neighbours of x have opposite signs."""
-    below, above = (poly.ratio_at(math.nextafter(x, end))[0] for end in (-math.inf, math.inf))
+def is_correctly_rounded_zero(poly, x):
+    """Whether poly's exact values at the midpoints between x and its float
+    neighbours have opposite signs: a zero lies within half a unit of x."""
+    below, above = (poly.ratio_at((Fraction(x) + Fraction(math.nextafter(x, end))) / 2)[0]
+                    for end in (-math.inf, math.inf))
     return below * above < 0
+
+
+# the benchmark's rule-ladder shapes: co-recursion, co-dilation and both
+_LADDER_SHAPES = (Perturbation.corec(3, Fraction(1, 100)),
+                  Perturbation.codil(4, Fraction(1036, 1000)),
+                  Perturbation.both(2, Fraction(1, 100), 6, Fraction(1004, 1000)))
+
+
+# the ladder's rungs, and table t4's rule: mu = -1/100 at level 0
+@pytest.mark.parametrize("pert, sizes",
+                         [(pert, (10, 40, 80, 100)) for pert in _LADDER_SHAPES]
+                         + [(Perturbation.corec(0, Fraction(-1, 100)), (len(load_fixture("t4")),))],
+                         ids=("corec", "codil", "both", "t4"))
+def test_nodes_are_correctly_rounded_zeros(cauchy, pert, sizes):
+    for n in sizes:
+        p, _ = family_ends(cauchy, pert, n)
+        assert all(is_correctly_rounded_zero(p, x) for x in build_rule(cauchy, pert, n).nodes)
+
+
+@pytest.mark.parametrize("pert", _LADDER_SHAPES, ids=("corec", "codil", "both"))
+def test_jittered_seeds_give_the_same_nodes(cauchy, pert, monkeypatch):
+    # the nodes are Newton's fixed points, not an accident of the seeds: seeds
+    # moved by up to 1e-9 (relative) polish to the same floats
+    import numpy as np
+
+    roots, rng = np.roots, np.random.default_rng(9)
+    for n in (10, 40, 100):
+        p, _ = family_ends(cauchy, pert, n)
+        dp = p.derivative()
+        nodes = [float.hex(x) for x in _polished_zeros(p, dp)[0]]
+        for _ in range(3):
+            monkeypatch.setattr(np, "roots", lambda coeffs: (
+                roots(coeffs) * (1 + rng.uniform(-1e-9, 1e-9, len(coeffs) - 1))))
+            assert [float.hex(x) for x in _polished_zeros(p, dp)[0]] == nodes
+            monkeypatch.undo()
 
 
 def test_zeros_far_beyond_the_coefficients_are_bracketed(cauchy):
@@ -160,7 +198,7 @@ def test_zeros_far_beyond_the_coefficients_are_bracketed(cauchy):
     rule = build_rule(cauchy, pert, 4)
     assert rule.nodes == (-1.0, -1.25e-201, 1.0, 1.6e200)
     p, _ = family_ends(cauchy, pert, 4)
-    assert all(changes_sign_around(p, x) for x in rule.nodes)
+    assert all(is_correctly_rounded_zero(p, x) for x in rule.nodes)
 
 
 @pytest.mark.parametrize("poly, cause", [(Poly((2, -2, 0, 1)), type(None)),
@@ -203,8 +241,28 @@ def test_calibration_degeneracy():
 
     # rho_1 = 0 makes Q_2 vanish, so its leading-coefficient ratio is undefined
     degenerate = CoefficientScheme.special([1, 0, 1, 1], 0, Fraction(1, 4), omega=1)
-    with pytest.raises(DegeneracyError):
+    with pytest.raises(DegeneracyError, match="M_0 calibration failed: .* unperturbed Q_2"):
         calibrate_m0(degenerate, 1)
+
+
+def test_m0_is_calibrated_once_per_scheme_and_n(monkeypatch):
+    import rii.quadrature as quadrature
+
+    calls = _counting(monkeypatch, quadrature, ("calibrate_m0",))
+    scheme = cauchy_scheme()
+    for n in (5, 6, 5, 6, 5):
+        build_rule(scheme, Perturbation.corec(1, Fraction(n, 100)), n)
+    assert calls == {"calibrate_m0": 2}
+    build_rule(cauchy_scheme(), None, 5)       # another scheme object
+    assert calls == {"calibrate_m0": 3}
+    # a refusal is not kept: asking again calibrates again, and fails again
+    from rii import CoefficientScheme
+
+    degenerate = CoefficientScheme.special([1, 0, 1, 1], 0, Fraction(1, 4), omega=1)
+    for _ in range(2):
+        with pytest.raises(DegeneracyError, match="M_0 calibration"):
+            build_rule(degenerate, None, 1)
+    assert calls == {"calibrate_m0": 5}
 
 
 def _counting(monkeypatch, module, names):
@@ -238,16 +296,16 @@ def test_each_family_is_generated_once_per_rule(cauchy, monkeypatch):
 
 @pytest.mark.parametrize("n", [12, 40, 100])
 def test_reused_enclosures_give_the_same_weights(cauchy, n):
-    # the polish hands on P_n' enclosures at most nodes; each is the one the
-    # weights would make, so weighing afresh gives the rule's weights exactly
+    # Newton stops where its step leaves x unchanged, so every node hands on
+    # the P_n' enclosure of its last step; each is the one the weights would
+    # make, so weighing afresh gives the rule's weights exactly
     pert = Perturbation.both(2, Fraction(1, 100), 6, Fraction(251, 250))
     rule = build_rule(cauchy, pert, n)
     p, q = family_ends(cauchy, pert, n)
     dp = p.derivative()
     nodes, boxes = _polished_zeros(p, dp)
     assert nodes == list(rule.nodes)
-    assert sum(box is not None for box in boxes) > n // 2
-    assert all(box in (None, dp.enclose(x)) for x, box in zip(nodes, boxes))
+    assert all(box is not None and box == dp.enclose(x) for x, box in zip(nodes, boxes))
     assert weights_second_kind(rule.nodes, rule.m0, q, dp) == list(rule.weights)
 
 
@@ -259,8 +317,10 @@ def _calibrate_from_polynomials(scheme, n):
     q = gen_second_kind(scheme, None, n + 1)
 
     def ratio(m):
-        if p[m].degree != m or q[m].degree != m - 1:
-            raise DegeneracyError("degenerate leading coefficient at index %d" % m)
+        for name, poly, degree in (("P", p[m], m), ("Q", q[m], m - 1)):
+            if poly.degree != degree:
+                raise DegeneracyError("M_0 calibration failed: the leading coefficient of "
+                                      "the unperturbed %s_%d vanishes" % (name, m))
         return q[m].leading() / p[m].leading()
 
     lead_sum = (n + 2) * ratio(n + 1) - (n + 1) * ratio(n)

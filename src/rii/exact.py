@@ -11,8 +11,8 @@ A float or complex point enters the exact layer as the exact value it stores
 (`exact_point`); the exact result leaves it rounded once (`rounded`).  A real
 result is rounded by `quotient`, round-to-nearest of an integer ratio, which
 gives +-inf beyond the float range as IEEE arithmetic does.  `common_rounding`
-decides when an interval of ratios, such as a polynomial enclosure, already
-proves the rounded value without the exact one.
+decides when the two ends of an interval of ratios, such as a polynomial
+enclosure, already prove the rounded value without the exact one.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ def rational(value):
     Accepts Fraction, int, "p/q" / "p" strings, and floats.  Floats are
     converted exactly (every binary float is rational); decimal-looking
     strings such as "0.1" mean the exact decimal 1/10.  A zero denominator
-    and a non-finite float raise ValueError.
+    and a non-finite float raise ValueError; a bool, as any other type,
+    raises TypeError.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -220,20 +221,17 @@ def quotient(num, den):
         return math.inf if num > 0 else -math.inf
 
 
-def common_rounding(ratios):
-    """The float every num/den in ratios rounds to (by `quotient`), sign of zero
-    included, or None when two of them round apart.
+def common_rounding(low, high):
+    """The float both integer ratios (num, den) low and high round to (by
+    `quotient`), sign of zero included, or None when they round apart.
 
-    Rounding is monotone, so when the ratios are the corners of an interval
-    that holds an exact value, a common rounding is that value's rounding.
+    Rounding is monotone, so when the ratios are the ends of an interval that
+    holds an exact value, a common rounding is that value's rounding.
     """
-    ratios = iter(ratios)
-    first = quotient(*next(ratios))
-    for num, den in ratios:
-        value = quotient(num, den)
-        if value != first or (
-                not value and math.copysign(1.0, value) != math.copysign(1.0, first)):
-            return None
+    first, second = quotient(*low), quotient(*high)
+    if first != second or (
+            not first and math.copysign(1.0, first) != math.copysign(1.0, second)):
+        return None
     return first
 
 

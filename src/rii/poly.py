@@ -17,14 +17,13 @@ the integer form.
 
 Exact evaluation of a rational polynomial runs on integers: `ratio_at`
 evaluates the numerators at z = p/q by integer Horner and returns an
-unreduced pair (num, den).  A float z is the dyadic rational m/2^e, so the
-powers of q are shifts; `num / den` is then the correctly rounded float of
-P(z), bit for bit what float(Fraction) gives, without a single gcd.  A call
-at a float or complex z is exact at the point z stores, rounded once.
+unreduced pair (num, den); `num / den` is then the correctly rounded float
+of P(z), bit for bit what float(Fraction) gives, without a single gcd.  A
+call at a float or complex z is exact at the point z stores, rounded once.
 
 The exact numerator grows by about 53 bits a Horner step, yet a float result
-only has to be rounded correctly.  So at a float x = p/2^e, `enclose` first
-runs Horner in fixed point on coefficients f_j in a unit 2^-s,
+only has to be rounded correctly.  So at a float x = p/2^e, `enclose` runs
+Horner in fixed point on coefficients f_j in a unit 2^-s,
     t <- floor(t * p / 2^e) + f_j,
 whose width is that of the f_j and the size of the partial sums, not 53 bits
 more each step.  Each f_j is a_j 2^s / _den truncated toward zero and each
@@ -36,11 +35,12 @@ once per polynomial: s = bits(_den) + FRACTION_BITS, finer than
 bits, as every rule polynomial's has.  A wider numerator would make every
 step as wide as _den (about 9,350 bits for the Lagrange interpolant at
 n = 20), so then s shrinks until the largest f_j has about 3 FRACTION_BITS
-bits (s >= 0).  A call at a float returns the enclosure's rounding when both
-ends round to the same float (`exact.common_rounding`), which proves it is
-the correctly rounded P(x); otherwise `ratio_at` decides, and so it does on
-narrow numerators below degree ENCLOSE_MIN_DEGREE.  `rounded_ratio` rounds
-a scaled quotient of two polynomials at x the same way, from the extreme
+bits (s >= 0).  Every rational polynomial, the zero polynomial and
+constants among them, is enclosed so at every finite float.  A call at a
+float returns the enclosure's rounding when both ends round to the same
+float (`exact.common_rounding`), which proves it is the correctly rounded
+P(x); otherwise exact Horner (`ratio_at`) decides.  `rounded_ratio` rounds a
+scaled quotient of two polynomials at x the same way, from the extreme
 corners of their enclosures or from exact Horner.
 
 A polynomial with integer coefficients (denominator 1) packs into one int,
@@ -63,13 +63,6 @@ from .exact import (GaussianRational, common_rounding, exact_point, quotient, ro
                     simplify_scalar)
 
 FRACTION_BITS = 128    # fixed-point fraction bits of `Poly.enclose`
-# Below this degree a narrow exact numerator (2 FRACTION_BITS bits at most,
-# as a rule polynomial's) is hardly wider than the fixed-point one, and exact
-# Horner with one division costs no more than the enclosure and its rounding
-# check: with the enclosure, `build_rule` took 0-14% longer at n = 3..10 and
-# 2-20% less at n = 12..30.  So `enclose` leaves such polynomials to
-# `ratio_at`.
-ENCLOSE_MIN_DEGREE = 11
 
 
 def _norm_coeff(c):
@@ -119,8 +112,8 @@ def _convolve(a, b, zero):
 class Poly:
     """Immutable dense polynomial; supports +, -, *, scalar mul, ** and calls."""
 
-    # _fixed: the fixed-point coefficients and their unit, or None
-    # (`_fixed_point`), set by the first enclosure
+    # _fixed: the fixed-point coefficients and their unit (`_fixed_point`),
+    # set by the first enclosure
     __slots__ = ("_nums", "_den", "_fixed")
 
     def __init__(self, coeffs=()):
@@ -264,18 +257,14 @@ class Poly:
         """P(z), exact at the point z stores and rounded once for float or complex z.
 
         Rational coefficients at a float z return the rounding of `enclose`
-        when it is proven, else of `ratio_at`; at a rational point they take
-        `ratio_at`; the rest run Horner.  A value beyond the float range is
-        +-inf.
+        when its ends round alike, else of `ratio_at`; at a rational point
+        they take `ratio_at`; the rest run Horner.  A value beyond the float
+        range is +-inf.
         """
         if self._den is not None and isinstance(z, float) and math.isfinite(z):
-            box = self.enclose(z)
-            if box is not None:
-                lo, hi, den = box
-                value = common_rounding(((lo, den), (hi, den)))
-                if value is not None:
-                    return value
-            return quotient(*self.ratio_at(z))
+            lo, hi, den = self.enclose(z)
+            value = common_rounding((lo, den), (hi, den))
+            return quotient(*self.ratio_at(z)) if value is None else value
         x = exact_point(z)
         if self._den is not None and isinstance(x, (int, Fraction)):
             return rounded(Fraction(*self.ratio_at(x)), z)
@@ -290,8 +279,7 @@ class Poly:
         z is an int, a Fraction or a float; the coefficients must be rational.
         With coeffs[j] = a_j / D and z = p/q, integer Horner
             t <- t*p + a_j * q^(n-j)
-        gives P(z) = t / (D q^n).  For a power-of-two q (every float, every
-        int) the powers are shifts.
+        gives P(z) = t / (D q^n).
         """
         if self._den is None:
             raise TypeError("ratio_at needs rational coefficients")
@@ -305,13 +293,6 @@ class Poly:
         if not nums:
             return 0, 1
         t = nums[-1]
-        if q & (q - 1) == 0:
-            e = q.bit_length() - 1
-            shift = 0
-            for a in nums[-2::-1]:
-                shift += e
-                t = t * p + (a << shift)
-            return t, common << shift
         scale = 1
         for a in nums[-2::-1]:
             scale *= q
@@ -319,41 +300,33 @@ class Poly:
         return t, common * scale
 
     def enclose(self, x):
-        """(lo, hi, den) with lo/den <= P(x) <= hi/den at a finite float x, or None.
+        """(lo, hi, den) with lo/den <= P(x) <= hi/den at a finite float x.
 
         Fixed-point Horner over the unit 1/den of `_fixed_point` (see the
-        module docstring).  None, meaning "evaluate exactly", only on narrow
-        numerators below degree ENCLOSE_MIN_DEGREE (the zero polynomial among
-        them).  The coefficients must be rational.
+        module docstring).  The coefficients must be rational.
         """
         if self._den is None:
             raise TypeError("enclose needs rational coefficients")
         try:
-            fixed = self._fixed
+            fixed, den = self._fixed
         except AttributeError:
-            fixed = self._fixed = self._fixed_point()
-        if fixed is None:
-            return None
-        fixed, den = fixed
-        n = len(fixed) - 1
+            fixed, den = self._fixed = self._fixed_point()
+        n = max(0, len(fixed) - 1)      # the zero polynomial's sum is empty
         # the error is below (2n+1) max(1, |x|)^n units; log2 errs by far less
         # than the one bit added
         err = 1 << (math.ceil(math.log2(2 * n + 1) + n * math.log2(max(1.0, abs(x)))) + 1)
         p, q = x.as_integer_ratio()
         e = q.bit_length() - 1
-        t = fixed[-1]
-        for s in fixed[-2::-1]:
+        t = 0
+        for s in reversed(fixed):
             t = ((t * p) >> e) + s
         return t - err, t + err, den
 
     def _fixed_point(self):
         """(coefficients, den): each a_j / _den in the unit 1/den of `enclose`,
-        rounded toward zero, den a power of two (see the module docstring);
-        None on narrow numerators below degree ENCLOSE_MIN_DEGREE."""
+        rounded toward zero, den a power of two (see the module docstring)."""
         nums, common = self._nums, self._den
         top = max([a.bit_length() for a in nums], default=0)
-        if top <= 2 * FRACTION_BITS and len(nums) <= ENCLOSE_MIN_DEGREE:
-            return None
         shift = max(0, common.bit_length() + min(FRACTION_BITS, 3 * FRACTION_BITS - top))
         # toward zero, |f_j| <= |a_j| 2^shift / den: never wider than the exact value
         return (tuple([(a << shift) // common if a >= 0 else -((-a << shift) // common)
@@ -418,18 +391,16 @@ def rounded_ratio(scale, top, bottom, x, bottom_box=None):
     ZeroDivisionError when bottom(x) = 0.
     """
     num, den = scale.numerator, scale.denominator
-    t = top.enclose(x)
-    if t is not None:
-        b = bottom.enclose(x) if bottom_box is None else bottom_box
-        if b is not None and not b[0] <= 0 <= b[1]:
-            (t_lo, t_hi, td), (b_lo, b_hi, bd) = t, b
-            # the ends of the bottom nearest to and farthest from 0
-            near, far = (b_lo, b_hi) if b_lo > 0 else (b_hi, b_lo)
-            nb, dt = num * bd, den * td
-            value = common_rounding(((nb * t_lo, dt * (near if t_lo < 0 else far)),
-                                     (nb * t_hi, dt * (near if t_hi > 0 else far))))
-            if value is not None:
-                return value
+    b_lo, b_hi, bd = bottom_box or bottom.enclose(x)
+    if not b_lo <= 0 <= b_hi:
+        t_lo, t_hi, td = top.enclose(x)
+        # the ends of the bottom nearest to and farthest from 0
+        near, far = (b_lo, b_hi) if b_lo > 0 else (b_hi, b_lo)
+        nb, dt = num * bd, den * td
+        value = common_rounding((nb * t_lo, dt * (near if t_lo < 0 else far)),
+                                (nb * t_hi, dt * (near if t_hi > 0 else far)))
+        if value is not None:
+            return value
     bn, bd = bottom.ratio_at(x)
     if bn == 0:
         raise ZeroDivisionError("the denominator vanishes at x = %r" % (x,))

@@ -37,7 +37,7 @@ P*_n/P*_n', weight M_0 Q*_n/P*_n' -- is the exact ratio at the node rounded
 once by `poly.rounded_ratio`: from fixed-point enclosures of the polynomials
 (`Poly.enclose`, 128 fraction bits, with a proven integer error bound) when
 their corners round to one float, else from exact integer Horner
-(`Poly.ratio_at`), as always below degree 11, where it is as cheap.
+(`Poly.ratio_at`), at every degree.
 `rounded_ratio` owns the enclosures: quadrature hands them on and never
 looks inside one.  The only floating-point error in a rule is the node
 rounding itself.
@@ -99,9 +99,11 @@ def _polished_zeros(poly, dpoly):
     if poly.degree < 1:
         raise ValueError("need a nonconstant polynomial")
     try:
-        raw = np.roots(poly.float_coeffs()[::-1])
+        # a tiny lead puts inf into the companion matrix, which LAPACK refuses
+        with np.errstate(all="ignore"):
+            raw = np.roots(poly.float_coeffs()[::-1])
         finite = np.isfinite(raw).all()
-    except OverflowError:       # a coefficient beyond the float range
+    except (OverflowError, np.linalg.LinAlgError):   # a value beyond the float range
         finite = False
     if not finite:
         raise _out_of_float_range(poly)

@@ -43,12 +43,16 @@ def _tabulated(values, name):
 
 
 def as_coeff_fn(spec, name):
-    """Normalize a constant / list / callable coefficient spec to fn(n)."""
+    """Normalize a constant / list / callable coefficient spec to fn(n); an
+    entry that is not a rational raises TypeError naming the coefficient."""
     if callable(spec):
         return spec
-    if isinstance(spec, (list, tuple)):
-        return _tabulated([rational(v) for v in spec], name)
-    value = rational(spec)
+    try:
+        if isinstance(spec, (list, tuple)):
+            return _tabulated([rational(v) for v in spec], name)
+        value = rational(spec)
+    except TypeError as exc:
+        raise TypeError("%s: %s" % (name, exc)) from None
 
     def constant(n, _v=value):
         return _v
@@ -65,6 +69,22 @@ def _node_value(v):
     return rational(v)
 
 
+def _node_pairs(nodes):
+    """fn(n) -> (a_n, b_n) of a list of pairs; any other data raises TypeError
+    naming the entry."""
+    if not isinstance(nodes, (list, tuple)):
+        raise TypeError("nodes must be a list of pairs [a_n, b_n], got %r" % (nodes,))
+    pairs = []
+    for n, pair in enumerate(nodes):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise TypeError("nodes[%d] must be a pair [a_n, b_n], got %r" % (n, pair))
+        try:
+            pairs.append((_node_value(pair[0]), _node_value(pair[1])))
+        except TypeError as exc:
+            raise TypeError("nodes[%d]: %s" % (n, exc)) from None
+    return _tabulated(pairs, "nodes")
+
+
 class CoefficientScheme:
     """Immutable bundle of recurrence data (rho_n, c_n, lambda_n, W_n).
 
@@ -73,10 +93,7 @@ class CoefficientScheme:
 
     def __init__(self, rho, c, lam, kind, omega=None, nodes=None):
         self._specs = (rho, c, lam, nodes)
-        if nodes is not None and not callable(nodes):
-            nodes = _tabulated([(_node_value(a), _node_value(b)) for a, b in nodes],
-                               "nodes")
-        self._nodes = nodes
+        self._nodes = nodes if nodes is None or callable(nodes) else _node_pairs(nodes)
         self.rho = as_coeff_fn(rho, "rho")
         self.c = as_coeff_fn(c, "c")
         self.lam = as_coeff_fn(lam, "lambda")

@@ -315,14 +315,32 @@ def test_malformed_config_exits_one(tmp_path, capsys, document):
     ("zeros", "--n", "4", "--mu", "1e400"),
     ("measure", "--n", "4", "--mu", "1e400"),
     ("flip", "--mu", "1e400"),
+    # P_2 = 2^-1060 x^2 - x - 1: numpy's companion matrix overflows
+    ("zeros", "--n", "2", "--scheme", json.dumps(
+        {"rho": [1, "1/%d" % 2 ** 1060], "c": [str(2 ** 1060), 0], "lambda": [0, 1]})),
     # P*_4 has a zero at 1.6e200, where the default integrand overflows
     ("quad", "--n", "4", "--mu", "1e200"),
 ])
+@pytest.mark.filterwarnings("error")    # nor a warning
 def test_domain_failures_exit_one_without_traceback(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scheme, entry", [
+    ('{"rho": 1, "c": 0, "lambda": 1, "nodes": [[1, 2, 3]]}', "nodes[0]"),
+    ('{"rho": 1, "c": 0, "lambda": 1, "nodes": [[1]]}', "nodes[0]"),
+    ('{"rho": 1, "c": 0, "lambda": 1, "nodes": [[0, 0], [true, 0]]}', "nodes[1]"),
+    ('{"rho": 1, "c": 0, "lambda": 1, "nodes": "ab"}', "nodes"),
+    ('{"rho": true, "c": 0, "lambda": 1}', "rho"),
+    ('{"rho": 1, "c": [0, false], "lambda": 1}', "c"),
+])
+def test_malformed_scheme_entries_exit_one_by_name(capsys, scheme, entry):
+    code, out, err = run_cli(capsys, "poly", "--n", "2", "--scheme", scheme)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed scheme: %s" % entry) and err.count("\n") == 1
 
 
 def test_zeros_far_beyond_the_coefficients(capsys):

@@ -6,11 +6,13 @@ format at the default precision, each of the six tables (t4 in JSON at
 --precision 3, the others as CSV), nested float rounding in JSON at
 --precision 3, `quad --config`, the text form of non-real polynomial
 coefficients, and a rule and a polynomial of degree above 10, where
-`Poly.enclose` and packed families do the work.  `zeros` at n = 100 also
-runs at --precision 17: every node is the fixed point of Newton's correctly
-rounded step, whatever seed LAPACK's eigenvalues give it, so all 17 digits
-are the same on every build.  The exact demos 01 and 02 run the same way against tests/golden/demo-<name>.out,
-with the suite timings demo 02 prints masked.
+packed families do the work.  `zeros` at n = 100 and at n = 10 (t4's rule),
+and `quad` at n = 4, also run at --precision 17: every float comes from
+`Poly.enclose`, or from exact Horner where its ends round apart, and every
+node is the fixed point of Newton's correctly rounded step, whatever seed
+LAPACK's eigenvalues give it, so all 17 digits are the same on every build.
+The exact demos 01 and 02 run the same way against
+tests/golden/demo-<name>.out, with the suite timings demo 02 prints masked.
 
 To re-record after a deliberate output change:
 
@@ -59,6 +61,9 @@ CASES = {
                   "--kp", "6"),
     "p17-zeros-n100": ("--precision", "17", "zeros", "--n", "100", "--mu", "0.01", "--k", "2",
                        "--nu", "1.004", "--kp", "6"),
+    # t4's rule and the smallest rule the installed entry point builds, at full precision
+    "p17-zeros-n10": ("--precision", "17", "zeros", "--n", "10", "--mu=-0.01"),
+    "p17-quad-n4": ("--precision", "17", "quad", "--n", "4", "--mu", "0.1"),
     "poly-n40-csv": ("poly", "--n", "40", "--kind", "both") + T5_CELL + ("--out", "csv"),
     "quad-config": ("quad", "--config", CONFIG),
     "quad-config-json": ("quad", "--config", CONFIG, "--out", "json"),

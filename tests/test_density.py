@@ -20,7 +20,7 @@ from rii import (
 )
 from rii.density import EXTRAPOLATED
 from rii.exact import quotient
-from rii.poly import ENCLOSE_MIN_DEGREE, FRACTION_BITS
+from rii.poly import FRACTION_BITS
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +167,7 @@ def test_a_low_degree_interpolant_is_sampled_on_its_enclosure(monkeypatch, mu):
     # of bits: the enclosure, not exact Horner, rounds every sample
     rule = build_rule(cauchy_scheme(), Perturbation.corec(0, mu), 10)
     approx = lagrange_density(rule.nodes, rule.weights)
-    assert approx.poly.degree < ENCLOSE_MIN_DEGREE
+    assert approx.poly.degree == 9
     assert approx.poly.denominator.bit_length() > 2 * FRACTION_BITS
     exact = []
     ratio_at = Poly.ratio_at

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from rii import (GaussianRational, Perturbation, Poly, build_rule, cauchy_scheme,
                  eval_recurrence_at, gen_first_kind)
 from rii.exact import quotient, rounded
-from rii.poly import ENCLOSE_MIN_DEGREE, FRACTION_BITS
+from rii.poly import FRACTION_BITS
 
 
 def _rounded_ratio(num, den):
@@ -32,7 +32,7 @@ _points = st.one_of(
 
 
 def _check_fixed_point(poly):
-    """The truncation identity of an enclosed polynomial's fixed-point form."""
+    """The truncation identity of a polynomial's fixed-point form."""
     fixed, unit = poly._fixed
     nums, den = poly._nums, poly.denominator
     assert unit & (unit - 1) == 0     # a power-of-two unit
@@ -40,7 +40,7 @@ def _check_fixed_point(poly):
     for f, a in zip(fixed, nums):
         assert abs(f) * den <= abs(a) * unit < (abs(f) + 1) * den
         assert f == 0 or (f < 0) == (a < 0)
-    top = max(a.bit_length() for a in nums)
+    top = max((a.bit_length() for a in nums), default=0)
     if top <= 2 * FRACTION_BITS:
         # at least as fine as the unit 1/(den 2^FRACTION_BITS)
         assert unit >= den << FRACTION_BITS
@@ -54,13 +54,11 @@ def _check_fixed_point(poly):
 def _check(poly, x):
     num, den = poly.ratio_at(x)
     box = poly.enclose(x)
-    narrow = max((a.bit_length() for a in poly._nums), default=0) <= 2 * FRACTION_BITS
-    # only narrow numerators below ENCLOSE_MIN_DEGREE are left to exact Horner
-    assert (box is None) == (narrow and poly.degree < ENCLOSE_MIN_DEGREE)
-    if box is not None:
-        lo, hi, d = box
-        assert d > 0 and lo * den <= num * d <= hi * den
-        _check_fixed_point(poly)
+    # every rational polynomial is enclosed at every finite float
+    assert box is not None
+    lo, hi, d = box
+    assert d > 0 and lo * den <= num * d <= hi * den
+    _check_fixed_point(poly)
     assert float.hex(poly(x)) == float.hex(_rounded_ratio(num, den))
 
 
@@ -82,7 +80,7 @@ def test_call_next_to_an_exact_root(nums, den, root, step):
     _check(poly, x)
 
 
-_wide_nums = st.lists(st.integers(-2 ** 4000, 2 ** 4000), min_size=ENCLOSE_MIN_DEGREE + 1,
+_wide_nums = st.lists(st.integers(-2 ** 4000, 2 ** 4000), min_size=2,
                       max_size=25).filter(lambda a: a[-1] != 0)
 
 
@@ -116,11 +114,13 @@ def test_worked_example_at_its_rational_zero(n):
 
 
 def test_enclosure_edges():
-    assert Poly.zero().enclose(0.3) is None
-    assert Poly((1,) * ENCLOSE_MIN_DEGREE).enclose(0.3) is None    # exact is as cheap
-    wide = Poly.from_integers([1, 2 ** 300], 3)      # but not on wide numerators
-    assert wide.enclose(0.3) is not None and wide(0.3) == quotient(*wide.ratio_at(0.3))
-    p = Poly((Fraction(1, 3),) + (2,) * ENCLOSE_MIN_DEGREE + (-5,))
+    # the zero polynomial (its box never proves a rounding: exact Horner
+    # decides), a narrow one of degree 10 and a wide one of degree 1
+    for poly in (Poly.zero(), Poly((1,) * 11), Poly.from_integers([1, 2 ** 300], 3)):
+        for x in (0.0, -0.0, 0.3, -1.5, 5e-324, 1e300):
+            _check(poly, x)
+    assert float.hex(Poly.zero()(-0.3)) == float.hex(0.0)
+    p = Poly((Fraction(1, 3),) + (2,) * 11 + (-5,))
     # the integer error bound holds at any |x|: about 10^360 at 1e30, where
     # P(x) is about -5e360 and rounds to -inf
     for x in (0.3, 1e30, -1e30, 1e300):
@@ -153,12 +153,11 @@ _SHAPES = (Perturbation.corec(3, Fraction(1, 100)),
 @pytest.mark.parametrize("pert", _SHAPES, ids=("corec", "codil", "both"))
 def test_rules_without_the_enclosure_are_identical(monkeypatch, pert):
     scheme = cauchy_scheme()
-    high_degree_exact = []
+    exact_calls = []
     ratio_at = Poly.ratio_at
 
     def counted(self, z):
-        if self.degree >= ENCLOSE_MIN_DEGREE:
-            high_degree_exact.append(self.degree)
+        exact_calls.append(self.degree)
         return ratio_at(self, z)
 
     fixed_point = Poly._fixed_point
@@ -166,20 +165,20 @@ def test_rules_without_the_enclosure_are_identical(monkeypatch, pert):
 
     def recorded(self):
         out = fixed_point(self)
-        if out is not None:
-            fine_units.append(out[1] == 1 << (self.denominator.bit_length() + FRACTION_BITS))
+        fine_units.append(out[1] == 1 << (self.denominator.bit_length() + FRACTION_BITS))
         return out
 
     monkeypatch.setattr(Poly, "ratio_at", counted)
     monkeypatch.setattr(Poly, "_fixed_point", recorded)
-    rules = {n: build_rule(scheme, pert, n) for n in (10, 40, 80, 100)}
+    rules = {n: build_rule(scheme, pert, n) for n in (2, 4, 6, 10, 40, 80, 100)}
     # every polish and weight float of the ladder is proven by its enclosure:
     # no rule polynomial is wide enough for a unit coarser than 1/(den 2^128)
-    assert high_degree_exact == []
+    assert exact_calls == []
     assert fine_units and all(fine_units)
-    monkeypatch.setattr(Poly, "enclose", lambda self, x: None)
+    # no enclosure proves a rounding: exact Horner, the reference, gives every float
+    monkeypatch.setattr("rii.poly.common_rounding", lambda low, high: None)
     for n, rule in rules.items():
         exact = build_rule(scheme, pert, n)
         assert [float.hex(x) for x in exact.nodes] == [float.hex(x) for x in rule.nodes]
         assert [float.hex(w) for w in exact.weights] == [float.hex(w) for w in rule.weights]
-    assert high_degree_exact
+    assert exact_calls

@@ -22,6 +22,8 @@ def test_rational_rejects_complex_and_junk():
     assert rational(GaussianRational(3, 0)) == Fraction(3)
     with pytest.raises(TypeError):
         rational(object())
+    with pytest.raises(TypeError):    # a JSON true is not the number 1
+        rational(True)
 
 
 def test_format_rational():

@@ -389,6 +389,15 @@ def test_zero_weights_are_positive_zero(cauchy):
     assert [math.copysign(1.0, w) for w in weights] == [1.0] * 5
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_lead_too_small_for_the_companion_matrix_is_refused():
+    # 1 + x + 2^-1060 x^2: numpy's companion matrix divides by the subnormal
+    # lead and overflows; the refusal is the float-range one, with no warning
+    poly = Poly.from_integers([2 ** 1060, 2 ** 1060, 1], 2 ** 1060)
+    with pytest.raises(DegeneracyError, match="leave the float range"):
+        real_zeros(poly)
+
+
 def test_vanishing_slope_is_a_degeneracy():
     # P_n'(x) = 0 at a node: the weight has no value, and the node is named
     dp = Poly((Fraction(-1, 2), 1))

@@ -336,14 +336,6 @@ class Poly:
         out = [j * a for j, a in enumerate(self._nums)][1:]
         return Poly(out) if self._den is None else _make(out, self._den)
 
-    def float_coeffs(self):
-        """Ascending float (or complex) coefficients for numpy hand-off."""
-        if self._den is not None:
-            den = self._den
-            return [a / den for a in self._nums]   # correctly rounded, as float(Fraction)
-        return [complex(c) if isinstance(c, GaussianRational) else float(c)
-                for c in self._nums]
-
     # --- protocol -----------------------------------------------------
     def __eq__(self, other):
         other = _as_poly(other)

@@ -62,9 +62,6 @@ from .poly import rounded_ratio
 from .schemes import Perturbation
 from .sequences import clear, family_ends, iterate, scaled_steps
 
-# A root with |Im| <= TOL_IMAG * (1 + |Re|) counts as real.
-TOL_IMAG = 1e-9
-
 # scheme -> {n: M_0}, filled by build_rule; a scheme is immutable
 _M0 = weakref.WeakKeyDictionary()
 
@@ -83,35 +80,41 @@ def _polished_zeros(poly, dpoly):
     leading coefficient, and its derivative dpoly.
 
     The zeros are n sorted, pairwise distinct floats, or this raises.  The
-    seeds are companion eigenvalues.  ComplexZerosError lists those with
-    |Im| > TOL_IMAG (1 + |Re|); failing those, when a coefficient is not real,
-    every seed off the axis: over a real lead that is a non-real ratio, which
-    a product of real factors (z - x_j) cannot have.  lead(P*_n) is real, as
-    L_{m+1} = rho_m L_m - lam*_m L_{m-1} with W_m monic (no lam term for oprl).
-    Newton polishes each seed's real part by steps P(x)/P'(x), each the exact
-    ratio rounded once, to its fixed point, where a step leaves x unchanged;
-    P'(x) = 0, 40 steps without one or two equal zeros raise DegeneracyError.
-    Each zero hands on the enclosure its last step read P'(x) from, so the
-    weights need not enclose dpoly again.
+    seeds are the companion eigenvalues of 2^k P, its lead in [1, 2) and each
+    coefficient rounded once (+-inf, refused, beyond the float range): numpy
+    divides by the lead, where 2^k cancels.  A real matrix's real eigenvalues
+    have imaginary part 0; ComplexZerosError lists the others, and is raised
+    whenever a coefficient is not real: over a real lead that is a non-real
+    ratio, which a product of real factors (z - x_j) cannot have.  lead(P*_n)
+    is real, as L_{m+1} = rho_m L_m - lam*_m L_{m-1} with W_m monic (no lam
+    term for oprl).  Newton polishes each seed's real part by steps
+    P(x)/P'(x), each the exact ratio rounded once, to its fixed point, where a
+    step leaves x unchanged; P'(x) = 0, 40 steps without one or two equal
+    zeros raise DegeneracyError.  Each zero hands on the enclosure its last
+    step read P'(x) from, so the weights need not enclose dpoly again.
     """
     import numpy as np   # only root finding needs it: other commands start without it
 
     if poly.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    try:
-        # a tiny lead puts inf into the companion matrix, which LAPACK refuses
-        with np.errstate(all="ignore"):
-            raw = np.roots(poly.float_coeffs()[::-1])
-        finite = np.isfinite(raw).all()
-    except (OverflowError, np.linalg.LinAlgError):   # a value beyond the float range
-        finite = False
-    if not finite:
+    den = poly.denominator or 1     # None: _nums holds exact scalars, not ints
+    top, bottom = abs(poly._nums[-1].numerator), poly._nums[-1].denominator * den
+    k = bottom.bit_length() - top.bit_length()
+    k += top << max(k, 0) < bottom << max(-k, 0)        # 2^k lead in [1, 2)
+    up, down = max(k, 0), max(-k, 0)
+    coeffs = [complex(a * Fraction(2) ** k) if isinstance(a, GaussianRational)
+              else quotient(a.numerator << up, a.denominator * den << down)
+              for a in reversed(poly._nums)]
+    try:    # inf never reaches numpy, whose complex division would warn on it
+        raw = np.roots(coeffs) if np.isfinite(coeffs).all() else None
+    except np.linalg.LinAlgError:   # eigvals did not converge
+        raw = None
+    if raw is None or not np.isfinite(raw).all():
         raise _out_of_float_range(poly)
     seeds = [complex(r) for r in raw]
-    off_axis = [r for r in seeds if abs(r.imag) > TOL_IMAG * (1.0 + abs(r.real))]
+    off_axis = [r for r in seeds if r.imag]
     if off_axis or poly.denominator is None:
-        raise ComplexZerosError(sorted(off_axis or [r for r in seeds if r.imag],
-                                       key=lambda v: (v.real, v.imag)))
+        raise ComplexZerosError(sorted(off_axis, key=lambda v: (v.real, v.imag)))
 
     polished = []
     for x in (r.real for r in seeds):

@@ -42,17 +42,22 @@ def _tabulated(values, name):
     return tabulated
 
 
+def _entry(name, coerce, value):
+    """coerce(value); its TypeError or ValueError is raised again naming the entry."""
+    try:
+        return coerce(value)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)("%s: %s" % (name, exc)) from None
+
+
 def as_coeff_fn(spec, name):
     """Normalize a constant / list / callable coefficient spec to fn(n); an
-    entry that is not a rational raises TypeError naming the coefficient."""
+    entry that is not a rational raises TypeError or ValueError naming it."""
     if callable(spec):
         return spec
-    try:
-        if isinstance(spec, (list, tuple)):
-            return _tabulated([rational(v) for v in spec], name)
-        value = rational(spec)
-    except TypeError as exc:
-        raise TypeError("%s: %s" % (name, exc)) from None
+    if isinstance(spec, (list, tuple)):
+        return _tabulated([_entry(name, rational, v) for v in spec], name)
+    value = _entry(name, rational, spec)
 
     def constant(n, _v=value):
         return _v
@@ -71,17 +76,14 @@ def _node_value(v):
 
 def _node_pairs(nodes):
     """fn(n) -> (a_n, b_n) of a list of pairs; any other data raises TypeError
-    naming the entry."""
+    (or ValueError, for a value that is not a rational) naming the entry."""
     if not isinstance(nodes, (list, tuple)):
         raise TypeError("nodes must be a list of pairs [a_n, b_n], got %r" % (nodes,))
     pairs = []
     for n, pair in enumerate(nodes):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise TypeError("nodes[%d] must be a pair [a_n, b_n], got %r" % (n, pair))
-        try:
-            pairs.append((_node_value(pair[0]), _node_value(pair[1])))
-        except TypeError as exc:
-            raise TypeError("nodes[%d]: %s" % (n, exc)) from None
+        pairs.append(_entry("nodes[%d]" % n, lambda p: tuple(map(_node_value, p)), pair))
     return _tabulated(pairs, "nodes")
 
 
@@ -100,7 +102,7 @@ class CoefficientScheme:
         if kind not in ("general", "special", "oprl"):
             raise ValueError("unknown scheme kind %r" % (kind,))
         self.kind = kind
-        self.omega = rational(omega) if omega is not None else None
+        self.omega = _entry("omega", rational, omega) if omega is not None else None
         if kind == "special":
             if self.omega is None or self.omega == 0:
                 raise ValueError("special form requires a nonzero omega")
@@ -172,7 +174,7 @@ class CoefficientScheme:
 
     @staticmethod
     def from_dict(data):
-        """Inverse of to_dict; data that is not a scheme raises ValueError."""
+        """Inverse of to_dict; data that is not a scheme raises ValueError naming it."""
         if not isinstance(data, dict) or not {"rho", "c", "lambda"} <= data.keys():
             raise ValueError("a scheme is an object with 'rho', 'c' and 'lambda'")
         try:
@@ -183,7 +185,7 @@ class CoefficientScheme:
                 return CoefficientScheme.general(data["rho"], data["c"], data["lambda"],
                                                  data["nodes"])
             return CoefficientScheme.oprl(data["rho"], data["c"], data["lambda"])
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError("malformed scheme: %s" % exc) from None
 
     def to_json(self):

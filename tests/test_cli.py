@@ -315,11 +315,15 @@ def test_malformed_config_exits_one(tmp_path, capsys, document):
     ("zeros", "--n", "4", "--mu", "1e400"),
     ("measure", "--n", "4", "--mu", "1e400"),
     ("flip", "--mu", "1e400"),
-    # P_2 = 2^-1060 x^2 - x - 1: numpy's companion matrix overflows
+    # P_2 = 2^-1060 x^2 - x - 1 has a zero near 2^1060, beyond the float range
     ("zeros", "--n", "2", "--scheme", json.dumps(
         {"rho": [1, "1/%d" % 2 ** 1060], "c": [str(2 ** 1060), 0], "lambda": [0, 1]})),
     # P*_4 has a zero at 1.6e200, where the default integrand overflows
     ("quad", "--n", "4", "--mu", "1e200"),
+    # P_2 = 10^-400 x^2 - 1: its lead underflows a float, and its constant
+    # term scaled to lead 1 overflows one; no 0-node rule
+    ("zeros", "--n", "2", "--scheme", '{"rho": "1e-200", "c": 0, "lambda": 1}'),
+    ("quad", "--n", "2", "--integrand", "1", "--scheme", '{"rho": "1e-200", "c": 0, "lambda": 1}'),
 ])
 @pytest.mark.filterwarnings("error")    # nor a warning
 def test_domain_failures_exit_one_without_traceback(capsys, argv):
@@ -336,6 +340,15 @@ def test_domain_failures_exit_one_without_traceback(capsys, argv):
     ('{"rho": 1, "c": 0, "lambda": 1, "nodes": "ab"}', "nodes"),
     ('{"rho": true, "c": 0, "lambda": 1}', "rho"),
     ('{"rho": 1, "c": [0, false], "lambda": 1}', "c"),
+    ('{"rho": 1, "c": 0, "lambda": 1, "omega": true}', "omega"),
+    ('{"rho": 1, "c": 0, "lambda": 1, "omega": [1]}', "omega"),
+    ('{"rho": "1/0", "c": 0, "lambda": 1}', "rho"),
+    ('{"rho": "abc", "c": 0, "lambda": 1}', "rho"),
+    ('{"rho": 1, "c": [0, "abc"], "lambda": 1}', "c"),
+    ('{"rho": 1, "c": 0, "lambda": "abc"}', "lambda"),
+    ('{"rho": 1, "c": 0, "lambda": 1, "omega": "abc"}', "omega"),
+    ('{"rho": 1, "c": 0, "lambda": 1, "nodes": [[0, "abc"]]}', "nodes[0]"),
+    ('{"rho": 1, "c": 0, "lambda": 1, "nodes": [[0, 0], [["1/0", 1], 0]]}', "nodes[1]"),
 ])
 def test_malformed_scheme_entries_exit_one_by_name(capsys, scheme, entry):
     code, out, err = run_cli(capsys, "poly", "--n", "2", "--scheme", scheme)

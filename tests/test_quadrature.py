@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rii import (
+    CoefficientScheme,
     ComplexZerosError,
     DegeneracyError,
     GaussianRational,
@@ -58,8 +59,8 @@ def test_real_zeros_divides_out_a_non_real_lead():
 
 
 def test_non_real_coefficient_over_a_real_lead_is_refused():
-    # (x - 1)(x - 2 - 10^-12 i): both seeds lie within TOL_IMAG of the axis,
-    # but a non-real coefficient over lead 1 proves a non-real zero
+    # (x - 1)(x - 2 - 10^-12 i): a seed 10^-12 off the axis, and a non-real
+    # coefficient over lead 1 proves a non-real zero whatever the seeds say
     i = GaussianRational.i()
     poly = Poly((-1, 1)) * Poly((-(2 + Fraction(1, 10 ** 12) * i), 1))
     with pytest.raises(ComplexZerosError) as exc:
@@ -91,6 +92,34 @@ def test_real_zeros_are_the_rule_nodes_or_its_error(seed, n):
     except RiiError:
         return
     assert list(rule.nodes) == zeros
+
+
+def _zeros_or_error(poly):
+    try:
+        return [float.hex(x) for x in real_zeros(poly)]
+    except RiiError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 12), e=st.integers(-1200, 1200))
+def test_a_power_of_two_keeps_the_zeros(seed, n, e):
+    # 2^e P has the zeros of P: the same float bits, or the same refusal, also
+    # where 2^e lead(P) would underflow or overflow a float
+    rng = random.Random(seed)
+    scheme = random_scheme(rng, n + 2)
+    p = family_ends(scheme, random_perturbation(rng, n), n, ("first",))[0]
+    assume(p.degree >= 1)
+    assert _zeros_or_error(p * Fraction(2) ** e) == _zeros_or_error(p)
+
+
+def test_a_lead_below_the_float_range_is_no_empty_rule():
+    # P*_2 = 10^-400 x^2 - 1: its lead underflows a float; scaled to lead 1,
+    # its constant term 10^400 is beyond the float range, so the rule is
+    # refused rather than built with fewer than 2 nodes
+    scheme = CoefficientScheme.oprl(Fraction("1e-200"), 0, 1)
+    with pytest.raises(DegeneracyError, match="leave the float range"):
+        build_rule(scheme, None, 2)
 
 
 def test_calibrated_mass_is_one_half(cauchy):
@@ -390,10 +419,13 @@ def test_zero_weights_are_positive_zero(cauchy):
 
 
 @pytest.mark.filterwarnings("error")
-def test_a_lead_too_small_for_the_companion_matrix_is_refused():
-    # 1 + x + 2^-1060 x^2: numpy's companion matrix divides by the subnormal
-    # lead and overflows; the refusal is the float-range one, with no warning
-    poly = Poly.from_integers([2 ** 1060, 2 ** 1060, 1], 2 ** 1060)
+@pytest.mark.parametrize("extra", [0, GaussianRational(0, Fraction(1, 2 ** 1080))],
+                         ids=("rational", "gaussian"))
+def test_zeros_beyond_the_float_range_are_refused(extra):
+    # 1 + x + 2^-1060 x^2 has a zero near -2^1060, beyond the float range: the
+    # scaled x coefficient 2^1060 is inf.  A non-real constant term
+    # 1 + 2^-1080 i meets the same refusal, and neither gives a warning
+    poly = Poly.from_integers([2 ** 1060, 2 ** 1060, 1], 2 ** 1060) + extra
     with pytest.raises(DegeneracyError, match="leave the float range"):
         real_zeros(poly)
 

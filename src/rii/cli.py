@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .density import lagrange_density, sample_density, spline_density
 from .errors import RiiError
-from .exact import integer, rational
+from .exact import integer, named_rational
 from .integrands import parse_integrand
 from .quadrature import build_rule, estimate, real_zeros, require_degree
 from .schemes import CoefficientScheme, Perturbation, cauchy_scheme
@@ -82,10 +82,12 @@ def _load_scheme(spec_text):
 
 
 def _perturbation_from_args(args):
-    return Perturbation(
-        k=args.k if args.mu is not None else None, mu=args.mu,
-        kp=args.kp if args.nu is not None else None, nu=args.nu,
-    )
+    """The --mu/--k and --nu/--kp perturbation; a --mu or --nu that is not a
+    rational raises ValueError naming the flag."""
+    mu = None if args.mu is None else named_rational(args.mu, "--mu")
+    nu = None if args.nu is None else named_rational(args.nu, "--nu")
+    return Perturbation(k=args.k if mu is not None else None, mu=mu,
+                        kp=args.kp if nu is not None else None, nu=nu)
 
 
 @dataclass(frozen=True)
@@ -134,8 +136,8 @@ class ExperimentConfig:
         try:
             return cls(
                 scheme=CoefficientScheme.from_dict(data["scheme"]),
-                perturbations=tuple(Perturbation.from_dict(p)
-                                    for p in data["perturbations"]),
+                perturbations=tuple(Perturbation.from_dict(p, "perturbations[%d]" % i)
+                                    for i, p in enumerate(data["perturbations"])),
                 n_values=tuple(integer(n, "n") for n in data["n"]),
                 integrand=integrand,
                 out=out,
@@ -260,7 +262,7 @@ def _cmd_check(args):
 
 def _cmd_flip(args):
     scheme = _load_scheme(args.scheme)
-    mu, nu = rational(args.mu), rational(args.nu)
+    mu, nu = named_rational(args.mu, "--mu"), named_rational(args.nu, "--nu")
     try:
         pairs = []
         for chunk in args.pairs.split(","):

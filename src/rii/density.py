@@ -154,9 +154,10 @@ def sample_density(approx, x_min, x_max, count):
     """count >= 2 uniform samples of the approximant over [x_min, x_max].
 
     Rows are (x, value, flag); flag marks samples outside the node range.
-    Accepts a plain callable too (then no flagging).  A non-finite end, a
-    width beyond the float range, or a value that overflows a float or is not
-    finite raises ValueError naming its interval or its x.
+    The grid is x_min + i * step with x_max last; a spline evaluates it in
+    one call.  Accepts a plain callable too (then no flagging).  A non-finite
+    end, a width beyond the float range, or a value that overflows a float or
+    is not finite raises ValueError naming its interval or the first such x.
     """
     if count < 2:
         raise ValueError("need at least 2 samples")
@@ -167,12 +168,13 @@ def sample_density(approx, x_min, x_max, count):
     if width < 0:
         raise ValueError("empty sample interval")
     step = width / (count - 1)
-    rows = []
+    xs = [x_min + i * step for i in range(count - 1)] + [x_max]
+    if isinstance(approx, DensityApprox) and approx.kind == SPLINE:
+        values = approx.spline(xs).tolist()
+    else:
+        values = [float(approx(x)) for x in xs]
     flagger = approx.flag if isinstance(approx, DensityApprox) else lambda _x: ""
-    for i in range(count):
-        x = x_max if i == count - 1 else x_min + i * step
-        value = float(approx(x))
+    for x, value in zip(xs, values):
         if not math.isfinite(value):
             raise ValueError("the density overflows or is not finite at x = %r" % x)
-        rows.append((x, value, flagger(x)))
-    return rows
+    return [(x, value, flagger(x)) for x, value in zip(xs, values)]

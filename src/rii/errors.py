@@ -49,15 +49,19 @@ class SingularReductionError(RiiError):
 
 
 class ComplexZerosError(RiiError):
-    """Root extraction found zeros off the real line; quadrature is aborted."""
+    """Root extraction found zeros off the real line; quadrature is aborted.
 
-    def __init__(self, pairs):
+    `pairs` lists the non-real zeros found; a refusal on exact evidence alone
+    (a non-real coefficient ratio) lists none and carries its own message.
+    """
+
+    def __init__(self, pairs, message=None):
         self.pairs = list(pairs)
-        shown = ", ".join("%.6g%+.6gj" % (z.real, z.imag) for z in self.pairs)
-        super().__init__(
-            "%d complex zero(s) detected, no real quadrature rule exists: %s"
-            % (len(self.pairs), shown)
-        )
+        if message is None:
+            shown = ", ".join("%.6g%+.6gj" % (z.real, z.imag) for z in self.pairs)
+            message = ("%d complex zero(s) detected, no real quadrature rule exists: %s"
+                       % (len(self.pairs), shown))
+        super().__init__(message)
 
 
 class DegeneracyError(RiiError):

@@ -51,6 +51,15 @@ def rational(value):
     raise TypeError("cannot interpret %r as an exact rational" % (value,))
 
 
+def named_rational(value, name):
+    """rational(value); a value that is not a rational raises ValueError
+    naming `name`, as "name: reason"."""
+    try:
+        return rational(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("%s: %s" % (name, exc)) from None
+
+
 def integer(value, name):
     """Coerce a size or level read from data to an int.
 

@@ -32,6 +32,7 @@ form misses by exactly -W_k(x) * (x - c_{k+1} - 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,26 +87,34 @@ def reduce_to_oprl(scheme, params, n_max):
     if params.beta == params.a * params.delta:
         raise ValueError("degenerate parameters: beta = a*delta makes every lamhat = 0")
 
-    scale = params.beta - params.a * params.delta
+    # alpha, beta, gamma, delta = A/L, B/L, G/L, D/L over one denominator L
+    mobius = (params.alpha, params.beta, params.gamma, params.delta)
+    den = math.lcm(*[v.denominator for v in mobius])
+    big_a, big_b, big_g, big_d = [v.numerator * (den // v.denominator) for v in mobius]
+    square = (params.beta - params.a * params.delta) ** 2
     rho_hat, c_hat, lam_hat = [], [], [Fraction(0)]  # lamhat_0 is never queried
     for n in range(n_max + 1):
-        den = params.alpha - params.gamma * scheme.c(n)
-        if den == 0:
+        (rn, rd), (cn, cd) = scheme.rho(n).as_integer_ratio(), scheme.c(n).as_integer_ratio()
+        pole = big_a * cd - big_g * cn            # (alpha - gamma c_n) L cd
+        if pole == 0:
             raise SingularReductionError(n)
-        rho_hat.append(scheme.rho(n) * den)
-        c_hat.append((params.delta * scheme.c(n) - params.beta) / den)
+        rho_hat.append(Fraction(rn * pole, rd * den * cd))
+        c_hat.append(Fraction(big_d * cn - big_b * cd, pole))
         if n >= 1:
-            lam_hat.append(scheme.lam(n) * scale * scale)
+            ln, ld = scheme.lam(n).as_integer_ratio()
+            lam_hat.append(Fraction(ln * square.numerator, ld * square.denominator))
     return CoefficientScheme.oprl(rho_hat, c_hat, lam_hat)
 
 
-def mobius_check(scheme, params, n, x):
-    """(Phat_n(x), (gamma x + delta)^n P_n(image(x))) — equal when the
-
+def mobius_check(scheme, params, n, x, reduced=None):
+    """(Phat_n(x), (gamma x + delta)^n P_n(image(x))), equal when the
     reduction is consistent.  Exact for rational x away from the map's pole.
+    `reduced` is reduce_to_oprl(scheme, params, m) for some m >= max(n, 1)
+    when the caller has already built it.
     """
     x = rational(x)
-    reduced = reduce_to_oprl(scheme, params, max(n, 1))
+    if reduced is None:
+        reduced = reduce_to_oprl(scheme, params, max(n, 1))
     lhs = eval_recurrence_at(reduced, None, "first", n, x)
     z = params.image(x)
     rhs = (params.gamma * x + params.delta) ** n * eval_recurrence_at(

@@ -167,6 +167,12 @@ class Poly:
         return self._den
 
     @property
+    def numerators(self):
+        """The ascending integer numerators over `denominator`; the exact
+        scalars themselves when a coefficient is not real."""
+        return self._nums
+
+    @property
     def degree(self):
         return len(self._nums) - 1
 

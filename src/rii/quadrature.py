@@ -85,7 +85,8 @@ def _polished_zeros(poly, dpoly):
     divides by the lead, where 2^k cancels.  A real matrix's real eigenvalues
     have imaginary part 0; ComplexZerosError lists the others, and is raised
     whenever a coefficient is not real: over a real lead that is a non-real
-    ratio, which a product of real factors (z - x_j) cannot have.  lead(P*_n)
+    ratio, which a product of real factors (z - x_j) cannot have, and the
+    error names it when every seed is real.  lead(P*_n)
     is real, as L_{m+1} = rho_m L_m - lam*_m L_{m-1} with W_m monic (no lam
     term for oprl).  Newton polishes each seed's real part by steps
     P(x)/P'(x), each the exact ratio rounded once, to its fixed point, where a
@@ -97,14 +98,14 @@ def _polished_zeros(poly, dpoly):
 
     if poly.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    den = poly.denominator or 1     # None: _nums holds exact scalars, not ints
-    top, bottom = abs(poly._nums[-1].numerator), poly._nums[-1].denominator * den
+    den = poly.denominator or 1     # None: the numerators are exact scalars, not ints
+    top, bottom = abs(poly.numerators[-1].numerator), poly.numerators[-1].denominator * den
     k = bottom.bit_length() - top.bit_length()
     k += top << max(k, 0) < bottom << max(-k, 0)        # 2^k lead in [1, 2)
     up, down = max(k, 0), max(-k, 0)
     coeffs = [complex(a * Fraction(2) ** k) if isinstance(a, GaussianRational)
               else quotient(a.numerator << up, a.denominator * den << down)
-              for a in reversed(poly._nums)]
+              for a in reversed(poly.numerators)]
     try:    # inf never reaches numpy, whose complex division would warn on it
         raw = np.roots(coeffs) if np.isfinite(coeffs).all() else None
     except np.linalg.LinAlgError:   # eigvals did not converge
@@ -113,8 +114,13 @@ def _polished_zeros(poly, dpoly):
         raise _out_of_float_range(poly)
     seeds = [complex(r) for r in raw]
     off_axis = [r for r in seeds if r.imag]
-    if off_axis or poly.denominator is None:
+    if off_axis:
         raise ComplexZerosError(sorted(off_axis, key=lambda v: (v.real, v.imag)))
+    if poly.denominator is None:
+        j = next(j for j, a in enumerate(poly.numerators) if isinstance(a, GaussianRational))
+        raise ComplexZerosError([], "the ratio of the x^%d coefficient to the real leading "
+                                "coefficient is not real, so a zero is not real: no real "
+                                "quadrature rule exists" % j)
 
     polished = []
     for x in (r.real for r in seeds):

@@ -28,7 +28,7 @@ import json
 from fractions import Fraction
 
 from .errors import PerturbationError, SchemeIndexError
-from .exact import GaussianRational, format_rational, integer, rational
+from .exact import GaussianRational, format_rational, integer, named_rational, rational
 from .poly import Poly
 
 
@@ -293,14 +293,17 @@ class Perturbation:
         return out
 
     @staticmethod
-    def from_dict(data):
+    def from_dict(data, name="perturbation"):
+        """Inverse of to_dict; a level that is not an integer, or a mu or nu
+        that is not a rational, raises ValueError naming it (name.k, name.mu,
+        name.kp or name.nu)."""
         k = mu = kp = nu = None
         if data.get("corec"):
-            k = integer(data["corec"]["k"], "k")
-            mu = data["corec"]["mu"]
+            k = integer(data["corec"]["k"], name + ".k")
+            mu = named_rational(data["corec"]["mu"], name + ".mu")
         if data.get("codil"):
-            kp = integer(data["codil"]["kp"], "kp")
-            nu = data["codil"]["nu"]
+            kp = integer(data["codil"]["kp"], name + ".kp")
+            nu = named_rational(data["codil"]["nu"], name + ".nu")
         return Perturbation(k=k, mu=mu, kp=kp, nu=nu)
 
     def __eq__(self, other):

@@ -37,7 +37,9 @@ the scales of the steps before i.  The first kind starts from v_0 = 1, the
 second from (v_0, v_1) = (0, s_shift), so both share one step list and one
 list of D_i.  The scaling is exact for any s_m.  When z is None, s_m is the
 lcm of the coefficient denominators of a_m and b_m; at an int or Fraction z
-with real W_m(z), the lcm of the denominators of the values.  Then every v_i
+with real W_m(z), the lcm of the denominators of the values.  Both are
+computed on the integer numerators and denominators of rho_m, c*_m,
+lambda*_m and W_m, with no Fraction or Poly arithmetic.  Then every v_i
 has integer coefficients (is an int).  At a step with a non-real term s_m = 1
 and a_m, b_m are the exact terms (Gaussian Polys, or Fraction and
 GaussianRational values at a Gaussian point or a non-real W_m(z)).
@@ -58,10 +60,12 @@ coefficient of v_i is at most ||v_i||_1 <= N_i <= N in size, for N the
 largest N_i, and bits is the least multiple of 8 with 2^(bits-1) > N.  So
 every coefficient lies in [-2^(bits-1), 2^(bits-1)), its signed base-2^bits
 digits are unique, and `poly.unpacked` reads v_i back exactly; u_i = v_i / D_i
-is reduced by one gcd.  Only the values a caller reads are unpacked:
-`family_ends` reads u_n alone.  A family with a non-real step iterates the
-Polys themselves in the same loop.  At an exact z each u_i = v_i / D_i costs
-one gcd.
+is reduced by one gcd.  Only the values a caller reads are unpacked: the
+loop takes the indices i it must read back (`_families(..., indices=)`), so
+`family_ends` reads u_n alone and each identity in `rii.transfer` and
+`rii.cfrac` only the members it reads.  A family with a non-real step
+iterates the Polys themselves in the same loop.  At an exact z each
+u_i = v_i / D_i costs one gcd, and only at those indices.
 
 All of it is exact: the public evaluators take a float or complex z as the
 exact rational it stores and round the exact result once on the way out.
@@ -105,38 +109,40 @@ def cleared_terms(scheme, pert, m, k, z):
     when k is None): the only source of step terms.
 
     When z is None and W_k is real, s is the lcm of the denominators of a
-    and b, and s a, s b are Polys with integer coefficients.  At an int or
+    and b, and s a, s b are Polys with integer coefficients, built from the
+    integer numerators of rho_m, c*_m, lambda*_k and W_k.  At an int or
     Fraction z with real W_k(z) the three are ints: a and b are reduced and
     s is the lcm of their denominators.  Everywhere else s = 1 and a, b are
     the exact terms: Polys when z is None, else Fraction or GaussianRational
     values.
     """
+    weight = None if k is None else scheme.weight_poly(k)
+    real_weight = weight is None or weight.denominator is not None
+    if not (real_weight and (z is None or isinstance(z, (int, Fraction)))):
+        # a non-real W_k or a Gaussian z: the exact terms, unscaled
+        b = 0 if k is None else weight_term(scheme, pert, k, z)
+        return 1, center_term(scheme, pert, m, z), b
+    rn, rd = scheme.rho(m).as_integer_ratio()
+    cn, cd = pert.center(scheme, m).as_integer_ratio()
+    ln, ld = (0, 1) if k is None else pert.coefficient(scheme, k).as_integer_ratio()
     if z is None:
-        a = center_term(scheme, pert, m)
-        b = Poly.zero() if k is None else weight_term(scheme, pert, k)
-        if a.denominator is None or b.denominator is None:     # a non-real term
-            return 1, a, b
-        s = math.lcm(a.denominator, b.denominator)
-        return s, a * s, b * s
-    if isinstance(z, (int, Fraction)):
-        p, q = z.as_integer_ratio()
-        rho = scheme.rho(m)
-        c = pert.center(scheme, m)
-        an = rho.numerator * (p * c.denominator - c.numerator * q)
-        ad = rho.denominator * q * c.denominator
-        g = math.gcd(an, ad)
-        an, ad = an // g, ad // g
-        if k is None:
-            return clear(an, ad, 0, 1)
-        weight = scheme.weight_poly(k)
-        if weight.denominator is not None:  # else W_k(z) may be non-real
-            wn, wd = weight.ratio_at(z)
-            lam = pert.coefficient(scheme, k)
-            bn, bd = lam.numerator * wn, lam.denominator * wd
-            g = math.gcd(bn, bd)
-            return clear(an, ad, bn // g, bd // g)
-    b = 0 if k is None else weight_term(scheme, pert, k, z)
-    return 1, center_term(scheme, pert, m, z), b
+        a, ad = [-rn * cn, rn * cd], rd * cd
+        b, bd = ([], 1) if k is None else (
+            [ln * w for w in weight.numerators], ld * weight.denominator)
+        s = math.lcm(ad // math.gcd(ad, *a), bd // math.gcd(bd, *b))
+        return (s, Poly.from_integers([x * s // ad for x in a], 1),
+                Poly.from_integers([y * s // bd for y in b], 1))
+    p, q = z.as_integer_ratio()
+    an = rn * (p * cd - cn * q)
+    ad = rd * q * cd
+    g = math.gcd(an, ad)
+    an, ad = an // g, ad // g
+    if k is None:
+        return clear(an, ad, 0, 1)
+    wn, wd = weight.ratio_at(z)
+    bn, bd = ln * wn, ld * wd
+    g = math.gcd(bn, bd)
+    return clear(an, ad, bn // g, bd // g)
 
 
 def clear(an, ad, bn, bd):
@@ -195,16 +201,16 @@ def iterate(a, b, kind, n, shift=0, one=1, zero=0):
     return out
 
 
-def _families(scheme, pert, kinds, shift, n, z, last=False):
-    """u_0..u_n of each kind in kinds (only u_n when last), iterated over one
-    list of scaled steps: Polys when z is None, else values at an exact z (see
-    the module docstring)."""
+def _families(scheme, pert, kinds, shift, n, z, indices=None):
+    """u_0..u_n of each kind in kinds, iterated over one list of scaled steps:
+    Polys when z is None, else values at an exact z (see the module
+    docstring).  Each kind is a list of n + 1 slots in which only the u_i at
+    indices (all when None) are read back; the other slots hold None."""
     pert = pert or Perturbation.none()
     # iterate skips b at the first-kind step 0, so it is not queried here
     a, b, dens, starts = scaled_steps(
         (cleared_terms(scheme, pert, m, m if m > shift else None, z)
          for m in range(shift, shift + n)), kinds, shift)
-    indices = [n] if last else range(n + 1)
     zero = 0
     if z is not None:
         def value(v, i):
@@ -225,7 +231,10 @@ def _families(scheme, pert, kinds, shift, n, z, last=False):
     out = []
     for kind, start in zip(kinds, starts):
         values = iterate(a.__getitem__, b.__getitem__, kind, n, shift, start, zero)
-        out.append([value(values[i], i) for i in indices])
+        row = [None] * (n + 1)
+        for i in range(n + 1) if indices is None else indices:
+            row[i] = value(values[i], i)
+        out.append(row)
     return out
 
 
@@ -266,8 +275,8 @@ def family_ends(scheme, perturbation, n, kinds=("first", "second")):
     The families run over one list of step terms, as in gen_both_kinds, and
     only u_n becomes a Poly.
     """
-    return tuple(values[0] for values in
-                 _families(scheme, perturbation, kinds, 0, n, None, last=True))
+    return tuple(values[n] for values in
+                 _families(scheme, perturbation, kinds, 0, n, None, (n,)))
 
 
 def gen_associated(scheme, j, n, kind="first"):
@@ -288,7 +297,7 @@ def eval_recurrence_at(scheme, perturbation, kind, n, z):
     Exact z (int/Fraction/GaussianRational) gives an exact scalar; a float or
     complex z gives the exact value at the point it stores, rounded once.
     """
-    u_n = _families(scheme, perturbation, (kind,), 0, n, exact_point(z), last=True)[0][0]
+    u_n = _families(scheme, perturbation, (kind,), 0, n, exact_point(z), (n,))[0][n]
     return rounded(u_n, z)
 
 

@@ -14,6 +14,7 @@ denominator vanishes identically, is recorded as skipped, not failed.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -31,14 +32,22 @@ Z_POINTS = 20      # spectral z per instance
 Z_ATTEMPTS = 800   # draws before a spectral instance counts as out of z
 
 
+@functools.lru_cache(maxsize=1024)
+def _fraction(p, q):
+    """Fraction(p, q), built once per (p, q) the suites draw (a few hundred);
+    a memo, not a table, so a wide range builds only what it draws."""
+    return Fraction(p, q)
+
+
 def random_rational(rng, low=-4, high=4, max_den=4, nonzero=False, positive=False):
+    """Fraction(rng.randint(low, high), rng.randint(1, max_den)), drawn again
+    while it is 0 (nonzero) or not above 0 (positive)."""
     while True:
-        value = Fraction(rng.randint(low, high), rng.randint(1, max_den))
-        if positive and value <= 0:
+        p = rng.randint(low, high)
+        q = rng.randint(1, max_den)
+        if (positive and p <= 0) or (nonzero and p == 0):
             continue
-        if nonzero and value == 0:
-            continue
-        return value
+        return _fraction(p, q)
 
 
 def random_scheme(rng, length, kind=None):
@@ -199,7 +208,7 @@ def _oprl_failure(rng, params, scheme, reduced):
     while params.gamma * x + params.delta == 0:
         x = random_rational(rng, low=-5, high=5, max_den=5)
     n = rng.randint(2, 8)
-    lhs, rhs = mobius_check(scheme, params, n, x)
+    lhs, rhs = mobius_check(scheme, params, n, x, reduced)
     if lhs != rhs:
         return dict(kind="reduction", n=n, x=str(x), lhs=str(lhs), rhs=str(rhs))
 

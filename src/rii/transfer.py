@@ -27,8 +27,9 @@ with K_m = det F_{m+1} = prod_{j=1..m} lambda_j W_j: the perturbed family is a
 left matrix multiple of the unperturbed one from level m onward.
 
 Every identity here reads what it needs off one plain and one perturbed
-(P, Q) family: Polys from `gen_both_kinds`, or values at the exact point for
-`structural_residual`.  The values perturbed only below a level
+(P, Q) family: Polys, or values at the exact point for `structural_residual`,
+and only the members it reads are unpacked (`rii.sequences._families` with
+its indices).  The values perturbed only below a level
 L are the first L + 1 values of the perturbed family itself (see
 `rii.sequences`), so no family is rebuilt for part of a perturbation.
 `transfer_residual` is the one check of the transfer theorem: S written
@@ -45,7 +46,7 @@ from .exact import exact_point, rounded
 from .polymat import PolyMatrix2
 from .poly import Poly
 from .schemes import Perturbation
-from .sequences import _families, center_term, gen_both_kinds, weight_term
+from .sequences import _families, center_term, weight_term
 
 def step_matrix(scheme, perturbation, n):
     """T_n with the perturbed center/coefficient substituted at n = k / kp.
@@ -64,9 +65,17 @@ def _f(family, n):
     return PolyMatrix2(p[n + 1], -q[n + 1], p[n], -q[n])
 
 
-def _read(scheme, perturbation, n):
-    """The plain and the perturbed (P, Q) families through index n."""
-    return gen_both_kinds(scheme, None, n), gen_both_kinds(scheme, perturbation, n)
+def _pair(scheme, perturbation, n, indices):
+    """The (P, Q) family through index n, read back only at its indices >= 0
+    (`rii.sequences._families`)."""
+    return _families(scheme, perturbation, ("first", "second"), 0, n, None,
+                     [i for i in indices if i >= 0])
+
+
+def _read(scheme, perturbation, n, plain, perturbed):
+    """The plain and the perturbed (P, Q) families through index n, each read
+    back only at its own indices."""
+    return _pair(scheme, None, n, plain), _pair(scheme, perturbation, n, perturbed)
 
 
 def f_matrix(scheme, perturbation, n):
@@ -74,7 +83,7 @@ def f_matrix(scheme, perturbation, n):
     two families rather than multiplied out."""
     if n < 0:
         raise ValueError("n must be >= 0, got %d" % n)
-    return _f(gen_both_kinds(scheme, perturbation, n + 1), n)
+    return _f(_pair(scheme, perturbation, n + 1, (n, n + 1)), n)
 
 
 def lambda_weight_product(scheme, perturbation, upto):
@@ -94,7 +103,7 @@ def perturbation_transfer(scheme, perturbation):
     (None) yields the identity matrix.
     """
     m = (perturbation or Perturbation.none()).max_level()
-    return _transfer(*_read(scheme, perturbation, m + 1), m)
+    return _transfer(*_read(scheme, perturbation, m + 1, (m, m + 1), (m, m + 1)), m)
 
 
 def _transfer(plain, perturbed, m):
@@ -119,7 +128,7 @@ def transfer_entries(scheme, perturbation):
     """
     pert = perturbation or Perturbation.none()
     m = pert.max_level()
-    return _entries(scheme, pert, *_read(scheme, pert, m + 1), m)
+    return _entries(scheme, pert, *_read(scheme, pert, m + 1, (m, m + 1), (m - 1, m)), m)
 
 
 def _entries(scheme, pert, plain, perturbed, m):
@@ -162,12 +171,14 @@ def structural_residual(scheme, perturbation, n, z):
     pert = perturbation or Perturbation.none()
     x = exact_point(z)
     factors = {level: _families(scheme, None, ("first",), level + 1, n - level, x,
-                                last=True)[0][0]
+                                (n - level,))[0][n - level]
                for level in (pert.k, pert.kp) if level is not None and level <= n}
+    # each level's correction reads u_L or u_{L-1} of the direct family
+    direct_at = {n + 1, *factors, *[level - 1 for level in factors if level]}
     kinds = ("first", "second")
     out = []
-    for direct, plain in zip(_families(scheme, pert, kinds, 0, n + 1, x),
-                             _families(scheme, None, kinds, 0, n + 1, x)):
+    for direct, plain in zip(_families(scheme, pert, kinds, 0, n + 1, x, direct_at),
+                             _families(scheme, None, kinds, 0, n + 1, x, (n + 1,))):
         value = plain[n + 1]
         for level, factor in factors.items():
             jump = 0
@@ -193,7 +204,8 @@ def transfer_residual(scheme, perturbation, n):
     m = pert.max_level()
     if n < max(m, 0):
         raise ValueError("transfer identity needs n >= max perturbation level and n >= 0")
-    plain, perturbed = _read(scheme, pert, n + 1)
+    plain, perturbed = _read(scheme, pert, n + 1, (m, m + 1, n, n + 1),
+                             (m - 1, m, m + 1, n, n + 1))
     s = _transfer(plain, perturbed, m)
     kappa = lambda_weight_product(scheme, None, m)
     return (_entries(scheme, pert, plain, perturbed, m) - s,

@@ -356,6 +356,38 @@ def test_malformed_scheme_entries_exit_one_by_name(capsys, scheme, entry):
     assert err.startswith("error: malformed scheme: %s" % entry) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("quad", "--n", "4", "--mu", "abc"), "--mu"),
+    (("zeros", "--n", "4", "--nu", "1/0"), "--nu"),
+    (("measure", "--n", "4", "--mu", "1e"), "--mu"),
+    (("flip", "--nu", "abc"), "--nu"),
+])
+def test_a_bad_mu_or_nu_flag_exits_one_by_name(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s: " % flag) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("perturbations, field", [
+    # a JSON true is not a rational (TypeError) ...
+    ([{"corec": {"k": 0, "mu": True}}], "perturbations[0].mu"),
+    ([{"corec": {"k": 0, "mu": "1/100"}}, {"codil": {"kp": 1, "nu": True}}],
+     "perturbations[1].nu"),
+    # ... nor is a string that does not parse as one (ValueError)
+    ([{"corec": {"k": 0, "mu": "abc"}}], "perturbations[0].mu"),
+    ([{"codil": {"kp": 1, "nu": "1/0"}}], "perturbations[0].nu"),
+])
+def test_a_bad_mu_or_nu_in_a_config_exits_one_by_name(tmp_path, capsys, perturbations,
+                                                       field):
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps({"schema": 1, "scheme": cauchy_scheme().to_dict(),
+                                "perturbations": perturbations, "n": [4]}),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "quad", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s: " % field) and err.count("\n") == 1
+
+
 def test_zeros_far_beyond_the_coefficients(capsys):
     # P*_4 is about 10^800 at its zero near 1.6e200; each printed zero is
     # bracketed by an exact sign change of P*_4 between its float neighbours

@@ -79,6 +79,10 @@ CASES = {
     "measure-json": MEASURE + ("--out", "json"),
     "measure-lagrange-csv": ("measure", "--n", "8", "--samples", "7", "--mu=-1/100",
                              "--x-min", "-3", "--x-max", "3"),
+    # 400 spline samples in one call, most of them extrapolated
+    "p17-measure-spline-n20": ("--precision", "17", "measure", "--n", "20", "--method",
+                               "spline", "--samples", "400", "--x-min", "-40",
+                               "--x-max", "40"),
     "check": ("check", "--suite", "all", "--seed", "3", "--instances", "2"),
     # instance 10 is identically singular: one `skipped:` record
     "check-skip": ("check", "--suite", "spectral", "--seed", "1555393582",

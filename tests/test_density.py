@@ -85,6 +85,26 @@ def test_sample_density_grid(rule):
         sample_density(approx, 0.0, 1.0, 1)
 
 
+def test_spline_samples_are_its_scalar_calls():
+    # the grid goes to the spline in one call, and every sample is the float
+    # a call at that x alone gives, extrapolated ones too
+    rule = build_rule(cauchy_scheme(), Perturbation.corec(0, Fraction(1, 100)), 8)
+    approx = spline_density(rule.nodes, rule.weights)
+    samples = sample_density(approx, -40.0, 40.0, 401)
+    assert [v for _x, v, _flag in samples] == [approx(x) for x, _v, _flag in samples]
+    assert samples[-1][0] == 40.0 and samples[0][2] == EXTRAPOLATED
+
+
+@pytest.mark.parametrize("build", [spline_density, lagrange_density])
+def test_sample_density_names_the_first_x_that_is_not_finite(build):
+    # the boundary cubic and the degree-7 interpolant overflow a float at
+    # every sample from x = 2.5e103 on
+    rule = build_rule(cauchy_scheme(), Perturbation.corec(0, Fraction(1, 100)), 8)
+    approx = build(rule.nodes, rule.weights)
+    with pytest.raises(ValueError, match=re.escape("not finite at x = 2.5e+103")):
+        sample_density(approx, 0.0, 1e104, 5)
+
+
 def test_sample_density_accepts_plain_callables():
     samples = sample_density(cauchy_density, -1.0, 1.0, 5)
     assert all(flag == "" for _x, _v, flag in samples)

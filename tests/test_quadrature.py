@@ -68,6 +68,16 @@ def test_non_real_coefficient_over_a_real_lead_is_refused():
     assert exc.value.pairs[-1] == pytest.approx(2 + 1e-12j, abs=1e-15)
 
 
+def test_a_non_real_coefficient_with_real_seeds_is_refused_by_name():
+    # (x - 1)(x - 2 - 10^-400 i): the imaginary parts underflow a float, so
+    # every seed is real, yet the x^0 and x^1 coefficients are not
+    i = GaussianRational.i()
+    poly = Poly((-1, 1)) * Poly((-(2 + Fraction(1, 10 ** 400) * i), 1))
+    with pytest.raises(ComplexZerosError, match=r"the x\^0 coefficient .* is not real") as exc:
+        real_zeros(poly)
+    assert exc.value.pairs == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), n=st.integers(1, 12))
 def test_real_zeros_are_the_rule_nodes_or_its_error(seed, n):
@@ -312,15 +322,15 @@ def test_each_family_is_generated_once_per_rule(cauchy, monkeypatch):
     import rii.sequences as sequences
 
     calls = _counting(monkeypatch, quadrature, ("family_ends",))
-    terms = _counting(monkeypatch, sequences, ("center_term", "weight_term"))
+    steps = _counting(monkeypatch, sequences, ("scaled_steps", "cleared_terms"))
     pert = Perturbation.both(2, Fraction(1, 100), 6, Fraction(251, 250))
     build_rule(cauchy, pert, 12)
-    # one list of step terms serves both families
+    # one list of step terms, one term per step, serves both families
     assert calls == {"family_ends": 1}
-    assert terms == {"center_term": 12, "weight_term": 11}
+    assert steps == {"scaled_steps": 1, "cleared_terms": 12}
     calibrate_m0(cauchy, 40)
     assert calls == {"family_ends": 1}
-    assert terms == {"center_term": 12, "weight_term": 11}
+    assert steps == {"scaled_steps": 1, "cleared_terms": 12}
 
 
 @pytest.mark.parametrize("n", [12, 40, 100])

@@ -1,6 +1,9 @@
 """Smoke runs of the randomized identity suites (full runs live in acceptance)."""
 
 import dataclasses
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,69 @@ from rii.suites import (
     random_rational,
     random_scheme,
 )
+
+
+# (low, high, max_den, nonzero, positive) of every draw the suites make
+DRAWS = [
+    (-4, 4, 4, False, False),   # c, nodes, Moebius a/beta/delta
+    (-4, 4, 4, True, False),    # rho, mu, Moebius gamma
+    (1, 6, 4, False, True),     # lambda
+    (1, 4, 4, False, True),     # omega
+    (1, 8, 4, False, True),     # nu
+    (-6, 6, 5, False, False),   # structural z
+    (-9, 9, 7, False, False),   # spectral z
+    (-5, 5, 5, False, False),   # oprl x
+]
+
+
+def _drawn(rng, low, high, max_den, nonzero, positive):
+    """random_rational as one Fraction per draw: the draws it must reproduce."""
+    while True:
+        value = Fraction(rng.randint(low, high), rng.randint(1, max_den))
+        if positive and value <= 0:
+            continue
+        if nonzero and value == 0:
+            continue
+        return value
+
+
+def test_the_suites_draw_only_the_pinned_kinds(monkeypatch):
+    seen = set()
+
+    def spy(rng, low=-4, high=4, max_den=4, nonzero=False, positive=False):
+        seen.add((low, high, max_den, nonzero, positive))
+        return random_rational(rng, low, high, max_den, nonzero, positive)
+
+    monkeypatch.setattr(suites, "random_rational", spy)
+    for name in SUITES:
+        run_suite(name, seed=0, instances=6)
+    assert seen == set(DRAWS)
+
+
+@pytest.mark.parametrize("draw", DRAWS)
+def test_drawn_rationals_are_pinned(draw):
+    # the draws are the benchmark's data: the same values from the same
+    # randint calls, so the generator ends in the same state
+    for seed in range(100):
+        memo, built = random.Random(seed), random.Random(seed)
+        assert [random_rational(memo, *draw) for _ in range(20)] == \
+            [_drawn(built, *draw) for _ in range(20)]
+        assert memo.getstate() == built.getstate()
+
+
+@pytest.mark.parametrize("seed, kind, digest", [
+    # sha256 of json.dumps(to_dict(), sort_keys=True), recorded before the
+    # drawn values were memoized
+    (0, "special", "e049b81010a141d01a3c29319d4d5b3b44fecb7d7c790ba76950850009528eeb"),
+    (1, "general", "913dde0fc6e9d74df2ae763eb36d16aee9cd1174150efebeb3da1cb08ba476bd"),
+    (2, "general", "69ef7d1723c4dee417be97ad62b4b4fecbddf65aad196f3c6f8d56a4a99328f0"),
+    (5, "oprl", "0cf3b8ebe368b1c388ac78af3ca9c16676972900805bb2fac14c738fc4d66c61"),
+])
+def test_random_schemes_are_pinned(seed, kind, digest):
+    scheme = random_scheme(random.Random(seed), 18)
+    text = json.dumps(scheme.to_dict(), sort_keys=True)
+    assert scheme.kind == kind
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_registry_names():

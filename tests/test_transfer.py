@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-import rii.transfer
+import rii.sequences
 from rii import (
     Perturbation,
     Poly,
     PolyMatrix2,
     cauchy_scheme,
     f_matrix,
-    gen_both_kinds,
     gen_first_kind,
     gen_second_kind,
     lambda_weight_product,
@@ -145,13 +144,15 @@ def test_identity_perturbation_gives_identity_matrix(cauchy):
 
 
 def test_transfer_suite_builds_two_families_per_instance(monkeypatch):
-    # one plain and one perturbed family serve both residuals of an instance
+    # one plain and one perturbed family, each one list of steps, serve both
+    # residuals of an instance
     calls = []
+    scaled_steps = rii.sequences.scaled_steps
 
     def counted(*args):
         calls.append(args)
-        return gen_both_kinds(*args)
+        return scaled_steps(*args)
 
-    monkeypatch.setattr(rii.transfer, "gen_both_kinds", counted)
+    monkeypatch.setattr(rii.sequences, "scaled_steps", counted)
     result = run_suite("transfer", seed=3, instances=6)
     assert result.ok() and len(calls) == 2 * 6

@@ -23,8 +23,8 @@ from .oprl import (CorrectionReport, MobiusParams, coprl_structural, corrected_v
 from .poly import Poly
 from .polymat import PolyMatrix2
 from .quadrature import (QuadratureRule, build_rule, calibrate_m0, estimate,
-                         exactness_check, real_zeros, weights_moment_formula,
-                         weights_second_kind)
+                         exactness_check, perturbed_zeros, real_zeros,
+                         weights_moment_formula, weights_second_kind)
 from .schemes import CoefficientScheme, Perturbation, cauchy_scheme
 from .sequences import (eval_recurrence_at, eval_sequence_at, example_closed_form,
                         family_ends, gen_associated, gen_both_kinds, gen_first_kind,

@@ -26,7 +26,7 @@ from .density import lagrange_density, sample_density, spline_density
 from .errors import RiiError
 from .exact import integer, named_rational
 from .integrands import parse_integrand
-from .quadrature import build_rule, estimate, real_zeros, require_degree
+from .quadrature import build_rule, estimate, perturbed_zeros
 from .schemes import CoefficientScheme, Perturbation, cauchy_scheme
 from .sequences import family_ends
 from .suites import SUITES, run_suite
@@ -180,8 +180,7 @@ def _cmd_poly(args):
 def _cmd_zeros(args):
     scheme = _load_scheme(args.scheme)
     pert = _perturbation_from_args(args)
-    poly = require_degree(family_ends(scheme, pert, args.n, ("first",))[0], args.n)
-    zeros = real_zeros(poly)
+    zeros = perturbed_zeros(scheme, pert, args.n)
     _emit(args.out, args.precision, {"n": args.n, "zeros": zeros}, ("j", "zero"),
           [{"j": j + 1, "zero": z} for j, z in enumerate(zeros)],
           [_fmt(z, args.precision) for z in zeros])

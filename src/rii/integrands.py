@@ -8,7 +8,8 @@ exp, sin, cos, abs.  Every rejection carries the character position.
 An expression nested deeper than MAX_DEPTH levels is rejected, counting each
 operator, function call and pair of parentheses as a level.  That bounds the
 recursion of both the parser and the evaluator, so a deep input ends in a
-ParseError rather than a RecursionError.
+ParseError rather than a RecursionError.  A parsed expression is compiled
+once into nested closures, so a call walks no syntax tree.
 """
 
 from __future__ import annotations
@@ -156,29 +157,32 @@ def _check_depth(depth, pos):
         raise ParseError("expression nested deeper than %d levels" % MAX_DEPTH, pos)
 
 
-def _eval_ast(ast, x):
+def _closure(ast):
+    """x -> the value of ast: one nested closure per node, built once, with the
+    operations of a walk of ast in the same order (left operand first)."""
     op = ast[0]
-    if op == "num":
-        return ast[1]
     if op == "var":
-        return x
-    if op == "const":
-        return _CONSTANTS[ast[1]]
+        return lambda x: x
+    if op in ("num", "const"):
+        value = ast[1] if op == "num" else _CONSTANTS[ast[1]]
+        return lambda x: value
     if op == "neg":
-        return -_eval_ast(ast[1], x)
+        inner = _closure(ast[1])
+        return lambda x: -inner(x)
     if op == "call":
-        return _FUNCTIONS[ast[1]](_eval_ast(ast[2], x))
+        fn, inner = _FUNCTIONS[ast[1]], _closure(ast[2])
+        return lambda x: fn(inner(x))
     _, name, lhs, rhs = ast
-    a, b = _eval_ast(lhs, x), _eval_ast(rhs, x)
+    f, g = _closure(lhs), _closure(rhs)
     if name == "+":
-        return a + b
+        return lambda x: f(x) + g(x)
     if name == "-":
-        return a - b
+        return lambda x: f(x) - g(x)
     if name == "*":
-        return a * b
+        return lambda x: f(x) * g(x)
     if name == "/":
-        return a / b
-    return a ** b
+        return lambda x: f(x) / g(x)
+    return lambda x: f(x) ** g(x)
 
 
 @dataclass(frozen=True)
@@ -203,12 +207,7 @@ BUILTINS = {}
 
 def _compile(text):
     """The evaluator x -> value of the expression `text`."""
-    ast = _Parser(text).parse()
-
-    def evaluator(x, _ast=ast):
-        return _eval_ast(_ast, x)
-
-    return evaluator
+    return _closure(_Parser(text).parse())
 
 
 def _register(name, expression, description, aliases=()):

@@ -30,7 +30,14 @@ W_m are monic quadratics), without the lam term for oprl schemes (W = 1),
 on integers scaled as the families are; no polynomial family is built.
 
 The nodes are n sorted, pairwise distinct floats, or there is no rule:
-`_polished_zeros` alone decides it, for `build_rule` and `real_zeros` alike.
+`_polished_zeros`, the one Newton loop, alone decides it, for `build_rule`,
+`perturbed_zeros` and `real_zeros` alike.  Only its seeds differ.  P*_n is
+the determinant of a tridiagonal pencil zB - A, and where that pencil is
+Hermitian-definite (`_pencil_seeds`) its eigenvalues, all real, seed the
+rule's Newton; elsewhere, and where their polish fails, the seeds are the
+eigenvalues of the companion matrix (`_companion_seeds`), which refuse
+non-real zeros.  `real_zeros` has only the polynomial, so only the
+companion seeds.
 
 Every node is a binary float, and each float the rule needs -- Newton step
 P*_n/P*_n', weight M_0 Q*_n/P*_n' -- is the exact ratio at the node rounded
@@ -75,29 +82,134 @@ def _polish_failed(x):
     return DegeneracyError("root polish failed near x = %.17g" % x)
 
 
-def _polished_zeros(poly, dpoly):
-    """(zeros, dpoly's enclosure at each) of poly, of degree n >= 1 with a real
-    leading coefficient, and its derivative dpoly.
+def _pencil_seeds(scheme, pert, n):
+    """The n eigenvalues of the pencil zB - A whose determinant is P*_n, as
+    sorted floats, or None when the pencil is not Hermitian-definite.
 
-    The zeros are n sorted, pairwise distinct floats, or this raises.  The
-    seeds are the companion eigenvalues of 2^k P, its lead in [1, 2) and each
-    coefficient rounded once (+-inf, refused, beyond the float range): numpy
-    divides by the lead, where 2^k cancels.  A real matrix's real eigenvalues
-    have imaginary part 0; ComplexZerosError lists the others, and is raised
-    whenever a coefficient is not real: over a real lead that is a non-real
-    ratio, which a product of real factors (z - x_j) cannot have, and the
-    error names it when every seed is real.  lead(P*_n)
-    is real, as L_{m+1} = rho_m L_m - lam*_m L_{m-1} with W_m monic (no lam
-    term for oprl).  Newton polishes each seed's real part by steps
-    P(x)/P'(x), each the exact ratio rounded once, to its fixed point, where a
-    step leaves x unchanged; P'(x) = 0, 40 steps without one or two equal
-    zeros raise DegeneracyError.  Each zero hands on the enclosure its last
-    step read P'(x) from, so the weights need not enclose dpoly again.
+    B and A are tridiagonal: B has rho_m on its diagonal and sqrt(lam*_m)
+    beside it (diag(rho_m) for oprl); A has rho_m c*_m on its diagonal and
+    +-i omega sqrt(lam*_m) beside it (-sqrt(lam*_m) for oprl).  So zB - A
+    has rho_m (z - c*_m) on its diagonal and off-diagonal products
+    lam*_m (z^2 + omega^2) (lam*_m for oprl), and its leading minors follow
+    the recurrence: det(zB - A) = P*_n (Zhedanov 1999 for R_II,
+    Golub-Welsch 1969 for oprl).  The general kind, a rho_m or lam*_m <= 0
+    and an entry that is not a finite float give None.
+
+    B = L L^T with L lower bidiagonal, diagonal l_k and g_{k-1} below it;
+    a pivot l_k^2 <= 0 gives None.  Then the eigenvalues are those of the
+    Hermitian C = L^-1 A L^-H, all real.  Forward substitution gives the
+    rows of L^-1 as r_k = e_k / l_k - h_k r_{k-1}, h_k = g_{k-1} / l_k, and
+    as A is tridiagonal, C_kk = r_k A r_k^H and C_kj = r_k A r_j^H follow
+    three recurrences:
+
+        C_kk      = h_k^2 C_{k-1,k-1} + A_kk / l_k^2,
+        C_{k,k-1} = -h_k C_{k-1,k-1} + A_{k,k-1} / (l_k l_{k-1}),
+        C_kj      = -h_k C_{k-1,j}   (j < k - 1).
+
+    (C_kk loses its term in h_k Re A_{k-1,k}: that entry is imaginary for
+    the special form, and h_k = 0 for oprl.)  So each column of C below its
+    subdiagonal is a running product, with no cancellation, which one
+    cumprod forms; eigvalsh reads only that lower triangle.  No inverse and
+    no matrix product is formed.
+    """
+    import numpy as np
+
+    if n < 1 or scheme.kind == "general":
+        return None
+    special = scheme.kind == "special"
+    try:
+        rho = [float(scheme.rho(m)) for m in range(n)]
+        center = [float(pert.center(scheme, m)) for m in range(n)]
+        lam = [float(pert.coefficient(scheme, m)) for m in range(1, n)]
+        omega = float(scheme.omega) if special else 0.0
+    except OverflowError:       # a Fraction beyond the float range
+        return None
+    if not (min(rho) > 0 and all(v > 0 for v in lam) and math.isfinite(omega)):
+        return None
+    l = math.sqrt(rho[0])
+    diag, sub, minus_h = [center[0]], [], [0.0]
+    for k in range(1, n):
+        root = math.sqrt(lam[k - 1])
+        g = root / l if special else 0.0
+        pivot = rho[k] - g * g
+        if not pivot > 0:
+            return None
+        l_prev, l = l, math.sqrt(pivot)
+        h = g / l
+        below = -1j * omega * root if special else -root      # A_{k,k-1}
+        sub.append(below / (l * l_prev) - h * diag[-1])
+        diag.append(h * h * diag[-1] + rho[k] * center[k] / pivot)
+        minus_h.append(-h)
+    c = np.where(np.tri(n, n, -2, dtype=bool), np.array(minus_h)[:, None],
+                 1 + 0j if special else 1.0)
+    c.flat[n::n + 1] = sub
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: no seeds
+        c = np.cumprod(c, axis=0)
+    c.flat[::n + 1] = diag
+    if not np.isfinite(c).all():
+        return None
+    try:
+        seeds = np.linalg.eigvalsh(c)
+    except np.linalg.LinAlgError:   # did not converge
+        return None
+    return seeds.tolist() if np.isfinite(seeds).all() else None
+
+
+def _polished_zeros(poly, dpoly, seeds=None):
+    """(zeros, dpoly's enclosure at each) of poly, of degree n >= 1 with a real
+    leading coefficient, and its derivative dpoly: the one Newton loop.
+
+    The zeros are n sorted, pairwise distinct floats, or this raises.  Newton
+    starts from seeds, n floats, or from `_companion_seeds(poly)` when they
+    are None, and polishes each by steps P(x)/P'(x), each the exact ratio
+    rounded once, to its fixed point, where a step leaves x unchanged;
+    P'(x) = 0, 40 steps without one or two equal zeros raise
+    DegeneracyError.  Each zero hands on the enclosure its last step read
+    P'(x) from, so the weights need not enclose dpoly again.
+    """
+    if poly.degree < 1:
+        raise ValueError("need a nonconstant polynomial")
+    if seeds is None:
+        seeds = _companion_seeds(poly)
+
+    polished = []
+    for x in seeds:
+        for _ in range(40):
+            box = dpoly.enclose(x)
+            try:
+                step = rounded_ratio(1, poly, dpoly, x, box)
+            except ZeroDivisionError:       # P'(x) = 0 exactly
+                raise _polish_failed(x) from None
+            x_new = x - step
+            if not math.isfinite(x_new):
+                raise _out_of_float_range(poly)
+            if x_new == x:
+                break
+            x = x_new
+        else:
+            raise _polish_failed(x)
+        polished.append((x_new, box))     # x_new == x, up to the sign of a zero
+    polished.sort(key=lambda pair: pair[0])
+    zeros = [x for x, _ in polished]
+    if any(b <= a for a, b in zip(zeros, zeros[1:])):
+        raise DegeneracyError("nodes must be strictly increasing")
+    return zeros, [box for _, box in polished]
+
+
+def _companion_seeds(poly):
+    """The companion eigenvalues of poly as floats, or an error.
+
+    numpy gets 2^k P, its lead in [1, 2) and each coefficient rounded once
+    (+-inf, refused, beyond the float range), and divides by the lead, where
+    2^k cancels.  A real matrix's real eigenvalues have imaginary part 0;
+    ComplexZerosError lists the others, and is raised whenever a coefficient
+    is not real: over a real lead that is a non-real ratio, which a product
+    of real factors (z - x_j) cannot have, and the error names it when every
+    seed is real.  lead(P*_n) is real, as L_{m+1} = rho_m L_m - lam*_m L_{m-1}
+    with W_m monic (no lam term for oprl).
     """
     import numpy as np   # only root finding needs it: other commands start without it
 
-    if poly.degree < 1:
-        raise ValueError("need a nonconstant polynomial")
     den = poly.denominator or 1     # None: the numerators are exact scalars, not ints
     top, bottom = abs(poly.numerators[-1].numerator), poly.numerators[-1].denominator * den
     k = bottom.bit_length() - top.bit_length()
@@ -121,41 +233,39 @@ def _polished_zeros(poly, dpoly):
         raise ComplexZerosError([], "the ratio of the x^%d coefficient to the real leading "
                                 "coefficient is not real, so a zero is not real: no real "
                                 "quadrature rule exists" % j)
+    return [r.real for r in seeds]
 
-    polished = []
-    for x in (r.real for r in seeds):
-        for _ in range(40):
-            box = dpoly.enclose(x)
-            try:
-                step = rounded_ratio(1, poly, dpoly, x, box)
-            except ZeroDivisionError:       # P'(x) = 0 exactly
-                raise _polish_failed(x) from None
-            x_new = x - step
-            if not math.isfinite(x_new):
-                raise _out_of_float_range(poly)
-            if x_new == x:
-                break
-            x = x_new
-        else:
-            raise _polish_failed(x)
-        polished.append((x_new, box))     # x_new == x, up to the sign of a zero
-    polished.sort(key=lambda pair: pair[0])
-    zeros = [x for x, _ in polished]
-    if any(b <= a for a, b in zip(zeros, zeros[1:])):
-        raise DegeneracyError("nodes must be strictly increasing")
-    return zeros, [box for _, box in polished]
+
+def _zeros(poly, dpoly, scheme, pert):
+    """`_polished_zeros` of P*_n = poly from the pencil's seeds, and from the
+    companion matrix where there are none or their polish fails."""
+    seeds = _pencil_seeds(scheme, pert, poly.degree)
+    if seeds is not None:
+        try:
+            return _polished_zeros(poly, dpoly, seeds)
+        except DegeneracyError:     # e.g. a graded pencil: its seeds can be far off
+            pass
+    return _polished_zeros(poly, dpoly)
 
 
 def real_zeros(poly):
     """The zeros of poly as n sorted, pairwise distinct floats, or an error.
 
     A non-real leading coefficient is divided out first; then the zeros are
-    those of `build_rule`, with its errors (see `_polished_zeros`).
+    found from companion seeds (see `_polished_zeros`), with its errors.
     """
     lead = poly.leading()
     if isinstance(lead, GaussianRational):
         poly = poly * (1 / lead)
     return _polished_zeros(poly, poly.derivative())[0]
+
+
+def perturbed_zeros(scheme, perturbation, n):
+    """The zeros of P*_n as n sorted, pairwise distinct floats: the nodes of
+    `build_rule`, from the same seeds, or its error."""
+    pert = perturbation or Perturbation.none()
+    p = require_degree(family_ends(scheme, pert, n, ("first",))[0], n)
+    return _zeros(p, p.derivative(), scheme, pert)[0]
 
 
 def require_degree(poly, n):
@@ -288,7 +398,7 @@ def build_rule(scheme, perturbation, n):
     pert = perturbation or Perturbation.none()
     p, q = family_ends(scheme, pert, n)
     dp = require_degree(p, n).derivative()
-    nodes, slopes = _polished_zeros(p, dp)
+    nodes, slopes = _zeros(p, dp, scheme, pert)
     known = _M0.setdefault(scheme, {})
     if n not in known:      # a refusal is not kept: it is raised again
         known[n] = calibrate_m0(scheme, n)

@@ -50,14 +50,19 @@ def _entry(name, coerce, value):
         raise type(exc)("%s: %s" % (name, exc)) from None
 
 
+def _coefficient(name, value):
+    """value as a Fraction: a Fraction as it is, else `_entry(name, rational, value)`."""
+    return value if isinstance(value, Fraction) else _entry(name, rational, value)
+
+
 def as_coeff_fn(spec, name):
     """Normalize a constant / list / callable coefficient spec to fn(n); an
     entry that is not a rational raises TypeError or ValueError naming it."""
     if callable(spec):
         return spec
     if isinstance(spec, (list, tuple)):
-        return _tabulated([_entry(name, rational, v) for v in spec], name)
-    value = _entry(name, rational, spec)
+        return _tabulated([_coefficient(name, v) for v in spec], name)
+    value = _coefficient(name, spec)
 
     def constant(n, _v=value):
         return _v
@@ -196,6 +201,16 @@ class CoefficientScheme:
         return CoefficientScheme.from_dict(json.loads(text))
 
 
+def _require_fields(record, name, fields):
+    """ValueError naming `name` unless record is an object holding every field."""
+    if not isinstance(record, dict):
+        raise ValueError("%s must be an object with %s, got %r"
+                         % (name, " and ".join(fields), record))
+    missing = [field for field in fields if field not in record]
+    if missing:
+        raise ValueError("%s lacks %s" % (name, " and ".join(missing)))
+
+
 def _enc_coeff(spec):
     if callable(spec):
         raise ValueError("rule-based coefficients are not serializable")
@@ -294,16 +309,22 @@ class Perturbation:
 
     @staticmethod
     def from_dict(data, name="perturbation"):
-        """Inverse of to_dict; a level that is not an integer, or a mu or nu
-        that is not a rational, raises ValueError naming it (name.k, name.mu,
-        name.kp or name.nu)."""
+        """Inverse of to_dict; data that is not an object, a part (corec or
+        codil) that is not an object with both its fields, a level that is not
+        an integer, or a mu or nu that is not a rational, raises ValueError
+        naming it (name, name.corec, name.k, name.mu, ...)."""
+        if not isinstance(data, dict):
+            raise ValueError("%s must be an object, got %r" % (name, data))
         k = mu = kp = nu = None
-        if data.get("corec"):
-            k = integer(data["corec"]["k"], name + ".k")
-            mu = named_rational(data["corec"]["mu"], name + ".mu")
-        if data.get("codil"):
-            kp = integer(data["codil"]["kp"], name + ".kp")
-            nu = named_rational(data["codil"]["nu"], name + ".nu")
+        corec, codil = data.get("corec"), data.get("codil")
+        if corec:
+            _require_fields(corec, name + ".corec", ("k", "mu"))
+            k = integer(corec["k"], name + ".k")
+            mu = named_rational(corec["mu"], name + ".mu")
+        if codil:
+            _require_fields(codil, name + ".codil", ("kp", "nu"))
+            kp = integer(codil["kp"], name + ".kp")
+            nu = named_rational(codil["nu"], name + ".nu")
         return Perturbation(k=k, mu=mu, kp=kp, nu=nu)
 
     def __eq__(self, other):

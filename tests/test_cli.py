@@ -299,9 +299,10 @@ def test_malformed_config_exits_one(tmp_path, capsys, document):
     ("poly", "--n", "2", "--scheme", '{"rho": "1/0", "c": 0, "lambda": 1}'),
     ("poly", "--n", "2", "--scheme", '{"rho": 1, "c": 0, "lambda": 1, "nodes": [["1/0", 0]]}'),
     ("poly", "--n", "2", "--scheme", '{"rho": 1, "c": Infinity, "lambda": 1}'),
-    # the worked example's companion seeds meet in pairs: two equal zeros
-    ("zeros", "--n", "103"),
-    ("zeros", "--n", "104"),
+    # nu_1 = 2.12 leaves B of the pencil indefinite, and P*_18 has a conjugate
+    # pair of zeros
+    ("zeros", "--n", "18", "--nu", "2.12"),
+    ("quad", "--n", "18", "--nu", "2.12"),
     # the leading coefficient of P*_n vanishes: degree 4 at n = 6, 0 at n = 2
     ("quad", "--n", "6", "--nu", "12/5"),
     ("zeros", "--n", "2", "--nu", "4"),
@@ -321,9 +322,11 @@ def test_malformed_config_exits_one(tmp_path, capsys, document):
     # P*_4 has a zero at 1.6e200, where the default integrand overflows
     ("quad", "--n", "4", "--mu", "1e200"),
     # P_2 = 10^-400 x^2 - 1: its lead underflows a float, and its constant
-    # term scaled to lead 1 overflows one; no 0-node rule
-    ("zeros", "--n", "2", "--scheme", '{"rho": "1e-200", "c": 0, "lambda": 1}'),
-    ("quad", "--n", "2", "--integrand", "1", "--scheme", '{"rho": "1e-200", "c": 0, "lambda": 1}'),
+    # term scaled to lead 1 overflows one; rho < 0 leaves no definite pencil,
+    # so the companion matrix is tried, and there is no 0-node rule
+    ("zeros", "--n", "2", "--scheme", '{"rho": "-1e-200", "c": 0, "lambda": 1}'),
+    ("quad", "--n", "2", "--integrand", "1", "--scheme",
+     '{"rho": "-1e-200", "c": 0, "lambda": 1}'),
 ])
 @pytest.mark.filterwarnings("error")    # nor a warning
 def test_domain_failures_exit_one_without_traceback(capsys, argv):
@@ -386,6 +389,47 @@ def test_a_bad_mu_or_nu_in_a_config_exits_one_by_name(tmp_path, capsys, perturba
     code, out, err = run_cli(capsys, "quad", "--config", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: %s: " % field) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("perturbations, message", [
+    ([[0]], "perturbations[0] must be an object, got [0]"),
+    ([{"corec": {"mu": "1/2"}}], "perturbations[0].corec lacks k"),
+    ([{"corec": {"k": 0, "mu": "1/2"}}, {"codil": {"kp": 2}}],
+     "perturbations[1].codil lacks nu"),
+    ([{"codil": [2, "1/2"]}], "perturbations[0].codil must be an object with kp and nu, "
+     "got [2, '1/2']"),
+])
+def test_a_malformed_perturbation_in_a_config_is_named(tmp_path, capsys, perturbations,
+                                                      message):
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps({"schema": 1, "scheme": cauchy_scheme().to_dict(),
+                                "perturbations": perturbations, "n": [4]}),
+                    encoding="utf-8")
+    assert run_cli(capsys, "quad", "--config", str(path)) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("n", [103, 104, 120, 200])
+def test_the_worked_example_builds_at_large_n(capsys, n):
+    # every zero cot(j pi/(n+1)) is real and simple: Newton from the pencil's
+    # seeds finds each, and each weight is the correctly rounded 1/(n+1)
+    code, out, err = run_cli(capsys, "--precision", "17", "zeros", "--n", str(n))
+    assert (code, err) == (0, "")
+    zeros = [float(line) for line in out.split()]
+    expected = sorted(1 / math.tan(j * math.pi / (n + 1)) for j in range(1, n + 1))
+    assert len(zeros) == n
+    assert max(abs(z - e) / max(1.0, abs(e)) for z, e in zip(zeros, expected)) <= 1e-13
+    rule = rii.build_rule(cauchy_scheme(), None, n)
+    assert list(rule.nodes) == zeros
+    assert rule.weights == (1 / (n + 1),) * n
+    code, out, err = run_cli(capsys, "--precision", "17", "quad", "--n", str(n),
+                             "--integrand", "1")
+    assert (code, err) == (0, "")
+    assert float(out) == math.fsum(rule.weights)
+
+
+def test_zeros_of_a_constant_are_refused(capsys):
+    assert run_cli(capsys, "zeros", "--n", "0") == (
+        1, "", "error: need a nonconstant polynomial\n")
 
 
 def test_zeros_far_beyond_the_coefficients(capsys):

@@ -17,7 +17,7 @@ import pytest
 import rii
 from rii import (CoefficientScheme, MobiusParams, Perturbation, cauchy_scheme,
                  coprl_structural, convergent, lemma1_matrix, perturbation_transfer,
-                 reduce_to_oprl, spectral_gap, spectral_residual, spectral_transform,
+                 perturbed_zeros, reduce_to_oprl, spectral_gap, spectral_residual, spectral_transform,
                  tail_convergent, transfer_entries, transfer_residual)
 from rii.cfrac import singular_index
 from rii.tables import estimate_cell
@@ -89,6 +89,7 @@ CALLS = {
     "tail_convergent": (tail_convergent, (SCHEME, PERT, 0, 4, Z)),
     "singular_index": (singular_index, (SCHEME, PERT, 4)),
     "estimate_cell": (estimate_cell, (SCHEME, PERT, 4)),
+    "perturbed_zeros": (perturbed_zeros, (SCHEME, PERT, 4)),
 }
 
 

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rii import ParseError, parse_integrand
 from rii.integrands import BUILTINS
@@ -62,3 +63,38 @@ def test_parsed_expression_matches_manual():
     f = parse_integrand("exp(-x^2)/(x^2+1)^2")
     x = 0.83
     assert abs(f(x) - math.exp(-x * x) / (x * x + 1) ** 2) < 1e-15
+
+
+_LEAVES = st.sampled_from([("x", "x"), ("pi", "math.pi"), ("2.5", "2.5"), ("3", "3.0"),
+                           ("0.1", "0.1"), ("0", "0.0")])
+
+
+def _extend(children):
+    """(rii text, Python text) pairs one level up, each fully parenthesized."""
+    unary = st.builds(lambda a: ("(-%s)" % a[0], "(-%s)" % a[1]), children)
+    call = st.builds(lambda f, a: ("%s(%s)" % (f, a[0]), "%s(%s)" % (
+        "abs" if f == "abs" else "math." + f, a[1])),
+        st.sampled_from(["exp", "sin", "cos", "abs"]), children)
+    binary = st.builds(lambda op, a, b: ("(%s%s%s)" % (a[0], op, b[0]),
+                                         "(%s%s%s)" % (a[1], "**" if op == "^" else op, b[1])),
+                       st.sampled_from("+-*/^"), children, children)
+    return unary | call | binary
+
+
+def _outcome(evaluate):
+    try:
+        return repr(evaluate())
+    except (ArithmeticError, TypeError, ValueError) as exc:   # TypeError: exp of a complex
+        return type(exc).__name__
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr=st.recursive(_LEAVES, _extend, max_leaves=12),
+       x=st.floats(-50, 50, allow_nan=False))
+def test_the_compiled_evaluator_computes_what_python_computes(expr, x):
+    # the closures do the same float operations in the same order as Python on
+    # the same fully parenthesized expression: the same bits, or the same error
+    text, python = expr
+    compiled = parse_integrand(text)
+    assert _outcome(lambda: compiled(x)) == _outcome(lambda: eval(python, {"math": math,
+                                                                         "x": x}))

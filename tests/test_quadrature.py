@@ -26,7 +26,7 @@ from rii import (
     weights_moment_formula,
     weights_second_kind,
 )
-from rii.quadrature import _polished_zeros
+from rii.quadrature import _pencil_seeds, _polished_zeros
 from rii.sequences import family_ends
 from rii.suites import random_perturbation, random_scheme
 from rii.tables import load_fixture
@@ -125,11 +125,95 @@ def test_a_power_of_two_keeps_the_zeros(seed, n, e):
 
 def test_a_lead_below_the_float_range_is_no_empty_rule():
     # P*_2 = 10^-400 x^2 - 1: its lead underflows a float; scaled to lead 1,
-    # its constant term 10^400 is beyond the float range, so the rule is
-    # refused rather than built with fewer than 2 nodes
-    scheme = CoefficientScheme.oprl(Fraction("1e-200"), 0, 1)
+    # its constant term 10^400 is beyond the float range.  rho < 0 leaves B
+    # of the pencil indefinite, so the companion matrix is tried, and the rule
+    # is refused rather than built with fewer than 2 nodes
+    scheme = CoefficientScheme.oprl(Fraction("-1e-200"), 0, 1)
+    assert _pencil_seeds(scheme, Perturbation.none(), 2) is None
     with pytest.raises(DegeneracyError, match="leave the float range"):
         build_rule(scheme, None, 2)
+
+
+def test_a_lead_below_the_float_range_has_its_pencil_rule():
+    # the same P*_2 = 10^-400 x^2 - 1 from rho = +1e-200: B = 1e-200 I, so
+    # the pencil's seeds are +-1e200, its zeros, and each weight is 1/2
+    scheme = CoefficientScheme.oprl(Fraction("1e-200"), 0, 1)
+    rule = build_rule(scheme, None, 2)
+    assert rule.nodes == (-1e200, 1e200)
+    assert rule.weights == (0.5, 0.5)
+
+
+def _draw_definite_pencil(data, n):
+    """A special or oprl scheme with every rho_m, lam*_m > 0 and a perturbation
+    of it whose pencil is Hermitian-definite, or None."""
+    positive = st.fractions(Fraction(1, 50), 20, max_denominator=50)
+    real = st.fractions(-20, 20, max_denominator=50)
+    rho, lam = (data.draw(st.lists(positive, min_size=n + 1, max_size=n + 1)) for _ in "rl")
+    c = data.draw(st.lists(real, min_size=n + 1, max_size=n + 1))
+    omega = data.draw(st.one_of(st.none(), positive))
+    scheme = (CoefficientScheme.oprl(rho, c, lam) if omega is None
+              else CoefficientScheme.special(rho, c, lam, omega))
+    corec = data.draw(st.one_of(st.none(), st.tuples(st.integers(0, n), real)))
+    codil = data.draw(st.one_of(st.none(), st.tuples(st.integers(1, n), positive)))
+    k, mu = corec or (None, None)
+    kp, nu = codil or (None, None)
+    return scheme, Perturbation(k=k, mu=mu, kp=kp, nu=nu)
+
+
+def _polish_bits(p, dp, seeds):
+    try:
+        return [float.hex(x) for x in _polished_zeros(p, dp, seeds)[0]]
+    except RiiError:
+        return "refused"
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_pencil_and_companion_seeds_polish_to_the_same_zeros(n, data):
+    # the nodes are Newton's fixed points: from the pencil's eigenvalues and
+    # from the companion matrix's they are the same floats, or both refuse
+    scheme, pert = _draw_definite_pencil(data, n)
+    seeds = _pencil_seeds(scheme, pert, n)
+    assume(seeds is not None)
+    p = family_ends(scheme, pert, n, ("first",))[0]
+    assert p.degree == n     # lead(P*_n) = det B > 0
+    dp = p.derivative()
+    assert _polish_bits(p, dp, seeds) == _polish_bits(p, dp, None)
+
+
+def test_the_pencil_has_seeds_only_where_it_is_definite(cauchy):
+    none = Perturbation.none()
+    n = 12
+    seeds = _pencil_seeds(cauchy, none, n)
+    expected = sorted(1 / math.tan(j * math.pi / (n + 1)) for j in range(1, n + 1))
+    assert max(abs(a - b) for a, b in zip(seeds, expected)) < 1e-14
+    # oprl: B = diag(rho), A tridiagonal; P_2 = 4x^2 - 2 from rho = 2, lam = 2
+    assert _pencil_seeds(CoefficientScheme.oprl(2, 0, 2), none, 2) == pytest.approx(
+        [-0.5 ** 0.5, 0.5 ** 0.5], rel=1e-15)
+    general = CoefficientScheme.general(1, 0, Fraction(1, 4), nodes=lambda m: (0, 1))
+    for scheme, pert in [
+            (general, none),
+            (CoefficientScheme.special(1, 0, -1, 1), none),         # lam <= 0
+            (CoefficientScheme.oprl([1, 0] + [1] * n, 0, 1), none),   # rho <= 0
+            (cauchy, Perturbation.corec(2, Fraction(10) ** 400))]:    # c* not a float
+        assert _pencil_seeds(scheme, pert, n) is None
+    # criterion 10: nu_1 = 2.12 keeps B definite through n = 17, and at n = 18,
+    # where P*_18 has a conjugate pair of zeros, a pivot is <= 0
+    assert _pencil_seeds(cauchy, Perturbation.codil(1, Fraction("2.12")), 17) is not None
+    assert _pencil_seeds(cauchy, Perturbation.codil(1, Fraction("2.12")), 18) is None
+
+
+@pytest.mark.parametrize("mu, n", [("1e200", 4), ("1e20", 10)])
+def test_a_graded_pencil_falls_back_to_the_companion_matrix(cauchy, mu, n):
+    # mu = 1e200 leaves seeds near 1e183 whose polish fails, and mu = 1e20
+    # polishes two seeds to one zero: the companion seeds build both rules
+    pert = Perturbation.corec(0, Fraction(mu))
+    p = family_ends(cauchy, pert, n, ("first",))[0]
+    seeds = _pencil_seeds(cauchy, pert, n)
+    assert seeds is not None
+    with pytest.raises(DegeneracyError):
+        _polished_zeros(p, p.derivative(), seeds)
+    assert list(build_rule(cauchy, pert, n).nodes) == _polished_zeros(p, p.derivative())[0]
 
 
 def test_calibrated_mass_is_one_half(cauchy):

@@ -84,6 +84,29 @@ def test_sequence_coefficients_by_index():
         scheme.rho(3)
 
 
+def test_fraction_entries_are_taken_as_they_are(monkeypatch):
+    # a table of Fractions is the table of the same values as strings, and
+    # neither `_entry` nor `rational` is called for an entry that is a Fraction
+    values = [Fraction(3, 2), Fraction(-7, 5), Fraction(0), Fraction(10 ** 30, 3)]
+    texts = ["3/2", "-1.4", "0", "%d/3" % 10 ** 30]
+    from_text = CoefficientScheme.oprl(texts, texts[0], texts)
+    import rii.schemes
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was coerced again")
+
+    monkeypatch.setattr(rii.schemes, "_entry", refuse)
+    from_fractions = CoefficientScheme.oprl(values, values[0], values)
+    assert from_fractions.to_dict() == from_text.to_dict()
+    assert [from_fractions.rho(m) for m in range(4)] == values
+    monkeypatch.undo()
+    # every other entry is still coerced, and refused by name
+    with pytest.raises(TypeError, match="^rho: "):
+        CoefficientScheme.oprl([Fraction(1), True], 0, 1)
+    with pytest.raises(ValueError, match="^lambda: "):
+        CoefficientScheme.oprl(1, 0, [Fraction(1), "abc"])
+
+
 def test_scheme_json_round_trip(cauchy):
     again = CoefficientScheme.from_json(cauchy.to_json())
     assert again.kind == cauchy.kind

@@ -24,20 +24,19 @@ in n removes its C/(n+1) tail.  For the worked example this yields exactly
 1/2 at every n, and the weights sum to n/(n+1): total mass is approached,
 not hit, at finite n.
 
-M_0 needs only leading coefficients, so it runs the recurrence loop
-(`sequences.iterate`) on scalars: L_{m+1} = rho_m L_m - lam_m L_{m-1} (the
-W_m are monic quadratics), without the lam term for oprl schemes (W = 1),
-on integers scaled as the families are; no polynomial family is built.
+M_0 and the pencil's definiteness both read one exact chain of leading
+coefficients (`_leads`): L_{m+1} = rho_m L_m - lam*_m L_{m-1} (the W_m are
+monic quadratics), without the lam term for oprl schemes (W = 1), run by
+`sequences.iterate` on integers; no polynomial family is built.
 
 The nodes are n sorted, pairwise distinct floats, or there is no rule:
 `_polished_zeros`, the one Newton loop, alone decides it, for `build_rule`,
-`perturbed_zeros` and `real_zeros` alike.  Only its seeds differ.  P*_n is
-the determinant of a tridiagonal pencil zB - A, and where that pencil is
-Hermitian-definite (`_pencil_seeds`) its eigenvalues, all real, seed the
-rule's Newton; elsewhere, and where their polish fails, the seeds are the
-eigenvalues of the companion matrix (`_companion_seeds`), which refuse
-non-real zeros.  `real_zeros` has only the polynomial, so only the
-companion seeds.
+`perturbed_zeros` and `real_zeros` alike; its callers choose the seeds.
+P*_n is the determinant of a tridiagonal pencil zB - A; where every L_m > 0
+it is Hermitian-definite (`_pencil_seeds`), and its eigenvalues, all real,
+seed the rule's Newton.  Elsewhere, and where their polish fails, the seeds
+are the eigenvalues of the companion matrix (`_companion_seeds`), which
+refuse non-real zeros; `real_zeros` has only the polynomial, so only those.
 
 Every node is a binary float, and each float the rule needs -- Newton step
 P*_n/P*_n', weight M_0 Q*_n/P*_n' -- is the exact ratio at the node rounded
@@ -67,7 +66,7 @@ from .errors import ComplexZerosError, DegeneracyError, IntegrandError
 from .exact import GaussianRational, quotient
 from .poly import rounded_ratio
 from .schemes import Perturbation
-from .sequences import clear, family_ends, iterate, scaled_steps
+from .sequences import family_ends, iterate
 
 # scheme -> {n: M_0}, filled by build_rule; a scheme is immutable
 _M0 = weakref.WeakKeyDictionary()
@@ -82,6 +81,27 @@ def _polish_failed(x):
     return DegeneracyError("root polish failed near x = %.17g" % x)
 
 
+def _leads(scheme, pert, n, kinds):
+    """(V, D), n >= 1: V_0..V_n of each kind in kinds and D_0..D_n, ints with
+    V_m = D_m L_m, D_m > 0 and L_m the leading coefficient of P*_m (first
+    kind) or Q*_m (second kind, its z^(m-1) coefficient): the one exact chain
+    L_{m+1} = rho_m L_m - lam*_m L_{m-1} (W_m is monic; oprl, W_m = 1, drops
+    the lam term, and step 0 has none).  Step m is scaled by
+    s_m = den(rho_m) den(lam*_m), and D_m is the product of the scales before m.
+    """
+    oprl = scheme.kind == "oprl"
+    a, b, dens, s = [], [], [1], 1
+    for m in range(n):
+        rn, rd = scheme.rho(m).as_integer_ratio()
+        ln, ld = pert.coefficient(scheme, m).as_integer_ratio() if m and not oprl else (0, 1)
+        b.append(ln * rd * s)       # s_m s_{m-1} lam*_m, s still s_{m-1}
+        s = rd * ld
+        a.append(rn * ld)           # s_m rho_m
+        dens.append(dens[-1] * s)
+    return [iterate(a.__getitem__, b.__getitem__, kind, n, 0,
+                    dens[1] if kind == "second" else 1) for kind in kinds], dens
+
+
 def _pencil_seeds(scheme, pert, n):
     """The n eigenvalues of the pencil zB - A whose determinant is P*_n, as
     sorted floats, or None when the pencil is not Hermitian-definite.
@@ -92,15 +112,19 @@ def _pencil_seeds(scheme, pert, n):
     has rho_m (z - c*_m) on its diagonal and off-diagonal products
     lam*_m (z^2 + omega^2) (lam*_m for oprl), and its leading minors follow
     the recurrence: det(zB - A) = P*_n (Zhedanov 1999 for R_II,
-    Golub-Welsch 1969 for oprl).  The general kind, a rho_m or lam*_m <= 0
-    and an entry that is not a finite float give None.
+    Golub-Welsch 1969 for oprl).  The general kind, a lam*_m <= 0 and an
+    entry beyond the float range give None.
 
-    B = L L^T with L lower bidiagonal, diagonal l_k and g_{k-1} below it;
-    a pivot l_k^2 <= 0 gives None.  Then the eigenvalues are those of the
-    Hermitian C = L^-1 A L^-H, all real.  Forward substitution gives the
-    rows of L^-1 as r_k = e_k / l_k - h_k r_{k-1}, h_k = g_{k-1} / l_k, and
-    as A is tridiagonal, C_kk = r_k A r_k^H and C_kj = r_k A r_j^H follow
-    three recurrences:
+    B = L L^T with L lower bidiagonal, diagonal l_k and g_{k-1} below it.
+    The pivots l_k^2 are L_{k+1}/L_k (`_leads`), each rounded once, so B is
+    definite exactly when every L_m > 0, which a co-recursion, changing A
+    alone, cannot alter; else, or when a pivot is below the float range,
+    this gives None.  A definite pencil's eigenvalues are real, and simple
+    as zB - A is unreduced at each.  They are those of the Hermitian
+    C = L^-1 A L^-H.  Forward substitution gives the rows of L^-1 as
+    r_k = e_k / l_k - h_k r_{k-1}, h_k = g_{k-1} / l_k, and as A is
+    tridiagonal, C_kk = r_k A r_k^H and C_kj = r_k A r_j^H follow three
+    recurrences:
 
         C_kk      = h_k^2 C_{k-1,k-1} + A_kk / l_k^2,
         C_{k,k-1} = -h_k C_{k-1,k-1} + A_{k,k-1} / (l_k l_{k-1}),
@@ -116,30 +140,29 @@ def _pencil_seeds(scheme, pert, n):
 
     if n < 1 or scheme.kind == "general":
         return None
+    (lead,), dens = _leads(scheme, pert, n, ("first",))
+    if min(lead) <= 0:
+        return None
     special = scheme.kind == "special"
     try:
         rho = [float(scheme.rho(m)) for m in range(n)]
         center = [float(pert.center(scheme, m)) for m in range(n)]
         lam = [float(pert.coefficient(scheme, m)) for m in range(1, n)]
         omega = float(scheme.omega) if special else 0.0
-    except OverflowError:       # a Fraction beyond the float range
-        return None
-    if not (min(rho) > 0 and all(v > 0 for v in lam) and math.isfinite(omega)):
-        return None
-    l = math.sqrt(rho[0])
-    diag, sub, minus_h = [center[0]], [], [0.0]
-    for k in range(1, n):
-        root = math.sqrt(lam[k - 1])
-        g = root / l if special else 0.0
-        pivot = rho[k] - g * g
-        if not pivot > 0:
+        if not all(v > 0 for v in lam):
             return None
-        l_prev, l = l, math.sqrt(pivot)
-        h = g / l
-        below = -1j * omega * root if special else -root      # A_{k,k-1}
-        sub.append(below / (l * l_prev) - h * diag[-1])
-        diag.append(h * h * diag[-1] + rho[k] * center[k] / pivot)
-        minus_h.append(-h)
+        pivot = [quotient(lead[k + 1] * dens[k], lead[k] * dens[k + 1]) for k in range(n)]
+        l = [math.sqrt(d) for d in pivot]
+        diag, sub, minus_h = [center[0]], [], [0.0]
+        for k in range(1, n):
+            root = math.sqrt(lam[k - 1])
+            h = root / l[k - 1] / l[k] if special else 0.0
+            below = -1j * omega * root if special else -root      # A_{k,k-1}
+            sub.append(below / (l[k] * l[k - 1]) - h * diag[-1])
+            diag.append(h * h * diag[-1] + rho[k] * center[k] / pivot[k])
+            minus_h.append(-h)
+    except (OverflowError, ZeroDivisionError):     # beyond the float range, or below
+        return None
     c = np.where(np.tri(n, n, -2, dtype=bool), np.array(minus_h)[:, None],
                  1 + 0j if special else 1.0)
     c.flat[n::n + 1] = sub
@@ -155,13 +178,13 @@ def _pencil_seeds(scheme, pert, n):
     return seeds.tolist() if np.isfinite(seeds).all() else None
 
 
-def _polished_zeros(poly, dpoly, seeds=None):
+def _polished_zeros(poly, dpoly, seeds):
     """(zeros, dpoly's enclosure at each) of poly, of degree n >= 1 with a real
     leading coefficient, and its derivative dpoly: the one Newton loop.
 
     The zeros are n sorted, pairwise distinct floats, or this raises.  Newton
-    starts from seeds, n floats, or from `_companion_seeds(poly)` when they
-    are None, and polishes each by steps P(x)/P'(x), each the exact ratio
+    starts from seeds, n floats the caller chooses, and polishes each by
+    steps P(x)/P'(x), each the exact ratio
     rounded once, to its fixed point, where a step leaves x unchanged;
     P'(x) = 0, 40 steps without one or two equal zeros raise
     DegeneracyError.  Each zero hands on the enclosure its last step read
@@ -169,9 +192,6 @@ def _polished_zeros(poly, dpoly, seeds=None):
     """
     if poly.degree < 1:
         raise ValueError("need a nonconstant polynomial")
-    if seeds is None:
-        seeds = _companion_seeds(poly)
-
     polished = []
     for x in seeds:
         for _ in range(40):
@@ -245,19 +265,19 @@ def _zeros(poly, dpoly, scheme, pert):
             return _polished_zeros(poly, dpoly, seeds)
         except DegeneracyError:     # e.g. a graded pencil: its seeds can be far off
             pass
-    return _polished_zeros(poly, dpoly)
+    return _polished_zeros(poly, dpoly, _companion_seeds(poly))
 
 
 def real_zeros(poly):
     """The zeros of poly as n sorted, pairwise distinct floats, or an error.
 
     A non-real leading coefficient is divided out first; then the zeros are
-    found from companion seeds (see `_polished_zeros`), with its errors.
+    found from companion seeds (`_companion_seeds`), with their errors.
     """
     lead = poly.leading()
     if isinstance(lead, GaussianRational):
         poly = poly * (1 / lead)
-    return _polished_zeros(poly, poly.derivative())[0]
+    return _polished_zeros(poly, poly.derivative(), _companion_seeds(poly))[0]
 
 
 def perturbed_zeros(scheme, perturbation, n):
@@ -291,25 +311,13 @@ def calibrate_m0(scheme, n):
     holds.
 
     The leading coefficients of the unperturbed P_m (degree m) and Q_m
-    (degree m-1) follow the recurrence loop on scalars,
-    L_{m+1} = rho_m L_m - lam_m L_{m-1}, without the lam term for oprl
-    (there W_m = 1 lowers the degree instead of keeping it).  It runs on
-    integers, scaled as the families are (`sequences.scaled_steps`): step m
-    by s_m, the lcm of the denominators of rho_m and lam_m, so V_m = D_m L_m
-    with D_m the product of the scales before m.  Both kinds share D_m,
-    which cancels from lead(Q_m)/lead(P_m) = V^Q_m / V^P_m, and M_0 is one
-    Fraction.
+    (degree m-1) are the exact chain `_leads`, V_m = D_m L_m.  Both kinds
+    share D_m, which cancels from lead(Q_m)/lead(P_m) = V^Q_m / V^P_m, and
+    M_0 is one Fraction.
     """
     if n < 1:
         raise ValueError("calibration needs n >= 1, got %d" % n)
-    lam = scheme.lam if scheme.kind != "oprl" else (lambda m: 0)
-    # the first-kind step 0 has no lam term
-    a, b, _, (one_p, one_q) = scaled_steps(
-        (clear(*scheme.rho(m).as_integer_ratio(),
-               *(lam(m) if m else 0).as_integer_ratio()) for m in range(n + 1)),
-        ("first", "second"), 0)
-    lead_p = iterate(a.__getitem__, b.__getitem__, "first", n + 1, 0, one_p)
-    lead_q = iterate(a.__getitem__, b.__getitem__, "second", n + 1, 0, one_q)
+    (lead_p, lead_q), _ = _leads(scheme, Perturbation.none(), n + 1, ("first", "second"))
     for m in (n + 1, n):
         if lead_p[m] == 0 or lead_q[m] == 0:
             raise DegeneracyError("M_0 calibration failed: the leading coefficient of the "

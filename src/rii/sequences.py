@@ -23,12 +23,12 @@ perturbed only below a level.
 `cleared_terms` is the only source of step terms for the families and for
 cfrac's convergents; oprl's monic families are `gen_first_kind` over a monic
 view of the scheme (`oprl._monic_view`), transfer's step matrices use
-`center_term` and `weight_term`, and quadrature's M_0 calibration runs
-`iterate` on scalars.
+`center_term` and `weight_term`, and quadrature's chain of leading
+coefficients runs `iterate` on integers.
 
 Every family is one scaled loop: the step list is built once and each
 requested kind is iterated over it, fraction-free in the manner of Bareiss.
-Step m is scaled by s_m (`cleared_terms`, then `scaled_steps`), so that
+Step m is scaled by s_m (`cleared_terms`), so that
 
     v_{i+1} = (s_m a_m) v_i - (s_m s_{m-1} b_m) v_{i-1},   v_i = D_i u_i,
 
@@ -152,26 +152,6 @@ def clear(an, ad, bn, bd):
     return s, an * (s // ad), bn * (s // bd)
 
 
-def scaled_steps(terms, kinds, shift):
-    """The scaled loop's steps from terms, one (s_m, s_m a_m, s_m b_m) per step
-    m = shift, shift + 1, ... (see the module docstring).
-
-    Returns (a, b, dens, starts): s_m a_m and s_m s_{m-1} b_m as dicts keyed
-    by m, the products D_0, D_1, ... of the scales, and the start `iterate`
-    takes for each kind in kinds (v_1 = s_shift for the second kind, 1 for
-    the first).
-    """
-    a, b, dens = {}, {}, [1]
-    prev = 1                     # s_{m-1}
-    for m, (s, sa, sb) in enumerate(terms, shift):
-        a[m] = sa
-        b[m] = sb if prev == 1 else sb * prev
-        dens.append(dens[-1] * s)
-        prev = s
-    starts = [dens[1] if kind == "second" and len(dens) > 1 else 1 for kind in kinds]
-    return a, b, dens, starts
-
-
 def iterate(a, b, kind, n, shift=0, one=1, zero=0):
     """u_0..u_n of u_{i+1} = a(m) u_i - b(m) u_{i-1}, m = shift + i, as a list.
 
@@ -207,10 +187,14 @@ def _families(scheme, pert, kinds, shift, n, z, indices=None):
     docstring).  Each kind is a list of n + 1 slots in which only the u_i at
     indices (all when None) are read back; the other slots hold None."""
     pert = pert or Perturbation.none()
-    # iterate skips b at the first-kind step 0, so it is not queried here
-    a, b, dens, starts = scaled_steps(
-        (cleared_terms(scheme, pert, m, m if m > shift else None, z)
-         for m in range(shift, shift + n)), kinds, shift)
+    a, b, dens, prev = {}, {}, [1], 1       # s_m a_m, s_m s_{m-1} b_m, D_i, s_{m-1}
+    for m in range(shift, shift + n):
+        # iterate skips b at the first-kind step 0, so it is not queried here
+        s, a[m], sb = cleared_terms(scheme, pert, m, m if m > shift else None, z)
+        b[m] = sb if prev == 1 else sb * prev
+        dens.append(dens[-1] * s)
+        prev = s
+    starts = [dens[1] if kind == "second" and n > 0 else 1 for kind in kinds]
     zero = 0
     if z is not None:
         def value(v, i):

@@ -22,11 +22,12 @@ from rii import (
     exactness_check,
     gen_both_kinds,
     gen_first_kind,
+    perturbed_zeros,
     real_zeros,
     weights_moment_formula,
     weights_second_kind,
 )
-from rii.quadrature import _pencil_seeds, _polished_zeros
+from rii.quadrature import _companion_seeds, _leads, _pencil_seeds, _polished_zeros
 from rii.sequences import family_ends
 from rii.suites import random_perturbation, random_scheme
 from rii.tables import load_fixture
@@ -162,7 +163,7 @@ def _draw_definite_pencil(data, n):
 
 def _polish_bits(p, dp, seeds):
     try:
-        return [float.hex(x) for x in _polished_zeros(p, dp, seeds)[0]]
+        return [float.hex(x) for x in _polished_zeros(p, dp, seeds())[0]]
     except RiiError:
         return "refused"
 
@@ -178,7 +179,7 @@ def test_pencil_and_companion_seeds_polish_to_the_same_zeros(n, data):
     p = family_ends(scheme, pert, n, ("first",))[0]
     assert p.degree == n     # lead(P*_n) = det B > 0
     dp = p.derivative()
-    assert _polish_bits(p, dp, seeds) == _polish_bits(p, dp, None)
+    assert _polish_bits(p, dp, lambda: seeds) == _polish_bits(p, dp, lambda: _companion_seeds(p))
 
 
 def test_the_pencil_has_seeds_only_where_it_is_definite(cauchy):
@@ -195,6 +196,7 @@ def test_the_pencil_has_seeds_only_where_it_is_definite(cauchy):
             (general, none),
             (CoefficientScheme.special(1, 0, -1, 1), none),         # lam <= 0
             (CoefficientScheme.oprl([1, 0] + [1] * n, 0, 1), none),   # rho <= 0
+            (CoefficientScheme.oprl(Fraction("1e-400"), 0, 1), none),  # pivots round to 0
             (cauchy, Perturbation.corec(2, Fraction(10) ** 400))]:    # c* not a float
         assert _pencil_seeds(scheme, pert, n) is None
     # criterion 10: nu_1 = 2.12 keeps B definite through n = 17, and at n = 18,
@@ -203,17 +205,71 @@ def test_the_pencil_has_seeds_only_where_it_is_definite(cauchy):
     assert _pencil_seeds(cauchy, Perturbation.codil(1, Fraction("2.12")), 18) is None
 
 
+def test_the_lead_chain_is_the_families_leading_coefficients():
+    # V_m / D_m is the coefficient of z^m in P*_m and of z^(m-1) in Q*_m, for
+    # every scheme kind and perturbation the suites draw
+    rng = random.Random(5)
+    for _ in range(1500):
+        n = rng.randint(1, 12)
+        scheme = random_scheme(rng, n + 2)
+        pert = random_perturbation(rng, n)
+        p, q = family_ends(scheme, pert, n)
+        (lead_p, lead_q), dens = _leads(scheme, pert, n, ("first", "second"))
+        assert Fraction(lead_p[n], dens[n]) == p[n]
+        assert Fraction(lead_q[n], dens[n]) == q[n - 1]
+
+
+def _non_positive_ratios(scheme, pert, n):
+    (lead,), _ = _leads(scheme, pert, n, ("first",))
+    return sum(u * v <= 0 for u, v in zip(lead, lead[1:]))
+
+
+def test_the_lead_chain_decides_criterion_10(cauchy):
+    # nu_1 = 2.12 keeps every pivot L_{m+1}/L_m of B positive through n = 17;
+    # from n = 18 on exactly one is negative, and P*_n has a conjugate pair
+    pert = Perturbation.codil(1, Fraction("2.12"))
+    assert [_non_positive_ratios(cauchy, pert, n) for n in (17, 18, 30, 60, 84)] == \
+        [0, 1, 1, 1, 1]
+    # k' = 1, nu = 12/5 cancels the lead of P*_6: V_6 = 0 is the degree drop
+    (lead,), _ = _leads(cauchy, Perturbation.codil(1, Fraction(12, 5)), 6, ("first",))
+    assert lead[6] == 0 and min(lead[:6]) > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_a_positive_lead_chain_has_a_rule_for_any_co_recursion(n, data):
+    # every L_m > 0 makes the pencil Hermitian-definite, and a co-recursion
+    # changes A alone: P*_n has n simple real zeros, and they are found
+    scheme, pert = _draw_definite_pencil(data, n)
+    k = data.draw(st.integers(0, n))
+    mu = data.draw(st.fractions(-1000, 1000, max_denominator=50))
+    pert = Perturbation(k=k, mu=mu, kp=pert.kp, nu=pert.nu)
+    (lead,), _ = _leads(scheme, pert, n, ("first",))
+    assume(min(lead) > 0)
+    zeros = perturbed_zeros(scheme, pert, n)
+    assert len(zeros) == n and all(a < b for a, b in zip(zeros, zeros[1:]))
+
+
+def test_two_seeds_that_polish_to_one_zero_are_refused(cauchy):
+    # P_3 has zeros -1, 0 and 1; the seeds 1.5 and 1.6 both polish to 1
+    p = family_ends(cauchy, None, 3, ("first",))[0]
+    with pytest.raises(DegeneracyError, match="nodes must be strictly increasing"):
+        _polished_zeros(p, p.derivative(), [1.5, 1.6, -1.7])
+
+
 @pytest.mark.parametrize("mu, n", [("1e200", 4), ("1e20", 10)])
 def test_a_graded_pencil_falls_back_to_the_companion_matrix(cauchy, mu, n):
-    # mu = 1e200 leaves seeds near 1e183 whose polish fails, and mu = 1e20
-    # polishes two seeds to one zero: the companion seeds build both rules
+    # a graded pencil's eigenvalues can be far off: mu = 1e200 leaves seeds
+    # near 1e183, mu = 1e20 seeds thousands away from the zeros, and polish
+    # fails from both.  The companion seeds build both rules
     pert = Perturbation.corec(0, Fraction(mu))
     p = family_ends(cauchy, pert, n, ("first",))[0]
     seeds = _pencil_seeds(cauchy, pert, n)
     assert seeds is not None
     with pytest.raises(DegeneracyError):
         _polished_zeros(p, p.derivative(), seeds)
-    assert list(build_rule(cauchy, pert, n).nodes) == _polished_zeros(p, p.derivative())[0]
+    assert list(build_rule(cauchy, pert, n).nodes) == \
+        _polished_zeros(p, p.derivative(), _companion_seeds(p))[0]
 
 
 def test_calibrated_mass_is_one_half(cauchy):
@@ -306,11 +362,12 @@ def test_jittered_seeds_give_the_same_nodes(cauchy, pert, monkeypatch):
     for n in (10, 40, 100):
         p, _ = family_ends(cauchy, pert, n)
         dp = p.derivative()
-        nodes = [float.hex(x) for x in _polished_zeros(p, dp)[0]]
+        nodes = [float.hex(x) for x in _polished_zeros(p, dp, _companion_seeds(p))[0]]
         for _ in range(3):
             monkeypatch.setattr(np, "roots", lambda coeffs: (
                 roots(coeffs) * (1 + rng.uniform(-1e-9, 1e-9, len(coeffs) - 1))))
-            assert [float.hex(x) for x in _polished_zeros(p, dp)[0]] == nodes
+            jittered = _polished_zeros(p, dp, _companion_seeds(p))[0]
+            assert [float.hex(x) for x in jittered] == nodes
             monkeypatch.undo()
 
 
@@ -406,15 +463,15 @@ def test_each_family_is_generated_once_per_rule(cauchy, monkeypatch):
     import rii.sequences as sequences
 
     calls = _counting(monkeypatch, quadrature, ("family_ends",))
-    steps = _counting(monkeypatch, sequences, ("scaled_steps", "cleared_terms"))
+    steps = _counting(monkeypatch, sequences, ("_families", "cleared_terms"))
     pert = Perturbation.both(2, Fraction(1, 100), 6, Fraction(251, 250))
     build_rule(cauchy, pert, 12)
     # one list of step terms, one term per step, serves both families
     assert calls == {"family_ends": 1}
-    assert steps == {"scaled_steps": 1, "cleared_terms": 12}
+    assert steps == {"_families": 1, "cleared_terms": 12}
     calibrate_m0(cauchy, 40)
     assert calls == {"family_ends": 1}
-    assert steps == {"scaled_steps": 1, "cleared_terms": 12}
+    assert steps == {"_families": 1, "cleared_terms": 12}
 
 
 @pytest.mark.parametrize("n", [12, 40, 100])
@@ -426,7 +483,7 @@ def test_reused_enclosures_give_the_same_weights(cauchy, n):
     rule = build_rule(cauchy, pert, n)
     p, q = family_ends(cauchy, pert, n)
     dp = p.derivative()
-    nodes, boxes = _polished_zeros(p, dp)
+    nodes, boxes = _polished_zeros(p, dp, _companion_seeds(p))
     assert nodes == list(rule.nodes)
     assert all(box is not None and box == dp.enclose(x) for x, box in zip(nodes, boxes))
     assert weights_second_kind(rule.nodes, rule.m0, q, dp) == list(rule.weights)
@@ -492,8 +549,9 @@ def test_boundary_errors(cauchy):
             build_rule(cauchy, None, n)
         with pytest.raises(ValueError):
             calibrate_m0(cauchy, n)
-    with pytest.raises(ValueError):
-        gen_first_kind(cauchy, None, -1)
+    for generate in (gen_first_kind, gen_both_kinds):
+        with pytest.raises(ValueError):
+            generate(cauchy, None, -1)
     with pytest.raises(DegeneracyError):
         QuadratureRule(n=2, nodes=(1.0, 1.0), weights=(0.5, 0.5),
                        perturbation=Perturbation.none(), m0=Fraction(1, 2))

@@ -147,12 +147,13 @@ def test_transfer_suite_builds_two_families_per_instance(monkeypatch):
     # one plain and one perturbed family, each one list of steps, serve both
     # residuals of an instance
     calls = []
-    scaled_steps = rii.sequences.scaled_steps
+    families = rii.sequences._families
 
     def counted(*args):
         calls.append(args)
-        return scaled_steps(*args)
+        return families(*args)
 
-    monkeypatch.setattr(rii.sequences, "scaled_steps", counted)
+    for module in (rii.sequences, rii.transfer):
+        monkeypatch.setattr(module, "_families", counted)
     result = run_suite("transfer", seed=3, instances=6)
     assert result.ok() and len(calls) == 2 * 6

@@ -49,19 +49,7 @@ class SingularReductionError(RiiError):
 
 
 class ComplexZerosError(RiiError):
-    """Root extraction found zeros off the real line; quadrature is aborted.
-
-    `pairs` lists the non-real zeros found; a refusal on exact evidence alone
-    (a non-real coefficient ratio) lists none and carries its own message.
-    """
-
-    def __init__(self, pairs, message=None):
-        self.pairs = list(pairs)
-        if message is None:
-            shown = ", ".join("%.6g%+.6gj" % (z.real, z.imag) for z in self.pairs)
-            message = ("%d complex zero(s) detected, no real quadrature rule exists: %s"
-                       % (len(self.pairs), shown))
-        super().__init__(message)
+    """A zero is not real, on exact evidence; no real quadrature rule exists."""
 
 
 class DegeneracyError(RiiError):

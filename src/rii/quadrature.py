@@ -35,8 +35,9 @@ The nodes are n sorted, pairwise distinct floats, or there is no rule:
 P*_n is the determinant of a tridiagonal pencil zB - A; where every L_m > 0
 it is Hermitian-definite (`_pencil_seeds`), and its eigenvalues, all real,
 seed the rule's Newton.  Elsewhere, and where their polish fails, the seeds
-are the eigenvalues of the companion matrix (`_companion_seeds`), which
-refuse non-real zeros; `real_zeros` has only the polynomial, so only those.
+are those of P*_n's Sturm chain (`_sturm_seeds`), which refuses exactly when
+a zero is not real or simple; `real_zeros` has only the polynomial, so only
+those.
 
 Every node is a binary float, and each float the rule needs -- Newton step
 P*_n/P*_n', weight M_0 Q*_n/P*_n' -- is the exact ratio at the node rounded
@@ -190,8 +191,6 @@ def _polished_zeros(poly, dpoly, seeds):
     DegeneracyError.  Each zero hands on the enclosure its last step read
     P'(x) from, so the weights need not enclose dpoly again.
     """
-    if poly.degree < 1:
-        raise ValueError("need a nonconstant polynomial")
     polished = []
     for x in seeds:
         for _ in range(40):
@@ -216,68 +215,81 @@ def _polished_zeros(poly, dpoly, seeds):
     return zeros, [box for _, box in polished]
 
 
-def _companion_seeds(poly):
-    """The companion eigenvalues of poly as floats, or an error.
+def _sturm_seeds(poly):
+    """The zeros of poly (degree n >= 1, real lead) as n sorted floats from its
+    Sturm chain, or an exact refusal.
 
-    numpy gets 2^k P, its lead in [1, 2) and each coefficient rounded once
-    (+-inf, refused, beyond the float range), and divides by the lead, where
-    2^k cancels.  A real matrix's real eigenvalues have imaginary part 0;
-    ComplexZerosError lists the others, and is raised whenever a coefficient
-    is not real: over a real lead that is a non-real ratio, which a product
-    of real factors (z - x_j) cannot have, and the error names it when every
-    seed is real.  lead(P*_n) is real, as L_{m+1} = rho_m L_m - lam*_m L_{m-1}
-    with W_m monic (no lam term for oprl).
+    A non-real coefficient over the real lead is a non-real ratio, which no
+    product of real factors (z - x_j) has.  Else the primitive integer
+    pseudo-remainders from a = P, b = P' (Collins 1967), each c in
+    |lc b|^2 a = (q_1 x + q_0) b - g c with g > 0 following b, drop the degree
+    by one with lead(P)'s sign down to a constant iff the n zeros are real and
+    simple (Sturm).  Then they are the eigenvalues of the chain's Jacobi
+    matrix (Wall 1948): the centers -q_0/q_1 on its diagonal and
+    sqrt(g lc(c)/(lc(b)^2 lc(a))) beside it.  A zero remainder before a
+    constant is gcd(P, P') != 1: a repeated zero.
     """
     import numpy as np   # only root finding needs it: other commands start without it
 
-    den = poly.denominator or 1     # None: the numerators are exact scalars, not ints
-    top, bottom = abs(poly.numerators[-1].numerator), poly.numerators[-1].denominator * den
-    k = bottom.bit_length() - top.bit_length()
-    k += top << max(k, 0) < bottom << max(-k, 0)        # 2^k lead in [1, 2)
-    up, down = max(k, 0), max(-k, 0)
-    coeffs = [complex(a * Fraction(2) ** k) if isinstance(a, GaussianRational)
-              else quotient(a.numerator << up, a.denominator * den << down)
-              for a in reversed(poly.numerators)]
-    try:    # inf never reaches numpy, whose complex division would warn on it
-        raw = np.roots(coeffs) if np.isfinite(coeffs).all() else None
-    except np.linalg.LinAlgError:   # eigvals did not converge
-        raw = None
-    if raw is None or not np.isfinite(raw).all():
-        raise _out_of_float_range(poly)
-    seeds = [complex(r) for r in raw]
-    off_axis = [r for r in seeds if r.imag]
-    if off_axis:
-        raise ComplexZerosError(sorted(off_axis, key=lambda v: (v.real, v.imag)))
-    if poly.denominator is None:
+    if poly.denominator is None:    # the numerators are exact scalars, not ints
         j = next(j for j, a in enumerate(poly.numerators) if isinstance(a, GaussianRational))
-        raise ComplexZerosError([], "the ratio of the x^%d coefficient to the real leading "
+        raise ComplexZerosError("the ratio of the x^%d coefficient to the real leading "
                                 "coefficient is not real, so a zero is not real: no real "
                                 "quadrature rule exists" % j)
-    return [r.real for r in seeds]
+    if poly.degree < 1:
+        raise ValueError("need a nonconstant polynomial")
+    a = list(poly.numerators)
+    b = [j * u for j, u in enumerate(a)][1:]
+    diag, beside = [], []
+    try:
+        while True:
+            lb, la = b[-1], a[-1]           # both of lead(P)'s sign
+            t = [lb * u - la * v for u, v in zip(a, [0] + b)][:-1]     # lb a - la x b
+            r = [lb * u - t[-1] * v for u, v in zip(t, b)][:-1]       # lb t - q_0 b
+            diag.append(-t[-1] / (lb * la))          # q_1 = lb la
+            if not r:       # b is a constant: the chain is complete
+                break
+            if not any(r):
+                raise DegeneracyError("P*_%d has a repeated zero: two nodes coincide"
+                                      % poly.degree)
+            if r[-1] == 0 or (r[-1] < 0) != (la > 0):
+                raise ComplexZerosError("P*_%d has complex zeros: no real quadrature rule "
+                                        "exists" % poly.degree)
+            g = math.gcd(*r)
+            b, a = [-u // g for u in r], b
+            square = Fraction(g * abs(b[-1]), lb * lb * abs(la))    # may pass 1e308
+            half = (square.numerator.bit_length() - square.denominator.bit_length()) // 2
+            beside.append(math.ldexp(math.sqrt(square / Fraction(4) ** half), half))
+    except OverflowError:
+        raise _out_of_float_range(poly) from None
+    seeds = np.linalg.eigvalsh(np.diag(diag) + np.diag(beside, -1))
+    if not np.isfinite(seeds).all():
+        raise _out_of_float_range(poly)
+    return seeds.tolist()
 
 
 def _zeros(poly, dpoly, scheme, pert):
     """`_polished_zeros` of P*_n = poly from the pencil's seeds, and from the
-    companion matrix where there are none or their polish fails."""
+    Sturm chain's where there are none or their polish fails."""
     seeds = _pencil_seeds(scheme, pert, poly.degree)
     if seeds is not None:
         try:
             return _polished_zeros(poly, dpoly, seeds)
         except DegeneracyError:     # e.g. a graded pencil: its seeds can be far off
             pass
-    return _polished_zeros(poly, dpoly, _companion_seeds(poly))
+    return _polished_zeros(poly, dpoly, _sturm_seeds(poly))
 
 
 def real_zeros(poly):
     """The zeros of poly as n sorted, pairwise distinct floats, or an error.
 
     A non-real leading coefficient is divided out first; then the zeros are
-    found from companion seeds (`_companion_seeds`), with their errors.
+    found from the Sturm chain's seeds (`_sturm_seeds`), with its refusals.
     """
     lead = poly.leading()
     if isinstance(lead, GaussianRational):
         poly = poly * (1 / lead)
-    return _polished_zeros(poly, poly.derivative(), _companion_seeds(poly))[0]
+    return _polished_zeros(poly, poly.derivative(), _sturm_seeds(poly))[0]
 
 
 def perturbed_zeros(scheme, perturbation, n):

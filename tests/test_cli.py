@@ -321,12 +321,12 @@ def test_malformed_config_exits_one(tmp_path, capsys, document):
         {"rho": [1, "1/%d" % 2 ** 1060], "c": [str(2 ** 1060), 0], "lambda": [0, 1]})),
     # P*_4 has a zero at 1.6e200, where the default integrand overflows
     ("quad", "--n", "4", "--mu", "1e200"),
-    # P_2 = 10^-400 x^2 - 1: its lead underflows a float, and its constant
-    # term scaled to lead 1 overflows one; rho < 0 leaves no definite pencil,
-    # so the companion matrix is tried, and there is no 0-node rule
-    ("zeros", "--n", "2", "--scheme", '{"rho": "-1e-200", "c": 0, "lambda": 1}'),
+    # P_2 = 10^-800 x^2 - 1: its lead underflows a float, and its zeros
+    # +-1e400 are beyond the float range; rho < 0 leaves no definite pencil,
+    # so the Sturm chain is tried, and there is no 0-node rule
+    ("zeros", "--n", "2", "--scheme", '{"rho": "-1e-400", "c": 0, "lambda": 1}'),
     ("quad", "--n", "2", "--integrand", "1", "--scheme",
-     '{"rho": "-1e-200", "c": 0, "lambda": 1}'),
+     '{"rho": "-1e-400", "c": 0, "lambda": 1}'),
 ])
 @pytest.mark.filterwarnings("error")    # nor a warning
 def test_domain_failures_exit_one_without_traceback(capsys, argv):

@@ -27,7 +27,7 @@ from rii import (
     weights_moment_formula,
     weights_second_kind,
 )
-from rii.quadrature import _companion_seeds, _leads, _pencil_seeds, _polished_zeros
+from rii.quadrature import _leads, _pencil_seeds, _polished_zeros, _sturm_seeds
 from rii.sequences import family_ends
 from rii.suites import random_perturbation, random_scheme
 from rii.tables import load_fixture
@@ -50,7 +50,11 @@ def test_real_zeros_complex_guard(cauchy):
     assert len(real_zeros(seq[17])) == 17
     with pytest.raises(ComplexZerosError) as exc:
         real_zeros(seq[18])
-    assert exc.value.pairs
+    assert str(exc.value) == "P*_18 has complex zeros: no real quadrature rule exists"
+
+
+_NON_REAL_RATIO = ("the ratio of the x^0 coefficient to the real leading coefficient is not "
+                   "real, so a zero is not real: no real quadrature rule exists")
 
 
 def test_real_zeros_divides_out_a_non_real_lead():
@@ -60,23 +64,23 @@ def test_real_zeros_divides_out_a_non_real_lead():
 
 
 def test_non_real_coefficient_over_a_real_lead_is_refused():
-    # (x - 1)(x - 2 - 10^-12 i): a seed 10^-12 off the axis, and a non-real
-    # coefficient over lead 1 proves a non-real zero whatever the seeds say
+    # (x - 1)(x - 2 - 10^-12 i): a zero 10^-12 off the axis, and a non-real
+    # coefficient over lead 1 proves a non-real zero before any seed
     i = GaussianRational.i()
     poly = Poly((-1, 1)) * Poly((-(2 + Fraction(1, 10 ** 12) * i), 1))
     with pytest.raises(ComplexZerosError) as exc:
         real_zeros(poly)
-    assert exc.value.pairs[-1] == pytest.approx(2 + 1e-12j, abs=1e-15)
+    assert str(exc.value) == _NON_REAL_RATIO
 
 
 def test_a_non_real_coefficient_with_real_seeds_is_refused_by_name():
-    # (x - 1)(x - 2 - 10^-400 i): the imaginary parts underflow a float, so
-    # every seed is real, yet the x^0 and x^1 coefficients are not
+    # (x - 1)(x - 2 - 10^-400 i): the imaginary parts underflow a float, yet
+    # the x^0 and x^1 coefficients are not real, and the first is named
     i = GaussianRational.i()
     poly = Poly((-1, 1)) * Poly((-(2 + Fraction(1, 10 ** 400) * i), 1))
-    with pytest.raises(ComplexZerosError, match=r"the x\^0 coefficient .* is not real") as exc:
+    with pytest.raises(ComplexZerosError) as exc:
         real_zeros(poly)
-    assert exc.value.pairs == []
+    assert str(exc.value) == _NON_REAL_RATIO
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,11 +129,11 @@ def test_a_power_of_two_keeps_the_zeros(seed, n, e):
 
 
 def test_a_lead_below_the_float_range_is_no_empty_rule():
-    # P*_2 = 10^-400 x^2 - 1: its lead underflows a float; scaled to lead 1,
-    # its constant term 10^400 is beyond the float range.  rho < 0 leaves B
-    # of the pencil indefinite, so the companion matrix is tried, and the rule
-    # is refused rather than built with fewer than 2 nodes
-    scheme = CoefficientScheme.oprl(Fraction("-1e-200"), 0, 1)
+    # P*_2 = 10^-800 x^2 - 1: its lead underflows a float, and its zeros
+    # +-1e400 are beyond the float range.  rho < 0 leaves B of the pencil
+    # indefinite, so the Sturm chain is tried, and the rule is refused rather
+    # than built with fewer than 2 nodes
+    scheme = CoefficientScheme.oprl(Fraction("-1e-400"), 0, 1)
     assert _pencil_seeds(scheme, Perturbation.none(), 2) is None
     with pytest.raises(DegeneracyError, match="leave the float range"):
         build_rule(scheme, None, 2)
@@ -139,6 +143,18 @@ def test_a_lead_below_the_float_range_has_its_pencil_rule():
     # the same P*_2 = 10^-400 x^2 - 1 from rho = +1e-200: B = 1e-200 I, so
     # the pencil's seeds are +-1e200, its zeros, and each weight is 1/2
     scheme = CoefficientScheme.oprl(Fraction("1e-200"), 0, 1)
+    rule = build_rule(scheme, None, 2)
+    assert rule.nodes == (-1e200, 1e200)
+    assert rule.weights == (0.5, 0.5)
+
+
+def test_a_lead_below_the_float_range_has_its_sturm_rule():
+    # P*_2 = 10^-400 x^2 - 1 from rho = -1e-200: no definite pencil, but its
+    # Sturm chain is 10^-400 x^2 - 1, 2 x, 1, whose Jacobi matrix has 1e200
+    # beside its zero diagonal; the zeros +-1e200 are floats, and the rule
+    # is the pencil rule's
+    scheme = CoefficientScheme.oprl(Fraction("-1e-200"), 0, 1)
+    assert _pencil_seeds(scheme, Perturbation.none(), 2) is None
     rule = build_rule(scheme, None, 2)
     assert rule.nodes == (-1e200, 1e200)
     assert rule.weights == (0.5, 0.5)
@@ -170,16 +186,16 @@ def _polish_bits(p, dp, seeds):
 
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(1, 12), data=st.data())
-def test_pencil_and_companion_seeds_polish_to_the_same_zeros(n, data):
+def test_pencil_and_sturm_seeds_polish_to_the_same_zeros(n, data):
     # the nodes are Newton's fixed points: from the pencil's eigenvalues and
-    # from the companion matrix's they are the same floats, or both refuse
+    # from the Sturm chain's they are the same floats, or both refuse
     scheme, pert = _draw_definite_pencil(data, n)
     seeds = _pencil_seeds(scheme, pert, n)
     assume(seeds is not None)
     p = family_ends(scheme, pert, n, ("first",))[0]
     assert p.degree == n     # lead(P*_n) = det B > 0
     dp = p.derivative()
-    assert _polish_bits(p, dp, lambda: seeds) == _polish_bits(p, dp, lambda: _companion_seeds(p))
+    assert _polish_bits(p, dp, lambda: seeds) == _polish_bits(p, dp, lambda: _sturm_seeds(p))
 
 
 def test_the_pencil_has_seeds_only_where_it_is_definite(cauchy):
@@ -250,6 +266,61 @@ def test_a_positive_lead_chain_has_a_rule_for_any_co_recursion(n, data):
     assert len(zeros) == n and all(a < b for a, b in zip(zeros, zeros[1:]))
 
 
+def test_real_zeros_of_the_worked_example_beyond_n_103(cauchy):
+    # from the polynomial alone, the Sturm chain seeds the rule's nodes
+    for n in (104, 200):
+        p = family_ends(cauchy, None, n, ("first",))[0]
+        assert real_zeros(p) == perturbed_zeros(cauchy, None, n)
+
+
+def test_the_sturm_chain_decides_a_conjugate_pair(cauchy):
+    # mu = -3 at k = 0 with nu = 2.12 at k' = 1: B is indefinite from n = 18
+    # on, yet every zero of P*_83 is real; at n = 84 a pair leaves the axis
+    pert = Perturbation.both(0, Fraction(-3), 1, Fraction("2.12"))
+    assert _pencil_seeds(cauchy, pert, 83) is None
+    p = family_ends(cauchy, pert, 83, ("first",))[0]
+    assert all(is_correctly_rounded_zero(p, x) for x in build_rule(cauchy, pert, 83).nodes)
+    with pytest.raises(ComplexZerosError, match=r"^P\*_84 has complex zeros"):
+        build_rule(cauchy, pert, 84)
+
+
+def test_a_repeated_zero_is_refused_by_name():
+    # -(1/256) x^2 (3376x^4 + 6836x^3 - 6432x^2 - 7211x + 2636), a P*_6 of the
+    # general kind: 0 is a double zero, so gcd(P, P') is not constant
+    p = Poly((0, 0, 2636, -7211, -6432, 6836, 3376)) * Fraction(-1, 256)
+    with pytest.raises(DegeneracyError) as exc:
+        real_zeros(p)
+    assert str(exc.value) == "P*_6 has a repeated zero: two nodes coincide"
+
+
+@settings(max_examples=100, deadline=None)
+@given(roots=st.lists(st.integers(-30, 30), min_size=1, max_size=8, unique=True),
+       lead=st.integers(-5, 5).filter(bool),
+       pair=st.one_of(st.none(), st.tuples(st.integers(-9, 9), st.integers(1, 30))),
+       double=st.one_of(st.none(), st.integers(-30, 30)))
+def test_the_sturm_chain_decides_known_factorizations(roots, lead, pair, double):
+    # lead prod (x - r) over distinct integers r, times x^2 + bx + c with
+    # b^2 < 4c and a squared (x - d), each optional: a non-real pair is
+    # refused as complex zeros, else a repeated zero as coincident nodes,
+    # else the polished seeds are exactly the roots
+    poly = Poly.const(lead)
+    for r in roots:
+        poly = poly * Poly((-r, 1))
+    if pair is not None:
+        b, c = pair[0], pair[0] ** 2 // 4 + pair[1]        # b^2 < 4c
+        poly = poly * Poly((c, b, 1))
+    if double is not None:
+        poly = poly * Poly((-double, 1)) ** 2
+    if pair is not None:
+        with pytest.raises(ComplexZerosError):
+            real_zeros(poly)
+    elif double is not None:
+        with pytest.raises(DegeneracyError, match="repeated zero"):
+            real_zeros(poly)
+    else:
+        assert real_zeros(poly) == sorted(map(float, roots))
+
+
 def test_two_seeds_that_polish_to_one_zero_are_refused(cauchy):
     # P_3 has zeros -1, 0 and 1; the seeds 1.5 and 1.6 both polish to 1
     p = family_ends(cauchy, None, 3, ("first",))[0]
@@ -257,19 +328,21 @@ def test_two_seeds_that_polish_to_one_zero_are_refused(cauchy):
         _polished_zeros(p, p.derivative(), [1.5, 1.6, -1.7])
 
 
-@pytest.mark.parametrize("mu, n", [("1e200", 4), ("1e20", 10)])
-def test_a_graded_pencil_falls_back_to_the_companion_matrix(cauchy, mu, n):
+@pytest.mark.parametrize("mu, n", [("1e200", 4), ("1e20", 10), ("1e200", 10), ("1e200", 30)])
+def test_a_graded_pencil_falls_back_to_the_sturm_chain(cauchy, mu, n):
     # a graded pencil's eigenvalues can be far off: mu = 1e200 leaves seeds
-    # near 1e183, mu = 1e20 seeds thousands away from the zeros, and polish
-    # fails from both.  The companion seeds build both rules
+    # near 1e183-1e184, mu = 1e20 seeds thousands away from the zeros, and
+    # polish fails from all.  The Sturm chain's seeds build every rule, and
+    # each node is the correctly rounded zero
     pert = Perturbation.corec(0, Fraction(mu))
     p = family_ends(cauchy, pert, n, ("first",))[0]
     seeds = _pencil_seeds(cauchy, pert, n)
     assert seeds is not None
     with pytest.raises(DegeneracyError):
         _polished_zeros(p, p.derivative(), seeds)
-    assert list(build_rule(cauchy, pert, n).nodes) == \
-        _polished_zeros(p, p.derivative(), _companion_seeds(p))[0]
+    nodes = list(build_rule(cauchy, pert, n).nodes)
+    assert nodes == _polished_zeros(p, p.derivative(), _sturm_seeds(p))[0]
+    assert all(is_correctly_rounded_zero(p, x) for x in nodes)
 
 
 def test_calibrated_mass_is_one_half(cauchy):
@@ -353,22 +426,18 @@ def test_nodes_are_correctly_rounded_zeros(cauchy, pert, sizes):
 
 
 @pytest.mark.parametrize("pert", _LADDER_SHAPES, ids=("corec", "codil", "both"))
-def test_jittered_seeds_give_the_same_nodes(cauchy, pert, monkeypatch):
+def test_jittered_seeds_give_the_same_nodes(cauchy, pert):
     # the nodes are Newton's fixed points, not an accident of the seeds: seeds
     # moved by up to 1e-9 (relative) polish to the same floats
-    import numpy as np
-
-    roots, rng = np.roots, np.random.default_rng(9)
+    rng = random.Random(9)
     for n in (10, 40, 100):
         p, _ = family_ends(cauchy, pert, n)
         dp = p.derivative()
-        nodes = [float.hex(x) for x in _polished_zeros(p, dp, _companion_seeds(p))[0]]
+        seeds = _sturm_seeds(p)
+        nodes = [float.hex(x) for x in _polished_zeros(p, dp, seeds)[0]]
         for _ in range(3):
-            monkeypatch.setattr(np, "roots", lambda coeffs: (
-                roots(coeffs) * (1 + rng.uniform(-1e-9, 1e-9, len(coeffs) - 1))))
-            jittered = _polished_zeros(p, dp, _companion_seeds(p))[0]
-            assert [float.hex(x) for x in jittered] == nodes
-            monkeypatch.undo()
+            jittered = [x * (1 + rng.uniform(-1e-9, 1e-9)) for x in seeds]
+            assert [float.hex(x) for x in _polished_zeros(p, dp, jittered)[0]] == nodes
 
 
 def test_zeros_far_beyond_the_coefficients_are_bracketed(cauchy):
@@ -384,14 +453,11 @@ def test_zeros_far_beyond_the_coefficients_are_bracketed(cauchy):
 @pytest.mark.parametrize("poly, cause", [(Poly((2, -2, 0, 1)), type(None)),
                                          (Poly((-1, 0, 1)), ZeroDivisionError)],
                          ids=("two-cycle", "flat-seed"))
-def test_a_polish_that_cannot_converge_is_refused(monkeypatch, poly, cause):
+def test_a_polish_that_cannot_converge_is_refused(poly, cause):
     # every seed is 0: Newton on x^3 - 2x + 2 cycles 0 -> 1 -> 0 through all
     # its steps, and (x - 1)(x + 1) has P'(0) = 0 exactly
-    import numpy as np
-
-    monkeypatch.setattr(np, "roots", lambda coeffs: np.zeros(len(coeffs) - 1))
     with pytest.raises(DegeneracyError, match="root polish failed near x = 0$") as info:
-        real_zeros(poly)
+        _polished_zeros(poly, poly.derivative(), [0.0] * poly.degree)
     assert isinstance(info.value.__context__, cause)
 
 
@@ -483,7 +549,7 @@ def test_reused_enclosures_give_the_same_weights(cauchy, n):
     rule = build_rule(cauchy, pert, n)
     p, q = family_ends(cauchy, pert, n)
     dp = p.derivative()
-    nodes, boxes = _polished_zeros(p, dp, _companion_seeds(p))
+    nodes, boxes = _polished_zeros(p, dp, _sturm_seeds(p))
     assert nodes == list(rule.nodes)
     assert all(box is not None and box == dp.enclose(x) for x, box in zip(nodes, boxes))
     assert weights_second_kind(rule.nodes, rule.m0, q, dp) == list(rule.weights)
@@ -571,15 +637,20 @@ def test_zero_weights_are_positive_zero(cauchy):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("extra", [0, GaussianRational(0, Fraction(1, 2 ** 1080))],
-                         ids=("rational", "gaussian"))
-def test_zeros_beyond_the_float_range_are_refused(extra):
+@pytest.mark.parametrize("extra, error, message", [
+    (0, DegeneracyError, "the zeros of P*_2 leave the float range: a coefficient, a root or "
+                         "a Newton step is not finite"),
+    (GaussianRational(0, Fraction(1, 2 ** 1080)), ComplexZerosError, _NON_REAL_RATIO)],
+    ids=("rational", "gaussian"))
+def test_zeros_beyond_the_float_range_are_refused(extra, error, message):
     # 1 + x + 2^-1060 x^2 has a zero near -2^1060, beyond the float range: the
-    # scaled x coefficient 2^1060 is inf.  A non-real constant term
-    # 1 + 2^-1080 i meets the same refusal, and neither gives a warning
+    # Sturm chain's center -q_0/q_1 there is not a float.  A non-real constant
+    # term 1 + 2^-1080 i is refused first, on its non-real ratio, and neither
+    # gives a warning
     poly = Poly.from_integers([2 ** 1060, 2 ** 1060, 1], 2 ** 1060) + extra
-    with pytest.raises(DegeneracyError, match="leave the float range"):
+    with pytest.raises(error) as exc:
         real_zeros(poly)
+    assert str(exc.value) == message
 
 
 def test_vanishing_slope_is_a_degeneracy():

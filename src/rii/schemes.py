@@ -179,17 +179,24 @@ class CoefficientScheme:
 
     @staticmethod
     def from_dict(data):
-        """Inverse of to_dict; data that is not a scheme raises ValueError naming it."""
+        """Inverse of to_dict; data that is not a scheme raises ValueError naming it.
+
+        The kind follows from the fields: omega makes it special, nodes
+        general, neither oprl.  A "kind" entry (null counts as absent) must
+        name that same kind."""
         if not isinstance(data, dict) or not {"rho", "c", "lambda"} <= data.keys():
             raise ValueError("a scheme is an object with 'rho', 'c' and 'lambda'")
+        omega, nodes, kind = data.get("omega"), data.get("nodes"), data.get("kind")
+        inferred = "special" if omega is not None else "general" if nodes is not None else "oprl"
         try:
-            if data.get("omega") is not None:
-                return CoefficientScheme.special(data["rho"], data["c"], data["lambda"],
-                                                 data["omega"])
-            if data.get("nodes") is not None:
-                return CoefficientScheme.general(data["rho"], data["c"], data["lambda"],
-                                                 data["nodes"])
-            return CoefficientScheme.oprl(data["rho"], data["c"], data["lambda"])
+            if omega is not None and nodes is not None:
+                raise ValueError("a scheme has omega or nodes, not both")
+            if kind is not None and kind != inferred:
+                if kind not in ("general", "special", "oprl"):
+                    raise ValueError("unknown scheme kind %r" % (kind,))
+                raise ValueError("kind %r %s" % (kind, _KIND_FIELDS[kind]))
+            return CoefficientScheme(data["rho"], data["c"], data["lambda"], inferred,
+                                     omega=omega, nodes=nodes)
         except (TypeError, ValueError) as exc:
             raise ValueError("malformed scheme: %s" % exc) from None
 
@@ -199,6 +206,11 @@ class CoefficientScheme:
     @staticmethod
     def from_json(text):
         return CoefficientScheme.from_dict(json.loads(text))
+
+
+# what a scheme dict of each kind holds besides rho, c and lambda
+_KIND_FIELDS = {"special": "needs omega", "general": "needs nodes",
+                "oprl": "takes neither omega nor nodes"}
 
 
 def _require_fields(record, name, fields):
@@ -312,16 +324,17 @@ class Perturbation:
         """Inverse of to_dict; data that is not an object, a part (corec or
         codil) that is not an object with both its fields, a level that is not
         an integer, or a mu or nu that is not a rational, raises ValueError
-        naming it (name, name.corec, name.k, name.mu, ...)."""
+        naming it (name, name.corec, name.k, name.mu, ...).  A null part is
+        an absent one."""
         if not isinstance(data, dict):
             raise ValueError("%s must be an object, got %r" % (name, data))
         k = mu = kp = nu = None
         corec, codil = data.get("corec"), data.get("codil")
-        if corec:
+        if corec is not None:
             _require_fields(corec, name + ".corec", ("k", "mu"))
             k = integer(corec["k"], name + ".k")
             mu = named_rational(corec["mu"], name + ".mu")
-        if codil:
+        if codil is not None:
             _require_fields(codil, name + ".codil", ("kp", "nu"))
             kp = integer(codil["kp"], name + ".kp")
             nu = named_rational(codil["nu"], name + ".nu")

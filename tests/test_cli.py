@@ -371,6 +371,22 @@ def test_a_bad_mu_or_nu_flag_exits_one_by_name(capsys, argv, flag):
     assert err.startswith("error: %s: " % flag) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("fields, message", [
+    ('"kind": "special"', "kind 'special' needs omega"),
+    ('"kind": "special", "nodes": [[0, 0]]', "kind 'special' needs omega"),
+    ('"kind": "general", "omega": 1', "kind 'general' needs nodes"),
+    ('"kind": "oprl", "omega": 1', "kind 'oprl' takes neither omega nor nodes"),
+    ('"kind": "oprl", "nodes": [[0, 0]]', "kind 'oprl' takes neither omega nor nodes"),
+    ('"kind": "cauchy", "omega": 1', "unknown scheme kind 'cauchy'"),
+    ('"kind": [1]', "unknown scheme kind [1]"),
+    ('"omega": 1, "nodes": [[0, 0]]', "a scheme has omega or nodes, not both"),
+])
+def test_a_scheme_kind_that_disagrees_with_its_fields_is_refused(capsys, fields, message):
+    scheme = '{"rho": 1, "c": 0, "lambda": "1/4", %s}' % fields
+    assert run_cli(capsys, "zeros", "--n", "3", "--scheme", scheme) == (
+        1, "", "error: malformed scheme: %s\n" % message)
+
+
 @pytest.mark.parametrize("perturbations, field", [
     # a JSON true is not a rational (TypeError) ...
     ([{"corec": {"k": 0, "mu": True}}], "perturbations[0].mu"),
@@ -398,6 +414,11 @@ def test_a_bad_mu_or_nu_in_a_config_exits_one_by_name(tmp_path, capsys, perturba
      "perturbations[1].codil lacks nu"),
     ([{"codil": [2, "1/2"]}], "perturbations[0].codil must be an object with kp and nu, "
      "got [2, '1/2']"),
+    # a falsy part is no absent one
+    ([{"corec": {}}], "perturbations[0].corec lacks k and mu"),
+    ([{"codil": []}], "perturbations[0].codil must be an object with kp and nu, got []"),
+    ([{"corec": 0}], "perturbations[0].corec must be an object with k and mu, got 0"),
+    ([{"codil": ""}], "perturbations[0].codil must be an object with kp and nu, got ''"),
 ])
 def test_a_malformed_perturbation_in_a_config_is_named(tmp_path, capsys, perturbations,
                                                       message):

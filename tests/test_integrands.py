@@ -33,11 +33,13 @@ def test_numbers_functions_constants():
     assert abs(value("sin(pi)") - 0.0) < 1e-15
     assert abs(value("cos(0)") - 1.0) < 1e-15
     assert value("x", 2.5) == 2.5
+    assert value("\u0663") == 3.0         # ARABIC-INDIC DIGIT THREE: any script's decimal digit
 
 
 def test_parse_errors_carry_positions():
     for text, pos in (("2+", 2), ("(1+2", 4), ("sin 3", 4), ("1 @ 2", 2),
-                      ("bogus(2)", 0), ("1 2", 2), ("", 0), ("   ", 0)):
+                      ("bogus(2)", 0), ("1 2", 2), ("", 0), ("   ", 0),
+                      ("2\u00b2", 1)):    # a superscript two is no digit of a literal
         with pytest.raises(ParseError) as err:
             parse_integrand(text)(0.0)
         assert err.value.pos == pos, (text, err.value.pos)
@@ -98,3 +100,18 @@ def test_the_compiled_evaluator_computes_what_python_computes(expr, x):
     compiled = parse_integrand(text)
     assert _outcome(lambda: compiled(x)) == _outcome(lambda: eval(python, {"math": math,
                                                                          "x": x}))
+
+
+# ASCII expression pieces plus a superscript two, an Arabic-Indic three, a
+# vulgar half, an accented letter, a Roman twelve, NBSP and a newline
+_PIECES = list("0123456789.eE+-*/^() x_@") + ["pi", "exp", "sin", "cos", "abs"] + list(
+    "\u00b2\u0663\u00bd\u00e9\u216b\u00a0\n")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=16).map("".join))
+def test_any_text_compiles_or_is_a_positioned_parse_error(text):
+    try:
+        parse_integrand(text)
+    except ParseError as err:
+        assert 0 <= err.pos <= len(text), (text, err.pos)

@@ -251,6 +251,67 @@ def test_the_lead_chain_decides_criterion_10(cauchy):
     assert lead[6] == 0 and min(lead[:6]) > 0
 
 
+def _first_n_without_a_rule(kp, nu):
+    """(n*, whether the bracket is an integer) of a co-dilation (kp, nu) of the
+    worked example, or None when every n keeps a rule."""
+    excess = kp * (nu - 1) - 1
+    if excess <= 0:
+        return None
+    bracket = kp + (kp + 1) / excess
+    return math.ceil(bracket), bracket.denominator == 1
+
+
+def test_co_dilation_of_the_worked_example_has_a_closed_form(cauchy):
+    """The lead chain of rho = 1, lam = 1/4 under a co-dilation (k', nu).
+
+    The pivots d_m = L_{m+1}/L_m start at d_0 = 1 and follow
+    d_m = 1 - lam*_m/d_{m-1}, so d -> 1 - 1/(4d) away from k'.  With
+    d = (t+1)/(2t) that map is t -> t + 1, and d_0 = 1 is t_0 = 1: plainly
+    t_m = m + 1 > 0, so every d_m > 0.  At k', d_{k'} = 1 - nu k'/(2(k'+1)),
+    that is t_{k'} = (k'+1)/(1 - k'(nu-1)), and t_m = t_{k'} + m - k' from
+    there on.  d <= 0 exactly when t lies in [-1, 0), and d = 0 at t = -1.
+    - nu <= 1 + 1/k': t_{k'} is positive (or infinite, the fixed point
+      d = 1/2), and so is every later t: every L_n > 0.
+    - nu > 1 + 1/k': t_{k'} < 0 rises by 1 a step, so exactly one m has
+      t_m in [-1, 0): the first m >= k' - 1 + (k'+1)/(k'(nu-1) - 1).  The
+      first non-positive lead is L_{m+1}, at
+      n* = ceil(k' + (k'+1)/(k'(nu-1) - 1)), and it is 0 (t_m = -1, the
+      degree drop) exactly when the bracket is an integer.
+    """
+    drops = 0
+    for kp in range(1, 9):
+        for j in range(1, 40):
+            nu = Fraction(j, 8)
+            (lead,), _ = _leads(cauchy, Perturbation.codil(kp, nu), 120, ("first",))
+            first = next((n for n, v in enumerate(lead) if v <= 0), None)
+            closed = _first_n_without_a_rule(kp, nu)
+            if closed is None:
+                assert first is None, (kp, nu)
+                continue
+            n_star, integral = closed
+            assert (first, lead[n_star] == 0) == (n_star, integral), (kp, nu)
+            drops += integral
+    assert drops == 25
+    # k' = 1 is criterion 10's ceil(nu/(nu - 2)): n* = 18 at nu = 2.12
+    assert _first_n_without_a_rule(1, Fraction("2.12")) == (18, False)
+
+
+@pytest.mark.parametrize("kp", [1, 2, 3, 4])
+def test_the_closed_form_is_where_the_co_dilated_rule_stops(cauchy, kp):
+    # P*_{n*-1} has its n* - 1 real zeros; P*_{n*} has a conjugate pair, or
+    # drops its degree when the bracket is an integer
+    for j in range(1, 40):
+        nu = Fraction(j, 8)
+        closed = _first_n_without_a_rule(kp, nu)
+        if closed is None or closed[0] > 40:
+            continue
+        n_star, integral = closed
+        pert = Perturbation.codil(kp, nu)
+        assert len(perturbed_zeros(cauchy, pert, n_star - 1)) == n_star - 1
+        with pytest.raises(DegeneracyError if integral else ComplexZerosError):
+            perturbed_zeros(cauchy, pert, n_star)
+
+
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(1, 12), data=st.data())
 def test_a_positive_lead_chain_has_a_rule_for_any_co_recursion(n, data):

@@ -125,6 +125,9 @@ def test_schemes_of_every_kind_round_trip(scheme_of_kind, scheme_kind, seed):
     data = json.loads(scheme.to_json())
     again = CoefficientScheme.from_dict(data)
     assert again.kind == scheme.kind and again.to_dict() == data
+    # a "kind" that names the kind the fields give changes nothing; null is absent
+    for kind in (scheme.kind, None):
+        assert CoefficientScheme.from_dict(dict(data, kind=kind)).to_dict() == data
     for n in range(16):   # every tabulated index
         for name in ("rho", "c", "lam"):
             assert getattr(again, name)(n) == getattr(scheme, name)(n)
@@ -170,3 +173,5 @@ def test_perturbation_json_round_trip():
     assert p.to_dict() == {"corec": {"k": 1, "mu": "1/10"},
                            "codil": {"kp": 2, "nu": "3/2"}}
     assert Perturbation.from_dict({}) == Perturbation.none()
+    # a JSON null part is an absent one
+    assert Perturbation.from_dict({"corec": None, "codil": None}) == Perturbation.none()

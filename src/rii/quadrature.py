@@ -37,10 +37,16 @@ it is Hermitian-definite (`_pencil_seeds`), and its eigenvalues, all real,
 seed the rule's Newton.  Elsewhere, and where their polish fails, the seeds
 are those of P*_n's Sturm chain (`_sturm_seeds`), which refuses exactly when
 a zero is not real or simple; `real_zeros` has only the polynomial, so only
-those.
+those.  The n seeds also give Newton's first step: P*_n(s_j) over the slope
+S_j = lead(P*_n) prod_{i != j} (s_j - s_i) that P*_n' would have there if
+the seeds were its zeros (Weierstrass's correction), with no enclosure of
+P*_n'.  It is taken only where P*_n(s_j)'s enclosure fixes it to 20 bits
+and S_j is a finite, nonzero float; else the first step is exact.  Every
+later step is exact, and the last one, which leaves x unchanged, decides
+the node: the seed step moves where Newton starts, never what it accepts.
 
-Every node is a binary float, and each float the rule needs -- Newton step
-P*_n/P*_n', weight M_0 Q*_n/P*_n' -- is the exact ratio at the node rounded
+Every node is a binary float, and each float the rule needs -- exact Newton
+step P*_n/P*_n', weight M_0 Q*_n/P*_n' -- is the exact ratio at the node rounded
 once by `poly.rounded_ratio`: from fixed-point enclosures of the polynomials
 (`Poly.enclose`, 128 fraction bits, with a proven integer error bound) when
 their corners round to one float, else from exact integer Horner
@@ -184,15 +190,26 @@ def _polished_zeros(poly, dpoly, seeds):
     leading coefficient, and its derivative dpoly: the one Newton loop.
 
     The zeros are n sorted, pairwise distinct floats, or this raises.  Newton
-    starts from seeds, n floats the caller chooses, and polishes each by
-    steps P(x)/P'(x), each the exact ratio
-    rounded once, to its fixed point, where a step leaves x unchanged;
-    P'(x) = 0, 40 steps without one or two equal zeros raise
-    DegeneracyError.  Each zero hands on the enclosure its last step read
-    P'(x) from, so the weights need not enclose dpoly again.
+    starts from seeds, n floats the caller chooses.  Its first step at a
+    seed s_j is P(s_j)/S_j: P(s_j) the midpoint of its enclosure and S_j
+    the slope the seeds give (`_seed_slopes`), so no enclosure of P'.  It
+    is taken only where that enclosure fixes P(s_j) to 20 bits and S_j is a
+    finite, nonzero float; elsewhere the first step is exact too.  Then
+    Newton steps P(x)/P'(x), each the exact ratio rounded once, to the
+    fixed point, where a step leaves x unchanged: that step is always
+    exact, so the seed step moves where Newton starts, not which float it
+    accepts.  P'(x) = 0, 40 exact steps without a fixed point or two equal
+    zeros raise DegeneracyError.  Each zero hands on the enclosure its last
+    step read P'(x) from, so the weights need not enclose dpoly again.
     """
     polished = []
-    for x in seeds:
+    for x, slope in zip(seeds, _seed_slopes(poly, seeds)):
+        if math.isfinite(slope) and slope:
+            lo, hi, den = poly.enclose(x)
+            if (hi - lo) << 21 <= abs(lo + hi):     # width <= 2^-20 |P(x)|
+                x_new = x - quotient(lo + hi, 2 * den) / slope
+                if math.isfinite(x_new):
+                    x = x_new
         for _ in range(40):
             box = dpoly.enclose(x)
             try:
@@ -213,6 +230,21 @@ def _polished_zeros(poly, dpoly, seeds):
     if any(b <= a for a, b in zip(zeros, zeros[1:])):
         raise DegeneracyError("nodes must be strictly increasing")
     return zeros, [box for _, box in polished]
+
+
+def _seed_slopes(poly, seeds):
+    """S_j = lead(P) prod_{i != j} (s_j - s_i) at each seed s_j, a list of
+    floats: P'(s_j) if the seeds were the zeros, as Weierstrass's correction
+    reads it.  Where a product leaves the float range, or lead(P) does, S_j
+    is inf, nan or 0."""
+    import numpy as np
+
+    lead = quotient(*poly.leading().as_integer_ratio())     # +-inf beyond the float range
+    s = np.array(seeds, dtype=float)
+    apart = s[:, None] - s
+    np.fill_diagonal(apart, 1.0)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        return (lead * np.prod(apart, axis=1)).tolist()
 
 
 def _sturm_seeds(poly):

@@ -45,9 +45,14 @@ and a_m, b_m are the exact terms (Gaussian Polys, or Fraction and
 GaussianRational values at a Gaussian point or a non-real W_m(z)).
 
 When z is None and every step is an integer Poly, the loop runs on Python
-ints: each step Poly is packed as its value at X = 2^bits (`poly.packed`),
-evaluation at 2^bits being a ring map Z[X] -> Z, so a step is three big-int
-operations, not two convolutions.  The packing is exact because bits
+ints: each v_i is packed as its value at X = 2^bits, evaluation at 2^bits
+being a ring map Z[X] -> Z, so a step is a few big-int operations, not two
+convolutions.  Below bits = 128 each step Poly is packed too (`poly.packed`)
+and multiplies v in one product.  From 128 bits on (`_packed_step`) v is
+long, and a step term sum_j c_j X^j multiplies it as sum_j (v c_j) << j bits
+(`_ShiftAdd`): the same int, but each c_j is a digit or two wide, where the
+packed term spans bits times its degree, and CPython's product makes one
+pass over v for every digit of the term.  The packing is exact because bits
 bounds every coefficient.  The 1-norm is subadditive and submultiplicative,
 so
 
@@ -201,8 +206,8 @@ def _families(scheme, pert, kinds, shift, n, z, indices=None):
             return Fraction(v, dens[i]) if isinstance(v, int) else v / dens[i]
     elif all(p.denominator == 1 for p in (*a.values(), *b.values())):   # integer steps
         bits = _packing_bits(a, b, kinds, starts, shift, n)
-        a = {m: packed(p, bits) for m, p in a.items()}
-        b = {m: packed(p, bits) for m, p in b.items()}
+        a = {m: _packed_step(p, bits) for m, p in a.items()}
+        b = {m: _packed_step(p, bits) for m, p in b.items()}
 
         def value(v, i):
             return unpacked(v, bits, i + 1, dens[i])
@@ -220,6 +225,35 @@ def _families(scheme, pert, kinds, shift, n, z, indices=None):
             row[i] = value(values[i], i)
         out.append(row)
     return out
+
+
+# the packing width from which `iterate` multiplies by shift-and-add; below
+# it, v is a few digits long and one product by the packed step costs less
+# than a call of `_ShiftAdd.__mul__` (on the worked example, bits is about
+# 2.5 n, and the two cross near n = 45)
+_SHIFT_ADD_BITS = 128
+
+
+def _packed_step(poly, bits):
+    """The integer step Poly as `iterate` multiplies packed ints by it: its
+    value at X = 2^bits below _SHIFT_ADD_BITS, else a `_ShiftAdd`."""
+    return _ShiftAdd(poly, bits) if bits >= _SHIFT_ADD_BITS else packed(poly, bits)
+
+
+class _ShiftAdd:
+    """An integer step Poly sum_j c_j X^j acting on packed ints: step * v is
+    sum_j (v c_j) << j bits, v times its value at X = 2^bits."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, poly, bits):
+        self.terms = [(c, j * bits) for j, c in enumerate(poly.numerators) if c]
+
+    def __mul__(self, v):
+        out = 0
+        for c, shift in self.terms:
+            out += (v * c) << shift
+        return out
 
 
 def _packing_bits(a, b, kinds, starts, shift, n):

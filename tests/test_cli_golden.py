@@ -6,11 +6,15 @@ format at the default precision, each of the six tables (t4 in JSON at
 --precision 3, the others as CSV), nested float rounding in JSON at
 --precision 3, `quad --config`, the text form of non-real polynomial
 coefficients, and a rule and a polynomial of degree above 10, where
-packed families do the work.  `zeros` at n = 100 and at n = 10 (t4's rule),
-and `quad` at n = 4, also run at --precision 17: every float comes from
+packed families do the work.  `zeros` at n = 200 (the worked example), at
+n = 100 and at n = 10 (t4's rule), and `quad` at n = 4, also run at
+--precision 17: every float comes from
 `Poly.enclose`, or from exact Horner where its ends round apart, and every
 node is the fixed point of Newton's correctly rounded step, whatever seed
 LAPACK's eigenvalues give it, so all 17 digits are the same on every build.
+tests/golden/p17-zeros-n400.out, `--precision 17 zeros --n 400`, is not a
+case here (it takes seconds); CI's large-n step diffs against it, and it is
+re-recorded by hand.
 The exact demos 01 and 02 run the same way against
 tests/golden/demo-<name>.out, with the suite timings demo 02 prints masked.
 
@@ -59,6 +63,7 @@ CASES = {
     "quad-json": QUAD + ("--out", "json"),
     "quad-n100": ("quad", "--n", "100", "--mu", "0.01", "--k", "2", "--nu", "1.004",
                   "--kp", "6"),
+    "p17-zeros-n200": ("--precision", "17", "zeros", "--n", "200"),
     "p17-zeros-n100": ("--precision", "17", "zeros", "--n", "100", "--mu", "0.01", "--k", "2",
                        "--nu", "1.004", "--kp", "6"),
     # t4's rule and the smallest rule the installed entry point builds, at full precision

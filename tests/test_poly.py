@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from rii import GaussianRational, Poly, PolyMatrix2
 from rii.poly import norm1, packed, rounded_ratio, unpacked
+from rii.sequences import _ShiftAdd
 
 
 def test_construction_strips_leading_zeros():
@@ -305,6 +306,9 @@ def test_packed_arithmetic_unpacks_exactly(a, b):
     assert unpacked(packed(p, 16), 16, len(a) + 2, 6) == p * Fraction(1, 6)
     product = unpacked(packed(p, 48) * packed(q, 48) - packed(q, 48), 48, len(a) + len(b), 1)
     assert product == p * q - q
+    # the families' shift-and-add step is the product by the packed step
+    assert _ShiftAdd(p, 48) * packed(q, 48) == packed(p, 48) * packed(q, 48)
+    assert _ShiftAdd(p, 16) * 1 == packed(p, 16)
     assert norm1(p) == sum(abs(c) for c in a)
     with pytest.raises(ValueError):
         packed(Poly((Fraction(1, 2),)), 16)

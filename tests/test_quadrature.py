@@ -27,7 +27,9 @@ from rii import (
     weights_moment_formula,
     weights_second_kind,
 )
-from rii.quadrature import _leads, _pencil_seeds, _polished_zeros, _sturm_seeds
+from rii.poly import rounded_ratio
+from rii.quadrature import (_leads, _pencil_seeds, _polished_zeros, _seed_slopes,
+                            _sturm_seeds)
 from rii.sequences import family_ends
 from rii.suites import random_perturbation, random_scheme
 from rii.tables import load_fixture
@@ -499,6 +501,107 @@ def test_jittered_seeds_give_the_same_nodes(cauchy, pert):
         for _ in range(3):
             jittered = [x * (1 + rng.uniform(-1e-9, 1e-9)) for x in seeds]
             assert [float.hex(x) for x in _polished_zeros(p, dp, jittered)[0]] == nodes
+
+
+def _all_exact_newton(poly, dpoly, seeds):
+    """`_polished_zeros` with every step exact, its seed step too: the
+    reference the seed-slope first step must agree with."""
+    polished = []
+    for x in seeds:
+        for _ in range(40):
+            box = dpoly.enclose(x)
+            try:
+                step = rounded_ratio(1, poly, dpoly, x, box)
+            except ZeroDivisionError:
+                raise DegeneracyError("root polish failed near x = %.17g" % x) from None
+            x_new = x - step
+            if not math.isfinite(x_new):
+                raise DegeneracyError("the zeros of P*_%d leave the float range: a "
+                                      "coefficient, a root or a Newton step is not finite"
+                                      % poly.degree)
+            if x_new == x:
+                break
+            x = x_new
+        else:
+            raise DegeneracyError("root polish failed near x = %.17g" % x)
+        polished.append((x_new, box))
+    polished.sort(key=lambda pair: pair[0])
+    zeros = [x for x, _ in polished]
+    if any(b <= a for a, b in zip(zeros, zeros[1:])):
+        raise DegeneracyError("nodes must be strictly increasing")
+    return zeros, [box for _, box in polished]
+
+
+def _polish_outcome(polish, p, seeds):
+    """(node bits, P' enclosures) of one polish, or its refusal's text."""
+    try:
+        zeros, boxes = polish(p, p.derivative(), seeds)
+    except DegeneracyError as exc:
+        return str(exc)
+    return [float.hex(x) for x in zeros], boxes
+
+
+def _seed_steps_taken(p, seeds):
+    """Whether the guard lets each seed take the seed-slope step."""
+    boxes = [p.enclose(x) for x in seeds]
+    return [math.isfinite(s) and s != 0 and (hi - lo) << 21 <= abs(lo + hi)
+            for s, (lo, hi, _) in zip(_seed_slopes(p, seeds), boxes)]
+
+
+def _assert_polished_as_all_exact(p, seeds):
+    assert _polish_outcome(_polished_zeros, p, seeds) == \
+        _polish_outcome(_all_exact_newton, p, seeds)
+
+
+def test_the_seed_step_keeps_the_all_exact_nodes_on_random_draws():
+    # the first 600 draws of the Random(5) sweep, from the pencil's seeds
+    # and the Sturm chain's: the same nodes and enclosures, or the same refusal
+    rng = random.Random(5)
+    compared = 0
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        scheme = random_scheme(rng, n + 2)
+        pert = random_perturbation(rng, n)
+        p = family_ends(scheme, pert, n, ("first",))[0]
+        if p.degree != n:
+            continue
+        try:
+            sturm = _sturm_seeds(p)
+        except RiiError:
+            sturm = None
+        for seeds in (_pencil_seeds(scheme, pert, n), sturm):
+            if seeds is not None:
+                _assert_polished_as_all_exact(p, seeds)
+                compared += 1
+    assert compared > 150
+
+
+@pytest.mark.parametrize("pert", _LADDER_SHAPES, ids=("corec", "codil", "both"))
+def test_the_seed_step_keeps_the_all_exact_nodes_on_the_ladder(cauchy, pert):
+    for n in (40, 100):
+        p = family_ends(cauchy, pert, n, ("first",))[0]
+        seeds = _pencil_seeds(cauchy, pert, n)
+        assert all(_seed_steps_taken(p, seeds))
+        _assert_polished_as_all_exact(p, seeds)
+
+
+@pytest.mark.parametrize("p, seeds", [
+    # lead(P) = 10^400 is not a float
+    (Poly((-2 * 10 ** 400, 0, 10 ** 400)), [-1.4, 1.5]),
+    # P = x^3 - 10^400 x: every S_j, about +-1e400, overflows
+    (Poly((0, -10 ** 400, 0, 1)), [-1.01e200, 1e-3, 0.99e200]),
+    # two equal seeds: S_j = 0, and both polish to the zero 1
+    (Poly((-1, 0, 1)), [1.2, 1.2]),
+    # P = 2^400 (x - 2^-220)(x - 3 2^-220) has 441-bit numerators, so its
+    # enclosure's unit is 1, and P is near 2^-59 at the seeds: a step from the
+    # midpoint would land about 2^39 times as far out as the zeros, and 40
+    # Newton steps would not bring it back
+    (Poly.from_integers((3, -2 ** 222, 2 ** 440), 2 ** 40),
+     [2.0 ** -220 * (1 + 1e-6), 3 * 2.0 ** -220 * (1 - 1e-6)]),
+], ids=("lead-not-a-float", "slope-not-finite", "slope-zero", "enclosure-too-wide"))
+def test_each_guard_of_the_seed_step_falls_back_to_an_exact_step(p, seeds):
+    assert not any(_seed_steps_taken(p, seeds))
+    _assert_polished_as_all_exact(p, seeds)
 
 
 def test_zeros_far_beyond_the_coefficients_are_bracketed(cauchy):

@@ -198,6 +198,8 @@ def test_packed_families_match_their_values(scheme_of_kind, scheme_kind, seed, n
     (Perturbation.codil(1, Fraction(12, 5)), 6, 4),     # the leading coefficient cancels
     (Perturbation.corec(0, 10 ** 20), 12, 12),           # 67-bit coefficients
     (Perturbation.both(2, Fraction(1, 100), 6, Fraction(251, 250)), 40, 40),
+    (None, 150, 150),
+    (Perturbation.corec(0, 10 ** 40), 60, 60),          # 134-bit step coefficients
 ])
 def test_packed_families_at_the_edges(cauchy, pert, n, degree):
     p, q = gen_both_kinds(cauchy, pert, n)

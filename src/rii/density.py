@@ -7,6 +7,15 @@ spline: second derivative zero at both end knots).  Outside the node range
 the Lagrange polynomial extrapolates and the spline continues its boundary
 cubic; sampled points out there carry a flag.
 
+The spline is built and evaluated in plain Python floats, without scipy,
+doing the float operations of scipy 1.17's `CubicSpline(xs, ys,
+bc_type="natural")` one for one: the same tridiagonal system for the knot
+slopes, solved by a port of LAPACK's dgtsv that keeps its row interchanges
+(they fire on rule knots), `CubicHermiteSpline`'s four coefficients per
+interval, and `PPoly`'s term-by-term evaluation.  So every coefficient and
+sample has the same bits as scipy's, and the knot sets scipy refuses raise
+ValueError here.
+
 The Lagrange polynomial is built on integers from one product polynomial
 (see `lagrange_density`), and its float samples are correctly rounded calls
 of the `Poly`.  Float nodes have denominators up to 2^1074, so its common
@@ -19,6 +28,7 @@ polynomial.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,13 +51,22 @@ class DensityApprox:
     nodes: tuple   # strictly increasing floats
     values: tuple
     poly: Poly = None       # Lagrange representation
-    spline: object = None   # scipy CubicSpline (natural)
+    cubics: tuple = None    # spline: (c0, c1, c2, c3) of interval i, in s = x - nodes[i]
 
     def __call__(self, x):
         if self.kind == LAGRANGE:
             # exact rational evaluation: knots reproduce their values exactly
             return self.poly(x)
-        return float(self.spline(x))
+        # PPoly's evaluation: the interval by bisection (the end cubics
+        # extrapolate), then c3 + c2 s + c1 s^2 + c0 s^3 term by term from
+        # 0.0, which turns a -0.0 into 0.0 as PPoly does
+        x = float(x)
+        nodes = self.nodes
+        i = bisect_right(nodes, x, 1, len(nodes) - 1) - 1
+        s = x - nodes[i]
+        c0, c1, c2, c3 = self.cubics[i]
+        z = s * s
+        return 0.0 + c3 + c2 * s + c1 * z + c0 * (z * s)
 
     def flag(self, x):
         return EXTRAPOLATED if (x < self.nodes[0] or x > self.nodes[-1]) else ""
@@ -117,16 +136,77 @@ def lagrange_density(nodes, weights):
                          poly=Poly.from_integers(nums, common))
 
 
-def spline_density(nodes, weights):
-    """Natural cubic spline through (node_j, weight_j); needs >= 3 nodes."""
-    from scipy.interpolate import CubicSpline
+def _solve_tridiagonal(dl, d, du, b):
+    """LAPACK's dgtsv for one right-hand side, in place: Gaussian elimination
+    with a row interchange wherever the subdiagonal entry is the larger
+    pivot, then back substitution.  dl, d, du are the sub-, main and
+    superdiagonal; the solution overwrites b.  ValueError on an exactly zero
+    pivot (dgtsv's INFO > 0).
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise ValueError("the spline's slope system is singular")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            # rows i and i + 1 swap; dl[i] then holds the second superdiagonal
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        raise ValueError("the spline's slope system is singular")
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
 
+
+def spline_density(nodes, weights):
+    """Natural cubic spline through (node_j, weight_j); needs >= 3 nodes.
+
+    The slopes s_j at the knots solve scipy's banded system: row j of the
+    interior reads h_j s_{j-1} + 2 (h_{j-1} + h_j) s_j + h_{j-1} s_{j+1} =
+    3 (h_j m_{j-1} + h_{j-1} m_j), with h_j the knot spacings and m_j the
+    chord slopes, and f'' = 0 closes both ends.  Interval j then holds
+    c3 + c2 s + c1 s^2 + c0 s^3 in s = x - x_j, scipy's Hermite form.  Knots
+    that round to the same float, and a system with an exactly zero pivot
+    or slopes that are not finite (a spacing above about 1.3e154, or a knot
+    range beyond the float range), raise ValueError.
+    """
     pts = _checked_points(nodes, weights, 3)
     xs = [float(x) for x, _ in pts]
     ys = [float(v) for _, v in pts]
-    spline = CubicSpline(xs, ys, bc_type="natural")
+    h = [b - a for a, b in zip(xs, xs[1:])]
+    if min(h) <= 0.0:
+        raise ValueError("two nodes round to the same float")
+    m = [(b - a) / dx for a, b, dx in zip(ys, ys[1:], h)]
+    d = [2 * h[0]] + [2 * (a + b) for a, b in zip(h, h[1:])] + [2 * h[-1]]
+    du = h[:1] + h[:-1]
+    dl = h[1:] + h[-1:]
+    # the natural ends' -0.5 f'' h^2 terms are nan once h^2 overflows
+    rhs = ([-0.5 * 0.0 * (h[0] * h[0]) + 3 * (ys[1] - ys[0])]
+           + [3 * (h[j] * m[j - 1] + h[j - 1] * m[j]) for j in range(1, len(h))]
+           + [0.5 * 0.0 * (h[-1] * h[-1]) + 3 * (ys[-1] - ys[-2])])
+    slopes = _solve_tridiagonal(dl, d, du, rhs)
+    if not all(map(math.isfinite, slopes)):
+        raise ValueError("the spline's slopes at its knots are not finite")
+    cubics = []
+    for j, dx in enumerate(h):
+        t = (slopes[j] + slopes[j + 1] - 2 * m[j]) / dx
+        cubics.append((t / dx, (m[j] - slopes[j]) / dx - t, slopes[j], ys[j]))
     return DensityApprox(kind=SPLINE, nodes=tuple(xs), values=tuple(ys),
-                         spline=spline)
+                         cubics=tuple(cubics))
 
 
 def second_derivative_gaps(approx):
@@ -135,18 +215,12 @@ def second_derivative_gaps(approx):
     """
     if approx.kind != SPLINE:
         raise ValueError("second-derivative diagnostics are for splines")
-    d2 = approx.spline.derivative(2)
-    left, right = approx.nodes[0], approx.nodes[-1]
-    boundary = max(abs(float(d2(left))), abs(float(d2(right))))
-    worst = 0.0
-    c = approx.spline.c  # (4, n_intervals) cubic coefficients per interval
-    breaks = approx.spline.x
-    for i in range(1, c.shape[1]):
-        h = breaks[i] - breaks[i - 1]
-        # f'' at the right end of interval i-1 vs the left end of interval i
-        from_left = 6.0 * c[0, i - 1] * h + 2.0 * c[1, i - 1]
-        from_right = 2.0 * c[1, i]
-        worst = max(worst, abs(from_left - from_right))
+    # on interval j, f'' is 2 c1 at its left knot and 6 c0 h + 2 c1 at its right
+    starts = [2.0 * c1 for _c0, c1, _c2, _c3 in approx.cubics]
+    ends = [6.0 * c0 * (b - a) + 2.0 * c1
+            for (c0, c1, _c2, _c3), a, b in zip(approx.cubics, approx.nodes, approx.nodes[1:])]
+    boundary = max(abs(starts[0]), abs(ends[-1]))
+    worst = max(abs(left - right) for left, right in zip(ends, starts[1:]))
     return boundary, worst
 
 
@@ -154,10 +228,11 @@ def sample_density(approx, x_min, x_max, count):
     """count >= 2 uniform samples of the approximant over [x_min, x_max].
 
     Rows are (x, value, flag); flag marks samples outside the node range.
-    The grid is x_min + i * step with x_max last; a spline evaluates it in
-    one call.  Accepts a plain callable too (then no flagging).  A non-finite
-    end, a width beyond the float range, or a value that overflows a float or
-    is not finite raises ValueError naming its interval or the first such x.
+    The grid is x_min + i * step with x_max last, and each sample is one
+    call of the approximant.  Accepts a plain callable too (then no
+    flagging).  A non-finite end, a width beyond the float range, or a value
+    that overflows a float or is not finite raises ValueError naming its
+    interval or the first such x.
     """
     if count < 2:
         raise ValueError("need at least 2 samples")
@@ -169,10 +244,7 @@ def sample_density(approx, x_min, x_max, count):
         raise ValueError("empty sample interval")
     step = width / (count - 1)
     xs = [x_min + i * step for i in range(count - 1)] + [x_max]
-    if isinstance(approx, DensityApprox) and approx.kind == SPLINE:
-        values = approx.spline(xs).tolist()
-    else:
-        values = [float(approx(x)) for x in xs]
+    values = [float(approx(x)) for x in xs]
     flagger = approx.flag if isinstance(approx, DensityApprox) else lambda _x: ""
     for x, value in zip(xs, values):
         if not math.isfinite(value):

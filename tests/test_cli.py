@@ -514,14 +514,19 @@ def test_closed_pipe_exits_one_silently():
 @pytest.mark.parametrize("argv", [
     ("check", "--suite", "all", "--instances", "1"),
     ("poly", "--n", "5", "--kind", "both"),
+    ("measure", "--n", "6", "--method", "spline"),
+    ("measure", "--n", "6", "--method", "lagrange"),
 ])
 def test_check_does_not_import_numpy_or_scipy(argv):
-    # only root finding and the oracles need them; a fresh interpreter shows it
+    # only root finding and the two oracles (exactness_check and
+    # reference_value_oracle) need them: commands that find no zeros start
+    # without numpy, and no command imports scipy; a fresh interpreter shows it
+    unwanted = {"scipy"} if argv[0] == "measure" else {"numpy", "scipy"}
     script = ("import io, sys, contextlib\n"
               "from rii.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               "    code = main(%r)\n"
-              "print(code, sorted({'numpy', 'scipy'} & set(sys.modules)))\n" % (list(argv),))
+              "print(code, sorted(%r & set(sys.modules)))\n" % (list(argv), unwanted))
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rii.__file__))))

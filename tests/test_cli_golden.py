@@ -5,13 +5,15 @@ tests/golden/<case>.out.  The cases cover every subcommand in every --out
 format at the default precision, each of the six tables (t4 in JSON at
 --precision 3, the others as CSV), nested float rounding in JSON at
 --precision 3, `quad --config`, the text form of non-real polynomial
-coefficients, and a rule and a polynomial of degree above 10, where
-packed families do the work.  `zeros` at n = 200 (the worked example), at
-n = 100 and at n = 10 (t4's rule), and `quad` at n = 4, also run at
---precision 17: every float comes from
-`Poly.enclose`, or from exact Horner where its ends round apart, and every
-node is the fixed point of Newton's correctly rounded step, whatever seed
-LAPACK's eigenvalues give it, so all 17 digits are the same on every build.
+coefficients, a spline through perturbed (unequal) weights, and a rule
+and a polynomial of degree above 10, where packed families do the work.
+`zeros` at n = 200 (the worked example), at n = 100 and at n = 10 (t4's
+rule), and `quad` at n = 4, also run at --precision 17: every float comes
+from `Poly.enclose`, or from exact Horner where its ends round apart, and
+every node is the fixed point of Newton's correctly rounded step, whatever
+seed LAPACK's eigenvalues give it, so all 17 digits are the same on every
+build.  So do two spline `measure` runs at n = 20, whose samples are plain
+IEEE double arithmetic on those nodes and weights.
 tests/golden/p17-zeros-n400.out, `--precision 17 zeros --n 400`, is not a
 case here (it takes seconds); CI's large-n step diffs against it, and it is
 re-recorded by hand.
@@ -84,10 +86,17 @@ CASES = {
     "measure-json": MEASURE + ("--out", "json"),
     "measure-lagrange-csv": ("measure", "--n", "8", "--samples", "7", "--mu=-1/100",
                              "--x-min", "-3", "--x-max", "3"),
-    # 400 spline samples in one call, most of them extrapolated
+    # 400 spline samples, most of them extrapolated
     "p17-measure-spline-n20": ("--precision", "17", "measure", "--n", "20", "--method",
                                "spline", "--samples", "400", "--x-min", "-40",
                                "--x-max", "40"),
+    # the unperturbed weights are equal, so the spline above is a constant;
+    # perturbed weights make it solve its slope system
+    "p17-measure-spline-n20-mu": ("--precision", "17", "measure", "--n", "20", "--method",
+                                  "spline", "--samples", "400", "--mu", "0.01", "--k", "0"),
+    "measure-spline-perturbed-json": ("measure", "--n", "6", "--method", "spline",
+                                      "--samples", "9", "--mu=-1/100", "--nu", "0.98",
+                                      "--kp", "2", "--out", "json"),
     "check": ("check", "--suite", "all", "--seed", "3", "--instances", "2"),
     # instance 10 is identically singular: one `skipped:` record
     "check-skip": ("check", "--suite", "spectral", "--seed", "1555393582",

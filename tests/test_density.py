@@ -2,7 +2,9 @@
 
 import math
 import re
+import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from rii import (
     second_derivative_gaps,
     spline_density,
 )
+from rii.cli import main
 from rii.density import EXTRAPOLATED
 from rii.exact import quotient
 from rii.poly import FRACTION_BITS
@@ -26,6 +29,13 @@ from rii.poly import FRACTION_BITS
 @pytest.fixture(scope="module")
 def rule():
     return build_rule(cauchy_scheme(), None, 8)
+
+
+@pytest.fixture(scope="module")
+def perturbed_rule():
+    # unperturbed weights are all equal, so their spline is a constant and
+    # its slope system is never exercised; mu = 1/100 makes them differ
+    return build_rule(cauchy_scheme(), Perturbation.corec(0, Fraction(1, 100)), 8)
 
 
 def test_cauchy_density_values():
@@ -56,11 +66,12 @@ def test_duplicate_nodes_are_refused():
         spline_density([0, 1], [1, 2])   # a natural spline needs >= 3 knots
 
 
-def test_spline_matches_knots_and_natural_bc(rule):
-    approx = spline_density(rule.nodes, rule.weights)
+def test_spline_matches_knots_and_natural_bc(perturbed_rule):
+    approx = spline_density(perturbed_rule.nodes, perturbed_rule.weights)
     assert approx.kind == "spline"
-    for x, w in zip(rule.nodes, rule.weights):
+    for x, w in zip(perturbed_rule.nodes, perturbed_rule.weights):
         assert abs(approx(x) - w) < 1e-12
+    assert len(set(perturbed_rule.weights)) > 1
     boundary, interior = second_derivative_gaps(approx)
     assert boundary < 1e-10          # natural ends: f'' = 0
     assert interior < 1e-10          # C^2 across interior knots
@@ -85,14 +96,107 @@ def test_sample_density_grid(rule):
         sample_density(approx, 0.0, 1.0, 1)
 
 
-def test_spline_samples_are_its_scalar_calls():
-    # the grid goes to the spline in one call, and every sample is the float
-    # a call at that x alone gives, extrapolated ones too
-    rule = build_rule(cauchy_scheme(), Perturbation.corec(0, Fraction(1, 100)), 8)
-    approx = spline_density(rule.nodes, rule.weights)
+def test_spline_samples_are_its_scalar_calls(perturbed_rule):
+    # every sample is the float a call at that x alone gives, extrapolated
+    # ones too
+    approx = spline_density(perturbed_rule.nodes, perturbed_rule.weights)
     samples = sample_density(approx, -40.0, 40.0, 401)
     assert [v for _x, v, _flag in samples] == [approx(x) for x, _v, _flag in samples]
     assert samples[-1][0] == 40.0 and samples[0][2] == EXTRAPOLATED
+
+
+def _bits(values):
+    return [float.hex(float(v)) for v in values]
+
+
+def _assert_matches_scipy(xs, ys, points=()):
+    """Every coefficient, every sample of a grid reaching three times the knot
+    range past both ends, and the value at each knot and each of `points`,
+    bit for bit against scipy's natural CubicSpline."""
+    from scipy.interpolate import CubicSpline
+
+    reference = CubicSpline(xs, ys, bc_type="natural")
+    approx = spline_density(xs, ys)
+    assert [_bits(c) for c in approx.cubics] == [_bits(c) for c in reference.c.T.tolist()]
+    width = xs[-1] - xs[0]
+    grid = sample_density(approx, xs[0] - 3 * width, xs[-1] + 3 * width, 61)
+    grid_xs = [x for x, _v, _flag in grid]
+    assert _bits(v for _x, v, _flag in grid) == _bits(reference(grid_xs).tolist())
+    others = list(xs) + list(points)
+    assert _bits(map(approx, others)) == _bits(reference(others).tolist())
+
+
+@st.composite
+def _knot_sets(draw):
+    """3-40 strictly increasing knots whose spacings run from 1e-3 to 1e3,
+    so adjacent spacing ratios reach 1e-6 and 1e6 and dgtsv's row interchange
+    runs, with values of magnitude 1e-5 to 1e5 of either sign."""
+    n = draw(st.integers(3, 40))
+    exponents = st.floats(-3, 3)
+    xs = [draw(st.floats(-100, 100))]
+    for _ in range(n - 1):
+        xs.append(xs[-1] + 10.0 ** draw(exponents))
+    ys = [draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-5, 5))
+          for _ in range(n)]
+    return xs, ys
+
+
+@settings(max_examples=300, deadline=None)
+@given(knots=_knot_sets(), data=st.data())
+def test_spline_is_scipys_natural_cubic_spline_bit_for_bit(knots, data):
+    xs, ys = knots
+    width = xs[-1] - xs[0]
+    points = data.draw(st.lists(st.floats(xs[0] - 3 * width, xs[-1] + 3 * width),
+                                max_size=20))
+    _assert_matches_scipy(xs, ys, points + [math.nan])
+
+
+@pytest.mark.parametrize("pert", [Perturbation.corec(0, Fraction(1, 100)),
+                                  Perturbation.corec(0, Fraction(-1, 100)),
+                                  Perturbation.codil(2, Fraction(98, 100))],
+                         ids=["mu", "minus-mu", "codilation"])
+def test_spline_on_rule_knots_is_scipys_bit_for_bit(pert):
+    for n in range(3, 41):
+        rule = build_rule(cauchy_scheme(), pert, n)
+        midpoints = [0.5 * (a + b) for a, b in zip(rule.nodes, rule.nodes[1:])]
+        _assert_matches_scipy(list(rule.nodes), list(rule.weights), midpoints)
+
+
+_REFUSED_KNOTS = [
+    # h^2 overflows a float, so the natural ends' -0.5 * 0 * h^2 is nan
+    ([0.0, 1e155, 2e155], "not finite"),
+    # the knot range 2 (h_0 + h_1) overflows a float
+    ([-1.7e308, 0.0, 1.7e308], "not finite"),
+    # elimination meets an exactly zero pivot
+    ([0.0, 1e-300, 1e300], "singular"),
+    # distinct Fractions, one float
+    ([0, 1, 1 + Fraction(1, 10 ** 30)], "same float"),
+]
+
+
+@pytest.mark.parametrize("nodes, message", _REFUSED_KNOTS)
+def test_the_knots_scipy_refuses_raise_value_error_silently(capfd, nodes, message):
+    import numpy as np
+    from scipy.interpolate import CubicSpline
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            spline_density(nodes, [1.0, 2.0, 3.0])
+    with np.errstate(all="ignore"), pytest.raises(ValueError):
+        CubicSpline([float(x) for x in nodes], [1.0, 2.0, 3.0], bc_type="natural")
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("nodes, message", _REFUSED_KNOTS)
+def test_measure_prints_a_spline_refusal_as_one_error_line(capsys, monkeypatch, nodes, message):
+    # no scheme gives such rules, so `measure` is handed them directly
+    rule = SimpleNamespace(nodes=tuple(nodes), weights=(1.0, 2.0, 3.0))
+    monkeypatch.setattr("rii.cli.build_rule", lambda scheme, pert, n: rule)
+    code = main(["measure", "--n", "3", "--method", "spline"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("build", [spline_density, lagrange_density])

@@ -73,16 +73,21 @@ class DensityApprox:
 
 
 def _exact(v):
-    """v as a Fraction; a non-finite float raises ValueError."""
+    """v as a Fraction; a non-finite float or a number beyond the float range
+    raises ValueError."""
     try:
-        return Fraction(v)
+        x = Fraction(v)
+        float(x)        # OverflowError beyond the float range
     except (OverflowError, ValueError):
-        raise ValueError("nodes and values must be finite numbers, got %r" % (v,)) from None
+        raise ValueError("nodes and values must be finite numbers within the float "
+                         "range, got %r" % (v,)) from None
+    return x
 
 
 def _checked_points(nodes, values, minimum):
     """The (node, value) pairs as Fractions, sorted by node; ValueError on a
-    count mismatch, too few nodes, a non-finite entry or a duplicate node."""
+    count mismatch, too few nodes, an entry that is not finite or lies beyond
+    the float range, or a duplicate node."""
     if len(nodes) != len(values):
         raise ValueError("need one value per node")
     if len(nodes) < minimum:

@@ -377,11 +377,12 @@ _ZERO = _make([], 1)
 _ONE = _make([1], 1)
 
 
-def rounded_ratio(scale, top, bottom, x, bottom_box=None):
+def rounded_ratio(scale, top, bottom, x, bottom_box=None, top_box=None):
     """scale * top(x) / bottom(x) at a finite float x, correctly rounded.
 
     scale is an int or a Fraction; top and bottom have rational coefficients.
-    bottom_box, when given, is bottom.enclose(x).  Over enclosures where
+    bottom_box and top_box, when given, are bottom.enclose(x) and
+    top.enclose(x).  Over enclosures where
     bottom(x) keeps its sign, the quotient is monotone in each factor, so it
     lies between two corners: the least and the greatest top, each over the
     bottom end that makes the quotient more extreme.  When they round alike,
@@ -391,7 +392,7 @@ def rounded_ratio(scale, top, bottom, x, bottom_box=None):
     num, den = scale.numerator, scale.denominator
     b_lo, b_hi, bd = bottom_box or bottom.enclose(x)
     if not b_lo <= 0 <= b_hi:
-        t_lo, t_hi, td = top.enclose(x)
+        t_lo, t_hi, td = top_box or top.enclose(x)
         # the ends of the bottom nearest to and farthest from 0
         near, far = (b_lo, b_hi) if b_lo > 0 else (b_hi, b_lo)
         nb, dt = num * bd, den * td

@@ -200,20 +200,25 @@ def _polished_zeros(poly, dpoly, seeds):
     exact, so the seed step moves where Newton starts, not which float it
     accepts.  P'(x) = 0, 40 exact steps without a fixed point or two equal
     zeros raise DegeneracyError.  Each zero hands on the enclosure its last
-    step read P'(x) from, so the weights need not enclose dpoly again.
+    step read P'(x) from, so the weights need not enclose dpoly again, and
+    where the seed step leaves x unchanged, the first exact step reuses its
+    enclosure of P(x).
     """
     polished = []
     for x, slope in zip(seeds, _seed_slopes(poly, seeds)):
+        top = None          # poly's enclosure at x, while x is the seed
         if math.isfinite(slope) and slope:
-            lo, hi, den = poly.enclose(x)
+            top = lo, hi, den = poly.enclose(x)
             if (hi - lo) << 21 <= abs(lo + hi):     # width <= 2^-20 |P(x)|
                 x_new = x - quotient(lo + hi, 2 * den) / slope
                 if math.isfinite(x_new):
+                    if x_new != x:
+                        top = None
                     x = x_new
         for _ in range(40):
             box = dpoly.enclose(x)
             try:
-                step = rounded_ratio(1, poly, dpoly, x, box)
+                step = rounded_ratio(1, poly, dpoly, x, box, top)
             except ZeroDivisionError:       # P'(x) = 0 exactly
                 raise _polish_failed(x) from None
             x_new = x - step
@@ -221,7 +226,7 @@ def _polished_zeros(poly, dpoly, seeds):
                 raise _out_of_float_range(poly)
             if x_new == x:
                 break
-            x = x_new
+            x, top = x_new, None
         else:
             raise _polish_failed(x)
         polished.append((x_new, box))     # x_new == x, up to the sign of a zero

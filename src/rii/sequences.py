@@ -68,8 +68,12 @@ digits are unique, and `poly.unpacked` reads v_i back exactly; u_i = v_i / D_i
 is reduced by one gcd.  Only the values a caller reads are unpacked: the
 loop takes the indices i it must read back (`_families(..., indices=)`), so
 `family_ends` reads u_n alone and each identity in `rii.transfer` and
-`rii.cfrac` only the members it reads.  A family with a non-real step
-iterates the Polys themselves in the same loop.  At an exact z each
+`rii.cfrac` only the members it reads.  `transfer_residual` unpacks none:
+it takes the family unrun (`_families(..., unrun=True)`, a `_Family`), and
+packs it at a width bounded by its own expression (see `rii.transfer`),
+since an exact packed product needs no bound on its factors' digits, only
+on the result's.  A family with a non-real step iterates the Polys
+themselves in the same loop.  At an exact z each
 u_i = v_i / D_i costs one gcd, and only at those indices.
 
 All of it is exact: the public evaluators take a float or complex z as the
@@ -186,45 +190,92 @@ def iterate(a, b, kind, n, shift=0, one=1, zero=0):
     return out
 
 
-def _families(scheme, pert, kinds, shift, n, z, indices=None):
+def _families(scheme, pert, kinds, shift, n, z, indices=None, unrun=False):
     """u_0..u_n of each kind in kinds, iterated over one list of scaled steps:
     Polys when z is None, else values at an exact z (see the module
     docstring).  Each kind is a list of n + 1 slots in which only the u_i at
-    indices (all when None) are read back; the other slots hold None."""
-    pert = pert or Perturbation.none()
-    a, b, dens, prev = {}, {}, [1], 1       # s_m a_m, s_m s_{m-1} b_m, D_i, s_{m-1}
-    for m in range(shift, shift + n):
-        # iterate skips b at the first-kind step 0, so it is not queried here
-        s, a[m], sb = cleared_terms(scheme, pert, m, m if m > shift else None, z)
-        b[m] = sb if prev == 1 else sb * prev
-        dens.append(dens[-1] * s)
-        prev = s
-    starts = [dens[1] if kind == "second" and n > 0 else 1 for kind in kinds]
-    zero = 0
-    if z is not None:
-        def value(v, i):
-            return Fraction(v, dens[i]) if isinstance(v, int) else v / dens[i]
-    elif all(p.denominator == 1 for p in (*a.values(), *b.values())):   # integer steps
-        bits = _packing_bits(a, b, kinds, starts, shift, n)
-        a = {m: _packed_step(p, bits) for m, p in a.items()}
-        b = {m: _packed_step(p, bits) for m, p in b.items()}
+    indices (all when None) are read back; the other slots hold None.  With
+    unrun, the `_Family` itself comes back, its steps built and not yet
+    iterated, for a caller that packs it at a width of its own."""
+    family = _Family(scheme, pert, kinds, shift, n, z, indices)
+    return family if unrun else family.values()
 
-        def value(v, i):
-            return unpacked(v, bits, i + 1, dens[i])
-    else:
-        starts = [Poly.const(start) for start in starts]
-        zero = Poly.zero()
 
-        def value(v, i):
-            return v if dens[i] == 1 else v * Fraction(1, dens[i])
-    out = []
-    for kind, start in zip(kinds, starts):
-        values = iterate(a.__getitem__, b.__getitem__, kind, n, shift, start, zero)
-        row = [None] * (n + 1)
-        for i in range(n + 1) if indices is None else indices:
-            row[i] = value(values[i], i)
-        out.append(row)
-    return out
+class _Family:
+    """One list of scaled steps, s_m a_m and s_m s_{m-1} b_m by m, with D_0..D_n
+    and the start value of each kind (see the module docstring).
+
+    `values` iterates it as `_families` returns it; `integer` tells whether
+    every step is an integer Poly, and then `norms` gives the bounds N_i and
+    `packed(bits)` the v_i packed at X = 2^bits, never unpacked.
+    """
+
+    __slots__ = ("kinds", "shift", "n", "z", "indices", "a", "b", "dens", "starts",
+                 "integer")
+
+    def __init__(self, scheme, pert, kinds, shift, n, z, indices):
+        pert = pert or Perturbation.none()
+        a, b, dens, prev = {}, {}, [1], 1       # s_m a_m, s_m s_{m-1} b_m, D_i, s_{m-1}
+        for m in range(shift, shift + n):
+            # iterate skips b at the first-kind step 0, so it is not queried here
+            s, a[m], sb = cleared_terms(scheme, pert, m, m if m > shift else None, z)
+            b[m] = sb if prev == 1 else sb * prev
+            dens.append(dens[-1] * s)
+            prev = s
+        self.kinds, self.shift, self.n, self.z = kinds, shift, n, z
+        self.indices = range(n + 1) if indices is None else indices
+        self.a, self.b, self.dens = a, b, dens
+        self.starts = [dens[1] if kind == "second" and n > 0 else 1 for kind in kinds]
+        self.integer = z is None and all(p.denominator == 1
+                                         for p in (*a.values(), *b.values()))
+
+    def _rows(self, a, b, starts, zero, value):
+        """value(v_i, i) at each read index of each kind, iterated over the step
+        terms a and b from starts; None at the other slots."""
+        out = []
+        for kind, start in zip(self.kinds, starts):
+            values = iterate(a.__getitem__, b.__getitem__, kind, self.n, self.shift,
+                             start, zero)
+            row = [None] * (self.n + 1)
+            for i in self.indices:
+                row[i] = value(values[i], i)
+            out.append(row)
+        return out
+
+    def values(self):
+        """u_i = v_i / D_i at the read indices: values at z, else Polys, unpacked
+        at the family's own packing width when every step is an integer Poly."""
+        dens = self.dens
+        if self.z is not None:
+            return self._rows(self.a, self.b, self.starts, 0, lambda v, i: (
+                Fraction(v, dens[i]) if isinstance(v, int) else v / dens[i]))
+        if self.integer:
+            bits = _width(max(max(row) for row in self.norms()))
+            return self.packed(bits, lambda v, i: unpacked(v, bits, i + 1, dens[i]))
+        return self._rows(self.a, self.b, [Poly.const(start) for start in self.starts],
+                          Poly.zero(),
+                          lambda v, i: v if dens[i] == 1 else v * Fraction(1, dens[i]))
+
+    def norms(self):
+        """N_0..N_n of each kind, N_i >= ||v_i||_1 (see the module docstring)."""
+        # iterate subtracts its b term, so the norms of the b terms enter negated
+        na = {m: norm1(p) for m, p in self.a.items()}
+        nb = {m: -norm1(p) for m, p in self.b.items()}
+        return [iterate(na.__getitem__, nb.__getitem__, kind, self.n, self.shift, start, 0)
+                for kind, start in zip(self.kinds, self.starts)]
+
+    def packed(self, bits, value=lambda v, i: v):
+        """value(v_i, i) of each v_i at the read indices, v_i packed at X = 2^bits:
+        exact whatever bits is, evaluation at 2^bits being a ring map."""
+        return self._rows({m: _packed_step(p, bits) for m, p in self.a.items()},
+                          {m: _packed_step(p, bits) for m, p in self.b.items()},
+                          self.starts, 0, value)
+
+
+def _width(bound):
+    """The least multiple of 8 with 2^(bits-1) > bound: then signed base-2^bits
+    digits hold every integer coefficient of size at most bound."""
+    return (bound.bit_length() // 8 + 1) * 8
 
 
 # the packing width from which `iterate` multiplies by shift-and-add; below
@@ -254,17 +305,6 @@ class _ShiftAdd:
         for c, shift in self.terms:
             out += (v * c) << shift
         return out
-
-
-def _packing_bits(a, b, kinds, starts, shift, n):
-    """The least multiple of 8 with 2^(bits-1) above the norm bound N_i of every
-    v_i of each kind (see the module docstring)."""
-    # iterate subtracts its b term, so the norms of the b terms enter negated
-    na = {m: norm1(p) for m, p in a.items()}
-    nb = {m: -norm1(p) for m, p in b.items()}
-    top = max(max(iterate(na.__getitem__, nb.__getitem__, kind, n, shift, start, 0))
-              for kind, start in zip(kinds, starts))
-    return (top.bit_length() // 8 + 1) * 8
 
 
 def gen_first_kind(scheme, perturbation, n):

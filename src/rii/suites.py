@@ -41,13 +41,32 @@ def _fraction(p, q):
 
 def random_rational(rng, low=-4, high=4, max_den=4, nonzero=False, positive=False):
     """Fraction(rng.randint(low, high), rng.randint(1, max_den)), drawn again
-    while it is 0 (nonzero) or not above 0 (positive)."""
+    while it is 0 (nonzero) or not above 0 (positive).
+
+    rng is a `random.Random`, and each randint is drawn as randint draws it
+    (`_randint`): the same draws, leaving the same generator state.
+    """
+    if low > high or max_den < 1:
+        raise ValueError("empty range for random_rational")
+    bits = rng.getrandbits
     while True:
-        p = rng.randint(low, high)
-        q = rng.randint(1, max_den)
+        p = _randint(bits, low, high)
+        q = _randint(bits, 1, max_den)
         if (positive and p <= 0) or (nonzero and p == 0):
             continue
         return _fraction(p, q)
+
+
+def _randint(getrandbits, a, b):
+    """random.Random.randint(a, b) for a <= b, without its argument checks:
+    a + r, r = getrandbits(k) for k the bit length of b - a + 1, drawn again
+    while r > b - a, as CPython 3.10-3.13 draw it."""
+    width = b - a + 1
+    k = width.bit_length()
+    r = getrandbits(k)
+    while r >= width:
+        r = getrandbits(k)
+    return a + r
 
 
 def random_scheme(rng, length, kind=None):

@@ -38,15 +38,49 @@ and the matrix identity above must hold, both as exact polynomial matrices.
 `structural_residual` checks the scalar structural identities at a point.
 `f_matrix` reads F_{n+1} off the two families instead of multiplying n + 1
 step matrices; `step_matrix` keeps the product form as a reference.
+
+`transfer_residual` decides both identities on packed integers whenever
+every step of both families is an integer Poly, that is unless some W_m is
+not real (then it takes the Poly form above).  Each value it reads is an
+integer polynomial over an integer: u_i = v_i / D_i of the plain family,
+u*_i = v*_i / E_i of the perturbed one (`rii.sequences`), the step terms
+rho_m (z - c*_m) and lambda*_m W_m and the factors lambda_j W_j of K_m, each
+its integer numerators over its denominator.  Both residuals are sums and
+products of these, and on such quotients
+
+    A/d * A'/d' = A A' / (d d'),   A/d +- A'/d' = (A (L/d) +- A' (L/d')) / L,
+
+with L = lcm(d, d'), so each of the eight entries is R/d with R made from
+the numerators by sums, differences, products and integer multiples alone
+(`_Packed`).  Evaluation at X = 2^B is a ring map Z[X] -> Z, so R(2^B)
+follows from the numerators' values at 2^B: the families come packed at
+width B and are never unpacked (`_Family.packed`), and the step terms and
+K_m's factors are packed from their numerators.  The same expression run on
+1-norm bounds (`_Bound`) bounds every R: a family value's bound is its N_i
+(`_Family.norms`), a step's the 1-norm of its numerators, and since
+
+    ||A +- A'||_1 <= ||A||_1 + ||A'||_1,   ||A A'||_1 <= ||A||_1 ||A'||_1,
+    ||k A||_1 = |k| ||A||_1,
+
+a difference or a sum adds the bounds and a product multiplies them, with the
+same denominators.  By induction over the expression ||R||_1 <= N for the
+bound N it computes.  B is the least multiple of 8 with 2^(B-1) above the N
+of all eight entries, so every coefficient of every R lies in
+[-2^(B-1), 2^(B-1)), its signed base-2^B digits are unique, and
+`poly.unpacked` reads R back exactly, its length taken from the bit length
+of R(2^B).  R/d reduced by one gcd is the canonical Poly, the entry the Poly
+form gives; on a correct build all eight are 0.
 """
 
 from __future__ import annotations
 
+import math
+
 from .exact import exact_point, rounded
 from .polymat import PolyMatrix2
-from .poly import Poly
+from .poly import Poly, norm1, packed, unpacked
 from .schemes import Perturbation
-from .sequences import _families, center_term, weight_term
+from .sequences import _families, _width, center_term, weight_term
 
 def step_matrix(scheme, perturbation, n):
     """T_n with the perturbed center/coefficient substituted at n = k / kp.
@@ -59,23 +93,18 @@ def step_matrix(scheme, perturbation, n):
     return PolyMatrix2(center_term(scheme, pert, n), top_right, Poly.one(), Poly.zero())
 
 
-def _f(family, n):
-    """F_{n+1} read off a (P, Q) family pair that runs through index n + 1."""
-    p, q = family
-    return PolyMatrix2(p[n + 1], -q[n + 1], p[n], -q[n])
-
-
-def _pair(scheme, perturbation, n, indices):
+def _pair(scheme, perturbation, n, indices, unrun=False):
     """The (P, Q) family through index n, read back only at its indices >= 0
-    (`rii.sequences._families`)."""
+    (`rii.sequences._families`; unrun, its `_Family`)."""
     return _families(scheme, perturbation, ("first", "second"), 0, n, None,
-                     [i for i in indices if i >= 0])
+                     [i for i in indices if i >= 0], unrun)
 
 
-def _read(scheme, perturbation, n, plain, perturbed):
+def _read(scheme, perturbation, n, plain, perturbed, unrun=False):
     """The plain and the perturbed (P, Q) families through index n, each read
     back only at its own indices."""
-    return _pair(scheme, None, n, plain), _pair(scheme, perturbation, n, perturbed)
+    return (_pair(scheme, None, n, plain, unrun),
+            _pair(scheme, perturbation, n, perturbed, unrun))
 
 
 def f_matrix(scheme, perturbation, n):
@@ -83,7 +112,8 @@ def f_matrix(scheme, perturbation, n):
     two families rather than multiplied out."""
     if n < 0:
         raise ValueError("n must be >= 0, got %d" % n)
-    return _f(_pair(scheme, perturbation, n + 1, (n, n + 1)), n)
+    p, q = _pair(scheme, perturbation, n + 1, (n, n + 1))
+    return PolyMatrix2(p[n + 1], -q[n + 1], p[n], -q[n])
 
 
 def lambda_weight_product(scheme, perturbation, upto):
@@ -98,19 +128,24 @@ def lambda_weight_product(scheme, perturbation, upto):
 def perturbation_transfer(scheme, perturbation):
     """The transfer matrix S of the perturbation, at level m = max(k, kp).
 
-    Built as F_{m+1}(mu,nu)^T @ adj(F_{m+1})^T, which is exact for either
-    order of k and kp and for the same-level case.  The empty perturbation
-    (None) yields the identity matrix.
+    The product F_{m+1}(mu,nu)^T @ adj(F_{m+1})^T, entry by entry
+    (`_product_form`), which is exact for either order of k and kp and for
+    the same-level case.  The empty perturbation (None) yields the identity
+    matrix.
     """
     m = (perturbation or Perturbation.none()).max_level()
-    return _transfer(*_read(scheme, perturbation, m + 1, (m, m + 1), (m, m + 1)), m)
-
-
-def _transfer(plain, perturbed, m):
-    """S from the plain and perturbed families through index m + 1 or beyond."""
     if m < 0:
         return PolyMatrix2.identity()
-    return _f(perturbed, m).transpose() @ _f(plain, m).adjugate().transpose()
+    return PolyMatrix2(*_product_form(
+        *_read(scheme, perturbation, m + 1, (m, m + 1), (m, m + 1)), m))
+
+
+def _product_form(plain, perturbed, m):
+    """S = F*_{m+1}^T adj(F_{m+1})^T row by row, from the plain and perturbed
+    (P, Q) families through index m + 1, in the ring of their values."""
+    (p, q), (ps, qs) = plain, perturbed
+    return (ps[m] * q[m + 1] - ps[m + 1] * q[m], ps[m] * p[m + 1] - ps[m + 1] * p[m],
+            qs[m + 1] * q[m] - qs[m] * q[m + 1], qs[m + 1] * p[m] - qs[m] * p[m + 1])
 
 
 def transfer_entries(scheme, perturbation):
@@ -128,33 +163,31 @@ def transfer_entries(scheme, perturbation):
     """
     pert = perturbation or Perturbation.none()
     m = pert.max_level()
-    return _entries(scheme, pert, *_read(scheme, pert, m + 1, (m, m + 1), (m - 1, m)), m)
-
-
-def _entries(scheme, pert, plain, perturbed, m):
-    """transfer_entries from the plain and perturbed families; of the perturbed
-    one it reads only the values through index m."""
     if m < 0:
         return PolyMatrix2.identity()
-    p_plain, q_plain = plain
-    p_low, q_low = perturbed
-    a_step = center_term(scheme, pert, m)
-    if m == 0:
-        # Step 0: the P-side lambda term multiplies P_{-1} = 0; Q_1 is an
-        # initial value, untouched by any perturbation.
-        top_p = a_step * p_low[0]
-        top_q = Poly.one()
-    else:
-        b_step = weight_term(scheme, pert, m)
-        top_p = a_step * p_low[m] - b_step * p_low[m - 1]
-        top_q = a_step * q_low[m] - b_step * q_low[m - 1]
+    plain, perturbed = _read(scheme, pert, m + 1, (m, m + 1), (m - 1, m))
+    return PolyMatrix2(*_entry_form(plain, perturbed, _steps(scheme, pert, m), Poly.one(), m))
 
-    return PolyMatrix2(
-        -top_p * q_plain[m] + p_low[m] * q_plain[m + 1],
-        -top_p * p_plain[m] + p_low[m] * p_plain[m + 1],
-        top_q * q_plain[m] - q_low[m] * q_plain[m + 1],
-        top_q * p_plain[m] - q_low[m] * p_plain[m + 1],
-    )
+
+def _steps(scheme, pert, m):
+    """The level-m step terms as Polys: rho_m (z - c*_m), then lambda*_m W_m
+    for m >= 1.  Step 0 has no lambda term: it multiplies P_{-1} = 0, and Q_1
+    is an initial value, untouched by any perturbation."""
+    return [center_term(scheme, pert, m)] + ([weight_term(scheme, pert, m)] if m else [])
+
+
+def _entry_form(plain, perturbed, steps, one, m):
+    """transfer_entries row by row, in the ring of the values: of the
+    perturbed family it reads only the values through index m, and steps
+    are the level-m step terms (`_steps`)."""
+    (p, q), (ps, qs) = plain, perturbed
+    if m == 0:
+        top_p, top_q = steps[0] * ps[0], one
+    else:
+        a, b = steps
+        top_p, top_q = a * ps[m] - b * ps[m - 1], a * qs[m] - b * qs[m - 1]
+    return (ps[m] * q[m + 1] - top_p * q[m], ps[m] * p[m + 1] - top_p * p[m],
+            top_q * q[m] - qs[m] * q[m + 1], top_q * p[m] - qs[m] * p[m + 1])
 
 
 def structural_residual(scheme, perturbation, n, z):
@@ -198,15 +231,93 @@ def transfer_residual(scheme, perturbation, n):
         transfer_entries - perturbation_transfer,
         K_m F^T_{n+1}(mu,nu) - S F^T_{n+1},
 
-    both read off one plain and one perturbed family through index n + 1.
+    both read off one plain and one perturbed family through index n + 1 and,
+    when every step of both is an integer Poly, decided on their values at
+    X = 2^B (see the module docstring); otherwise on Polys.
     """
     pert = perturbation or Perturbation.none()
     m = pert.max_level()
     if n < max(m, 0):
         raise ValueError("transfer identity needs n >= max perturbation level and n >= 0")
-    plain, perturbed = _read(scheme, pert, n + 1, (m, m + 1, n, n + 1),
-                             (m - 1, m, m + 1, n, n + 1))
-    s = _transfer(plain, perturbed, m)
-    kappa = lambda_weight_product(scheme, None, m)
-    return (_entries(scheme, pert, plain, perturbed, m) - s,
-            _f(perturbed, n).transpose().scale(kappa) - s @ _f(plain, n).transpose())
+    at = (m, m + 1, n, n + 1)
+    plain, perturbed = _read(scheme, pert, n + 1, at, (m - 1, *at), True)
+    steps = _steps(scheme, pert, m) if m >= 0 else []
+    weights = [weight_term(scheme, Perturbation.none(), j) for j in range(1, m + 1)]
+    if not (plain.integer and perturbed.integer):
+        values = _residuals(plain.values(), perturbed.values(), steps,
+                            math.prod(weights, start=Poly.one()), Poly.one(), Poly.zero(), m, n)
+        return PolyMatrix2(*values[:4]), PolyMatrix2(*values[4:])
+
+    def residuals(cls, rows, numerators):
+        """The eight entries over cls from the families' rows of values and
+        numerators(P), the value of a step Poly's numerators."""
+        def leaf(poly):
+            return cls(numerators(poly), poly.denominator)
+        families = [[{i: cls(row[i], family.dens[i]) for i in family.indices}
+                     for row in family_rows]
+                    for family, family_rows in zip((plain, perturbed), rows)]
+        return _residuals(*families, list(map(leaf, steps)),
+                          math.prod(map(leaf, weights), start=cls(1, 1)), cls(1, 1), cls(0, 1),
+                          m, n)
+
+    bits = _width(max(x.num for x in residuals(
+        _Bound, (plain.norms(), perturbed.norms()), norm1)))
+    values = [Poly.zero() if not x.num else
+              unpacked(x.num, bits, x.num.bit_length() // bits + 2, x.den)
+              for x in residuals(_Packed, (plain.packed(bits), perturbed.packed(bits)),
+                                 lambda p: packed(Poly.from_integers(p.numerators, 1), bits))]
+    return PolyMatrix2(*values[:4]), PolyMatrix2(*values[4:])
+
+
+def _residuals(plain, perturbed, steps, kappa, one, zero, m, n):
+    """The entries of both residuals of `transfer_residual`, row by row, in the
+    ring of the values: plain and perturbed (P, Q) families, the level-m step
+    terms (`_steps`), K_m, and that ring's one and zero."""
+    if m < 0:
+        s = entries = (one, zero, zero, one)
+    else:
+        s = _product_form(plain, perturbed, m)
+        entries = _entry_form(plain, perturbed, steps, one, m)
+    (p, q), (ps, qs) = plain, perturbed
+    f = (p[n + 1], p[n], -q[n + 1], -q[n])                # F_{n+1}^T
+    fs = (ps[n + 1], ps[n], -qs[n + 1], -qs[n])           # F*_{n+1}^T
+    sf = (s[0] * f[0] + s[1] * f[2], s[0] * f[1] + s[1] * f[3],
+          s[2] * f[0] + s[3] * f[2], s[2] * f[1] + s[3] * f[3])
+    return ([x - y for x, y in zip(entries, s)]
+            + [kappa * x - y for x, y in zip(fs, sf)])
+
+
+class _Packed:
+    """num / den: an integer polynomial packed into the int num, its value at
+    X = 2^B, over an int den > 0, with the ring operations of such quotients."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num, self.den = num, den
+
+    def __mul__(self, other):
+        return type(self)(self.num * other.num, self.den * other.den)
+
+    def __neg__(self):
+        return type(self)(-self.num, self.den)
+
+    def __add__(self, other):
+        if self.den == other.den:
+            return type(self)(self.num + other.num, self.den)
+        den = math.lcm(self.den, other.den)
+        return type(self)(self.num * (den // self.den) + other.num * (den // other.den), den)
+
+    def __sub__(self, other):
+        return self + -other
+
+
+class _Bound(_Packed):
+    """A `_Packed` that carries a bound on the 1-norm of its numerator in num:
+    the same operations bound the 1-norm of their result, as a difference
+    adds the bounds."""
+
+    __slots__ = ()
+
+    def __neg__(self):
+        return self

@@ -238,6 +238,19 @@ def test_non_finite_points_are_refused(build):
             build(nodes, values)
 
 
+@pytest.mark.parametrize("build", [lagrange_density, spline_density])
+def test_points_beyond_the_float_range_are_refused(build):
+    # exact numbers too large for a float are refused by name, not with the
+    # OverflowError of a later float(); a large one within it still builds
+    for nodes, values in (([0, 1, 10 ** 400], [1, 2, 3]),
+                          ([Fraction(-10 ** 400, 3), 0, 1], [1, 2, 3]),
+                          ([0, 1, 2], [1, 2 ** 1024, 3]),
+                          ([0, 1, 2], [1, Fraction(1, 3), -10 ** 309])):
+        with pytest.raises(ValueError, match="within the float range"):
+            build(nodes, values)
+    assert build([0, 1, 2], [1, 2, 10 ** 300]).values[-1] == 1e300
+
+
 def _divided_differences(nodes, values):
     """Reference interpolant: Newton divided differences over Fractions,
     expanded to a dense Poly."""

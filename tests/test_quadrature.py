@@ -719,6 +719,34 @@ def test_reused_enclosures_give_the_same_weights(cauchy, n):
     assert weights_second_kind(rule.nodes, rule.m0, q, dp) == list(rule.weights)
 
 
+def test_a_seed_left_in_place_is_enclosed_once(monkeypatch):
+    # where the seed step leaves x unchanged, the first exact step reads
+    # P(x) off the seed step's enclosure; handing none on, as before, encloses
+    # P at that x twice and gives the same nodes and P' enclosures
+    import rii.quadrature as quadrature
+
+    scheme, pert = cauchy_scheme(), Perturbation.corec(2, Fraction(1, 100))
+    p, _q = family_ends(scheme, pert, 12)
+    dp = p.derivative()
+    seeds = _pencil_seeds(scheme, pert, 12)
+    count = [0]
+    enclose = Poly.enclose
+
+    def counted(poly, x):
+        count[0] += 1
+        return enclose(poly, x)
+
+    monkeypatch.setattr(Poly, "enclose", counted)
+    reused = _polished_zeros(p, dp, seeds), count[0]
+    count[0] = 0
+    monkeypatch.setattr(quadrature, "rounded_ratio",
+                        lambda scale, top, bottom, x, box, _top: rounded_ratio(
+                            scale, top, bottom, x, box))
+    fresh = _polished_zeros(p, dp, seeds), count[0]
+    assert reused[0] == fresh[0]
+    assert reused[1] < fresh[1]
+
+
 def _calibrate_from_polynomials(scheme, n):
     """M_0 by its definition: leading coefficients of the generated families."""
     from rii import gen_second_kind

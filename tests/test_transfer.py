@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rii.sequences
 from rii import (
@@ -12,6 +13,7 @@ from rii import (
     PolyMatrix2,
     cauchy_scheme,
     f_matrix,
+    gen_both_kinds,
     gen_first_kind,
     gen_second_kind,
     lambda_weight_product,
@@ -22,6 +24,7 @@ from rii import (
     transfer_entries,
     transfer_residual,
 )
+from rii.sequences import center_term, weight_term
 from rii.suites import random_perturbation, random_scheme
 
 
@@ -157,3 +160,119 @@ def test_transfer_suite_builds_two_families_per_instance(monkeypatch):
         monkeypatch.setattr(module, "_families", counted)
     result = run_suite("transfer", seed=3, instances=6)
     assert result.ok() and len(calls) == 2 * 6
+
+
+def _reference_residual(scheme, pert, n):
+    """transfer_residual as PolyMatrix2 arithmetic on Polys: both families in
+    full, S as the product F*_{m+1}^T adj(F_{m+1})^T, the entry form through
+    the explicit level-m step."""
+    pert = pert or Perturbation.none()
+    m = pert.max_level()
+    p, q = gen_both_kinds(scheme, None, n + 1)
+    ps, qs = gen_both_kinds(scheme, pert, n + 1)
+
+    def f(p, q, j):
+        return PolyMatrix2(p[j + 1], -q[j + 1], p[j], -q[j])
+
+    if m < 0:
+        s = entries = PolyMatrix2.identity()
+    else:
+        s = f(ps, qs, m).transpose() @ f(p, q, m).adjugate().transpose()
+        a = center_term(scheme, pert, m)
+        if m == 0:
+            top_p, top_q = a * ps[0], Poly.one()
+        else:
+            b = weight_term(scheme, pert, m)
+            top_p, top_q = a * ps[m] - b * ps[m - 1], a * qs[m] - b * qs[m - 1]
+        entries = PolyMatrix2(-top_p * q[m] + ps[m] * q[m + 1],
+                              -top_p * p[m] + ps[m] * p[m + 1],
+                              top_q * q[m] - qs[m] * q[m + 1],
+                              top_q * p[m] - qs[m] * p[m + 1])
+    kappa = lambda_weight_product(scheme, None, m)
+    return entries - s, f(ps, qs, n).transpose().scale(kappa) - s @ f(p, q, n).transpose()
+
+
+def _draw_instance(rng, scheme_of_kind, kind, shape, flip, extra):
+    """A scheme of kind, a perturbation of shape ("none", or one of the suites'
+    shapes, with k above k' when flip) and n = m + extra."""
+    scheme = scheme_of_kind(rng, kind)
+    pert = None if shape == "none" else random_perturbation(rng, rng.randint(0, 10), shape)
+    if flip and pert is not None and pert.kp is not None and (pert.k or 0) >= 1:
+        pert = Perturbation.both(pert.kp, pert.mu, pert.k, pert.nu)
+    m = (pert or Perturbation.none()).max_level()
+    return scheme, pert, max(m, 0) + extra
+
+
+@pytest.mark.parametrize("kind", ["general", "special", "oprl", "gaussian", "mixed"])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), shape=st.sampled_from(("none", "corec", "codil", "both")),
+       flip=st.booleans(), extra=st.integers(0, 3))
+def test_packed_transfer_residual_is_the_poly_residual(scheme_of_kind, kind, seed, shape,
+                                                       flip, extra):
+    # on integer steps the residuals are decided at X = 2^B; a non-real step
+    # ("gaussian", and "mixed" where one is read) takes the Poly form; either
+    # way both are the PolyMatrix2 residuals, and zero: n = m at extra 0,
+    # m = 0 where a co-recursion sits at level 0, k > k' with flip
+    scheme, pert, n = _draw_instance(random.Random(seed), scheme_of_kind, kind, shape, flip,
+                                     extra)
+    residuals = transfer_residual(scheme, pert, n)
+    assert all(type(r) is PolyMatrix2 for r in residuals)
+    assert residuals == _reference_residual(scheme, pert, n)
+    assert all(r.is_zero() for r in residuals)
+
+
+def test_packed_transfer_residual_covers_the_edge_levels(cauchy):
+    for pert, n in ((Perturbation.corec(0, Fraction(1, 3)), 0),
+                    (Perturbation.corec(0, Fraction(-7, 2)), 2),
+                    (Perturbation.both(5, Fraction(2, 9), 2, Fraction(7, 4)), 5),
+                    (Perturbation.codil(1, Fraction(9, 8)), 1),
+                    (None, 0)):
+        residuals = transfer_residual(cauchy, pert, n)
+        assert residuals == _reference_residual(cauchy, pert, n)
+        assert all(r.is_zero() for r in residuals)
+
+
+def _shifted_center(level, shift):
+    """cleared_terms with the center of step `level` moved by shift / rho_level
+    in every perturbed family, so the perturbed family breaks there while the
+    explicit steps of the entry form do not."""
+    cleared = rii.sequences.cleared_terms
+
+    def broken(scheme, pert, m, k, z):
+        s, a, b = cleared(scheme, pert, m, k, z)
+        if m == level and pert.max_level() >= 0:
+            a = a + shift * s
+        return s, a, b
+    return broken
+
+
+@pytest.mark.parametrize("kind", ["general", "special", "oprl", "gaussian"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), shape=st.sampled_from(("corec", "codil", "both")),
+       extra=st.integers(0, 3), data=st.data())
+def test_a_broken_family_gives_the_poly_residual_exactly(scheme_of_kind, kind, seed, shape,
+                                                         extra, data):
+    # a center shifted at level L >= m in the perturbed family alone breaks
+    # the theorem (below m it is one more perturbation, which S absorbs): the
+    # residual is not zero, and packed it is still the PolyMatrix2 residual
+    scheme, pert, n = _draw_instance(random.Random(seed), scheme_of_kind, kind, shape, False,
+                                     extra)
+    level = data.draw(st.integers(pert.max_level(), n))
+    shift = data.draw(st.sampled_from((1, -2, 7, 10 ** 6)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rii.sequences, "cleared_terms", _shifted_center(level, shift))
+        residuals = transfer_residual(scheme, pert, n)
+        assert residuals == _reference_residual(scheme, pert, n)
+    assert not all(r.is_zero() for r in residuals)
+
+
+def test_a_broken_family_at_its_widest_coefficients():
+    # a broken instance whose residual numerator has a coefficient of at
+    # least 2^(B-9): packed 8 bits narrower than B, its digits are misread
+    scheme = random_scheme(random.Random("broken-width/0"), 18, "oprl")
+    pert = Perturbation.both(2, Fraction(-3, 4), 4, Fraction(5, 2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rii.sequences, "cleared_terms", _shifted_center(5, 10 ** 6))
+        residuals = transfer_residual(scheme, pert, 6)
+        assert residuals == _reference_residual(scheme, pert, 6)
+    assert not all(r.is_zero() for r in residuals)

@@ -485,26 +485,35 @@ def estimate(rule, f):
     return math.fsum(terms)
 
 
-def exactness_check(scheme, n, p_degree):
-    """Worst |rule - oracle| over f = x^m/(x^2+1)^n, m = 0..p_degree.
+def _cauchy_moment(n, m):
+    """(1/pi) int x^m (1+x^2)^(-n-1) dx over the line, exactly, for 0 <= m <= 2n.
 
-    The oracle integrates x^m / (x^2+1)^n against the worked example's
-    density 1/(pi (1+x^2)) adaptively over the whole line; the rule is
-    exact (to rounding) there through m = 2n-1.
+    The moment of x^m/(x^2+1)^n under the worked example's density
+    1/(pi (1+x^2)).  Odd m give 0.  For m = 2a, b = n - a it is the Beta
+    integral B(a+1/2, b+1/2)/pi = Gamma(a+1/2) Gamma(b+1/2) / (pi n!), and
+    Gamma(a+1/2) = (2a)! sqrt(pi) / (4^a a!) makes it the Fraction
+    (2a)! (2b)! / (4^n a! b! n!).
     """
-    from scipy.integrate import quad
+    a, odd = divmod(m, 2)
+    if odd:
+        return Fraction(0)
+    b = n - a
+    f = math.factorial
+    return Fraction(f(2 * a) * f(2 * b), 4 ** n * f(a) * f(b) * f(n))
 
+
+def exactness_check(scheme, n, p_degree):
+    """Worst |rule - exact moment| over f = x^m/(x^2+1)^n, m = 0..p_degree.
+
+    The exact value is `_cauchy_moment(n, m)`, f integrated against the
+    worked example's density 1/(pi (1+x^2)); the rule is exact (to rounding)
+    there through m = 2n-1.  The integral diverges for m > 2n, so a
+    p_degree outside 0..2n raises ValueError.
+    """
+    if not 0 <= p_degree <= 2 * n:
+        raise ValueError("p_degree must lie in 0..2n = 0..%d, got %r: the moment of "
+                         "x^m/(x^2+1)^n diverges for m > 2n" % (2 * n, p_degree))
     rule = build_rule(scheme, None, n)
-    worst = 0.0
-    for m in range(p_degree + 1):
-        def f(x, _m=m):
-            return x ** _m / (x * x + 1.0) ** n
-
-        def weighted(x, _m=m):   # f times the density 1/(pi (1+x^2))
-            return x ** _m * (1.0 / (math.pi * (1.0 + x * x))) / (x * x + 1.0) ** n
-
-        rule_value = estimate(rule, f)
-        oracle, _err = quad(weighted, -math.inf, math.inf, epsabs=1e-13, epsrel=1e-13,
-                            limit=300)
-        worst = max(worst, abs(rule_value - oracle))
-    return worst
+    return max(abs(estimate(rule, lambda x: x ** m / (x * x + 1.0) ** n)
+                   - _cauchy_moment(n, m))
+               for m in range(p_degree + 1))

@@ -57,13 +57,31 @@ NODE_COLUMNS = ("j", "node", "node_paper", "node_dev",
                 "weight", "weight_paper", "weight_dev")
 
 
-def reference_value_oracle():
-    """Re-derive E by adaptive integration (no table input)."""
-    from scipy.integrate import quad
+def _j_coefficients(k):
+    """(A_k, B_k), Fractions with J_k = A_k J_1 + B_k J_0, for k >= 0.
 
-    value, _err = quad(lambda x: math.exp(-x * x) / (x * x + 1.0) ** 8,
-                       -math.inf, math.inf, epsabs=1e-14, epsrel=1e-14, limit=400)
-    return value
+    J_k = int exp(-x^2) / (1+x^2)^k dx over the line.  Since
+    d/dx [x/(1+x^2)^k] = (1-2k)/(1+x^2)^k + 2k/(1+x^2)^(k+1), integrating it
+    against exp(-x^2) by parts gives (1-2k) J_k + 2k J_{k+1} =
+    2 int x^2 exp(-x^2)/(1+x^2)^k dx = 2 (J_{k-1} - J_k), that is
+    J_{k+1} = (2 J_{k-1} + (2k-3) J_k) / (2k), run here from
+    J_0 = (0, 1) and J_1 = (1, 0).
+    """
+    older, j = (Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))
+    for i in range(1, k):
+        older, j = j, tuple((2 * o + (2 * i - 3) * c) / (2 * i) for o, c in zip(older, j))
+    return older if k == 0 else j
+
+
+def reference_value_oracle():
+    """E = J_8 in closed form (no table input): A pi e erfc(1) + B sqrt(pi).
+
+    J_0 = sqrt(pi), and int exp(-x^2)/(a+x^2) dx = pi e^a erfc(sqrt a)/sqrt a
+    (Abramowitz-Stegun 7.4) gives J_1 = pi e erfc(1); `_j_coefficients(8)`
+    gives the Fractions A and B.  Both terms are positive, so nothing cancels.
+    """
+    a, b = _j_coefficients(8)
+    return a * math.pi * math.e * math.erfc(1.0) + b * math.sqrt(math.pi)
 
 
 def load_fixture(table_id):

@@ -518,9 +518,9 @@ def test_closed_pipe_exits_one_silently():
     ("measure", "--n", "6", "--method", "lagrange"),
 ])
 def test_check_does_not_import_numpy_or_scipy(argv):
-    # only root finding and the two oracles (exactness_check and
-    # reference_value_oracle) need them: commands that find no zeros start
-    # without numpy, and no command imports scipy; a fresh interpreter shows it
+    # only root finding needs numpy: commands that find no zeros start
+    # without it, and nothing imports scipy, even where it is installed; a
+    # fresh interpreter shows it
     unwanted = {"scipy"} if argv[0] == "measure" else {"numpy", "scipy"}
     script = ("import io, sys, contextlib\n"
               "from rii.cli import main\n"
@@ -532,6 +532,39 @@ def test_check_does_not_import_numpy_or_scipy(argv):
         env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rii.__file__))))
     assert (proc.stdout, proc.stderr) == ("0 []\n", "")
 
+
+def _run_without_scipy(code):
+    """Run `code` in a fresh interpreter where `import scipy` fails."""
+    return subprocess.run(
+        [sys.executable, "-c", "import sys\nsys.modules['scipy'] = None\n" + code],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rii.__file__))))
+
+
+@pytest.mark.parametrize("argv", [
+    ("poly", "--n", "5", "--kind", "both"),
+    ("zeros", "--n", "6", "--mu", "0.1"),
+    ("quad", "--n", "6", "--mu", "0.1", "--integrand", "example3"),
+    ("table", "--id", "t4"),
+    ("measure", "--n", "6", "--method", "spline"),
+    ("measure", "--n", "6", "--method", "lagrange"),
+    ("check", "--suite", "all", "--instances", "1"),
+    ("flip",),
+])
+def test_no_command_needs_scipy(argv):
+    proc = _run_without_scipy("import io, contextlib\n"
+                              "from rii.cli import main\n"
+                              "with contextlib.redirect_stdout(io.StringIO()):\n"
+                              "    sys.exit(main(%r))\n" % (list(argv),))
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_the_oracles_do_not_need_scipy():
+    proc = _run_without_scipy("from rii import E_REFERENCE, cauchy_scheme, exactness_check, "
+                              "reference_value_oracle\n"
+                              "print(exactness_check(cauchy_scheme(), 4, 7) < 1e-11, "
+                              "abs(reference_value_oracle() - E_REFERENCE) < 1e-10)\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True True\n", "")
 
 # --- arbitrary argv ------------------------------------------------------------
 

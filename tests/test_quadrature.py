@@ -28,8 +28,8 @@ from rii import (
     weights_second_kind,
 )
 from rii.poly import rounded_ratio
-from rii.quadrature import (_leads, _pencil_seeds, _polished_zeros, _seed_slopes,
-                            _sturm_seeds)
+from rii.quadrature import (_cauchy_moment, _leads, _pencil_seeds, _polished_zeros,
+                            _seed_slopes, _sturm_seeds)
 from rii.sequences import family_ends
 from rii.suites import random_perturbation, random_scheme
 from rii.tables import load_fixture
@@ -644,6 +644,31 @@ def test_estimate_accepts_integrand_objects(cauchy):
 def test_exactness_sweep_small(cauchy):
     assert exactness_check(cauchy, 4, 7) < 1e-11
     assert exactness_check(cauchy, 4, 8) > 1e-3
+
+
+def test_exactness_check_refuses_a_divergent_degree(cauchy):
+    # the moment of x^m/(x^2+1)^4 against 1/(pi (1+x^2)) diverges for m > 8
+    for p_degree in (-1, 9, 10):
+        with pytest.raises(ValueError, match=r"0\.\.8, got %d" % p_degree):
+            exactness_check(cauchy, 4, p_degree)
+
+
+@pytest.mark.parametrize("n", [1, 4, 6, 8])
+def test_cauchy_moments_sum_to_the_density_mass(n):
+    # sum_a C(n, a) x^(2a) = (1+x^2)^n, so the even moments weighted by
+    # C(n, a) integrate the density itself
+    assert sum(math.comb(n, a) * _cauchy_moment(n, 2 * a) for a in range(n + 1)) == 1
+    assert all(_cauchy_moment(n, m) == 0 for m in range(1, 2 * n, 2))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_cauchy_moments_match_adaptive_quad(n):
+    from scipy.integrate import quad
+
+    for m in range(2 * n + 1):
+        reference, _err = quad(lambda x: x ** m / (math.pi * (1.0 + x * x) ** (n + 1)),
+                               -math.inf, math.inf, epsabs=1e-13, epsrel=1e-13, limit=300)
+        assert abs(float(_cauchy_moment(n, m)) - reference) < 1e-13, m
 
 
 def test_calibration_degeneracy():

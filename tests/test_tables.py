@@ -1,5 +1,6 @@
 """Bundled reference tables: fixtures, reproduction, and the flip experiment."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,26 @@ def test_fixture_shapes():
 
 def test_reference_value_oracle_matches_pin():
     assert abs(reference_value_oracle() - E_REFERENCE) < 1e-10
+
+
+def _adaptive_j(k):
+    from scipy.integrate import quad
+
+    value, _err = quad(lambda x: math.exp(-x * x) / (x * x + 1.0) ** k,
+                       -math.inf, math.inf, epsabs=1e-13, epsrel=1e-13, limit=400)
+    return value
+
+
+def test_reference_value_is_the_exact_j8_combination():
+    assert tables._j_coefficients(8) == (Fraction(46289, 645120), Fraction(18815, 64512))
+    assert abs(reference_value_oracle() - _adaptive_j(8)) < 1e-15
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_j_recurrence_matches_adaptive_quad(k):
+    a, b = tables._j_coefficients(k)
+    closed = a * math.pi * math.e * math.erfc(1.0) + b * math.sqrt(math.pi)
+    assert abs(closed - _adaptive_j(k)) < 1e-15
 
 
 def test_reproduce_value_tables_t2_t5_t6():

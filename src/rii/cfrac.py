@@ -40,7 +40,7 @@ from .errors import PoleError
 from .exact import exact_point, rounded
 from .polymat import PolyMatrix2
 from .schemes import Perturbation
-from .sequences import _families, cleared_terms, weight_term
+from .sequences import _Family, cleared_terms, weight_term
 from .transfer import f_matrix, perturbation_transfer
 
 
@@ -180,8 +180,8 @@ def lemma1_matrix(scheme, perturbation):
     level = pert.max_level()
     if level < 0:
         raise ValueError("lemma1_matrix needs at least one perturbation level")
-    p, q = _families(scheme, pert, ("first", "second"), 0, level + 1, None,
-                     (level, level + 1))
+    p, q = _Family(scheme, pert, ("first", "second"), 0, level + 1,
+                   indices=(level, level + 1)).values()
     g = weight_term(scheme, pert, level + 1)
     return Homography(PolyMatrix2(
         g * q[level], -q[level + 1],

@@ -369,12 +369,12 @@ def calibrate_m0(scheme, n):
     (lead_p, lead_q), _ = _leads(scheme, Perturbation.none(), n + 1, ("first", "second"))
     for m in (n + 1, n):
         if lead_p[m] == 0 or lead_q[m] == 0:
-            raise DegeneracyError("M_0 calibration failed: the leading coefficient of the "
+            raise DegeneracyError("M_0 cannot be calibrated: the leading coefficient of the "
                                   "unperturbed %s_%d vanishes" % ("Q" if lead_p[m] else "P", m))
     # M_0 = 1 / ((n + 2) lead_q[n+1]/lead_p[n+1] - (n + 1) lead_q[n]/lead_p[n])
     lead_sum = (n + 2) * lead_q[n + 1] * lead_p[n] - (n + 1) * lead_q[n] * lead_p[n + 1]
     if lead_sum == 0:
-        raise DegeneracyError("calibration failed: extrapolated weight sum is zero")
+        raise DegeneracyError("M_0 cannot be calibrated: the extrapolated weight sum is zero")
     return Fraction(lead_p[n + 1] * lead_p[n], lead_sum)
 
 
@@ -384,6 +384,10 @@ def weights_moment_formula(scheme, perturbation, nodes, m0, p):
     compared against.
 
     p is the perturbed first-kind family through P_n (n = len(nodes)).
+
+    Only tests call it, and it stays: it is the independent exact reference
+    `tests/test_quadrature.py` checks the second-kind weights against, and
+    `bench/tracing.py` wraps it by name for the benchmark's weight metrics.
     """
     pert = perturbation or Perturbation.none()
     n = len(nodes)
@@ -448,7 +452,8 @@ def build_rule(scheme, perturbation, n):
     `weights_second_kind` weighs nodes by any other M_0.  Raises
     ComplexZerosError when the perturbed polynomial leaves the real line
     (the rule does not exist), DegeneracyError when P*_n has degree below n,
-    two of its zeros coincide or a weight denominator vanishes.
+    two of its zeros coincide or a weight denominator vanishes, or M_0
+    cannot be calibrated (the message then says that the nodes exist).
     """
     if n < 1:
         raise ValueError("a rule needs n >= 1 nodes, got %d" % n)
@@ -458,7 +463,10 @@ def build_rule(scheme, perturbation, n):
     nodes, slopes = _zeros(p, dp, scheme, pert)
     known = _M0.setdefault(scheme, {})
     if n not in known:      # a refusal is not kept: it is raised again
-        known[n] = calibrate_m0(scheme, n)
+        try:
+            known[n] = calibrate_m0(scheme, n)
+        except DegeneracyError as exc:
+            raise DegeneracyError("the %d-point rule's nodes exist, but %s" % (n, exc)) from None
     weights = weights_second_kind(nodes, known[n], q, dp, slopes)
     return QuadratureRule(n=n, nodes=tuple(nodes), weights=tuple(weights),
                           perturbation=pert, m0=known[n])

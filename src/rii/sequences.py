@@ -52,29 +52,45 @@ and multiplies v in one product.  From 128 bits on (`_packed_step`) v is
 long, and a step term sum_j c_j X^j multiplies it as sum_j (v c_j) << j bits
 (`_ShiftAdd`): the same int, but each c_j is a digit or two wide, where the
 packed term spans bits times its degree, and CPython's product makes one
-pass over v for every digit of the term.  The packing is exact because bits
-bounds every coefficient.  The 1-norm is subadditive and submultiplicative,
-so
+pass over v for every digit of the term.
 
-    ||v_{i+1}||_1 <= ||s_m a_m||_1 ||v_i||_1 + ||s_m s_{m-1} b_m||_1 ||v_{i-1}||_1,
+This module makes every packing decision, for the families and for exact
+expressions in their members (`_decided`; `rii.transfer` decides the
+transfer theorem so).  A member u_i = v_i / D_i, a step term and any
+integer polynomial over an integer is a quotient A/d, and on quotients
 
-and by induction ||v_i||_1 <= N_i, where N_i follows the same step with
-the norms, N_{i+1} = ||s_m a_m||_1 N_i + ||s_m s_{m-1} b_m||_1 N_{i-1}, from
-N_0 = 1 (first kind) or (N_0, N_1) = (0, s_shift) (second kind).  Every
-coefficient of v_i is at most ||v_i||_1 <= N_i <= N in size, for N the
-largest N_i, and bits is the least multiple of 8 with 2^(bits-1) > N.  So
-every coefficient lies in [-2^(bits-1), 2^(bits-1)), its signed base-2^bits
-digits are unique, and `poly.unpacked` reads v_i back exactly; u_i = v_i / D_i
-is reduced by one gcd.  Only the values a caller reads are unpacked: the
-loop takes the indices i it must read back (`_families(..., indices=)`), so
-`family_ends` reads u_n alone and each identity in `rii.transfer` and
-`rii.cfrac` only the members it reads.  `transfer_residual` unpacks none:
-it takes the family unrun (`_families(..., unrun=True)`, a `_Family`), and
-packs it at a width bounded by its own expression (see `rii.transfer`),
-since an exact packed product needs no bound on its factors' digits, only
-on the result's.  A family with a non-real step iterates the Polys
-themselves in the same loop.  At an exact z each
-u_i = v_i / D_i costs one gcd, and only at those indices.
+    A/d * A'/d' = A A' / (d d'),   A/d +- A'/d' = (A (L/d) +- A' (L/d')) / L,
+
+with L = lcm(d, d'): an expression in them is a quotient R/d, R made from
+the numerators by sums, differences, products and integer multiples alone
+(`_Packed`).  So R(2^bits) follows exactly from the numerators' values at
+2^bits, whatever bits is, and the members are never unpacked.  The same
+expression run on 1-norm bounds (`_Bound`) bounds every R, since
+
+    ||A +- A'||_1 <= ||A||_1 + ||A'||_1,   ||A A'||_1 <= ||A||_1 ||A'||_1,
+    ||k A||_1 = |k| ||A||_1:
+
+a difference or a sum adds the bounds and a product multiplies them, and by
+induction ||R||_1 <= N for the bound N it computes.  The family loop is
+such an expression on integer polynomials, and on bounds it is
+
+    N_{i+1} = ||s_m a_m||_1 N_i + ||s_m s_{m-1} b_m||_1 N_{i-1}
+
+from N_0 = 1 (first kind) or (N_0, N_1) = (0, s_shift) (second kind), so a
+member v_i / D_i is bounded by N_i / D_i (`_Family.members`).  bits is the
+least multiple of 8 with 2^(bits-1) > N, N the largest bound of the values
+read (`_width`).  Every coefficient of each R is at most ||R||_1 <= N in
+size, so it lies in [-2^(bits-1), 2^(bits-1)), its signed base-2^bits
+digits are unique, and `poly.unpacked` reads R back exactly, its length
+taken from the bit length of R(2^bits); R/d reduced by one gcd is the
+canonical Poly.
+
+Only the values a caller reads are unpacked: a `_Family` takes the indices
+it reads back, so `family_ends` reads u_n alone, each identity in
+`rii.transfer` and `rii.cfrac` only its members, and `transfer_residual`
+only its residual entries.  A family with a non-real step, or at an exact
+z, iterates the terms themselves in the same loop, and each u_i = v_i / D_i
+read costs one gcd.
 
 All of it is exact: the public evaluators take a float or complex z as the
 exact rational it stores and round the exact result once on the way out.
@@ -190,30 +206,18 @@ def iterate(a, b, kind, n, shift=0, one=1, zero=0):
     return out
 
 
-def _families(scheme, pert, kinds, shift, n, z, indices=None, unrun=False):
-    """u_0..u_n of each kind in kinds, iterated over one list of scaled steps:
-    Polys when z is None, else values at an exact z (see the module
-    docstring).  Each kind is a list of n + 1 slots in which only the u_i at
-    indices (all when None) are read back; the other slots hold None.  With
-    unrun, the `_Family` itself comes back, its steps built and not yet
-    iterated, for a caller that packs it at a width of its own."""
-    family = _Family(scheme, pert, kinds, shift, n, z, indices)
-    return family if unrun else family.values()
-
-
 class _Family:
-    """One list of scaled steps, s_m a_m and s_m s_{m-1} b_m by m, with D_0..D_n
-    and the start value of each kind (see the module docstring).
+    """One list of scaled steps, s_m a_m and s_m s_{m-1} b_m by m, with D_0..D_n,
+    read back at the indices given (all when None); see the module docstring.
 
-    `values` iterates it as `_families` returns it; `integer` tells whether
-    every step is an integer Poly, and then `norms` gives the bounds N_i and
-    `packed(bits)` the v_i packed at X = 2^bits, never unpacked.
+    `values` gives each kind's u_0..u_n, None at the indices not read.
+    `integer` tells whether every step is an integer Poly, and then `members`
+    gives the read members as quotients of packed integers or of bounds.
     """
 
-    __slots__ = ("kinds", "shift", "n", "z", "indices", "a", "b", "dens", "starts",
-                 "integer")
+    __slots__ = ("kinds", "shift", "n", "z", "indices", "a", "b", "dens", "integer")
 
-    def __init__(self, scheme, pert, kinds, shift, n, z, indices):
+    def __init__(self, scheme, pert, kinds, shift, n, z=None, indices=None):
         pert = pert or Perturbation.none()
         a, b, dens, prev = {}, {}, [1], 1       # s_m a_m, s_m s_{m-1} b_m, D_i, s_{m-1}
         for m in range(shift, shift + n):
@@ -225,51 +229,105 @@ class _Family:
         self.kinds, self.shift, self.n, self.z = kinds, shift, n, z
         self.indices = range(n + 1) if indices is None else indices
         self.a, self.b, self.dens = a, b, dens
-        self.starts = [dens[1] if kind == "second" and n > 0 else 1 for kind in kinds]
         self.integer = z is None and all(p.denominator == 1
                                          for p in (*a.values(), *b.values()))
 
-    def _rows(self, a, b, starts, zero, value):
-        """value(v_i, i) at each read index of each kind, iterated over the step
-        terms a and b from starts; None at the other slots."""
-        out = []
-        for kind, start in zip(self.kinds, starts):
-            values = iterate(a.__getitem__, b.__getitem__, kind, self.n, self.shift,
-                             start, zero)
+    def _rows(self, a, b, one, zero, value):
+        """value(v_i, i) at each read index of each kind, None at the others:
+        v iterated over the step terms a and b from one(start) and zero, the
+        start being v_0 = 1 (first kind) or v_1 = D_1 (second kind)."""
+        rows = []
+        for kind in self.kinds:
+            start = self.dens[1] if kind == "second" and self.n else 1
+            v = iterate(a.__getitem__, b.__getitem__, kind, self.n, self.shift, one(start), zero)
             row = [None] * (self.n + 1)
             for i in self.indices:
-                row[i] = value(values[i], i)
-            out.append(row)
-        return out
+                row[i] = value(v[i], i)
+            rows.append(row)
+        return rows
 
     def values(self):
-        """u_i = v_i / D_i at the read indices: values at z, else Polys, unpacked
-        at the family's own packing width when every step is an integer Poly."""
+        """u_i = v_i / D_i at the read indices: values at z, else Polys, packed
+        when every step is an integer Poly."""
         dens = self.dens
-        if self.z is not None:
-            return self._rows(self.a, self.b, self.starts, 0, lambda v, i: (
-                Fraction(v, dens[i]) if isinstance(v, int) else v / dens[i]))
-        if self.integer:
-            bits = _width(max(max(row) for row in self.norms()))
-            return self.packed(bits, lambda v, i: unpacked(v, bits, i + 1, dens[i]))
-        return self._rows(self.a, self.b, [Poly.const(start) for start in self.starts],
-                          Poly.zero(),
-                          lambda v, i: v if dens[i] == 1 else v * Fraction(1, dens[i]))
+        if self.integer:        # raw ints: a quotient per member cost family_ends 3-5 %
+            bits = _width(max(row[i] for row in self.members(None, lambda v, i: v)
+                              for i in self.indices))
+            return self.members(bits, lambda v, i: unpacked(v, bits, i + 1, dens[i]))
+        one, zero = (int, 0) if self.z is not None else (Poly.const, Poly.zero())
+        return self._rows(self.a, self.b, one, zero, lambda v, i: (
+            Fraction(v, dens[i]) if isinstance(v, int) else
+            v if dens[i] == 1 else v * Fraction(1, dens[i])))
 
-    def norms(self):
-        """N_0..N_n of each kind, N_i >= ||v_i||_1 (see the module docstring)."""
-        # iterate subtracts its b term, so the norms of the b terms enter negated
-        na = {m: norm1(p) for m, p in self.a.items()}
-        nb = {m: -norm1(p) for m, p in self.b.items()}
-        return [iterate(na.__getitem__, nb.__getitem__, kind, self.n, self.shift, start, 0)
-                for kind, start in zip(self.kinds, self.starts)]
+    def members(self, bits=None, read=None):
+        """Each kind's read members u_i = v_i / D_i as quotients: `_Bound`s
+        N_i / D_i when bits is None, else `_Packed`s v_i(2^bits) / D_i; or
+        read(N_i or v_i(2^bits), i) of each when read is given."""
+        if bits is None:
+            # the loop on ints: iterate subtracts its b term, so the b bounds
+            # enter negated (one `_Bound` per step cost a rule ladder 2-3 %)
+            cls, a = _Bound, {m: norm1(p) for m, p in self.a.items()}
+            b = {m: -norm1(p) for m, p in self.b.items()}
+        else:
+            cls, a = _Packed, {m: _packed_step(p, bits) for m, p in self.a.items()}
+            b = {m: _packed_step(p, bits) for m, p in self.b.items()}
+        dens = self.dens
+        return self._rows(a, b, int, 0, read or (lambda v, i: cls(v, dens[i])))
 
-    def packed(self, bits, value=lambda v, i: v):
-        """value(v_i, i) of each v_i at the read indices, v_i packed at X = 2^bits:
-        exact whatever bits is, evaluation at 2^bits being a ring map."""
-        return self._rows({m: _packed_step(p, bits) for m, p in self.a.items()},
-                          {m: _packed_step(p, bits) for m, p in self.b.items()},
-                          self.starts, 0, value)
+
+def _decided(expression):
+    """The Polys R/d of an exact expression in quotients: expression(bits)
+    gives rows of them, as `_Bound`s when bits is None, else as `_Packed`s at
+    X = 2^bits; bits is the `_width` of the bounds (see the module
+    docstring).  A zero R, a correct build's residual, unpacks nothing."""
+    bits = _width(max(x.num for row in expression(None) for x in row))
+    return [[unpacked(x.num, bits, x.num.bit_length() // bits + 2, x.den) if x.num
+             else Poly.zero() for x in row]
+            for row in expression(bits)]
+
+
+def _quotient(poly, bits=None):
+    """A Poly with integer numerators over its denominator as a quotient:
+    its `_Bound` when bits is None, else its `_Packed` at X = 2^bits."""
+    if bits is None:
+        return _Bound(norm1(poly), poly.denominator)
+    return _Packed(packed(Poly.from_integers(poly.numerators, 1), bits), poly.denominator)
+
+
+class _Packed:
+    """num / den: an integer polynomial packed into the int num, its value at
+    X = 2^bits, over an int den > 0, with the ring operations of such quotients."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den):
+        self.num, self.den = num, den
+
+    def __mul__(self, other):
+        return type(self)(self.num * other.num, self.den * other.den)
+
+    def __neg__(self):
+        return type(self)(-self.num, self.den)
+
+    def __add__(self, other):
+        if self.den == other.den:
+            return type(self)(self.num + other.num, self.den)
+        den = math.lcm(self.den, other.den)
+        return type(self)(self.num * (den // self.den) + other.num * (den // other.den), den)
+
+    def __sub__(self, other):
+        return self + -other
+
+
+class _Bound(_Packed):
+    """A `_Packed` that carries a bound on the 1-norm of its numerator in num:
+    the same operations bound the 1-norm of their result, as a difference
+    adds the bounds."""
+
+    __slots__ = ()
+
+    def __neg__(self):
+        return self
 
 
 def _width(bound):
@@ -309,7 +367,7 @@ class _ShiftAdd:
 
 def gen_first_kind(scheme, perturbation, n):
     """P_0..P_n of the (optionally perturbed) recurrence."""
-    return tuple(_families(scheme, perturbation, ("first",), 0, n, None)[0])
+    return tuple(_Family(scheme, perturbation, ("first",), 0, n).values()[0])
 
 
 def gen_second_kind(scheme, perturbation, n):
@@ -318,13 +376,12 @@ def gen_second_kind(scheme, perturbation, n):
     The recurrence's step 0 is never executed for this family, so a
     co-recursion at k = 0 leaves every Q_n unchanged.
     """
-    return tuple(_families(scheme, perturbation, ("second",), 0, n, None)[0])
+    return tuple(_Family(scheme, perturbation, ("second",), 0, n).values()[0])
 
 
 def gen_both_kinds(scheme, perturbation, n):
     """(P_0..P_n, Q_0..Q_n): both families iterated over one list of step terms."""
-    return tuple(tuple(values) for values in
-                 _families(scheme, perturbation, ("first", "second"), 0, n, None))
+    return tuple(map(tuple, _Family(scheme, perturbation, ("first", "second"), 0, n).values()))
 
 
 def family_ends(scheme, perturbation, n, kinds=("first", "second")):
@@ -333,8 +390,7 @@ def family_ends(scheme, perturbation, n, kinds=("first", "second")):
     The families run over one list of step terms, as in gen_both_kinds, and
     only u_n becomes a Poly.
     """
-    return tuple(values[n] for values in
-                 _families(scheme, perturbation, kinds, 0, n, None, (n,)))
+    return tuple(row[n] for row in _Family(scheme, perturbation, kinds, 0, n, None, (n,)).values())
 
 
 def gen_associated(scheme, j, n, kind="first"):
@@ -346,7 +402,7 @@ def gen_associated(scheme, j, n, kind="first"):
     """
     if j < 0:
         raise ValueError("associated order shift j must be >= 0")
-    return tuple(_families(scheme, None, (kind,), j + 1, n, None)[0])
+    return tuple(_Family(scheme, None, (kind,), j + 1, n).values()[0])
 
 
 def eval_recurrence_at(scheme, perturbation, kind, n, z):
@@ -355,14 +411,14 @@ def eval_recurrence_at(scheme, perturbation, kind, n, z):
     Exact z (int/Fraction/GaussianRational) gives an exact scalar; a float or
     complex z gives the exact value at the point it stores, rounded once.
     """
-    u_n = _families(scheme, perturbation, (kind,), 0, n, exact_point(z), (n,))[0][n]
+    u_n = _Family(scheme, perturbation, (kind,), 0, n, exact_point(z), (n,)).values()[0][n]
     return rounded(u_n, z)
 
 
 def eval_sequence_at(scheme, perturbation, kind, n, z, shift=0):
     """All of u_0(z)..u_n(z); same conventions as eval_recurrence_at."""
     x = exact_point(z)
-    values = _families(scheme, perturbation, (kind,), shift, n, x)[0]
+    values = _Family(scheme, perturbation, (kind,), shift, n, x).values()[0]
     return values if x is z else [rounded(u, z) for u in values]
 
 

@@ -26,6 +26,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_main_pins_blas_threads_unless_set(capsys, monkeypatch):
+    # an absent variable is set to one thread; a value the user set is kept
+    from rii.cli import THREAD_VARS
+
+    kept, *absent = THREAD_VARS
+    monkeypatch.setenv(kept, "3")
+    for name in absent:
+        monkeypatch.setenv(name, "")    # so that teardown restores the original
+        monkeypatch.delenv(name)
+    assert run_cli(capsys, "poly", "--n", "1")[0] == 0
+    assert [os.environ.get(name) for name in THREAD_VARS] == ["3", "1", "1"]
+
+
 def test_quad_pinned_value(capsys):
     code, out, err = run_cli(capsys, "quad", "--n", "4", "--mu", "0.1",
                              "--k", "0", "--integrand", "example3")
@@ -474,8 +487,19 @@ def test_an_m0_refusal_names_the_calibration(capsys):
     scheme = '{"rho": [1, 0, 1, 1], "c": 0, "lambda": "1/4", "omega": 1}'
     assert run_cli(capsys, "zeros", "--n", "1", "--scheme", scheme) == (0, "0\n", "")
     assert run_cli(capsys, "quad", "--n", "1", "--scheme", scheme) == (
-        1, "", "error: M_0 calibration failed: the leading coefficient of the unperturbed "
-        "Q_2 vanishes\n")
+        1, "", "error: the 1-point rule's nodes exist, but M_0 cannot be calibrated: the "
+        "leading coefficient of the unperturbed Q_2 vanishes\n")
+
+
+def test_an_m0_refusal_says_the_nodes_exist(capsys):
+    # omega = 1 makes W_1 = 1 + x^2, so P_2 = x^2 - (1 + x^2) = -1: P_1 = x
+    # has its zero, but M_0's two-point fit reads the leading coefficient of
+    # P_2, and the refusal says the node exists
+    scheme = '{"rho": [1, 1, 1], "c": [0, 0, 0], "lambda": [1, 1, 1], "omega": 1}'
+    assert run_cli(capsys, "zeros", "--n", "1", "--scheme", scheme) == (0, "0\n", "")
+    assert run_cli(capsys, "quad", "--n", "1", "--integrand", "1", "--scheme", scheme) == (
+        1, "", "error: the 1-point rule's nodes exist, but M_0 cannot be calibrated: the "
+        "leading coefficient of the unperturbed P_2 vanishes\n")
 
 
 @pytest.mark.parametrize("bounds", [("--x-min=-1.7e308", "--x-max=1.7e308"),

@@ -676,7 +676,7 @@ def test_calibration_degeneracy():
 
     # rho_1 = 0 makes Q_2 vanish, so its leading-coefficient ratio is undefined
     degenerate = CoefficientScheme.special([1, 0, 1, 1], 0, Fraction(1, 4), omega=1)
-    with pytest.raises(DegeneracyError, match="M_0 calibration failed: .* unperturbed Q_2"):
+    with pytest.raises(DegeneracyError, match="M_0 cannot be calibrated: .* unperturbed Q_2"):
         calibrate_m0(degenerate, 1)
 
 
@@ -695,7 +695,8 @@ def test_m0_is_calibrated_once_per_scheme_and_n(monkeypatch):
 
     degenerate = CoefficientScheme.special([1, 0, 1, 1], 0, Fraction(1, 4), omega=1)
     for _ in range(2):
-        with pytest.raises(DegeneracyError, match="M_0 calibration"):
+        with pytest.raises(DegeneracyError, match="the 1-point rule's nodes exist, but "
+                                                  "M_0 cannot be calibrated"):
             build_rule(degenerate, None, 1)
     assert calls == {"calibrate_m0": 5}
 
@@ -718,15 +719,15 @@ def test_each_family_is_generated_once_per_rule(cauchy, monkeypatch):
     import rii.sequences as sequences
 
     calls = _counting(monkeypatch, quadrature, ("family_ends",))
-    steps = _counting(monkeypatch, sequences, ("_families", "cleared_terms"))
+    steps = _counting(monkeypatch, sequences, ("_Family", "cleared_terms"))
     pert = Perturbation.both(2, Fraction(1, 100), 6, Fraction(251, 250))
     build_rule(cauchy, pert, 12)
     # one list of step terms, one term per step, serves both families
     assert calls == {"family_ends": 1}
-    assert steps == {"_families": 1, "cleared_terms": 12}
+    assert steps == {"_Family": 1, "cleared_terms": 12}
     calibrate_m0(cauchy, 40)
     assert calls == {"family_ends": 1}
-    assert steps == {"_families": 1, "cleared_terms": 12}
+    assert steps == {"_Family": 1, "cleared_terms": 12}
 
 
 @pytest.mark.parametrize("n", [12, 40, 100])
@@ -782,13 +783,14 @@ def _calibrate_from_polynomials(scheme, n):
     def ratio(m):
         for name, poly, degree in (("P", p[m], m), ("Q", q[m], m - 1)):
             if poly.degree != degree:
-                raise DegeneracyError("M_0 calibration failed: the leading coefficient of "
+                raise DegeneracyError("M_0 cannot be calibrated: the leading coefficient of "
                                       "the unperturbed %s_%d vanishes" % (name, m))
         return q[m].leading() / p[m].leading()
 
     lead_sum = (n + 2) * ratio(n + 1) - (n + 1) * ratio(n)
     if lead_sum == 0:
-        raise DegeneracyError("calibration failed: extrapolated weight sum is zero")
+        raise DegeneracyError("M_0 cannot be calibrated: the extrapolated weight sum is "
+                              "zero")
     return Fraction(1) / lead_sum
 
 

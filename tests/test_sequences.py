@@ -19,7 +19,8 @@ from rii import (
     gen_first_kind,
     gen_second_kind,
 )
-from rii.sequences import center_term, family_ends, iterate, weight_term
+from rii.poly import norm1
+from rii.sequences import _Family, center_term, family_ends, iterate, weight_term
 from rii.suites import random_perturbation, random_scheme
 
 
@@ -156,12 +157,12 @@ def test_perturbed_family_prefixes_are_the_families_perturbed_below(seed, flip):
         assert q[:level + 1] == q_low[:level + 1]
 
 
-def _unscaled(scheme, pert, kind, n):
+def _unscaled(scheme, pert, kind, n, shift=0):
     """u_0..u_n by the unscaled Poly loop: the reference for the packed one."""
     pert = pert or Perturbation.none()
     return iterate(lambda m: center_term(scheme, pert, m),
                    lambda m: weight_term(scheme, pert, m),
-                   kind, n, 0, Poly.one(), Poly.zero())
+                   kind, n, shift, Poly.one(), Poly.zero())
 
 
 @pytest.mark.parametrize("scheme_kind", ["general", "special", "oprl", "mixed"])
@@ -191,6 +192,31 @@ def test_packed_families_match_their_values(scheme_of_kind, scheme_kind, seed, n
         for kind, family in associated:
             assert [u(z) for u in family] == eval_sequence_at(scheme, None, kind, n, z,
                                                               shift=shift)
+
+
+@pytest.mark.parametrize("scheme_kind", ["general", "special", "oprl", "mixed"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(0, 12), shift=st.integers(0, 2),
+       shape=st.sampled_from(("none", "corec", "codil", "both")), data=st.data())
+def test_each_read_member_is_within_its_bound(scheme_of_kind, scheme_kind, seed, n, shift,
+                                              shape, data):
+    # the packing width's proof obligation, member by member: each read
+    # u_i = v_i / D_i comes as a `_Bound` N_i / D_i with ||v_i||_1 <= N_i,
+    # v_i taken from the unscaled Poly loop (a non-real step in "mixed"
+    # leaves nothing packed)
+    rng = random.Random(seed)
+    scheme = scheme_of_kind(rng, scheme_kind)
+    pert = None if shape == "none" else random_perturbation(rng, 8 + shift, shape)
+    read = data.draw(st.sets(st.integers(0, n), min_size=1))
+    family = _Family(scheme, pert, ("first", "second"), shift, n, indices=sorted(read))
+    if not family.integer:
+        return
+    for kind, bounds in zip(family.kinds, family.members()):
+        exact = _unscaled(scheme, pert, kind, n, shift)
+        assert [i for i, bound in enumerate(bounds) if bound is not None] == sorted(read)
+        for i in read:
+            v = exact[i] * bounds[i].den
+            assert v.denominator == 1 and norm1(v) <= bounds[i].num
 
 
 @pytest.mark.parametrize("pert, n, degree", [

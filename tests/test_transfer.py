@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rii.sequences
+import rii.transfer
 from rii import (
     Perturbation,
     Poly,
@@ -24,6 +25,7 @@ from rii import (
     transfer_entries,
     transfer_residual,
 )
+from rii.poly import norm1
 from rii.sequences import center_term, weight_term
 from rii.suites import random_perturbation, random_scheme
 
@@ -150,14 +152,13 @@ def test_transfer_suite_builds_two_families_per_instance(monkeypatch):
     # one plain and one perturbed family, each one list of steps, serve both
     # residuals of an instance
     calls = []
-    families = rii.sequences._families
+    init = rii.sequences._Family.__init__
 
-    def counted(*args):
+    def counted(self, *args, **kwargs):
         calls.append(args)
-        return families(*args)
+        init(self, *args, **kwargs)
 
-    for module in (rii.sequences, rii.transfer):
-        monkeypatch.setattr(module, "_families", counted)
+    monkeypatch.setattr(rii.sequences._Family, "__init__", counted)
     result = run_suite("transfer", seed=3, instances=6)
     assert result.ok() and len(calls) == 2 * 6
 
@@ -255,15 +256,51 @@ def test_a_broken_family_gives_the_poly_residual_exactly(scheme_of_kind, kind, s
     # a center shifted at level L >= m in the perturbed family alone breaks
     # the theorem (below m it is one more perturbation, which S absorbs): the
     # residual is not zero, and packed it is still the PolyMatrix2 residual
+    scheme, pert, n, broken = _broken_instance(scheme_of_kind, kind, seed, shape, extra, data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rii.sequences, "cleared_terms", broken)
+        residuals = transfer_residual(scheme, pert, n)
+        assert residuals == _reference_residual(scheme, pert, n)
+    assert not all(r.is_zero() for r in residuals)
+
+
+def _broken_instance(scheme_of_kind, kind, seed, shape, extra, data):
+    """A drawn instance (`_draw_instance`, unflipped) and the cleared_terms
+    that break its perturbed family at a drawn level L >= m."""
     scheme, pert, n = _draw_instance(random.Random(seed), scheme_of_kind, kind, shape, False,
                                      extra)
     level = data.draw(st.integers(pert.max_level(), n))
     shift = data.draw(st.sampled_from((1, -2, 7, 10 ** 6)))
+    return scheme, pert, n, _shifted_center(level, shift)
+
+
+@pytest.mark.parametrize("kind", ["general", "special", "oprl"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), shape=st.sampled_from(("corec", "codil", "both")),
+       extra=st.integers(0, 3), data=st.data())
+def test_each_broken_residual_is_within_its_bound(scheme_of_kind, kind, seed, shape, extra,
+                                                  data):
+    # the width's proof obligation on the residuals that are not zero: each
+    # entry R/d that transfer_residual unpacks has ||R||_1 at most the bound
+    # it packs by, over the same d
+    scheme, pert, n, broken = _broken_instance(scheme_of_kind, kind, seed, shape, extra, data)
+    decided = rii.transfer._decided
+    seen = []
+
+    def recording(expression):
+        entries = decided(expression)
+        seen.append((expression(None), entries))
+        return entries
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rii.sequences, "cleared_terms", _shifted_center(level, shift))
-        residuals = transfer_residual(scheme, pert, n)
-        assert residuals == _reference_residual(scheme, pert, n)
-    assert not all(r.is_zero() for r in residuals)
+        patch.setattr(rii.sequences, "cleared_terms", broken)
+        patch.setattr(rii.transfer, "_decided", recording)
+        transfer_residual(scheme, pert, n)
+    [(bounds, entries)] = seen
+    for bound_row, entry_row in zip(bounds, entries):
+        for bound, entry in zip(bound_row, entry_row):
+            numerator = entry * bound.den
+            assert numerator.denominator == 1 and norm1(numerator) <= bound.num
 
 
 def test_a_broken_family_at_its_widest_coefficients():

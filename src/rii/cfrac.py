@@ -19,7 +19,9 @@ The continuants come from one scaled loop over `sequences.cleared_terms`:
 each level's two terms are scaled by the lcm of their denominators at a
 rational z (a float's binary rational included) with a real weight, so the
 convergent is one Fraction of two ints there, and by 1 at every other level,
-which then runs on its Fraction or GaussianRational terms.
+which then runs on its Fraction or GaussianRational terms.  On polynomials
+(z = None) the unperturbed levels come from the scheme's step table
+(`sequences._step_terms`).
 
 Homographies u -> (a u + b)/(c u + d) with polynomial entries and nonzero
 determinant tie the perturbed fraction to the unperturbed one:
@@ -40,7 +42,7 @@ from .errors import PoleError
 from .exact import exact_point, rounded
 from .polymat import PolyMatrix2
 from .schemes import Perturbation
-from .sequences import _Family, cleared_terms, weight_term
+from .sequences import _Family, _step_terms, _term_poly, cleared_terms, weight_term
 from .transfer import f_matrix, perturbation_transfer
 
 
@@ -105,7 +107,11 @@ def _continuants(scheme, perturbation, s, depth, z=None, strict=True):
     scale = 1                                  # t_{j+1}
     for j in range(depth - 1, -1, -1):
         k = s + j + 1 if j < depth - 1 else None
-        t, b, a = cleared_terms(scheme, pert, s + j, k, z)
+        if z is None:
+            t, b, a = _step_terms(scheme, pert, s + j, k)
+            b, a = _term_poly(b), _term_poly(a)
+        else:
+            t, b, a = cleared_terms(scheme, pert, s + j, k, z)
         if scale != 1:
             a *= scale
         scale = t

@@ -43,8 +43,8 @@ P(x); otherwise exact Horner (`ratio_at`) decides.  `rounded_ratio` rounds a
 scaled quotient of two polynomials at x the same way, from the extreme
 corners of their enclosures or from exact Horner.
 
-A polynomial with integer coefficients (denominator 1) packs into one int,
-its value at X = 2^bits (`packed`; Kronecker substitution).  Evaluation at
+A polynomial with integer coefficients packs into one int, its value at
+X = 2^bits (`packed`, which takes the coefficients; Kronecker substitution).  Evaluation at
 2^bits is a ring map Z[X] -> Z, so sums and products of packed values are
 the packed sums and products, each one big-int operation.  `unpacked` reads
 the coefficients back as the signed base-2^bits digits of such a value; the
@@ -412,12 +412,11 @@ def norm1(poly):
     return sum(map(abs, poly._nums))
 
 
-def packed(poly, bits):
-    """P(2^bits) of a Poly with integer coefficients (denominator 1), an int."""
-    if poly._den != 1:
-        raise ValueError("only integer polynomials pack")
+def packed(nums, bits):
+    """P(2^bits), an int, of the polynomial P with the ascending integer
+    coefficients nums."""
     t = 0
-    for a in reversed(poly._nums):
+    for a in reversed(nums):
         t = (t << bits) + a
     return t
 

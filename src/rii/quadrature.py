@@ -73,7 +73,7 @@ from .errors import ComplexZerosError, DegeneracyError, IntegrandError
 from .exact import GaussianRational, quotient
 from .poly import rounded_ratio
 from .schemes import Perturbation
-from .sequences import family_ends, iterate
+from .sequences import family_ends, iterate, step_ratios
 
 # scheme -> {n: M_0}, filled by build_rule; a scheme is immutable
 _M0 = weakref.WeakKeyDictionary()
@@ -95,12 +95,15 @@ def _leads(scheme, pert, n, kinds):
     L_{m+1} = rho_m L_m - lam*_m L_{m-1} (W_m is monic; oprl, W_m = 1, drops
     the lam term, and step 0 has none).  Step m is scaled by
     s_m = den(rho_m) den(lam*_m), and D_m is the product of the scales before m.
+    rho_m and lam*_m are the integer ratios of the scheme's step table
+    (`sequences.step_ratios`).
     """
-    oprl = scheme.kind == "oprl"
+    if scheme.kind == "oprl":
+        [rho], lam = step_ratios(scheme, pert, n, ("rho",)), [(0, 1)] * n
+    else:
+        rho, lam = step_ratios(scheme, pert, n, ("rho", "lam"))
     a, b, dens, s = [], [], [1], 1
-    for m in range(n):
-        rn, rd = scheme.rho(m).as_integer_ratio()
-        ln, ld = pert.coefficient(scheme, m).as_integer_ratio() if m and not oprl else (0, 1)
+    for (rn, rd), (ln, ld) in zip(rho, lam):
         b.append(ln * rd * s)       # s_m s_{m-1} lam*_m, s still s_{m-1}
         s = rd * ld
         a.append(rn * ld)           # s_m rho_m
@@ -119,8 +122,10 @@ def _pencil_seeds(scheme, pert, n):
     has rho_m (z - c*_m) on its diagonal and off-diagonal products
     lam*_m (z^2 + omega^2) (lam*_m for oprl), and its leading minors follow
     the recurrence: det(zB - A) = P*_n (Zhedanov 1999 for R_II,
-    Golub-Welsch 1969 for oprl).  The general kind, a lam*_m <= 0 and an
-    entry beyond the float range give None.
+    Golub-Welsch 1969 for oprl).  Each rho_m, c*_m and lam*_m is its integer
+    ratio in the scheme's step table (`sequences.step_ratios`) rounded once.
+    The general kind, a lam*_m <= 0 and an entry beyond the float range
+    give None.
 
     B = L L^T with L lower bidiagonal, diagonal l_k and g_{k-1} below it.
     The pivots l_k^2 are L_{k+1}/L_k (`_leads`), each rounded once, so B is
@@ -151,13 +156,14 @@ def _pencil_seeds(scheme, pert, n):
     if min(lead) <= 0:
         return None
     special = scheme.kind == "special"
+    # each coefficient rounded once, +-inf beyond the float range
+    rho, center, lam = ([quotient(p, q) for p, q in ratios]
+                        for ratios in step_ratios(scheme, pert, n))
+    del lam[0]      # lambda_0: no step reads it
+    if not (all(v > 0 for v in lam) and all(map(math.isfinite, rho + center + lam))):
+        return None
     try:
-        rho = [float(scheme.rho(m)) for m in range(n)]
-        center = [float(pert.center(scheme, m)) for m in range(n)]
-        lam = [float(pert.coefficient(scheme, m)) for m in range(1, n)]
         omega = float(scheme.omega) if special else 0.0
-        if not all(v > 0 for v in lam):
-            return None
         pivot = [quotient(lead[k + 1] * dens[k], lead[k] * dens[k + 1]) for k in range(n)]
         l = [math.sqrt(d) for d in pivot]
         diag, sub, minus_h = [center[0]], [], [0.0]

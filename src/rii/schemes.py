@@ -121,6 +121,9 @@ class CoefficientScheme:
             self._weight = Poly.one()
         elif kind == "special":
             self._weight = Poly((self.omega * self.omega, 0, 1))
+        # the exact step data of the unperturbed recurrence, which
+        # `rii.sequences` fills on first use (`sequences._table`)
+        self._table = None
 
     # --- constructors ---------------------------------------------------
     @staticmethod

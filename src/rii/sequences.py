@@ -26,6 +26,20 @@ view of the scheme (`oprl._monic_view`), transfer's step matrices use
 `center_term` and `weight_term`, and quadrature's chain of leading
 coefficients runs `iterate` on integers.
 
+Each scheme owns one table of exact step data (`_Table`): the integer
+ratios of rho_m, c_m and lambda_m by m, and the unperturbed cleared terms
+at z = None by (m, k), k being m, None or m + 1.  It is a private
+attribute of the immutable scheme, so it lives and dies with it, and only
+this module fills it: one entry at a time, the first time it is read.  A
+failed read stores nothing, so a tabulated scheme raises SchemeIndexError
+at the same index however warm its table is.  A perturbation changes only
+its own levels, so `_step_terms` builds afresh just the step at m = k or
+with weight index k = k' and takes every other one from the table: the
+rules on one scheme, and the plain and perturbed families of one transfer
+check, share their unperturbed steps.  `cleared_terms` and quadrature's
+lead chain and pencil read rho_m, c*_m and lambda*_m through the table
+too (`step_ratios`).
+
 Every family is one scaled loop: the step list is built once and each
 requested kind is iterated over it, fraction-free in the manner of Bareiss.
 Step m is scaled by s_m (`cleared_terms`), so that
@@ -40,15 +54,17 @@ lcm of the coefficient denominators of a_m and b_m; at an int or Fraction z
 with real W_m(z), the lcm of the denominators of the values.  Both are
 computed on the integer numerators and denominators of rho_m, c*_m,
 lambda*_m and W_m, with no Fraction or Poly arithmetic.  Then every v_i
-has integer coefficients (is an int).  At a step with a non-real term s_m = 1
-and a_m, b_m are the exact terms (Gaussian Polys, or Fraction and
-GaussianRational values at a Gaussian point or a non-real W_m(z)).
+has integer coefficients (is an int), and at z = None s_m a_m and
+s_m b_m are tuples of their integer coefficients, ascending, with no
+trailing zero.  At a step with a non-real term s_m = 1 and a_m, b_m are
+the exact terms (Gaussian Polys, or Fraction and GaussianRational values
+at a Gaussian point or a non-real W_m(z)).
 
-When z is None and every step is an integer Poly, the loop runs on Python
-ints: each v_i is packed as its value at X = 2^bits, evaluation at 2^bits
-being a ring map Z[X] -> Z, so a step is a few big-int operations, not two
-convolutions.  Below bits = 128 each step Poly is packed too (`poly.packed`)
-and multiplies v in one product.  From 128 bits on (`_packed_step`) v is
+When z is None and every step is real, the loop runs on Python ints: each
+v_i is packed as its value at X = 2^bits, evaluation at 2^bits being a
+ring map Z[X] -> Z, so a step is a few big-int operations, not two
+convolutions.  Below bits = 128 each step is packed too and multiplies v
+in one product.  From 128 bits on (`_packed_step`) v is
 long, and a step term sum_j c_j X^j multiplies it as sum_j (v c_j) << j bits
 (`_ShiftAdd`): the same int, but each c_j is a digit or two wide, where the
 packed term spans bits times its degree, and CPython's product makes one
@@ -105,6 +121,75 @@ from .exact import GaussianRational, exact_point, rounded
 from .poly import Poly, norm1, packed, unpacked
 from .schemes import Perturbation
 
+_UNPERTURBED = Perturbation.none()
+
+
+class _Table:
+    """One scheme's exact step data (see the module docstring): the integer
+    ratios of rho_m, c_m and lambda_m by m (lambda_0, never read, is 0),
+    and the unperturbed `cleared_terms` at z = None by (m, k)."""
+
+    __slots__ = ("rho", "c", "lam", "terms")
+
+    def __init__(self):
+        self.rho, self.c, self.lam, self.terms = {}, {}, {0: (0, 1)}, {}
+
+
+def _table(scheme):
+    """A new `_Table` for the scheme, which has none yet: callers read
+    `scheme._table or _table(scheme)`."""
+    table = scheme._table = _Table()
+    return table
+
+
+def _read(cache, coefficient, m):
+    """coefficient(m) as (numerator, denominator > 0), put in cache."""
+    ratio = cache[m] = coefficient(m).as_integer_ratio()
+    return ratio
+
+
+def _shifted(ratio, mu):
+    """The ratio (numerator, denominator > 0) of ratio + mu: c_k + mu."""
+    (p, q), (a, b) = ratio, mu.as_integer_ratio()
+    p, q = p * b + a * q, q * b
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def _scaled(ratio, nu):
+    """The ratio (numerator, denominator > 0) of ratio * nu: nu lambda_k'."""
+    (p, q), (a, b) = ratio, nu.as_integer_ratio()
+    p, q = p * a, q * b
+    g = math.gcd(p, q)
+    return p // g, q // g
+
+
+def step_ratios(scheme, pert, n, names=("rho", "c", "lam")):
+    """The integer ratios (numerator, denominator > 0) of rho_m, c*_m and
+    lambda*_m for m < n, a list for each name in names (in that order);
+    lambda*_0 is (0, 1).
+
+    They come from the scheme's table.  Any that it lacks are read index by
+    index, each name in turn, so a tabulated scheme raises SchemeIndexError
+    for the first coefficient that one recurrence step after another reads.
+    """
+    table = scheme._table or _table(scheme)
+    reads = [(getattr(table, name), getattr(scheme, name)) for name in names]
+    try:
+        rows = [[cache[m] for m in range(n)] for cache, _ in reads]
+    except KeyError:
+        for m in range(n):
+            for cache, coefficient in reads:
+                if m not in cache:
+                    _read(cache, coefficient, m)
+        rows = [[cache[m] for m in range(n)] for cache, _ in reads]
+    for name, row in zip(names, rows):
+        if name == "c" and pert.k is not None and pert.k < n:
+            row[pert.k] = _shifted(row[pert.k], pert.mu)
+        elif name == "lam" and pert.kp is not None and pert.kp < n:
+            row[pert.kp] = _scaled(row[pert.kp], pert.nu)
+    return rows
+
 
 def center_term(scheme, pert, m, z=None):
     """rho_m (z - c*_m): a Poly when z is None, else its value at an exact z.
@@ -134,8 +219,9 @@ def cleared_terms(scheme, pert, m, k, z):
     when k is None): the only source of step terms.
 
     When z is None and W_k is real, s is the lcm of the denominators of a
-    and b, and s a, s b are Polys with integer coefficients, built from the
-    integer numerators of rho_m, c*_m, lambda*_k and W_k.  At an int or
+    and b, and s a, s b are tuples of integer coefficients, ascending and
+    without trailing zeros (the numerators of integer Polys), built from
+    the integer numerators of rho_m, c*_m, lambda*_k and W_k.  At an int or
     Fraction z with real W_k(z) the three are ints: a and b are reduced and
     s is the lcm of their denominators.  Everywhere else s = 1 and a, b are
     the exact terms: Polys when z is None, else Fraction or GaussianRational
@@ -147,16 +233,21 @@ def cleared_terms(scheme, pert, m, k, z):
         # a non-real W_k or a Gaussian z: the exact terms, unscaled
         b = 0 if k is None else weight_term(scheme, pert, k, z)
         return 1, center_term(scheme, pert, m, z), b
-    rn, rd = scheme.rho(m).as_integer_ratio()
-    cn, cd = pert.center(scheme, m).as_integer_ratio()
-    ln, ld = (0, 1) if k is None else pert.coefficient(scheme, k).as_integer_ratio()
+    table = scheme._table or _table(scheme)
+    # a ratio is a nonempty tuple: `or` reads it only when the table lacks it
+    rn, rd = table.rho.get(m) or _read(table.rho, scheme.rho, m)
+    cn, cd = table.c.get(m) or _read(table.c, scheme.c, m)
+    if m == pert.k:
+        cn, cd = _shifted((cn, cd), pert.mu)
+    ln, ld = (0, 1) if k is None else table.lam.get(k) or _read(table.lam, scheme.lam, k)
+    if k == pert.kp and k is not None:
+        ln, ld = _scaled((ln, ld), pert.nu)
     if z is None:
         a, ad = [-rn * cn, rn * cd], rd * cd
         b, bd = ([], 1) if k is None else (
             [ln * w for w in weight.numerators], ld * weight.denominator)
         s = math.lcm(ad // math.gcd(ad, *a), bd // math.gcd(bd, *b))
-        return (s, Poly.from_integers([x * s // ad for x in a], 1),
-                Poly.from_integers([y * s // bd for y in b], 1))
+        return s, _trimmed([x * s // ad for x in a]), _trimmed([y * s // bd for y in b])
     p, q = z.as_integer_ratio()
     an = rn * (p * cd - cn * q)
     ad = rd * q * cd
@@ -168,6 +259,32 @@ def cleared_terms(scheme, pert, m, k, z):
     bn, bd = ln * wn, ld * wd
     g = math.gcd(bn, bd)
     return clear(an, ad, bn // g, bd // g)
+
+
+def _trimmed(nums):
+    """The list of ints nums without its trailing zeros, as a tuple."""
+    while nums and not nums[-1]:
+        nums.pop()
+    return tuple(nums)
+
+
+def _step_terms(scheme, pert, m, k):
+    """cleared_terms(scheme, pert, m, k, None): built afresh at a perturbed
+    level (m = k, or k = k'), else the unperturbed step from the scheme's
+    table, which it fills on first use."""
+    if m == pert.k or (k is not None and k == pert.kp):
+        return cleared_terms(scheme, pert, m, k, None)
+    terms = (scheme._table or _table(scheme)).terms
+    step = terms.get((m, k))
+    if step is None:
+        step = terms[m, k] = cleared_terms(scheme, _UNPERTURBED, m, k, None)
+    return step
+
+
+def _term_poly(term):
+    """A step term of `_step_terms` as a Poly: a tuple of integer
+    coefficients becomes its integer Poly, a Poly stays as it is."""
+    return Poly.from_integers(term, 1) if type(term) is tuple else term
 
 
 def clear(an, ad, bn, bd):
@@ -211,26 +328,33 @@ class _Family:
     read back at the indices given (all when None); see the module docstring.
 
     `values` gives each kind's u_0..u_n, None at the indices not read.
-    `integer` tells whether every step is an integer Poly, and then `members`
-    gives the read members as quotients of packed integers or of bounds.
+    `integer` tells whether every step is real at z = None, each term a
+    tuple of integer coefficients, and then `members` gives the read
+    members as quotients of packed integers or of bounds.
     """
 
     __slots__ = ("kinds", "shift", "n", "z", "indices", "a", "b", "dens", "integer")
 
     def __init__(self, scheme, pert, kinds, shift, n, z=None, indices=None):
-        pert = pert or Perturbation.none()
+        pert = pert or _UNPERTURBED
         a, b, dens, prev = {}, {}, [1], 1       # s_m a_m, s_m s_{m-1} b_m, D_i, s_{m-1}
         for m in range(shift, shift + n):
             # iterate skips b at the first-kind step 0, so it is not queried here
-            s, a[m], sb = cleared_terms(scheme, pert, m, m if m > shift else None, z)
-            b[m] = sb if prev == 1 else sb * prev
+            k = m if m > shift else None
+            s, a[m], sb = (_step_terms(scheme, pert, m, k) if z is None else
+                           cleared_terms(scheme, pert, m, k, z))
+            if prev != 1:
+                sb = tuple([y * prev for y in sb]) if type(sb) is tuple else sb * prev
+            b[m] = sb
             dens.append(dens[-1] * s)
             prev = s
+        self.integer = z is None and all(type(t) is tuple for t in a.values())
+        if z is None and not self.integer:      # a non-real step: every step a Poly
+            a = {m: _term_poly(t) for m, t in a.items()}
+            b = {m: _term_poly(t) for m, t in b.items()}
         self.kinds, self.shift, self.n, self.z = kinds, shift, n, z
         self.indices = range(n + 1) if indices is None else indices
         self.a, self.b, self.dens = a, b, dens
-        self.integer = z is None and all(p.denominator == 1
-                                         for p in (*a.values(), *b.values()))
 
     def _rows(self, a, b, one, zero, value):
         """value(v_i, i) at each read index of each kind, None at the others:
@@ -248,7 +372,7 @@ class _Family:
 
     def values(self):
         """u_i = v_i / D_i at the read indices: values at z, else Polys, packed
-        when every step is an integer Poly."""
+        when every step is real."""
         dens = self.dens
         if self.integer:        # raw ints: a quotient per member cost family_ends 3-5 %
             bits = _width(max(row[i] for row in self.members(None, lambda v, i: v)
@@ -266,11 +390,11 @@ class _Family:
         if bits is None:
             # the loop on ints: iterate subtracts its b term, so the b bounds
             # enter negated (one `_Bound` per step cost a rule ladder 2-3 %)
-            cls, a = _Bound, {m: norm1(p) for m, p in self.a.items()}
-            b = {m: -norm1(p) for m, p in self.b.items()}
+            cls, a = _Bound, {m: sum(map(abs, t)) for m, t in self.a.items()}
+            b = {m: -sum(map(abs, t)) for m, t in self.b.items()}
         else:
-            cls, a = _Packed, {m: _packed_step(p, bits) for m, p in self.a.items()}
-            b = {m: _packed_step(p, bits) for m, p in self.b.items()}
+            cls, a = _Packed, {m: _packed_step(t, bits) for m, t in self.a.items()}
+            b = {m: _packed_step(t, bits) for m, t in self.b.items()}
         dens = self.dens
         return self._rows(a, b, int, 0, read or (lambda v, i: cls(v, dens[i])))
 
@@ -291,7 +415,7 @@ def _quotient(poly, bits=None):
     its `_Bound` when bits is None, else its `_Packed` at X = 2^bits."""
     if bits is None:
         return _Bound(norm1(poly), poly.denominator)
-    return _Packed(packed(Poly.from_integers(poly.numerators, 1), bits), poly.denominator)
+    return _Packed(packed(poly.numerators, bits), poly.denominator)
 
 
 class _Packed:
@@ -343,20 +467,21 @@ def _width(bound):
 _SHIFT_ADD_BITS = 128
 
 
-def _packed_step(poly, bits):
-    """The integer step Poly as `iterate` multiplies packed ints by it: its
-    value at X = 2^bits below _SHIFT_ADD_BITS, else a `_ShiftAdd`."""
-    return _ShiftAdd(poly, bits) if bits >= _SHIFT_ADD_BITS else packed(poly, bits)
+def _packed_step(nums, bits):
+    """The step with integer coefficients nums (ascending) as `iterate`
+    multiplies packed ints by it: its value at X = 2^bits below
+    _SHIFT_ADD_BITS, else a `_ShiftAdd`."""
+    return _ShiftAdd(nums, bits) if bits >= _SHIFT_ADD_BITS else packed(nums, bits)
 
 
 class _ShiftAdd:
-    """An integer step Poly sum_j c_j X^j acting on packed ints: step * v is
-    sum_j (v c_j) << j bits, v times its value at X = 2^bits."""
+    """A step with integer coefficients sum_j c_j X^j acting on packed ints:
+    step * v is sum_j (v c_j) << j bits, v times its value at X = 2^bits."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, poly, bits):
-        self.terms = [(c, j * bits) for j, c in enumerate(poly.numerators) if c]
+    def __init__(self, nums, bits):
+        self.terms = [(c, j * bits) for j, c in enumerate(nums) if c]
 
     def __mul__(self, v):
         out = 0

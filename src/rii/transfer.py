@@ -39,9 +39,12 @@ and the matrix identity above must hold, both as exact polynomial matrices.
 `f_matrix` reads F_{n+1} off the two families instead of multiplying n + 1
 step matrices; `step_matrix` keeps the product form as a reference.
 
-`transfer_residual` decides both identities on packed integers whenever
-every step of both families is an integer Poly, that is unless some W_m is
-not real (then it takes the Poly form above).  Each entry of either
+`transfer_residual` builds its plain family first, so the perturbed one
+takes every step but those at levels k and k' from the scheme's step table
+(`rii.sequences._step_terms`) as the plain one has just filled it.  It
+decides both identities on packed integers whenever every step of both
+families is real, its terms integer coefficients, that is unless some W_m
+is not real (then it takes the Poly form above).  Each entry of either
 residual is a sum of products of the families' members, the step terms
 rho_m (z - c*_m) and lambda*_m W_m and the factors lambda_j W_j of K_m, each
 an integer polynomial over an integer, so `rii.sequences._decided` reads it
@@ -204,7 +207,7 @@ def transfer_residual(scheme, perturbation, n):
         K_m F^T_{n+1}(mu,nu) - S F^T_{n+1},
 
     both read off one plain and one perturbed family through index n + 1 and,
-    when every step of both is an integer Poly, decided on their values at
+    when every step of both is real, decided on their values at
     X = 2^B (see the module docstring); otherwise on Polys.
     """
     pert = perturbation or Perturbation.none()

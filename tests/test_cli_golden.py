@@ -13,7 +13,9 @@ from `Poly.enclose`, or from exact Horner where its ends round apart, and
 every node is the fixed point of Newton's correctly rounded step, whatever
 seed LAPACK's eigenvalues give it, so all 17 digits are the same on every
 build.  So do two spline `measure` runs at n = 20, whose samples are plain
-IEEE double arithmetic on those nodes and weights.
+IEEE double arithmetic on those nodes and weights.  The six tables and the
+default flip run at --precision 17 too, as CSV, so every cell is pinned to
+its last bit; their estimates also call the C library's exp on each node.
 tests/golden/p17-zeros-n400.out, `--precision 17 zeros --n 400`, is not a
 case here (it takes seconds); CI's large-n step diffs against it, and it is
 re-recorded by hand.
@@ -106,6 +108,10 @@ CASES = {
     "flip-json": ("flip", "--out", "json"),
     "p3-flip-json": ("--precision", "3", "flip", "--out", "json"),
     "p3-table-t4-json": ("--precision", "3", "table", "--id", "t4", "--out", "json"),
+    # every table cell and the default flip to the last bit
+    **{"p17-table-%s-csv" % t: ("--precision", "17", "table", "--id", t, "--out", "csv")
+       for t in ("t1", "t2", "t3", "t4", "t5", "t6")},
+    "p17-flip-csv": ("--precision", "17", "flip", "--out", "csv"),
 }
 
 

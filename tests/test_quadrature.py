@@ -141,6 +141,18 @@ def test_a_lead_below_the_float_range_is_no_empty_rule():
         build_rule(scheme, None, 2)
 
 
+@pytest.mark.parametrize("scheme, pert", [
+    (cauchy_scheme(), Perturbation.corec(0, Fraction("1e400"))),                # c*_0
+    (cauchy_scheme(), Perturbation.corec(3, Fraction("-1e400"))),               # c*_3
+    (CoefficientScheme.oprl([1, Fraction("1e400"), 1, 1], 0, 1), None),         # rho_1
+    (CoefficientScheme.oprl(1, [0, 0, Fraction("-1e400"), 0], 1), None),        # c_2
+    (CoefficientScheme.special(1, 0, Fraction(1, 4), Fraction("1e400")), None),  # omega
+])
+def test_a_coefficient_beyond_the_float_range_gives_no_pencil(scheme, pert):
+    # every lead is positive, but an entry of the pencil is not a float
+    assert _pencil_seeds(scheme, pert or Perturbation.none(), 4) is None
+
+
 def test_a_lead_below_the_float_range_has_its_pencil_rule():
     # the same P*_2 = 10^-400 x^2 - 1 from rho = +1e-200: B = 1e-200 I, so
     # the pencil's seeds are +-1e200, its zeros, and each weight is 1/2
@@ -714,20 +726,31 @@ def _counting(monkeypatch, module, names):
     return calls
 
 
-def test_each_family_is_generated_once_per_rule(cauchy, monkeypatch):
+def test_each_family_is_generated_once_per_rule(monkeypatch):
     import rii.quadrature as quadrature
     import rii.sequences as sequences
 
+    scheme = cauchy_scheme()        # a fresh scheme, its step table empty
     calls = _counting(monkeypatch, quadrature, ("family_ends",))
     steps = _counting(monkeypatch, sequences, ("_Family", "cleared_terms"))
     pert = Perturbation.both(2, Fraction(1, 100), 6, Fraction(251, 250))
-    build_rule(cauchy, pert, 12)
+    rule = build_rule(scheme, pert, 12)
     # one list of step terms, one term per step, serves both families
     assert calls == {"family_ends": 1}
     assert steps == {"_Family": 1, "cleared_terms": 12}
-    calibrate_m0(cauchy, 40)
+    calibrate_m0(scheme, 40)
     assert calls == {"family_ends": 1}
     assert steps == {"_Family": 1, "cleared_terms": 12}
+    # a second rule on the scheme builds only its perturbed steps (levels 2
+    # and 6), and is the same rule
+    assert build_rule(scheme, pert, 12) == rule
+    assert steps == {"_Family": 2, "cleared_terms": 14}
+    # another perturbation builds its own levels, 3 and 5, and the table
+    # takes the unperturbed steps 2 and 6 that it lacked; one more node
+    # adds step 12
+    other = Perturbation.both(3, Fraction(-1, 100), 5, Fraction(49, 50))
+    assert build_rule(scheme, other, 13) == build_rule(cauchy_scheme(), other, 13)
+    assert steps == {"_Family": 4, "cleared_terms": 14 + 5 + 13}
 
 
 @pytest.mark.parametrize("n", [12, 40, 100])

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rii import (
+    CoefficientScheme,
     GaussianRational,
     Perturbation,
     Poly,
+    SchemeIndexError,
+    build_rule,
+    calibrate_m0,
     cauchy_scheme,
     eval_recurrence_at,
     eval_sequence_at,
@@ -20,8 +24,9 @@ from rii import (
     gen_second_kind,
 )
 from rii.poly import norm1
-from rii.sequences import _Family, center_term, family_ends, iterate, weight_term
-from rii.suites import random_perturbation, random_scheme
+from rii.sequences import (_Family, _step_terms, center_term, cleared_terms, family_ends,
+                           iterate, weight_term)
+from rii.suites import random_perturbation, random_rational, random_scheme
 
 
 def test_first_kind_worked_values(cauchy):
@@ -242,3 +247,96 @@ def test_eval_in_floating_point(cauchy):
     exact = eval_recurrence_at(cauchy, None, "first", 9, Fraction(1, 3))
     approx = eval_recurrence_at(cauchy, None, "first", 9, 1.0 / 3.0)
     assert abs(float(exact) - approx) < 1e-12
+
+
+def _cache_perturbation(rng, shape, shift):
+    """A perturbation of shape: a suites shape, or "same" (k = k'), "k0"
+    (a co-recursion at 0) or "first" (k' at the first step of a family
+    shifted by shift, where it is never applied)."""
+    mu = random_rational(rng, nonzero=True)
+    nu = random_rational(rng, low=1, high=8, positive=True)
+    if shape == "same":
+        level = rng.randint(1, 6)
+        return Perturbation.both(level, mu, level, nu)
+    if shape == "k0":
+        return Perturbation.both(0, mu, rng.randint(1, 6), nu)
+    if shape == "first":
+        return Perturbation.codil(max(shift, 1), nu)
+    return None if shape == "none" else random_perturbation(rng, 6 + shift, shape)
+
+
+_POINTS = st.one_of(st.none(), st.integers(-5, 5),
+                    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+                    st.builds(lambda re, im: GaussianRational(re, im).simplify(),
+                              st.fractions(min_value=-3, max_value=3, max_denominator=5),
+                              st.fractions(min_value=1, max_value=3, max_denominator=5)))
+
+
+@pytest.mark.parametrize("scheme_kind", ["general", "special", "oprl"])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), n=st.integers(0, 8), shift=st.integers(0, 2),
+       shape=st.sampled_from(("none", "corec", "codil", "both", "same", "k0", "first")),
+       z=_POINTS)
+def test_a_warm_step_table_gives_the_fresh_steps(scheme_of_kind, scheme_kind, seed, n, shift,
+                                                 shape, z):
+    # the table of a scheme that has built other families gives the same
+    # bits as a fresh copy of the scheme, whose table starts empty: the step
+    # terms at every (m, k) a family or a continued fraction reads, and
+    # each kind's family values
+    rng = random.Random(seed)
+    warm = scheme_of_kind(rng, scheme_kind)
+    pert = _cache_perturbation(rng, shape, shift)
+    gen_both_kinds(warm, None, n + shift + 2)
+    gen_both_kinds(warm, random_perturbation(rng, 6), 6)
+    family_ends(warm, pert, n + shift)
+
+    def fresh():
+        return scheme_of_kind(random.Random(seed), scheme_kind)
+
+    none = Perturbation.none()
+    for m in range(shift, shift + n):
+        for k in (m or None, None, m + 1):
+            expected = cleared_terms(fresh(), pert or none, m, k, z)
+            assert cleared_terms(warm, pert or none, m, k, z) == expected
+            if z is None:
+                assert _step_terms(warm, pert or none, m, k) == expected
+    kinds = ("first", "second")
+    values = _Family(warm, pert, kinds, shift, n, z).values()
+    expected = _Family(fresh(), pert, kinds, shift, n, z).values()
+    assert values == expected
+    assert [list(map(type, row)) for row in values] == [list(map(type, row))
+                                                         for row in expected]
+
+
+def test_a_warm_table_still_raises_past_its_end():
+    # a shorter build fills the table; a longer one raises at the first index
+    # past a tabulated entry, as a fresh scheme does, and naming the same table
+    def scheme():
+        return CoefficientScheme.general([1, 2, 1, 3, 1], [0, 1, -1, 2, 0, 1],
+                                         [1, Fraction(1, 2), 2, 1, 3, 1, 2],
+                                         [(0, 1)] * 7)
+
+    def error(call):
+        with pytest.raises(SchemeIndexError) as info:
+            call()
+        return info.value.name, info.value.index, info.value.size
+
+    warm = scheme()
+    for n in range(6):
+        gen_both_kinds(warm, Perturbation.corec(1, 1), n)
+    for call in (lambda s: gen_first_kind(s, None, 6),
+                 lambda s: family_ends(s, Perturbation.codil(5, 2), 6),
+                 lambda s: gen_associated(s, 1, 5),
+                 lambda s: eval_recurrence_at(s, None, "second", 7, Fraction(1, 3))):
+        assert error(lambda: call(warm)) == error(lambda: call(scheme())) == ("rho", 5, 5)
+    # the rule at n = 5 reads rho_5 only in its calibration's lead chain,
+    # after a rule at n = 4 has filled the table through rho_4
+    special = CoefficientScheme.special([1, 2, 1, 3, 1], 0, Fraction(1, 4), 1)
+    build_rule(special, None, 4)
+    assert error(lambda: build_rule(special, None, 5)) == ("rho", 5, 5)
+    # the lead chain reads rho_m, then lambda_m, one step after another: its
+    # lambda table, shorter by one, runs out first
+    short = CoefficientScheme.special([1, 2, 1, 3], 0, [0, 1, 1], 1)
+    assert error(lambda: calibrate_m0(short, 4)) == ("lambda", 3, 3)
+    calibrate_m0(short, 1)
+    assert error(lambda: calibrate_m0(short, 4)) == ("lambda", 3, 3)

@@ -163,6 +163,32 @@ def test_transfer_suite_builds_two_families_per_instance(monkeypatch):
     assert result.ok() and len(calls) == 2 * 6
 
 
+@pytest.mark.parametrize("kind", ["worked", "general", "special", "oprl"])
+@pytest.mark.parametrize("pert, n", [
+    (Perturbation.both(2, Fraction(1, 3), 5, Fraction(7, 4)), 6),
+    (Perturbation.both(3, Fraction(-1, 2), 3, Fraction(2)), 3),     # k = k'
+    (Perturbation.both(4, Fraction(5, 2), 1, Fraction(1, 3)), 5),   # k above k'
+    (Perturbation.corec(0, Fraction(1, 10)), 2),
+])
+def test_one_transfer_check_builds_each_unperturbed_step_once(monkeypatch, kind, pert, n):
+    # the plain family fills the scheme's step table and the perturbed one
+    # reads it: only the steps at levels k and k' are built for it
+    scheme = cauchy_scheme() if kind == "worked" else random_scheme(random.Random(n), 16, kind)
+    built = []
+    cleared = rii.sequences.cleared_terms
+
+    def recording(scheme, pert, m, k, z):
+        built.append((pert.max_level() >= 0, m, k))
+        return cleared(scheme, pert, m, k, z)
+
+    monkeypatch.setattr(rii.sequences, "cleared_terms", recording)
+    assert all(r.is_zero() for r in transfer_residual(scheme, pert, n))
+    assert [(m, k) for perturbed, m, k in built if not perturbed] == \
+        [(0, None)] + [(m, m) for m in range(1, n + 1)]
+    assert sorted(m for perturbed, m, k in built if perturbed) == \
+        sorted({pert.k, pert.kp} - {None})
+
+
 def _reference_residual(scheme, pert, n):
     """transfer_residual as PolyMatrix2 arithmetic on Polys: both families in
     full, S as the product F*_{m+1}^T adj(F_{m+1})^T, the entry form through
@@ -234,15 +260,15 @@ def test_packed_transfer_residual_covers_the_edge_levels(cauchy):
 
 
 def _shifted_center(level, shift):
-    """cleared_terms with the center of step `level` moved by shift / rho_level
-    in every perturbed family, so the perturbed family breaks there while the
-    explicit steps of the entry form do not."""
-    cleared = rii.sequences.cleared_terms
+    """The family step terms (`_step_terms`) with the center of step `level`
+    moved by shift / rho_level in every perturbed family, so the perturbed
+    family breaks there while the explicit steps of the entry form do not."""
+    step_terms = rii.sequences._step_terms
 
-    def broken(scheme, pert, m, k, z):
-        s, a, b = cleared(scheme, pert, m, k, z)
+    def broken(scheme, pert, m, k):
+        s, a, b = step_terms(scheme, pert, m, k)
         if m == level and pert.max_level() >= 0:
-            a = a + shift * s
+            a = a + shift * s if isinstance(a, Poly) else (a[0] + shift * s, *a[1:])
         return s, a, b
     return broken
 
@@ -258,14 +284,14 @@ def test_a_broken_family_gives_the_poly_residual_exactly(scheme_of_kind, kind, s
     # residual is not zero, and packed it is still the PolyMatrix2 residual
     scheme, pert, n, broken = _broken_instance(scheme_of_kind, kind, seed, shape, extra, data)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rii.sequences, "cleared_terms", broken)
+        patch.setattr(rii.sequences, "_step_terms", broken)
         residuals = transfer_residual(scheme, pert, n)
         assert residuals == _reference_residual(scheme, pert, n)
     assert not all(r.is_zero() for r in residuals)
 
 
 def _broken_instance(scheme_of_kind, kind, seed, shape, extra, data):
-    """A drawn instance (`_draw_instance`, unflipped) and the cleared_terms
+    """A drawn instance (`_draw_instance`, unflipped) and the step terms
     that break its perturbed family at a drawn level L >= m."""
     scheme, pert, n = _draw_instance(random.Random(seed), scheme_of_kind, kind, shape, False,
                                      extra)
@@ -293,7 +319,7 @@ def test_each_broken_residual_is_within_its_bound(scheme_of_kind, kind, seed, sh
         return entries
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rii.sequences, "cleared_terms", broken)
+        patch.setattr(rii.sequences, "_step_terms", broken)
         patch.setattr(rii.transfer, "_decided", recording)
         transfer_residual(scheme, pert, n)
     [(bounds, entries)] = seen
@@ -309,7 +335,7 @@ def test_a_broken_family_at_its_widest_coefficients():
     scheme = random_scheme(random.Random("broken-width/0"), 18, "oprl")
     pert = Perturbation.both(2, Fraction(-3, 4), 4, Fraction(5, 2))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rii.sequences, "cleared_terms", _shifted_center(5, 10 ** 6))
+        patch.setattr(rii.sequences, "_step_terms", _shifted_center(5, 10 ** 6))
         residuals = transfer_residual(scheme, pert, 6)
         assert residuals == _reference_residual(scheme, pert, 6)
     assert not all(r.is_zero() for r in residuals)

@@ -22,21 +22,23 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .density import lagrange_density, sample_density, spline_density
-from .errors import RiiError
-from .exact import integer, named_rational
-from .integrands import parse_integrand
-from .quadrature import build_rule, estimate, perturbed_zeros
-from .schemes import CoefficientScheme, Perturbation, cauchy_scheme
-from .sequences import family_ends
-from .suites import SUITES, run_suite
-from .tables import order_flip_experiment, reproduce_table
+# submodules, not their functions: each one runs on the first call into it
+# (see the package docstring), so a command runs only what it calls
+from . import (density, errors, exact, integrands, quadrature, schemes, sequences, suites,
+               tables)
 
 log = logging.getLogger("rii")
 
 SCHEMA_VERSION = 1
 
+# the largest --precision that "%.*g" takes: it reads the digits as a C int
+MAX_PRECISION = 2 ** 31 - 1
+
 OUT_FORMATS = ("text", "csv", "json")
+
+# the keys of suites.SUITES, sorted: named here so that building the parser
+# runs no suite code (a test keeps the two equal)
+SUITE_NAMES = ("oprl", "spectral", "structural", "transfer")
 
 
 def _fmt(value, precision):
@@ -74,20 +76,20 @@ def _emit(out, precision, document, columns, rows, text=None):
 
 def _load_scheme(spec_text):
     if spec_text == "cauchy":
-        return cauchy_scheme()
+        return schemes.cauchy_scheme()
     if os.path.exists(spec_text):
         with open(spec_text, "r", encoding="utf-8") as handle:
-            return CoefficientScheme.from_json(handle.read())
-    return CoefficientScheme.from_json(spec_text)
+            return schemes.CoefficientScheme.from_json(handle.read())
+    return schemes.CoefficientScheme.from_json(spec_text)
 
 
 def _perturbation_from_args(args):
     """The --mu/--k and --nu/--kp perturbation; a --mu or --nu that is not a
     rational raises ValueError naming the flag."""
-    mu = None if args.mu is None else named_rational(args.mu, "--mu")
-    nu = None if args.nu is None else named_rational(args.nu, "--nu")
-    return Perturbation(k=args.k if mu is not None else None, mu=mu,
-                        kp=args.kp if nu is not None else None, nu=nu)
+    mu = None if args.mu is None else exact.named_rational(args.mu, "--mu")
+    nu = None if args.nu is None else exact.named_rational(args.nu, "--nu")
+    return schemes.Perturbation(k=args.k if mu is not None else None, mu=mu,
+                                kp=args.kp if nu is not None else None, nu=nu)
 
 
 @dataclass(frozen=True)
@@ -135,10 +137,11 @@ class ExperimentConfig:
             raise ValueError("malformed config: n must list at least one size")
         try:
             return cls(
-                scheme=CoefficientScheme.from_dict(data["scheme"]),
-                perturbations=tuple(Perturbation.from_dict(p, "perturbations[%d]" % i)
-                                    for i, p in enumerate(data["perturbations"])),
-                n_values=tuple(integer(n, "n") for n in data["n"]),
+                scheme=schemes.CoefficientScheme.from_dict(data["scheme"]),
+                perturbations=tuple(
+                    schemes.Perturbation.from_dict(p, "perturbations[%d]" % i)
+                    for i, p in enumerate(data["perturbations"])),
+                n_values=tuple(exact.integer(n, "n") for n in data["n"]),
                 integrand=integrand,
                 out=out,
             )
@@ -150,7 +153,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:    # nested deeper than the decoder goes
+            raise ValueError("malformed config: %s" % exc) from None
+        return cls.from_dict(data)
 
     def __eq__(self, other):
         if not isinstance(other, ExperimentConfig):
@@ -164,7 +171,7 @@ def _cmd_poly(args):
     scheme = _load_scheme(args.scheme)
     pert = _perturbation_from_args(args)
     kinds = ("first", "second") if args.kind == "both" else (args.kind,)
-    entries = list(zip(kinds, family_ends(scheme, pert, args.n, kinds)))
+    entries = list(zip(kinds, sequences.family_ends(scheme, pert, args.n, kinds)))
     document = {"polynomials": [
         {"kind": kind, "n": args.n, "coefficients": [str(c) for c in p.coeffs]}
         for kind, p in entries]}
@@ -180,7 +187,7 @@ def _cmd_poly(args):
 def _cmd_zeros(args):
     scheme = _load_scheme(args.scheme)
     pert = _perturbation_from_args(args)
-    zeros = perturbed_zeros(scheme, pert, args.n)
+    zeros = quadrature.perturbed_zeros(scheme, pert, args.n)
     _emit(args.out, args.precision, {"n": args.n, "zeros": zeros}, ("j", "zero"),
           [{"j": j + 1, "zero": z} for j, z in enumerate(zeros)],
           [_fmt(z, args.precision) for z in zeros])
@@ -189,7 +196,7 @@ def _cmd_zeros(args):
 
 def _run_quad_once(scheme, pert, n, integrand):
     """One quad result row; rationals and levels as strings, None if absent."""
-    value = estimate(build_rule(scheme, pert, n), integrand)
+    value = quadrature.estimate(quadrature.build_rule(scheme, pert, n), integrand)
     log.info("quad n=%d -> %s", n, value)
     fields = {"n": n, "mu": pert.mu, "k": pert.k, "nu": pert.nu, "kp": pert.kp}
     return {**{k: None if v is None else str(v) for k, v in fields.items()},
@@ -205,9 +212,9 @@ def _cmd_quad(args):
     else:
         config = ExperimentConfig(_load_scheme(args.scheme), (_perturbation_from_args(args),),
                                   (args.n,), args.integrand)
-    integrand = parse_integrand(config.integrand)
+    integrand = integrands.parse_integrand(config.integrand)
     rows = [_run_quad_once(config.scheme, pert, n, integrand)
-            for pert in config.perturbations or (Perturbation.none(),)
+            for pert in config.perturbations or (schemes.Perturbation.none(),)
             for n in config.n_values]
     _emit(args.out or config.out, args.precision, {"results": rows},
           ("n", "mu", "k", "nu", "kp", "I_star"), rows,
@@ -216,7 +223,7 @@ def _cmd_quad(args):
 
 
 def _cmd_table(args):
-    report = reproduce_table(args.id)
+    report = tables.reproduce_table(args.id)
     _emit(args.out, args.precision,
           {"table": report.table_id, "max_deviation": report.max_deviation,
            "flagged": report.flagged, "rows": report.rows},
@@ -231,12 +238,12 @@ def _cmd_table(args):
 def _cmd_measure(args):
     scheme = _load_scheme(args.scheme)
     pert = _perturbation_from_args(args)
-    rule = build_rule(scheme, pert, args.n)
-    build = lagrange_density if args.method == "lagrange" else spline_density
+    rule = quadrature.build_rule(scheme, pert, args.n)
+    build = density.lagrange_density if args.method == "lagrange" else density.spline_density
     approx = build(rule.nodes, rule.weights)
     x_min = args.x_min if args.x_min is not None else rule.nodes[0]
     x_max = args.x_max if args.x_max is not None else rule.nodes[-1]
-    samples = sample_density(approx, x_min, x_max, args.samples)
+    samples = density.sample_density(approx, x_min, x_max, args.samples)
     rows = [{"x": x, "density": v, "flag": flag} for x, v, flag in samples]
     _emit(args.out, args.precision, {"method": args.method, "n": args.n, "samples": rows},
           ("x", "density", "flag"), rows)
@@ -244,10 +251,10 @@ def _cmd_measure(args):
 
 
 def _cmd_check(args):
-    names = sorted(SUITES) if args.suite == "all" else [args.suite]
+    names = SUITE_NAMES if args.suite == "all" else [args.suite]
     failed = 0
     for name in names:
-        result = run_suite(name, seed=args.seed, instances=args.instances)
+        result = suites.run_suite(name, seed=args.seed, instances=args.instances)
         log.info("suite %s finished in %.2fs", name, result.elapsed)
         print("%s: %d instances, %d failures"
               % (result.name, result.instances, len(result.failures)))
@@ -261,7 +268,7 @@ def _cmd_check(args):
 
 def _cmd_flip(args):
     scheme = _load_scheme(args.scheme)
-    mu, nu = named_rational(args.mu, "--mu"), named_rational(args.nu, "--nu")
+    mu, nu = exact.named_rational(args.mu, "--mu"), exact.named_rational(args.nu, "--nu")
     try:
         pairs = []
         for chunk in args.pairs.split(","):
@@ -269,7 +276,7 @@ def _cmd_flip(args):
             pairs.append((int(k_text), mu, int(kp_text), nu))
     except (ValueError, TypeError):
         raise ValueError("--pairs expects 'k:kp[,k:kp...]', got %r" % args.pairs)
-    report = order_flip_experiment(scheme, pairs, args.n)
+    report = tables.order_flip_experiment(scheme, pairs, args.n)
     rows = [{"k": r["k"], "mu": str(r["mu"]), "kp": r["kp"], "nu": str(r["nu"]),
              "I_star": r["I_star"], "dev": r["dev"]} for r in report.rows]
     median = report.median_row
@@ -362,7 +369,7 @@ def build_parser():
     p.set_defaults(func=_cmd_measure)
 
     p = sub.add_parser("check", help="run the randomized identity suites")
-    p.add_argument("--suite", choices=tuple(sorted(SUITES)) + ("all",), default="all")
+    p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=None)
     p.set_defaults(func=_cmd_check)
@@ -399,6 +406,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.precision < 1:
         parser.error("--precision must be at least 1, got %d" % args.precision)
+    if args.precision > MAX_PRECISION:
+        parser.error("--precision must be at most %d, got %d"
+                     % (MAX_PRECISION, args.precision))
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -409,7 +419,7 @@ def main(argv=None):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (RiiError, ValueError, OSError) as exc:
+    except (errors.RiiError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

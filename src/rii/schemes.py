@@ -208,7 +208,11 @@ class CoefficientScheme:
 
     @staticmethod
     def from_json(text):
-        return CoefficientScheme.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:    # nested deeper than the decoder goes
+            raise ValueError("malformed scheme: %s" % exc) from None
+        return CoefficientScheme.from_dict(data)
 
 
 # what a scheme dict of each kind holds besides rho, c and lambda

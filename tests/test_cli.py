@@ -104,9 +104,19 @@ def test_usage_errors_exit_two(capsys):
         main(["--precision", "-3", "quad", "--n", "4"])     # no digits to print
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
+        main(["--precision", str(2 ** 31), "quad", "--n", "4"])   # "%.*g" takes a C int
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
         main(["zeros", "--n", "4", "--tol-imag", "1e-9"])   # one zero finder, no override
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_the_largest_precision_prints_every_digit(capsys):
+    # a float's exact decimal expansion, no more: "%.*g" drops trailing zeros
+    code, out, err = run_cli(capsys, "--precision", str(2 ** 31 - 1), "quad", "--n", "3")
+    assert (code, err) == (0, "")
+    assert Fraction(out.strip()) == Fraction(float(out))
 
 
 def test_bad_integrand_exits_one(capsys):
@@ -284,6 +294,21 @@ def test_malformed_config_exits_one(tmp_path, capsys, document):
     code, out, err = run_cli(capsys, "quad", "--config", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
+                                  '{"a": ' * 100000 + "1" + "}" * 100000])
+def test_json_nested_beyond_the_decoder_exits_one(tmp_path, capsys, text):
+    # a scheme inline and in a file, and a config
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    for argv in (("zeros", "--n", "3", "--scheme", text),
+                 ("zeros", "--n", "3", "--scheme", str(path)),
+                 ("quad", "--config", str(path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: malformed ") and err.count("\n") == 1
+        assert "maximum recursion depth" in err
 
 
 @pytest.mark.parametrize("argv", [

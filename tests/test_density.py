@@ -192,7 +192,7 @@ def test_the_knots_scipy_refuses_raise_value_error_silently(capfd, nodes, messag
 def test_measure_prints_a_spline_refusal_as_one_error_line(capsys, monkeypatch, nodes, message):
     # no scheme gives such rules, so `measure` is handed them directly
     rule = SimpleNamespace(nodes=tuple(nodes), weights=(1.0, 2.0, 3.0))
-    monkeypatch.setattr("rii.cli.build_rule", lambda scheme, pert, n: rule)
+    monkeypatch.setattr("rii.quadrature.build_rule", lambda scheme, pert, n: rule)
     code = main(["measure", "--n", "3", "--method", "spline"])
     out, err = capsys.readouterr()
     assert (code, out) == (1, "")

@@ -43,6 +43,17 @@ P(x); otherwise exact Horner (`ratio_at`) decides.  `rounded_ratio` rounds a
 scaled quotient of two polynomials at x the same way, from the extreme
 corners of their enclosures or from exact Horner.
 
+When every other fixed-point coefficient is 0, as for an even or odd P of
+degree n = 2m or 2m + 1 >= 2 (recorded once, in `_half`), `enclose` runs
+the same Horner in y = x^2 = p^2/2^(2e) over the m + 1 others,
+    t <- floor(t * p^2 / 2^(2e)) + f_j,
+and for odd n multiplies once by x, t <- floor(t * p / 2^e).  Truncating
+every coefficient, those that truncate to 0 too, still loses less than
+sum_{k<=n} |x|^k <= (n+1) M^n units, M = max(1, |x|); the m floors in y
+lose less than sum_{k<m} y^k, times |x| for odd n, whose product by x
+floors once more.  So t is within (n + m + 2) M^n <= (2n+1) M^n units of
+2^s P(x): the same bound, from about half the big-int steps.
+
 A polynomial with integer coefficients packs into one int, its value at
 X = 2^bits (`packed`, which takes the coefficients; Kronecker substitution).  Evaluation at
 2^bits is a ring map Z[X] -> Z, so sums and products of packed values are
@@ -112,9 +123,10 @@ def _convolve(a, b, zero):
 class Poly:
     """Immutable dense polynomial; supports +, -, *, scalar mul, ** and calls."""
 
-    # _fixed: the fixed-point coefficients and their unit (`_fixed_point`),
-    # set by the first enclosure
-    __slots__ = ("_nums", "_den", "_fixed")
+    # _fixed: the fixed-point coefficients and their unit, and _half: those
+    # of P's parity, descending, when P is even or odd (else None); both set
+    # by the first enclosure (`_fixed_point`)
+    __slots__ = ("_nums", "_den", "_fixed", "_half")
 
     def __init__(self, coeffs=()):
         cs = [_norm_coeff(c) for c in coeffs]
@@ -308,8 +320,9 @@ class Poly:
     def enclose(self, x):
         """(lo, hi, den) with lo/den <= P(x) <= hi/den at a finite float x.
 
-        Fixed-point Horner over the unit 1/den of `_fixed_point` (see the
-        module docstring).  The coefficients must be rational.
+        Fixed-point Horner over the unit 1/den of `_fixed_point`, in x^2 when
+        P is even or odd (see the module docstring).  The coefficients must
+        be rational.
         """
         if self._den is None:
             raise TypeError("enclose needs rational coefficients")
@@ -324,19 +337,33 @@ class Poly:
         p, q = x.as_integer_ratio()
         e = q.bit_length() - 1
         t = 0
-        for s in reversed(fixed):
-            t = ((t * p) >> e) + s
+        half = self._half
+        if half is None:
+            for s in reversed(fixed):
+                t = ((t * p) >> e) + s
+        else:
+            square, e2 = p * p, 2 * e
+            for s in half:
+                t = ((t * square) >> e2) + s
+            if n & 1:
+                t = (t * p) >> e
         return t - err, t + err, den
 
     def _fixed_point(self):
         """(coefficients, den): each a_j / _den in the unit 1/den of `enclose`,
-        rounded toward zero, den a power of two (see the module docstring)."""
+        rounded toward zero, den a power of two (see the module docstring).
+        Records in `_half` the coefficients of P's parity, descending, when
+        the others all are 0 at degree >= 2; else None."""
         nums, common = self._nums, self._den
         top = max([a.bit_length() for a in nums], default=0)
         shift = max(0, common.bit_length() + min(FRACTION_BITS, 3 * FRACTION_BITS - top))
         # toward zero, |f_j| <= |a_j| 2^shift / den: never wider than the exact value
-        return (tuple([(a << shift) // common if a >= 0 else -((-a << shift) // common)
-                       for a in nums]), 1 << shift)
+        fixed = tuple([(a << shift) // common if a >= 0 else -((-a << shift) // common)
+                       for a in nums])
+        odd = (len(fixed) - 1) & 1
+        self._half = (fixed[odd::2][::-1] if len(fixed) > 2 and not any(fixed[1 - odd::2])
+                      else None)
+        return fixed, 1 << shift
 
     def derivative(self):
         out = [j * a for j, a in enumerate(self._nums)][1:]

@@ -60,6 +60,23 @@ both families once, over one list of step terms, and turns only those two
 into Polys.  It forms P*_n' once, and the weight reuses the P*_n'(x)
 enclosure of Newton's last step, which left x unchanged: the same exact
 value, so the same rule.
+
+A symmetric rule is built from half its nodes.  Where every c*_m is 0 and
+every W_m is even (special and oprl schemes, general ones with nodes
+(a_m, -a_m)), P*_n(-x) = (-1)^n P*_n(x) and Q*_n has the parity of n - 1.
+A co-dilation (lambda_kp -> nu lambda_kp) keeps that, so the worked
+example's co-dilated rules are symmetric; a co-recursion (c_k -> c_k + mu)
+breaks it.  For an even or odd P*_n, judged from its exact numerators
+(`_parity`), the Newton map x -> x - RN(P(x)/P'(x)) is odd: the exact
+ratio is odd, and rounding to nearest and float negation are symmetric.  So
+the negative of a fixed point is a fixed point of the same loop, and
+`_symmetric_zeros` polishes only the upper ceil(n/2) of the sorted seeds
+(the seed slopes still read all n) and reflects them, provided the
+smallest is +0.0 for odd n or positive for even n; else it polishes all n,
+so no refusal is added.  When Q*_n has the parity of n - 1 too,
+w(-x) = M_0 Q*_n(-x)/P*_n'(-x) = w(x) exactly, and `build_rule` weighs the
+upper half alone.  The enclosures of an even or odd polynomial run Horner
+in x^2 over half its coefficients (`Poly.enclose`).
 """
 
 from __future__ import annotations
@@ -191,12 +208,13 @@ def _pencil_seeds(scheme, pert, n):
     return seeds.tolist() if np.isfinite(seeds).all() else None
 
 
-def _polished_zeros(poly, dpoly, seeds):
+def _polished_zeros(poly, dpoly, seeds, first=0):
     """(zeros, dpoly's enclosure at each) of poly, of degree n >= 1 with a real
     leading coefficient, and its derivative dpoly: the one Newton loop.
 
-    The zeros are n sorted, pairwise distinct floats, or this raises.  Newton
-    starts from seeds, n floats the caller chooses.  Its first step at a
+    The zeros are n - first sorted, pairwise distinct floats, or this raises.
+    Newton starts from seeds[first:], seeds being n floats the caller
+    chooses, and the slopes read all n.  Its first step at a
     seed s_j is P(s_j)/S_j: P(s_j) the midpoint of its enclosure and S_j
     the slope the seeds give (`_seed_slopes`), so no enclosure of P'.  It
     is taken only where that enclosure fixes P(s_j) to 20 bits and S_j is a
@@ -211,7 +229,7 @@ def _polished_zeros(poly, dpoly, seeds):
     enclosure of P(x).
     """
     polished = []
-    for x, slope in zip(seeds, _seed_slopes(poly, seeds)):
+    for x, slope in zip(seeds[first:], _seed_slopes(poly, seeds)[first:]):
         top = None          # poly's enclosure at x, while x is the seed
         if math.isfinite(slope) and slope:
             top = lo, hi, den = poly.enclose(x)
@@ -311,16 +329,45 @@ def _sturm_seeds(poly):
     return seeds.tolist()
 
 
+def _parity(poly):
+    """degree % 2 when the rational poly is even or odd, else None."""
+    odd = poly.degree & 1
+    return None if any(poly.numerators[1 - odd::2]) else odd
+
+
+def _symmetric_zeros(poly, dpoly, seeds):
+    """`_polished_zeros` of poly from n sorted seeds, and from the upper half
+    alone when poly is even or odd; then the lower half is those zeros
+    reflected, and None stands for their enclosures of dpoly.
+
+    The half is kept only when it is ceil(n/2) zeros that reflect to n
+    distinct ones: the smallest is +0.0 for odd n, positive for even n.
+    Else, and where the half's polish fails, all n seeds are polished, so
+    the half adds no refusal.
+    """
+    n = len(seeds)
+    if _parity(poly) is not None:
+        try:
+            upper, boxes = _polished_zeros(poly, dpoly, seeds, n // 2)
+        except DegeneracyError:
+            upper = None
+        # odd n: the middle zero is +0.0; even n: every zero is positive
+        if upper and (upper[0] == 0 and math.copysign(1.0, upper[0]) > 0 if n & 1
+                      else upper[0] > 0):
+            return [-x for x in reversed(upper[n & 1:])] + upper, [None] * (n // 2) + boxes
+    return _polished_zeros(poly, dpoly, seeds)
+
+
 def _zeros(poly, dpoly, scheme, pert):
-    """`_polished_zeros` of P*_n = poly from the pencil's seeds, and from the
+    """`_symmetric_zeros` of P*_n = poly from the pencil's seeds, and from the
     Sturm chain's where there are none or their polish fails."""
     seeds = _pencil_seeds(scheme, pert, poly.degree)
     if seeds is not None:
         try:
-            return _polished_zeros(poly, dpoly, seeds)
+            return _symmetric_zeros(poly, dpoly, seeds)
         except DegeneracyError:     # e.g. a graded pencil: its seeds can be far off
             pass
-    return _polished_zeros(poly, dpoly, _sturm_seeds(poly))
+    return _symmetric_zeros(poly, dpoly, _sturm_seeds(poly))
 
 
 def real_zeros(poly):
@@ -332,7 +379,7 @@ def real_zeros(poly):
     lead = poly.leading()
     if isinstance(lead, GaussianRational):
         poly = poly * (1 / lead)
-    return _polished_zeros(poly, poly.derivative(), _sturm_seeds(poly))[0]
+    return _symmetric_zeros(poly, poly.derivative(), _sturm_seeds(poly))[0]
 
 
 def perturbed_zeros(scheme, perturbation, n):
@@ -425,7 +472,7 @@ def weights_second_kind(nodes, m0, q, dp, enclosures=None):
     and dp the perturbed P_n'.
 
     enclosures, when given, holds dp.enclose(x) for each node, as the polish
-    leaves them.
+    leaves them, or None where a node has none.
     """
     m0 = Fraction(m0)
     out = []
@@ -466,14 +513,20 @@ def build_rule(scheme, perturbation, n):
     pert = perturbation or Perturbation.none()
     p, q = family_ends(scheme, pert, n)
     dp = require_degree(p, n).derivative()
-    nodes, slopes = _zeros(p, dp, scheme, pert)
+    nodes, boxes = _zeros(p, dp, scheme, pert)
     known = _M0.setdefault(scheme, {})
     if n not in known:      # a refusal is not kept: it is raised again
         try:
             known[n] = calibrate_m0(scheme, n)
         except DegeneracyError as exc:
             raise DegeneracyError("the %d-point rule's nodes exist, but %s" % (n, exc)) from None
-    weights = weights_second_kind(nodes, known[n], q, dp, slopes)
+    lower = boxes.count(None)       # the nodes reflected from the upper half
+    if lower and _parity(q) == (n - 1) & 1:
+        # w(-x) = M_0 Q*_n(-x)/P*_n'(-x) = w(x) exactly
+        upper = weights_second_kind(nodes[lower:], known[n], q, dp, boxes[lower:])
+        weights = upper[n & 1:][::-1] + upper
+    else:
+        weights = weights_second_kind(nodes, known[n], q, dp, boxes)
     return QuadratureRule(n=n, nodes=tuple(nodes), weights=tuple(weights),
                           perturbation=pert, m0=known[n])
 

@@ -336,6 +336,8 @@ class _Family:
     __slots__ = ("kinds", "shift", "n", "z", "indices", "a", "b", "dens", "integer")
 
     def __init__(self, scheme, pert, kinds, shift, n, z=None, indices=None):
+        if n < 0:       # as `iterate` says it; _rows reads dens[1] before iterating
+            raise ValueError("n must be >= 0, got %d" % n)
         pert = pert or _UNPERTURBED
         a, b, dens, prev = {}, {}, [1], 1       # s_m a_m, s_m s_{m-1} b_m, D_i, s_{m-1}
         for m in range(shift, shift + n):

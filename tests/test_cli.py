@@ -686,3 +686,51 @@ def test_main_exits_cleanly_on_arbitrary_argv(argv):
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     if code == 1:
         assert err.getvalue().startswith("error: ")
+
+
+# --- boundary table ------------------------------------------------------------
+
+# each subcommand that takes a size, the size flag last; `check` sizes its suites
+_SIZED = {
+    "poly-first": ("poly", "--kind", "first", "--n"),
+    "poly-second": ("poly", "--kind", "second", "--n"),
+    "poly-both": ("poly", "--kind", "both", "--n"),
+    "zeros": ("zeros", "--n"),
+    "quad": ("quad", "--n"),
+    "measure-lagrange": ("measure", "--method", "lagrange", "--samples", "9", "--n"),
+    "measure-spline": ("measure", "--method", "spline", "--samples", "9", "--n"),
+    "check": ("check", "--suite", "all", "--instances"),
+    "flip": ("flip", "--n"),
+}
+
+
+def _boundary_levels(command, n):
+    """No perturbation, then each kind at the levels 0, n - 1, n and n + 1
+    (flip: each level paired with itself)."""
+    if command[0] == "check":
+        return [()]
+    levels = sorted({0, n - 1, n, n + 1})
+    if command[0] == "flip":
+        return [()] + [("--pairs", "%d:%d" % (level, level)) for level in levels]
+    return [()] + [flags for level in levels for flags in (
+        ("--mu", "1/100", "--k", str(level)), ("--nu", "251/250", "--kp", str(level)),
+        ("--mu", "1/100", "--k", str(level), "--nu", "251/250", "--kp", str(level)))]
+
+
+@pytest.mark.parametrize("n", range(-2, 3))
+@pytest.mark.parametrize("name", sorted(_SIZED))
+def test_the_boundary_table_exits_cleanly(capsys, name, n):
+    # every case exits 0, 1 or 2 with at most one error line and no
+    # traceback: `poly --n -1 --kind second` once ended in an IndexError
+    command = _SIZED[name]
+    for flags in _boundary_levels(command, n):
+        argv = list(command) + [str(n)] + list(flags)
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse usage errors exit 2
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err and err.count("error:") <= 1, (argv, err)
+        if code == 1:
+            assert err.startswith("error: "), (argv, err)

@@ -8,7 +8,8 @@ format at the default precision, each of the six tables (t4 in JSON at
 coefficients, a spline through perturbed (unequal) weights, and a rule
 and a polynomial of degree above 10, where packed families do the work.
 `zeros` at n = 200 (the worked example), at n = 100 and at n = 10 (t4's
-rule), and `quad` at n = 4, also run at --precision 17: every float comes
+rule), and `quad` at n = 4 and at n = 100 under a co-dilation (a symmetric
+rule, from half its nodes), also run at --precision 17: every float comes
 from `Poly.enclose`, or from exact Horner where its ends round apart, and
 every node is the fixed point of Newton's correctly rounded step, whatever
 seed LAPACK's eigenvalues give it, so all 17 digits are the same on every
@@ -16,9 +17,10 @@ build.  So do two spline `measure` runs at n = 20, whose samples are plain
 IEEE double arithmetic on those nodes and weights.  The six tables and the
 default flip run at --precision 17 too, as CSV, so every cell is pinned to
 its last bit; their estimates also call the C library's exp on each node.
-tests/golden/p17-zeros-n400.out, `--precision 17 zeros --n 400`, is not a
-case here (it takes seconds); CI's large-n step diffs against it, and it is
-re-recorded by hand.
+tests/golden/p17-zeros-n400.out, `--precision 17 zeros --n 400`, and
+tests/golden/p17-zeros-n400-codil.out, the same with `--nu 1.004 --kp 6`,
+are not cases here (they take seconds); CI's large-n step diffs against
+them, and they are re-recorded by hand.
 The exact demos 01 and 02 run the same way against
 tests/golden/demo-<name>.out, with the suite timings demo 02 prints masked.
 
@@ -73,6 +75,8 @@ CASES = {
     # t4's rule and the smallest rule the installed entry point builds, at full precision
     "p17-zeros-n10": ("--precision", "17", "zeros", "--n", "10", "--mu=-0.01"),
     "p17-quad-n4": ("--precision", "17", "quad", "--n", "4", "--mu", "0.1"),
+    "p17-quad-n100-codil-csv": ("--precision", "17", "quad", "--n", "100", "--nu", "0.98",
+                                "--kp", "3", "--out", "csv"),
     "poly-n40-csv": ("poly", "--n", "40", "--kind", "both") + T5_CELL + ("--out", "csv"),
     "quad-config": ("quad", "--config", CONFIG),
     "quad-config-json": ("quad", "--config", CONFIG, "--out", "json"),

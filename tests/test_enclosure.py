@@ -94,6 +94,20 @@ def test_wide_denominators_enclose_on_floored_coefficients(nums, den, x):
     _check(Poly.from_integers(nums, den), x)
 
 
+@settings(max_examples=150, deadline=None)
+@given(nums=_nums, den=st.integers(1, 2 ** 64), odd=st.booleans())
+def test_even_and_odd_polynomials_enclose_in_x_squared(nums, den, odd):
+    # every other coefficient 0: Horner runs in x^2 over the others (and by
+    # x once more when odd) within the same error bound, signed zeros,
+    # subnormals and points near the float range's end included
+    spread = [0] * (2 * len(nums) - 1 + odd)
+    spread[odd::2] = nums
+    poly = Poly.from_integers(spread, den)
+    for x in (0.0, -0.0, 5e-324, -5e-324, 1.5, -1.5, 1e300, -1e300):
+        _check(poly, x)
+    assert poly._half == poly._fixed[0][odd::2][::-1]
+
+
 def test_a_wide_polynomial_is_floored_and_rounds_exactly():
     rng = random.Random(4000)
     den = rng.getrandbits(4000) | 1 << 3999 | 1

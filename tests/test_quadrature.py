@@ -29,7 +29,7 @@ from rii import (
 )
 from rii.poly import rounded_ratio
 from rii.quadrature import (_cauchy_moment, _leads, _pencil_seeds, _polished_zeros,
-                            _seed_slopes, _sturm_seeds)
+                            _seed_slopes, _sturm_seeds, _symmetric_zeros)
 from rii.sequences import family_ends
 from rii.suites import random_perturbation, random_scheme
 from rii.tables import load_fixture
@@ -794,6 +794,138 @@ def test_a_seed_left_in_place_is_enclosed_once(monkeypatch):
     fresh = _polished_zeros(p, dp, seeds), count[0]
     assert reused[0] == fresh[0]
     assert reused[1] < fresh[1]
+
+
+# --- symmetric rules -----------------------------------------------------------
+
+def _full_polish(monkeypatch):
+    """Every rule polishes all n seeds, and every enclosure runs Horner on
+    every coefficient: the reference for the symmetric halves."""
+    import rii.quadrature as quadrature
+
+    fixed_point = Poly._fixed_point
+
+    def every_coefficient(poly):
+        out = fixed_point(poly)
+        poly._half = None
+        return out
+
+    monkeypatch.setattr(quadrature, "_parity", lambda poly: None)
+    monkeypatch.setattr(Poly, "_fixed_point", every_coefficient)
+
+
+def _rule_bits(scheme, pert, n):
+    """build_rule's nodes and weights and perturbed_zeros' nodes, as hex, or
+    each one's refusal."""
+    def rule():
+        r = build_rule(scheme, pert, n)
+        return [x.hex() for x in r.nodes], [w.hex() for w in r.weights]
+
+    out = []
+    for compute in (rule, lambda: [x.hex() for x in perturbed_zeros(scheme, pert, n)]):
+        try:
+            out.append(compute())
+        except RiiError as exc:
+            out.append("%s: %s" % (type(exc).__name__, exc))
+    return out
+
+
+def _draw_symmetric_scheme(data, n):
+    """A scheme with c = 0 whose W_m are even: special, oprl, or general with
+    nodes (a_m, -a_m), so every P_m and Q_m is even or odd.  rho_m^2 is
+    mostly above lam_m, so most of its rules exist."""
+    rho = data.draw(st.lists(st.fractions(Fraction(1, 2), 20, max_denominator=50),
+                             min_size=n + 2, max_size=n + 2))
+    lam = data.draw(st.lists(st.fractions(Fraction(1, 50), 2, max_denominator=50),
+                             min_size=n + 2, max_size=n + 2))
+    kind = data.draw(st.sampled_from(("special", "oprl", "general")))
+    if kind == "special":
+        return CoefficientScheme.special(rho, 0, lam,
+                                         data.draw(st.fractions(Fraction(1, 10), 4)))
+    if kind == "oprl":
+        return CoefficientScheme.oprl(rho, 0, lam)
+    a = data.draw(st.lists(st.fractions(-5, 5, max_denominator=20), min_size=n + 2,
+                           max_size=n + 2))
+    return CoefficientScheme.general(rho, 0, lam, [(x, -x) for x in a])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 14), data=st.data())
+def test_a_symmetric_rule_is_the_full_polish_bit_for_bit(n, data):
+    # a co-dilation keeps c = 0: from half the seeds and half the Horner
+    # steps, the same nodes and weights, or the same refusal
+    scheme = _draw_symmetric_scheme(data, n)
+    codil = data.draw(st.one_of(st.none(), st.tuples(
+        st.integers(1, n), st.fractions(Fraction(1, 50), 8, max_denominator=50))))
+    pert = Perturbation.codil(*codil) if codil else None
+    half = _rule_bits(scheme, pert, n)
+    with pytest.MonkeyPatch.context() as mp:
+        _full_polish(mp)
+        assert _rule_bits(scheme, pert, n) == half
+
+
+def _polished_counts(monkeypatch):
+    """How many zeros each `_polished_zeros` call returns, from now on."""
+    import rii.quadrature as quadrature
+
+    counts = []
+    polish = quadrature._polished_zeros
+
+    def counted(*args):
+        zeros, boxes = polish(*args)
+        counts.append(len(zeros))
+        return zeros, boxes
+
+    monkeypatch.setattr(quadrature, "_polished_zeros", counted)
+    return counts
+
+
+@pytest.mark.parametrize("pert, n, polished", [
+    (Perturbation.codil(4, Fraction(1036, 1000)), 40, [20]),
+    (None, 41, [21]),
+    (Perturbation.corec(3, Fraction(1, 100)), 40, [40]),
+], ids=("codil", "odd", "corec"))
+def test_a_symmetric_rule_polishes_half_its_seeds(monkeypatch, cauchy, pert, n, polished):
+    # a co-dilation keeps the worked example symmetric, so ceil(n/2) seeds
+    # are polished and mirrored; a co-recursion breaks the symmetry, and
+    # its rule polishes all n
+    counts = _polished_counts(monkeypatch)
+    rule = build_rule(cauchy, pert, n)
+    assert counts == polished
+    mirrored = polished[0] < n
+    assert (rule.nodes == tuple(-x for x in reversed(rule.nodes))) == mirrored
+    assert (rule.weights == rule.weights[::-1]) == mirrored
+    bits = _rule_bits(cauchy, pert, n)
+    _full_polish(monkeypatch)
+    assert _rule_bits(cauchy, pert, n) == bits
+
+
+def test_a_symmetric_p_with_an_asymmetric_q_weighs_every_node(monkeypatch):
+    # c = (1, -1, 0, ...) makes P_2 = (z - 1)(z + 1) - (z^2 + 1)/4 even, yet
+    # Q_2 = (z + 1) Q_1 is not odd: the nodes are mirrored, the weights are not
+    scheme = CoefficientScheme.special(1, [1, -1, 0, 0], Fraction(1, 4), 1)
+    counts = _polished_counts(monkeypatch)
+    rule = build_rule(scheme, None, 2)
+    assert counts == [1]
+    assert rule.nodes == (-rule.nodes[1], rule.nodes[1])
+    assert rule.weights[0] != rule.weights[1]
+    bits = _rule_bits(scheme, None, 2)
+    _full_polish(monkeypatch)
+    assert _rule_bits(scheme, None, 2) == bits
+
+
+@pytest.mark.parametrize("p, seeds", [
+    # the one upper seed polishes to -1
+    (Poly((-1, 0, 1)), [-1.2, -0.9]),
+    # the middle seed polishes to -1, not to 0: all three seeds, and two
+    # of them reach -1
+    (Poly((0, -1, 0, 1)), [-1.2, -0.9, 1.3]),
+    # the middle seed is -0.0, a fixed point: mirroring needs +0.0
+    (Poly((0, -1, 0, 1)), [-1.1, -0.0, 1.1]),
+], ids=("even-below-zero", "odd-off-zero", "odd-negative-zero"))
+def test_a_half_that_does_not_mirror_polishes_every_seed(p, seeds):
+    assert _polish_outcome(_symmetric_zeros, p, seeds) == \
+        _polish_outcome(_polished_zeros, p, seeds)
 
 
 def _calibrate_from_polynomials(scheme, n):

@@ -67,8 +67,10 @@ def _emit(out, precision, document, columns, rows, text=None):
     elif out == "csv" or text is None:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c, ""), precision) for c in columns])
+        digits = "%%.%dg" % precision       # _fmt's float format, built once
+        cells = [[digits % v if type(v) is float else _fmt(v, precision)
+                  for v in [row.get(c, "") for row in rows]] for c in columns]
+        writer.writerows(zip(*cells))       # formatted a column at a time
     else:
         for line in text:
             print(line)

@@ -14,13 +14,19 @@ from `Poly.enclose`, or from exact Horner where its ends round apart, and
 every node is the fixed point of Newton's correctly rounded step, whatever
 seed LAPACK's eigenvalues give it, so all 17 digits are the same on every
 build.  So do two spline `measure` runs at n = 20, whose samples are plain
-IEEE double arithmetic on those nodes and weights.  The six tables and the
+IEEE double arithmetic on those nodes and weights, and a Lagrange `measure`
+at n = 20, whose samples are correctly rounded values of the exact
+interpolant through them.  The six tables and the
 default flip run at --precision 17 too, as CSV, so every cell is pinned to
 its last bit; their estimates also call the C library's exp on each node.
 tests/golden/p17-zeros-n400.out, `--precision 17 zeros --n 400`, and
 tests/golden/p17-zeros-n400-codil.out, the same with `--nu 1.004 --kp 6`,
 are not cases here (they take seconds); CI's large-n step diffs against
-them, and they are re-recorded by hand.
+them, and they are re-recorded by hand.  So are
+tests/golden/p17-measure-lagrange-n40-mu.out and
+tests/golden/p17-measure-lagrange-n40-minus-mu.out, `--precision 17 measure
+--n 40 --method lagrange --samples 400` at `--mu 0.01` and `--mu=-0.01`,
+which CI's large-n density step diffs against.
 The exact demos 01 and 02 run the same way against
 tests/golden/demo-<name>.out, with the suite timings demo 02 prints masked.
 
@@ -100,6 +106,11 @@ CASES = {
     # perturbed weights make it solve its slope system
     "p17-measure-spline-n20-mu": ("--precision", "17", "measure", "--n", "20", "--method",
                                   "spline", "--samples", "400", "--mu", "0.01", "--k", "0"),
+    # the benchmark's heavy command: 400 samples of the degree-19 interpolant,
+    # every one correctly rounded, so all 17 digits are pinned
+    "p17-measure-lagrange-n20-csv": ("--precision", "17", "measure", "--n", "20", "--method",
+                                     "lagrange", "--samples", "400", "--mu=-0.01", "--k", "0",
+                                     "--out", "csv"),
     "measure-spline-perturbed-json": ("measure", "--n", "6", "--method", "spline",
                                       "--samples", "9", "--mu=-1/100", "--nu", "0.98",
                                       "--kp", "2", "--out", "json"),

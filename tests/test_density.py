@@ -1,6 +1,7 @@
 """Density approximation: Lagrange interpolant, natural spline, sampling."""
 
 import math
+import random
 import re
 import warnings
 from fractions import Fraction
@@ -319,3 +320,105 @@ def test_a_low_degree_interpolant_is_sampled_on_its_enclosure(monkeypatch, mu):
     assert len(samples) == 400 and exact == []
     for x, value, _flag in samples:
         assert float.hex(value) == float.hex(quotient(*approx.poly.ratio_at(x)))
+
+
+_MUS = {"mu": Fraction(1, 100), "minus-mu": Fraction(-1, 100)}
+_WIDE_RULES = {**{"%s-n%d" % (name, n): (Perturbation.corec(0, mu), n)
+                  for n in (20, 30, 40) for name, mu in _MUS.items()},
+               "codil-n20": (Perturbation.codil(2, Fraction(98, 100)), 20)}
+
+
+@pytest.mark.parametrize("name", sorted(_WIDE_RULES))
+def test_lagrange_matches_divided_differences_on_rule_knots(name):
+    # float nodes and weights make the common denominator wide (about 4,600
+    # bits for the co-dilated rule, 9,350 at n = 20 and 37,000 at n = 40),
+    # and so every weighted power sum
+    pert, n = _WIDE_RULES[name]
+    rule = build_rule(cauchy_scheme(), pert, n)
+    approx = lagrange_density(rule.nodes, rule.weights)
+    assert approx.poly == _divided_differences(rule.nodes, rule.weights)
+    assert approx.poly.denominator.bit_length() > 4000
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    for permuted in (order, order[::-1]):
+        again = lagrange_density([rule.nodes[i] for i in permuted],
+                                 [rule.weights[i] for i in permuted])
+        assert again.poly == approx.poly
+
+
+@pytest.fixture(scope="module")
+def interpolant():
+    rule = build_rule(cauchy_scheme(), Perturbation.corec(0, Fraction(-1, 100)), 20)
+    return rule, lagrange_density(rule.nodes, rule.weights)
+
+
+def _calls(approx, xs):
+    """The hex of one call of the interpolant at each x alone."""
+    return _bits(float(approx.poly(x)) for x in xs)
+
+
+def test_the_sampling_pass_gives_each_knots_weight(interpolant):
+    rule, approx = interpolant
+    values = _bits(approx.poly.at_floats(rule.nodes))
+    assert values == _calls(approx, rule.nodes) == _bits(rule.weights)
+    samples = sample_density(approx, rule.nodes[0], rule.nodes[-1], 400)
+    assert _bits([samples[0][1], samples[-1][1]]) == _bits([rule.weights[0], rule.weights[-1]])
+
+
+def test_the_sampling_pass_rounds_as_each_call_does(interpolant):
+    rule, approx = interpolant
+    signed = [0.0, -0.0, 5e-324, -5e-324]
+    assert _bits(approx.poly.at_floats(signed)) == _calls(approx, signed)
+    samples = sample_density(approx, -5e-324, 5e-324, 3)
+    assert [x for x, _v, _f in samples] == [-5e-324, 0.0, 5e-324]
+    samples += sample_density(approx, -5e-324, -0.0, 2)
+    samples += sample_density(approx, rule.nodes[0] - 1.0, rule.nodes[-1] + 1.0, 400)
+    xs = [x for x, _v, _f in samples]
+    assert _bits(v for _x, v, _f in samples) == _calls(approx, xs)
+
+
+@pytest.mark.parametrize("x_min, x_max", [(-1.0, Fraction(1, 3)), (-1.0, 1),
+                                          (Fraction(-1, 2), Fraction(1, 3))],
+                         ids=["fraction-end", "int-end", "fraction-grid"])
+def test_exact_grid_points_are_sampled_by_their_own_calls(interpolant, x_min, x_max):
+    # x_max is appended as given; a grid of Fractions is Fractions throughout
+    _rule, approx = interpolant
+    samples = sample_density(approx, x_min, x_max, 7)
+    xs = [x for x, _v, _f in samples]
+    assert xs[-1] is x_max
+    assert _bits(v for _x, v, _f in samples) == _calls(approx, xs)
+
+
+def test_a_value_beyond_the_float_range_is_refused_at_its_x(interpolant):
+    _rule, approx = interpolant
+    far = [1e200, -1e200]
+    assert _bits(approx.poly.at_floats(far)) == _calls(approx, far)
+    assert {abs(v) for v in approx.poly.at_floats(far)} == {math.inf}
+    for x_max in (1e200, 10 ** 200, Fraction(10 ** 200)):
+        with pytest.raises(ValueError, match=re.escape("not finite at x = 2.5e+199")):
+            sample_density(approx, 0.0, x_max, 5)
+    # an exact end beyond the float range is refused by name, not as an
+    # OverflowError of its float()
+    with pytest.raises(ValueError, match=re.escape("not finite at x = %d" % 10 ** 200)):
+        sample_density(approx, 0.0, 10 ** 200, 2)
+
+
+@pytest.mark.parametrize("values", [[1, 0, 1, 4], [-1, 0, 1, 8]], ids=["even", "odd"])
+def test_an_exact_zero_is_rounded_by_exact_horner(monkeypatch, values):
+    # x^2 and x^3 vanish at 0: the enclosure straddles it, so its ends round
+    # apart and ratio_at decides, giving +0.0 at 0.0 and at -0.0
+    approx = lagrange_density([-1, 0, 1, 2], values)
+    exact = []
+    ratio_at = Poly.ratio_at
+
+    def counted(self, z):
+        exact.append(z)
+        return ratio_at(self, z)
+
+    monkeypatch.setattr(Poly, "ratio_at", counted)
+    samples = sample_density(approx, -1.0, 1.0, 3) + sample_density(approx, -1.0, -0.0, 2)
+    monkeypatch.undo()
+    assert [x for x, _v, _f in samples] == [-1.0, 0.0, 1.0, -1.0, -0.0]
+    assert [z.hex() for z in exact] == ["0x0.0p+0", "-0x0.0p+0"]
+    assert _bits(v for _x, v, _f in samples) == _calls(approx, [-1.0, 0.0, 1.0, -1.0, -0.0])
+    assert samples[1][1].hex() == samples[4][1].hex() == "0x0.0p+0"

@@ -34,11 +34,10 @@ Gathen & Gerhard, Modern Computer Algebra, ch. 10): half the products by a
 coefficient of N.  That took the build from 4.4 to 3.3 ms at n = 20 and
 from 87 to 52 ms at n = 40 (process time on a 2-core x86-64 host).
 
-Its float samples are correctly rounded values of the `Poly`: a grid's float
-points in one pass (`Poly.at_floats`), each rounded as a call at that point
-alone rounds it.  `Poly.enclose`, which does the rounding, truncates the
-wide coefficients to a narrow fixed point, so a sample costs about as much
-as one of a rule polynomial.
+Its float samples are correctly rounded calls of the `Poly`.  `Poly.enclose`,
+which every float call of a rational `Poly` runs, truncates the wide
+coefficients to a narrow fixed point, so a sample costs about as much as one
+of a rule polynomial.
 """
 
 from __future__ import annotations
@@ -259,32 +258,26 @@ def sample_density(approx, x_min, x_max, count):
     """count >= 2 uniform samples of the approximant over [x_min, x_max].
 
     Rows are (x, value, flag); flag marks samples outside the node range.
-    The grid is x_min + i * step with x_max last, as given.  A Lagrange
-    interpolant rounds the grid's float points in one pass
-    (`Poly.at_floats`), each as a call at that point alone rounds it; any
-    other point, and every point of a spline, is one call of the
-    approximant.  Accepts a plain callable too (then no flagging).  A
-    non-finite end, a width beyond the float range, or a value
-    that overflows a float or is not finite raises ValueError naming its
+    The grid is x_min + i * step with x_max last, as given, and each sample
+    is one call of the approximant, taken as a float (+-inf beyond the float
+    range).  Accepts a plain callable too (then no flagging).  An end or a
+    width that is not finite or lies beyond the float range, or a value
+    that overflows a float or is not finite, raises ValueError naming its
     interval or the first such x.
     """
     if count < 2:
         raise ValueError("need at least 2 samples")
-    width = x_max - x_min
-    if not (math.isfinite(x_min) and math.isfinite(x_max) and math.isfinite(width)):
+    # the width only of finite ends: a Fraction minus a float is a float()
+    if not (all(math.isfinite(_float(v)) for v in (x_min, x_max))
+            and math.isfinite(_float(x_max - x_min))):
         raise ValueError("cannot sample [%r, %r]: its ends and its width must be finite"
                          % (x_min, x_max))
+    width = x_max - x_min
     if width < 0:
         raise ValueError("empty sample interval")
     step = width / (count - 1)
     xs = [x_min + i * step for i in range(count - 1)] + [x_max]
-    if isinstance(approx, DensityApprox) and approx.kind == LAGRANGE:
-        # the float points in one pass over the interpolant; an int or a
-        # Fraction (x_max as given, or a grid of them) is a call of its own
-        floats = iter(approx.poly.at_floats([x for x in xs if type(x) is float]))
-        values = [next(floats) if type(x) is float else _float(approx(x)) for x in xs]
-    else:
-        values = [_float(approx(x)) for x in xs]
+    values = [_float(approx(x)) for x in xs]
     flagger = approx.flag if isinstance(approx, DensityApprox) else lambda _x: ""
     for x, value in zip(xs, values):
         if not math.isfinite(value):

@@ -30,7 +30,8 @@ more each step.  Each f_j is a_j 2^s / _den truncated toward zero and each
 floor loses less than one unit, so 2^s P(x) lies within
 sum_{k<=n} |x|^k + sum_{k<n} |x|^k <= (2n+1) max(1, |x|)^n units of t, an
 integer bound at every |x|, raised to a power of two.  The unit is chosen
-once per polynomial: s = bits(_den) + FRACTION_BITS, finer than
+once per polynomial, by its first enclosure, which keeps the f_j and 2^s in
+`_fixed` (`_fixed_point`): s = bits(_den) + FRACTION_BITS, finer than
 1/(_den 2^FRACTION_BITS), while the numerators have at most 2 FRACTION_BITS
 bits, as every rule polynomial's has.  A wider numerator would make every
 step as wide as _den (about 9,350 bits for the Lagrange interpolant at
@@ -39,13 +40,9 @@ bits (s >= 0).  Every rational polynomial, the zero polynomial and
 constants among them, is enclosed so at every finite float.  A call at a
 float returns the enclosure's rounding when both ends round to the same
 float (`exact.common_rounding`), which proves it is the correctly rounded
-P(x); otherwise exact Horner (`ratio_at`) decides.  `at_floats` rounds many
-floats so in one pass, as the density sampler does.  The first enclosure
-computes, once per polynomial, the fixed-point coefficients and their unit
-(`_fixed`), and the degree n of the error bound with log2(2n+1) (`_bound`),
-so a call pays only for the log2 of |x| and the Horner steps.
-`rounded_ratio` rounds a scaled quotient of two polynomials at x the same
-way, from the extreme corners of their enclosures or from exact Horner.
+P(x); otherwise exact Horner (`ratio_at`) decides.  `rounded_ratio` rounds a
+scaled quotient of two polynomials at x the same way, from the extreme
+corners of their enclosures or from exact Horner.
 
 When every other fixed-point coefficient is 0, as for an even or odd P of
 degree n = 2m or 2m + 1 >= 2 (recorded once, in `_half`), `enclose` runs
@@ -127,11 +124,10 @@ def _convolve(a, b, zero):
 class Poly:
     """Immutable dense polynomial; supports +, -, *, scalar mul, ** and calls."""
 
-    # _fixed: the fixed-point coefficients and their unit; _half: those of
-    # P's parity, descending, when P is even or odd (else None); _bound: the
-    # degree n of the error bound and log2(2n + 1); all set by the first
-    # enclosure (`_fixed_point`)
-    __slots__ = ("_nums", "_den", "_fixed", "_half", "_bound")
+    # _fixed: the fixed-point coefficients and their unit, and _half: those
+    # of P's parity, descending, when P is even or odd (else None); both set
+    # by the first enclosure (`_fixed_point`)
+    __slots__ = ("_nums", "_den", "_fixed", "_half")
 
     def __init__(self, coeffs=()):
         cs = [_norm_coeff(c) for c in coeffs]
@@ -285,7 +281,9 @@ class Poly:
         range is +-inf.
         """
         if self._den is not None and isinstance(z, float) and math.isfinite(z):
-            return self.at_floats((z,))[0]
+            lo, hi, den = self.enclose(z)
+            value = common_rounding((lo, den), (hi, den))
+            return quotient(*self.ratio_at(z)) if value is None else value
         x = exact_point(z)
         if self._den is not None and isinstance(x, (int, Fraction)):
             return rounded(Fraction(*self.ratio_at(x)), z)
@@ -293,18 +291,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return rounded(simplify_scalar(acc), z)
-
-    def at_floats(self, xs):
-        """[P(x) for x in xs] at finite floats xs, rounded as a call rounds
-        each one, in one pass: the rounding of `enclose` when its ends round
-        alike, else of `ratio_at`.  The coefficients must be rational.
-        """
-        enclose, values = self.enclose, []
-        for x in xs:
-            lo, hi, den = enclose(x)
-            value = common_rounding((lo, den), (hi, den))
-            values.append(quotient(*self.ratio_at(x)) if value is None else value)
-        return values
 
     def ratio_at(self, z):
         """P(z) as an unreduced integer pair (num, den) with den > 0, exact.
@@ -345,10 +331,10 @@ class Poly:
             fixed, den = self._fixed
         except AttributeError:
             fixed, den = self._fixed = self._fixed_point()
-        n, log_terms = self._bound
+        n = max(0, len(fixed) - 1)      # the zero polynomial's sum is empty
         # the error is below (2n+1) max(1, |x|)^n units; log2 errs by far less
         # than the one bit added
-        err = 1 << (math.ceil(log_terms + n * math.log2(max(1.0, abs(x)))) + 1)
+        err = 1 << (math.ceil(math.log2(2 * n + 1) + n * math.log2(max(1.0, abs(x)))) + 1)
         p, q = x.as_integer_ratio()
         e = q.bit_length() - 1
         t = 0
@@ -368,17 +354,14 @@ class Poly:
         """(coefficients, den): each a_j / _den in the unit 1/den of `enclose`,
         rounded toward zero, den a power of two (see the module docstring).
         Records in `_half` the coefficients of P's parity, descending, when
-        the others all are 0 at degree >= 2, else None, and in `_bound` the
-        degree n of `enclose`'s error bound with log2(2n + 1)."""
+        the others all are 0 at degree >= 2; else None."""
         nums, common = self._nums, self._den
         top = max([a.bit_length() for a in nums], default=0)
         shift = max(0, common.bit_length() + min(FRACTION_BITS, 3 * FRACTION_BITS - top))
         # toward zero, |f_j| <= |a_j| 2^shift / den: never wider than the exact value
         fixed = tuple([(a << shift) // common if a >= 0 else -((-a << shift) // common)
                        for a in nums])
-        n = max(0, len(fixed) - 1)      # the zero polynomial's sum is empty
-        self._bound = n, math.log2(2 * n + 1)
-        odd = n & 1
+        odd = (len(fixed) - 1) & 1
         self._half = (fixed[odd::2][::-1] if len(fixed) > 2 and not any(fixed[1 - odd::2])
                       else None)
         return fixed, 1 << shift

@@ -217,8 +217,11 @@ def test_sample_density_accepts_plain_callables():
 
 
 def test_sample_density_refuses_unsampleable_intervals():
+    # an exact end beyond the float range too, not an OverflowError of float()
     for lo, hi in ((-1.7e308, 1.7e308), (math.nan, 1.0), (0.0, math.inf),
-                   (-math.inf, 0.0), (math.nan, math.nan)):
+                   (-math.inf, 0.0), (math.nan, math.nan), (0, 10 ** 400),
+                   (-10 ** 400, 0), (Fraction(-10 ** 400, 3), 0.0),
+                   (0.0, Fraction(10 ** 400, 7))):
         with pytest.raises(ValueError, match=re.escape("cannot sample [%r, %r]" % (lo, hi))):
             sample_density(cauchy_density, lo, hi, 400)
     with pytest.raises(ValueError, match="empty"):
@@ -353,22 +356,19 @@ def interpolant():
 
 
 def _calls(approx, xs):
-    """The hex of one call of the interpolant at each x alone."""
+    """The hex of one call of the interpolant's `Poly` at each x alone."""
     return _bits(float(approx.poly(x)) for x in xs)
 
 
-def test_the_sampling_pass_gives_each_knots_weight(interpolant):
+def test_samples_at_the_knots_give_the_weights(interpolant):
     rule, approx = interpolant
-    values = _bits(approx.poly.at_floats(rule.nodes))
-    assert values == _calls(approx, rule.nodes) == _bits(rule.weights)
+    assert _calls(approx, rule.nodes) == _bits(rule.weights)
     samples = sample_density(approx, rule.nodes[0], rule.nodes[-1], 400)
     assert _bits([samples[0][1], samples[-1][1]]) == _bits([rule.weights[0], rule.weights[-1]])
 
 
-def test_the_sampling_pass_rounds_as_each_call_does(interpolant):
+def test_samples_round_as_each_call_does(interpolant):
     rule, approx = interpolant
-    signed = [0.0, -0.0, 5e-324, -5e-324]
-    assert _bits(approx.poly.at_floats(signed)) == _calls(approx, signed)
     samples = sample_density(approx, -5e-324, 5e-324, 3)
     assert [x for x, _v, _f in samples] == [-5e-324, 0.0, 5e-324]
     samples += sample_density(approx, -5e-324, -0.0, 2)
@@ -391,14 +391,12 @@ def test_exact_grid_points_are_sampled_by_their_own_calls(interpolant, x_min, x_
 
 def test_a_value_beyond_the_float_range_is_refused_at_its_x(interpolant):
     _rule, approx = interpolant
-    far = [1e200, -1e200]
-    assert _bits(approx.poly.at_floats(far)) == _calls(approx, far)
-    assert {abs(v) for v in approx.poly.at_floats(far)} == {math.inf}
+    assert {abs(float(approx.poly(x))) for x in (1e200, -1e200)} == {math.inf}
     for x_max in (1e200, 10 ** 200, Fraction(10 ** 200)):
         with pytest.raises(ValueError, match=re.escape("not finite at x = 2.5e+199")):
             sample_density(approx, 0.0, x_max, 5)
-    # an exact end beyond the float range is refused by name, not as an
-    # OverflowError of its float()
+    # an exact grid point whose value is beyond the float range is refused by
+    # name, not as an OverflowError of its float()
     with pytest.raises(ValueError, match=re.escape("not finite at x = %d" % 10 ** 200)):
         sample_density(approx, 0.0, 10 ** 200, 2)
 

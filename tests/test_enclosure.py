@@ -196,28 +196,3 @@ def test_rules_without_the_enclosure_are_identical(monkeypatch, pert):
         assert [float.hex(x) for x in exact.nodes] == [float.hex(x) for x in rule.nodes]
         assert [float.hex(w) for w in exact.weights] == [float.hex(w) for w in rule.weights]
     assert exact_calls
-
-
-def test_cached_bound_constants_leave_a_large_rule_unchanged(monkeypatch):
-    # `quad --n 100 --mu 0.01 --k 2`, with every box re-centred on an error
-    # bound whose n and log2(2n+1) come afresh from the fixed-point
-    # coefficients at each call, builds the same nodes and weights
-    scheme, pert = cauchy_scheme(), Perturbation.corec(2, Fraction(1, 100))
-    rule = build_rule(scheme, pert, 100)
-    enclose = Poly.enclose
-    degrees = []
-
-    def fresh(self, x):
-        lo, hi, den = enclose(self, x)
-        n = max(0, len(self._fixed[0]) - 1)
-        err = 1 << (math.ceil(math.log2(2 * n + 1) + n * math.log2(max(1.0, abs(x)))) + 1)
-        degrees.append(n)
-        middle = (lo + hi) // 2
-        return middle - err, middle + err, den
-
-    monkeypatch.setattr(Poly, "enclose", fresh)
-    again = build_rule(scheme, pert, 100)
-    monkeypatch.undo()
-    assert 100 in degrees and 99 in degrees
-    assert [float.hex(x) for x in again.nodes] == [float.hex(x) for x in rule.nodes]
-    assert [float.hex(w) for w in again.weights] == [float.hex(w) for w in rule.weights]

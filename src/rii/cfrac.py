@@ -15,13 +15,15 @@ Evaluation runs bottom-up on the fraction's continuants, so a vanishing
 denominator is detected at a specific coefficient index: exact z raises
 PoleError naming it.  A float or complex z is evaluated exactly and rounded
 once; an intermediate zero is absorbed and a zero final denominator gives +inf.
-The continuants come from one scaled loop over `sequences.cleared_terms`:
-each level's two terms are scaled by the lcm of their denominators at a
-rational z (a float's binary rational included) with a real weight, so the
-convergent is one Fraction of two ints there, and by 1 at every other level,
-which then runs on its Fraction or GaussianRational terms.  On polynomials
-(z = None) the unperturbed levels come from the scheme's step table
-(`sequences._step_terms`).
+The continuants come from one scaled loop over the recurrence's steps, level
+m being step m of `sequences.cleared_terms`: its center term, and its weight
+lambda*_m W_m, the partial numerator below level m - 1.  At a rational z (a
+float's binary rational included) with real weights each step is scaled by
+the lcm of its denominators, so the convergent is one Fraction of two ints
+there; a step with a non-real weight is scaled by 1 and runs on its Fraction
+or GaussianRational terms.  On polynomials (z = None) every step is a Poly
+and the unperturbed ones come from the scheme's step table
+(`sequences._step_terms`), which the families share.
 
 Homographies u -> (a u + b)/(c u + d) with polynomial entries and nonzero
 determinant tie the perturbed fraction to the unperturbed one:
@@ -42,7 +44,7 @@ from .errors import PoleError
 from .exact import exact_point, rounded
 from .polymat import PolyMatrix2
 from .schemes import Perturbation
-from .sequences import _Family, _step_terms, _term_poly, cleared_terms, weight_term
+from .sequences import _Family, _step_terms, cleared_terms, weight_term
 from .transfer import f_matrix, perturbation_transfer
 
 
@@ -96,31 +98,28 @@ def _continuants(scheme, perturbation, s, depth, z=None, strict=True):
     by a zero one raises PoleError(s+j).  A zero partial numerator (e.g.
     special form, z = +-i*omega) truncates there.
 
-    Level j is scaled by t_j, the scale `cleared_terms` gives its two terms,
-    so V_j = (t_j b) V_{j+1} - (t_j t_{j+1} a) V_{j+2} holds V_j = E_j U_j
-    with E_j = t_j E_{j+1}, and U_1/U_0 = t_0 V_1/V_0.  At a rational z with
-    real terms the pair is two ints; a level with t_j = 1 runs on its exact
+    Level j is step s+j (`cleared_terms`), scaled by its t_j; the weight
+    below it, t_{j+1} a_{s+j+1}, is step s+j+1's, times t_j.  Then
+    V_j = (t_j b) V_{j+1} - t_j (t_{j+1} a) V_{j+2} holds V_j = E_j U_j with
+    E_j = t_j E_{j+1}, and U_1/U_0 = t_0 V_1/V_0.  At a rational z with real
+    terms the pair is two ints; a level with t_j = 1 runs on its exact
     terms.  Scaling keeps every zero, so a pole raises at the same index.
     """
     pert = perturbation or Perturbation.none()
     lower, upper = 0, 1                        # V_{j+2}, V_{j+1}
-    scale = 1                                  # t_{j+1}
+    scale, weight = 1, 0                       # t_j, then t_j t_{j+1} a_{s+j+1}
     for j in range(depth - 1, -1, -1):
-        k = s + j + 1 if j < depth - 1 else None
-        if z is None:
-            t, b, a = _step_terms(scheme, pert, s + j, k)
-            b, a = _term_poly(b), _term_poly(a)
-        else:
-            t, b, a = cleared_terms(scheme, pert, s + j, k, z)
+        scale, b, a = (_step_terms(scheme, pert, s + j) if z is None else
+                       cleared_terms(scheme, pert, s + j, z))
         if scale != 1:
-            a *= scale
-        scale = t
-        if a == 0:
+            weight *= scale
+        if weight == 0:
             lower, upper = 1, b
         else:
             if strict and upper == 0:
                 raise PoleError(s + j + 1)
-            lower, upper = upper, b * upper - a * lower
+            lower, upper = upper, b * upper - weight * lower
+        weight = a
     if strict and upper == 0:
         raise PoleError(s)
     return upper, scale * lower

@@ -472,11 +472,12 @@ def weights_second_kind(nodes, m0, q, dp, enclosures=None):
     and dp the perturbed P_n'.
 
     enclosures, when given, holds dp.enclose(x) for each node, as the polish
-    leaves them, or None where a node has none.
+    leaves them, or None where a node has none; any other count raises
+    ValueError.
     """
     m0 = Fraction(m0)
     out = []
-    for j, (x, box) in enumerate(zip(nodes, enclosures or [None] * len(nodes))):
+    for j, (x, box) in enumerate(zip(nodes, enclosures or [None] * len(nodes), strict=True)):
         try:
             out.append(rounded_ratio(m0, q, dp, x, box))
         except ZeroDivisionError:
@@ -494,6 +495,9 @@ class QuadratureRule:
     m0: Fraction
 
     def __post_init__(self):
+        if not len(self.nodes) == len(self.weights) == self.n:
+            raise ValueError("an n = %d rule needs n nodes and n weights, got %d and %d"
+                             % (self.n, len(self.nodes), len(self.weights)))
         if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
             raise DegeneracyError("nodes must be strictly increasing")
 

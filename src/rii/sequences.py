@@ -20,45 +20,46 @@ at level L first changes u_{L+1} (step L computes it), so the first L + 1
 values u_0..u_L of either kind are those of the perturbation without its parts
 at levels >= L: a perturbed family carries, as its prefixes, every family
 perturbed only below a level.
-`cleared_terms` is the only source of step terms for the families and for
-cfrac's convergents; oprl's monic families are `gen_first_kind` over a monic
-view of the scheme (`oprl._monic_view`), transfer's step matrices use
-`center_term` and `weight_term`, and quadrature's chain of leading
-coefficients runs `iterate` on integers.
+So step m is the unit: `cleared_terms` gives it whole, (s_m, s_m a_m,
+s_m b_m) with a_m = rho_m (z - c*_m) and b_m = lambda*_m W_m(z) (b_0 = 0:
+W_0 is never read), and is the only source of step terms for the families
+and for cfrac's convergents; oprl's monic families are `gen_first_kind`
+over a monic view of the scheme (`oprl._monic_view`), transfer's step
+matrices use `center_term` and `weight_term`, and quadrature's chain of
+leading coefficients runs `iterate` on integers.
 
 Each scheme owns one table of exact step data (`_Table`): the integer
-ratios of rho_m, c_m and lambda_m by m, and the unperturbed cleared terms
-at z = None by (m, k), k being m, None or m + 1.  It is a private
-attribute of the immutable scheme, so it lives and dies with it, and only
-this module fills it: one entry at a time, the first time it is read.  A
-failed read stores nothing, so a tabulated scheme raises SchemeIndexError
-at the same index however warm its table is.  A perturbation changes only
-its own levels, so `_step_terms` builds afresh just the step at m = k or
-with weight index k = k' and takes every other one from the table: the
-rules on one scheme, and the plain and perturbed families of one transfer
-check, share their unperturbed steps.  `cleared_terms` and quadrature's
-lead chain and pencil read rho_m, c*_m and lambda*_m through the table
-too (`step_ratios`).
+ratios of rho_m, c_m and lambda_m by m, and the unperturbed cleared steps
+at z = None by m.  It is a private attribute of the immutable scheme, so
+it lives and dies with it, and only this module fills it: one entry at a
+time, the first time it is read.  A failed read stores nothing, so a
+tabulated scheme raises SchemeIndexError at the same index however warm
+its table is.  A perturbation changes only its own levels, so
+`_step_terms` builds afresh just the steps at m = k and m = k' and takes
+every other one from the table: the rules on one scheme, the plain and
+perturbed families of one transfer check, and the families and continued
+fractions of one scheme share their unperturbed steps.  `cleared_terms`
+and quadrature's lead chain and pencil read rho_m, c*_m and lambda*_m
+through the table too (`step_ratios`).
 
 Every family is one scaled loop: the step list is built once and each
 requested kind is iterated over it, fraction-free in the manner of Bareiss.
-Step m is scaled by s_m (`cleared_terms`), so that
+Step m is scaled by s_m, so that
 
     v_{i+1} = (s_m a_m) v_i - (s_m s_{m-1} b_m) v_{i-1},   v_i = D_i u_i,
 
-with a_m = rho_m (z - c*_m), b_m = lambda*_m W_m(z) and D_i the product of
-the scales of the steps before i.  The first kind starts from v_0 = 1, the
-second from (v_0, v_1) = (0, s_shift), so both share one step list and one
-list of D_i.  The scaling is exact for any s_m.  When z is None, s_m is the
-lcm of the coefficient denominators of a_m and b_m; at an int or Fraction z
-with real W_m(z), the lcm of the denominators of the values.  Both are
-computed on the integer numerators and denominators of rho_m, c*_m,
-lambda*_m and W_m, with no Fraction or Poly arithmetic.  Then every v_i
-has integer coefficients (is an int), and at z = None s_m a_m and
-s_m b_m are tuples of their integer coefficients, ascending, with no
-trailing zero.  At a step with a non-real term s_m = 1 and a_m, b_m are
-the exact terms (Gaussian Polys, or Fraction and GaussianRational values
-at a Gaussian point or a non-real W_m(z)).
+with D_i the product of the scales of the steps before i.  The first kind
+starts from v_0 = 1, the second from (v_0, v_1) = (0, s_shift), so both
+share one step list and one list of D_i; neither reads b at step shift.
+The scaling is exact for any s_m.  When z is None, s_m is the lcm of the
+coefficient denominators of a_m and b_m; at an int or Fraction z with real
+W_m(z), the lcm of the denominators of the values.  Both are computed on
+the integer numerators and denominators of rho_m, c*_m, lambda*_m and W_m,
+with no Fraction or Poly arithmetic.  Then every v_i has integer
+coefficients (is an int), and at z = None s_m a_m and s_m b_m are integer
+Polys.  At a step with a non-real term s_m = 1 and a_m, b_m are the exact
+terms (Gaussian Polys, or Fraction and GaussianRational values at a
+Gaussian point or a non-real W_m(z)).
 
 When z is None and every step is real, the loop runs on Python ints: each
 v_i is packed as its value at X = 2^bits, evaluation at 2^bits being a
@@ -127,7 +128,7 @@ _UNPERTURBED = Perturbation.none()
 class _Table:
     """One scheme's exact step data (see the module docstring): the integer
     ratios of rho_m, c_m and lambda_m by m (lambda_0, never read, is 0),
-    and the unperturbed `cleared_terms` at z = None by (m, k)."""
+    and the unperturbed `cleared_terms` at z = None by m."""
 
     __slots__ = ("rho", "c", "lam", "terms")
 
@@ -214,24 +215,22 @@ def weight_term(scheme, pert, m, z=None):
     return lam * scheme.weight_at(m, z)
 
 
-def cleared_terms(scheme, pert, m, k, z):
-    """(s, s a, s b) for a = rho_m (z - c*_m) and b = lambda*_k W_k(z) (b = 0
-    when k is None): the only source of step terms.
+def cleared_terms(scheme, pert, m, z):
+    """Step m as (s, s a, s b) for a = rho_m (z - c*_m) and b = lambda*_m W_m(z)
+    (b = 0 at m = 0, where W_0 is never read): the only source of step terms.
 
-    When z is None and W_k is real, s is the lcm of the denominators of a
-    and b, and s a, s b are tuples of integer coefficients, ascending and
-    without trailing zeros (the numerators of integer Polys), built from
-    the integer numerators of rho_m, c*_m, lambda*_k and W_k.  At an int or
-    Fraction z with real W_k(z) the three are ints: a and b are reduced and
-    s is the lcm of their denominators.  Everywhere else s = 1 and a, b are
-    the exact terms: Polys when z is None, else Fraction or GaussianRational
-    values.
+    When z is None and W_m is real, s is the lcm of the denominators of a
+    and b, and s a, s b are integer Polys, built from the integer numerators
+    of rho_m, c*_m, lambda*_m and W_m.  At an int or Fraction z with real
+    W_m(z) the three are ints: a and b are reduced and s is the lcm of their
+    denominators.  Everywhere else s = 1 and a, b are the exact terms: Polys
+    when z is None, else Fraction or GaussianRational values.
     """
-    weight = None if k is None else scheme.weight_poly(k)
+    weight = scheme.weight_poly(m) if m else None
     real_weight = weight is None or weight.denominator is not None
     if not (real_weight and (z is None or isinstance(z, (int, Fraction)))):
-        # a non-real W_k or a Gaussian z: the exact terms, unscaled
-        b = 0 if k is None else weight_term(scheme, pert, k, z)
+        # a non-real W_m or a Gaussian z: the exact terms, unscaled
+        b = weight_term(scheme, pert, m, z) if m else 0
         return 1, center_term(scheme, pert, m, z), b
     table = scheme._table or _table(scheme)
     # a ratio is a nonempty tuple: `or` reads it only when the table lacks it
@@ -239,21 +238,21 @@ def cleared_terms(scheme, pert, m, k, z):
     cn, cd = table.c.get(m) or _read(table.c, scheme.c, m)
     if m == pert.k:
         cn, cd = _shifted((cn, cd), pert.mu)
-    ln, ld = (0, 1) if k is None else table.lam.get(k) or _read(table.lam, scheme.lam, k)
-    if k == pert.kp and k is not None:
+    ln, ld = table.lam.get(m) or _read(table.lam, scheme.lam, m)
+    if m == pert.kp:
         ln, ld = _scaled((ln, ld), pert.nu)
     if z is None:
         a, ad = [-rn * cn, rn * cd], rd * cd
-        b, bd = ([], 1) if k is None else (
-            [ln * w for w in weight.numerators], ld * weight.denominator)
+        b, bd = ([ln * w for w in weight.numerators], ld * weight.denominator) if m else ([], 1)
         s = math.lcm(ad // math.gcd(ad, *a), bd // math.gcd(bd, *b))
-        return s, _trimmed([x * s // ad for x in a]), _trimmed([y * s // bd for y in b])
+        return (s, Poly.from_integers([x * s // ad for x in a], 1),
+                Poly.from_integers([y * s // bd for y in b], 1))
     p, q = z.as_integer_ratio()
     an = rn * (p * cd - cn * q)
     ad = rd * q * cd
     g = math.gcd(an, ad)
     an, ad = an // g, ad // g
-    if k is None:
+    if not m:
         return clear(an, ad, 0, 1)
     wn, wd = weight.ratio_at(z)
     bn, bd = ln * wn, ld * wd
@@ -261,30 +260,17 @@ def cleared_terms(scheme, pert, m, k, z):
     return clear(an, ad, bn // g, bd // g)
 
 
-def _trimmed(nums):
-    """The list of ints nums without its trailing zeros, as a tuple."""
-    while nums and not nums[-1]:
-        nums.pop()
-    return tuple(nums)
-
-
-def _step_terms(scheme, pert, m, k):
-    """cleared_terms(scheme, pert, m, k, None): built afresh at a perturbed
-    level (m = k, or k = k'), else the unperturbed step from the scheme's
+def _step_terms(scheme, pert, m):
+    """cleared_terms(scheme, pert, m, None): built afresh at a perturbed
+    level (m = k or m = k'), else the unperturbed step from the scheme's
     table, which it fills on first use."""
-    if m == pert.k or (k is not None and k == pert.kp):
-        return cleared_terms(scheme, pert, m, k, None)
+    if m == pert.k or m == pert.kp:
+        return cleared_terms(scheme, pert, m, None)
     terms = (scheme._table or _table(scheme)).terms
-    step = terms.get((m, k))
+    step = terms.get(m)
     if step is None:
-        step = terms[m, k] = cleared_terms(scheme, _UNPERTURBED, m, k, None)
+        step = terms[m] = cleared_terms(scheme, _UNPERTURBED, m, None)
     return step
-
-
-def _term_poly(term):
-    """A step term of `_step_terms` as a Poly: a tuple of integer
-    coefficients becomes its integer Poly, a Poly stays as it is."""
-    return Poly.from_integers(term, 1) if type(term) is tuple else term
 
 
 def clear(an, ad, bn, bd):
@@ -324,44 +310,42 @@ def iterate(a, b, kind, n, shift=0, one=1, zero=0):
 
 
 class _Family:
-    """One list of scaled steps, s_m a_m and s_m s_{m-1} b_m by m, with D_0..D_n,
-    read back at the indices given (all when None); see the module docstring.
+    """The steps (s_m, s_m a_m, s_m b_m) of levels shift..shift+n-1 with
+    D_0..D_n, read back at the indices given (all when None); see the module
+    docstring.  Each reader runs the scaled loop, b_m times s_{m-1}.
 
     `values` gives each kind's u_0..u_n, None at the indices not read.
-    `integer` tells whether every step is real at z = None, each term a
-    tuple of integer coefficients, and then `members` gives the read
-    members as quotients of packed integers or of bounds.
+    `integer` tells whether every step is real at z = None, each term an
+    integer Poly, and then `members` gives the read members as quotients of
+    packed integers or of bounds.
     """
 
-    __slots__ = ("kinds", "shift", "n", "z", "indices", "a", "b", "dens", "integer")
+    __slots__ = ("kinds", "shift", "n", "z", "indices", "a", "b", "prev", "dens", "integer")
 
     def __init__(self, scheme, pert, kinds, shift, n, z=None, indices=None):
         if n < 0:       # as `iterate` says it; _rows reads dens[1] before iterating
             raise ValueError("n must be >= 0, got %d" % n)
         pert = pert or _UNPERTURBED
-        a, b, dens, prev = {}, {}, [1], 1       # s_m a_m, s_m s_{m-1} b_m, D_i, s_{m-1}
+        # each reader scales b_m by s_{m-1} in its own form: scaling the
+        # Polys here cost a 12-step family_ends 18 %
+        a, b, prev, dens, s = {}, {}, {}, [1], 1     # s_m a_m, s_m b_m, s_{m-1}, D_i
         for m in range(shift, shift + n):
-            # iterate skips b at the first-kind step 0, so it is not queried here
-            k = m if m > shift else None
-            s, a[m], sb = (_step_terms(scheme, pert, m, k) if z is None else
-                           cleared_terms(scheme, pert, m, k, z))
-            if prev != 1:
-                sb = tuple([y * prev for y in sb]) if type(sb) is tuple else sb * prev
-            b[m] = sb
+            # iterate never reads b at step shift, whichever the kind
+            prev[m] = s
+            s, a[m], b[m] = (_step_terms(scheme, pert, m) if z is None else
+                             cleared_terms(scheme, pert, m, z))
             dens.append(dens[-1] * s)
-            prev = s
-        self.integer = z is None and all(type(t) is tuple for t in a.values())
-        if z is None and not self.integer:      # a non-real step: every step a Poly
-            a = {m: _term_poly(t) for m, t in a.items()}
-            b = {m: _term_poly(t) for m, t in b.items()}
+        # a non-real step is unscaled: its terms are not integer Polys (a zero
+        # lambda*_m W_m, whatever W_m, has denominator 1, so a is read too)
+        self.integer = z is None and all(t.denominator == 1 for t in (*a.values(), *b.values()))
         self.kinds, self.shift, self.n, self.z = kinds, shift, n, z
         self.indices = range(n + 1) if indices is None else indices
-        self.a, self.b, self.dens = a, b, dens
+        self.a, self.b, self.prev, self.dens = a, b, prev, dens
 
     def _rows(self, a, b, one, zero, value):
         """value(v_i, i) at each read index of each kind, None at the others:
-        v iterated over the step terms a and b from one(start) and zero, the
-        start being v_0 = 1 (first kind) or v_1 = D_1 (second kind)."""
+        v iterated over the scaled step terms a and b from one(start) and
+        zero, the start being v_0 = 1 (first kind) or v_1 = D_1 (second kind)."""
         rows = []
         for kind in self.kinds:
             start = self.dens[1] if kind == "second" and self.n else 1
@@ -381,7 +365,8 @@ class _Family:
                               for i in self.indices))
             return self.members(bits, lambda v, i: unpacked(v, bits, i + 1, dens[i]))
         one, zero = (int, 0) if self.z is not None else (Poly.const, Poly.zero())
-        return self._rows(self.a, self.b, one, zero, lambda v, i: (
+        b = {m: t * self.prev[m] for m, t in self.b.items()}
+        return self._rows(self.a, b, one, zero, lambda v, i: (
             Fraction(v, dens[i]) if isinstance(v, int) else
             v if dens[i] == 1 else v * Fraction(1, dens[i])))
 
@@ -389,14 +374,17 @@ class _Family:
         """Each kind's read members u_i = v_i / D_i as quotients: `_Bound`s
         N_i / D_i when bits is None, else `_Packed`s v_i(2^bits) / D_i; or
         read(N_i or v_i(2^bits), i) of each when read is given."""
+        prev = self.prev
         if bits is None:
             # the loop on ints: iterate subtracts its b term, so the b bounds
             # enter negated (one `_Bound` per step cost a rule ladder 2-3 %)
-            cls, a = _Bound, {m: sum(map(abs, t)) for m, t in self.a.items()}
-            b = {m: -sum(map(abs, t)) for m, t in self.b.items()}
+            cls, a = _Bound, {m: norm1(t) for m, t in self.a.items()}
+            b = {m: -norm1(t) * prev[m] for m, t in self.b.items()}
         else:
-            cls, a = _Packed, {m: _packed_step(t, bits) for m, t in self.a.items()}
-            b = {m: _packed_step(t, bits) for m, t in self.b.items()}
+            # s_{m-1} enters the coefficients, which a `_ShiftAdd` keeps apart
+            cls, a = _Packed, {m: _packed_step(t.numerators, bits) for m, t in self.a.items()}
+            b = {m: _packed_step([y * prev[m] for y in t.numerators], bits)
+                 for m, t in self.b.items()}
         dens = self.dens
         return self._rows(a, b, int, 0, read or (lambda v, i: cls(v, dens[i])))
 
@@ -543,7 +531,10 @@ def eval_recurrence_at(scheme, perturbation, kind, n, z):
 
 
 def eval_sequence_at(scheme, perturbation, kind, n, z, shift=0):
-    """All of u_0(z)..u_n(z); same conventions as eval_recurrence_at."""
+    """All of u_0(z)..u_n(z), the coefficient indices shifted by shift >= 0;
+    same conventions as eval_recurrence_at."""
+    if shift < 0:
+        raise ValueError("shift must be >= 0, got %d" % shift)
     x = exact_point(z)
     values = _Family(scheme, perturbation, (kind,), shift, n, x).values()[0]
     return values if x is z else [rounded(u, z) for u in values]

@@ -43,7 +43,7 @@ step matrices; `step_matrix` keeps the product form as a reference.
 takes every step but those at levels k and k' from the scheme's step table
 (`rii.sequences._step_terms`) as the plain one has just filled it.  It
 decides both identities on packed integers whenever every step of both
-families is real, its terms integer coefficients, that is unless some W_m
+families is real, its terms integer Polys, that is unless some W_m
 is not real (then it takes the Poly form above).  Each entry of either
 residual is a sum of products of the families' members, the step terms
 rho_m (z - c*_m) and lambda*_m W_m and the factors lambda_j W_j of K_m, each

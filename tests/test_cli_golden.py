@@ -6,7 +6,8 @@ format at the default precision, each of the six tables (t4 in JSON at
 --precision 3, the others as CSV), nested float rounding in JSON at
 --precision 3, `quad --config`, the text form of non-real polynomial
 coefficients, a spline through perturbed (unequal) weights, and a rule
-and a polynomial of degree above 10, where packed families do the work.
+and a polynomial of degree above 10, where packed families do the work
+(at n = 100, with steps multiplied by shift-and-add).
 `zeros` at n = 200 (the worked example), at n = 100 and at n = 10 (t4's
 rule), and `quad` at n = 4 and at n = 100 under a co-dilation (a symmetric
 rule, from half its nodes), also run at --precision 17: every float comes
@@ -84,6 +85,9 @@ CASES = {
     "p17-quad-n100-codil-csv": ("--precision", "17", "quad", "--n", "100", "--nu", "0.98",
                                 "--kp", "3", "--out", "csv"),
     "poly-n40-csv": ("poly", "--n", "40", "--kind", "both") + T5_CELL + ("--out", "csv"),
+    # packed 264 bits a coefficient, past the width from which the packed
+    # steps multiply by shift-and-add
+    "poly-n100-csv": ("poly", "--n", "100", "--kind", "both") + T5_CELL + ("--out", "csv"),
     "quad-config": ("quad", "--config", CONFIG),
     "quad-config-json": ("quad", "--config", CONFIG, "--out", "json"),
     "table-t1-csv": ("table", "--id", "t1"),

@@ -1034,6 +1034,37 @@ def test_vanishing_slope_is_a_degeneracy():
         weights_second_kind([0.25, 0.5], 1, Poly.one(), dp)
 
 
+def test_weights_refuse_a_count_of_enclosures_other_than_the_nodes(cauchy):
+    # too few or too many enclosures are refused, not zipped to the shorter
+    rule = build_rule(cauchy, None, 4)
+    p, q = family_ends(cauchy, None, 4)
+    dp = p.derivative()
+    boxes = [dp.enclose(x) for x in rule.nodes]
+    assert weights_second_kind(rule.nodes, rule.m0, q, dp, boxes) == list(rule.weights)
+    for given in (boxes[:1], boxes[:3], boxes + boxes[:1]):
+        with pytest.raises(ValueError):
+            weights_second_kind(rule.nodes, rule.m0, q, dp, given)
+
+
+@pytest.mark.parametrize("n, nodes, weights", [
+    (3, (0.0, 1.0), (1.0,)),
+    (3, (0.0, 1.0), (0.5, 0.5)),
+    (2, (0.0, 1.0), (0.5,)),
+    (1, (0.0, 1.0), (0.5, 0.5)),
+    (2, (), ()),
+])
+def test_a_rule_refuses_counts_other_than_n(n, nodes, weights):
+    from rii.quadrature import QuadratureRule
+
+    with pytest.raises(ValueError, match="an n = %d rule needs n nodes and n weights, "
+                                         "got %d and %d" % (n, len(nodes), len(weights))):
+        QuadratureRule(n=n, nodes=nodes, weights=weights, perturbation=Perturbation.none(),
+                       m0=Fraction(1, 2))
+    rule = QuadratureRule(n=2, nodes=(0.0, 1.0), weights=(0.5, 0.5),
+                          perturbation=Perturbation.none(), m0=Fraction(1, 2))
+    assert estimate(rule, lambda x: 1.0) == 1.0
+
+
 def test_degree_drop_raises_naming_the_degree(cauchy):
     # k' = 1, nu = 12/5: L_6 = (nu + (2 - nu) 6) / 2^6 = 0, so P*_6 has degree 4;
     # nu = 4: P*_2 = x^2 - 4 (x^2 + 1)/4 is the constant -1

@@ -94,6 +94,15 @@ def test_associated_families(cauchy):
         gen_associated(cauchy, -1, 3)
 
 
+@pytest.mark.parametrize("shift", [-1, -4])
+def test_a_negative_shift_is_refused(cauchy, shift):
+    # a recurrence over coefficient index -1 reads lambda_0, which no step
+    # queries: refused as gen_associated refuses an order shift j < 0
+    for kind in ("first", "second"):
+        with pytest.raises(ValueError, match="shift must be >= 0, got %d" % shift):
+            eval_sequence_at(cauchy, None, kind, 3, Fraction(1, 2), shift=shift)
+
+
 def test_eval_matches_coefficient_path(cauchy):
     pert = Perturbation.both(1, Fraction(1, 3), 2, Fraction(5, 4))
     seq = gen_first_kind(cauchy, pert, 8)
@@ -272,7 +281,7 @@ _POINTS = st.one_of(st.none(), st.integers(-5, 5),
                               st.fractions(min_value=1, max_value=3, max_denominator=5)))
 
 
-@pytest.mark.parametrize("scheme_kind", ["general", "special", "oprl"])
+@pytest.mark.parametrize("scheme_kind", ["general", "special", "oprl", "gaussian", "mixed"])
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), n=st.integers(0, 8), shift=st.integers(0, 2),
        shape=st.sampled_from(("none", "corec", "codil", "both", "same", "k0", "first")),
@@ -281,7 +290,7 @@ def test_a_warm_step_table_gives_the_fresh_steps(scheme_of_kind, scheme_kind, se
                                                  shape, z):
     # the table of a scheme that has built other families gives the same
     # bits as a fresh copy of the scheme, whose table starts empty: the step
-    # terms at every (m, k) a family or a continued fraction reads, and
+    # terms at every level m a family or a continued fraction reads, and
     # each kind's family values
     rng = random.Random(seed)
     warm = scheme_of_kind(rng, scheme_kind)
@@ -294,12 +303,11 @@ def test_a_warm_step_table_gives_the_fresh_steps(scheme_of_kind, scheme_kind, se
         return scheme_of_kind(random.Random(seed), scheme_kind)
 
     none = Perturbation.none()
-    for m in range(shift, shift + n):
-        for k in (m or None, None, m + 1):
-            expected = cleared_terms(fresh(), pert or none, m, k, z)
-            assert cleared_terms(warm, pert or none, m, k, z) == expected
-            if z is None:
-                assert _step_terms(warm, pert or none, m, k) == expected
+    for m in range(shift, shift + n + 1):
+        expected = cleared_terms(fresh(), pert or none, m, z)
+        assert cleared_terms(warm, pert or none, m, z) == expected
+        if z is None:
+            assert _step_terms(warm, pert or none, m) == expected
     kinds = ("first", "second")
     values = _Family(warm, pert, kinds, shift, n, z).values()
     expected = _Family(fresh(), pert, kinds, shift, n, z).values()

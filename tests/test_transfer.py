@@ -177,15 +177,14 @@ def test_one_transfer_check_builds_each_unperturbed_step_once(monkeypatch, kind,
     built = []
     cleared = rii.sequences.cleared_terms
 
-    def recording(scheme, pert, m, k, z):
-        built.append((pert.max_level() >= 0, m, k))
-        return cleared(scheme, pert, m, k, z)
+    def recording(scheme, pert, m, z):
+        built.append((pert.max_level() >= 0, m))
+        return cleared(scheme, pert, m, z)
 
     monkeypatch.setattr(rii.sequences, "cleared_terms", recording)
     assert all(r.is_zero() for r in transfer_residual(scheme, pert, n))
-    assert [(m, k) for perturbed, m, k in built if not perturbed] == \
-        [(0, None)] + [(m, m) for m in range(1, n + 1)]
-    assert sorted(m for perturbed, m, k in built if perturbed) == \
+    assert [m for perturbed, m in built if not perturbed] == list(range(n + 1))
+    assert sorted(m for perturbed, m in built if perturbed) == \
         sorted({pert.k, pert.kp} - {None})
 
 
@@ -265,10 +264,10 @@ def _shifted_center(level, shift):
     family breaks there while the explicit steps of the entry form do not."""
     step_terms = rii.sequences._step_terms
 
-    def broken(scheme, pert, m, k):
-        s, a, b = step_terms(scheme, pert, m, k)
+    def broken(scheme, pert, m):
+        s, a, b = step_terms(scheme, pert, m)
         if m == level and pert.max_level() >= 0:
-            a = a + shift * s if isinstance(a, Poly) else (a[0] + shift * s, *a[1:])
+            a = a + shift * s
         return s, a, b
     return broken
 
